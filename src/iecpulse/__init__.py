@@ -32,6 +32,7 @@ from .dynamics import (
 from .errors import (
     DegeneratePoint,
     DivergentPulse,
+    NoConvergence,
     NoCrossing,
     NoFeasiblePoint,
     SingularSystem,
@@ -55,6 +56,7 @@ __all__ = [
     "Condition",
     "DegeneratePoint",
     "DivergentPulse",
+    "NoConvergence",
     "NoCrossing",
     "NoFeasiblePoint",
     "PassageReport",

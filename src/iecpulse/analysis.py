@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import Weights, adiabatic_state, bloch_vector, fidelity, invariant_state
-from .errors import DegeneratePoint, DivergentPulse, NoFeasiblePoint
+from .errors import DegeneratePoint, DivergentPulse, NoConvergence, NoCrossing, NoFeasiblePoint
+from .errors import SingularSystem
 from .pulse import _waveform, adaptive_simpson
 from .schedule import SchedulePair, antedated_pair
 
@@ -42,6 +43,7 @@ def energy_cost(pair: SchedulePair) -> float:
     """Pulse area of omega_r up to the completion time (dimensionless)."""
     s_end = pair.switch_fraction if pair.switch_fraction is not None else 1.0
     wave = _waveform(pair)
+    wave.check_finite(0.0, s_end, wave.omega_divergent)
     return adaptive_simpson(wave.omega, 0.0, s_end, 1e-8)
 
 
@@ -142,15 +144,17 @@ class SweepResult:
 
 
 def _sweep_point(args: tuple[float, float, float]) -> tuple[float, bool]:
-    """Cost and feasibility at one grid point (t_f, t_a, beta_dot0 units)."""
+    """Cost and feasibility at one grid point (t_f, t_a, beta_dot0 units).
+
+    A schedule that cannot be built or costed is an infeasible point.
+    """
     t_f, t_a, units = args
-    pair = antedated_pair(t_f, t_a, units * 0.5 * math.pi / t_f, enforce_range=False)
-    report = validate_schedule(pair)
-    if not report.feasible:
-        return math.nan, False
     try:
+        pair = antedated_pair(t_f, t_a, units * 0.5 * math.pi / t_f, enforce_range=False)
+        if not validate_schedule(pair).feasible:
+            return math.nan, False
         return energy_cost(pair), True
-    except DivergentPulse:
+    except (SingularSystem, NoCrossing, NoConvergence, DivergentPulse):
         return math.nan, False
 
 

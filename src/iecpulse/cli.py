@@ -16,14 +16,16 @@ Recognized keys:
     beta_dot0  initial beta rate in units of pi / (2 t_f) (antedated only)
     p_plus     upper-branch weight (default 0.2)
     p_minus    lower-branch weight (default 0.8)
-    grid_n     output grid intervals (default 1000)
-    rk4_steps  integrator steps (default 10000)
-    sweep_lo, sweep_hi, sweep_n   beta_dot0 sweep grid (sweep subcommand)
+    grid_n     output grid intervals (default 1000, at least 2)
+    rk4_steps  integrator steps (default 10000, at least 100)
+    sweep_lo, sweep_hi, sweep_n   beta_dot0 sweep grid (sweep subcommand;
+               sweep_n at least 10)
 
-Unknown keys are an error. Frequencies in emitted CSVs are in units of
-1/t_f; t_f itself is echoed in summary.txt. Outputs contain no timestamps,
-so identical configs produce byte-identical files. The IECPULSE_WORKERS
-environment variable caps sweep parallelism (default: all cores).
+Unknown keys and non-finite numbers are an error. Frequencies in emitted
+CSVs are in units of 1/t_f; t_f itself is echoed in summary.txt. Outputs
+contain no timestamps, so identical configs produce byte-identical files.
+The IECPULSE_WORKERS environment variable caps sweep parallelism (default:
+all cores); a value that is not an integer is a config error.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from . import analysis, dynamics, pulse
 from .errors import (
     DegeneratePoint,
     DivergentPulse,
+    NoConvergence,
     NoCrossing,
     NoFeasiblePoint,
     SingularSystem,
@@ -114,20 +117,26 @@ def parse_config(path: Path) -> RunConfig:
 
     def need_float(key: str) -> float:
         try:
-            return float(raw[key])
+            value = float(raw[key])
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: not a number: {raw[key]!r}") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"config key {key!r}: not finite: {raw[key]!r}")
+        return value
 
     def opt_float(key: str, default: float | None = None) -> float | None:
         return need_float(key) if key in raw else default
 
-    def opt_int(key: str, default: int) -> int:
+    def opt_int(key: str, default: int, minimum: int) -> int:
         if key not in raw:
             return default
         try:
-            return int(raw[key])
+            value = int(raw[key])
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: not an integer: {raw[key]!r}") from exc
+        if value < minimum:
+            raise ConfigError(f"config key {key!r} must be >= {minimum}, got {value}")
+        return value
 
     if "t_f" not in raw:
         raise ConfigError("config requires t_f")
@@ -149,7 +158,7 @@ def parse_config(path: Path) -> RunConfig:
     if any(k in raw for k in ("sweep_lo", "sweep_hi", "sweep_n")):
         if not all(k in raw for k in ("sweep_lo", "sweep_hi", "sweep_n")):
             raise ConfigError("sweep requires all of sweep_lo, sweep_hi, sweep_n")
-        sweep = (need_float("sweep_lo"), need_float("sweep_hi"), opt_int("sweep_n", 0))
+        sweep = (need_float("sweep_lo"), need_float("sweep_hi"), opt_int("sweep_n", 0, 10))
     return RunConfig(
         t_f=t_f,
         family=family,
@@ -157,8 +166,8 @@ def parse_config(path: Path) -> RunConfig:
         gamma_mid=opt_float("gamma_mid"),
         t_a=opt_float("t_a"),
         beta_dot0=opt_float("beta_dot0"),
-        grid_n=opt_int("grid_n", 1000),
-        rk4_steps=opt_int("rk4_steps", 10_000),
+        grid_n=opt_int("grid_n", 1000, 2),
+        rk4_steps=opt_int("rk4_steps", 10_000, 100),
         sweep=sweep,
     )
 
@@ -271,9 +280,11 @@ def _cmd_sweep(cfg: RunConfig, out: Path) -> None:
     if cfg.t_a is None:
         raise ConfigError("sweep subcommand requires t_a")
     lo, hi, n = cfg.sweep
-    result = analysis.sweep_beta_dot0(
-        cfg.t_f, cfg.t_a, lo, hi, n, workers=analysis.default_workers()
-    )
+    try:
+        workers = analysis.default_workers()
+    except ValueError as exc:
+        raise ConfigError(f"IECPULSE_WORKERS is not an integer: {exc}") from exc
+    result = analysis.sweep_beta_dot0(cfg.t_f, cfg.t_a, lo, hi, n, workers=workers)
     infeasible = set(result.infeasible_points)
     _write_csv(
         out / "sweep.csv",
@@ -299,6 +310,8 @@ def _cmd_sweep(cfg: RunConfig, out: Path) -> None:
 def _cmd_check(cfg: RunConfig, out: Path) -> None:
     pair = cfg.build_pair()
     report = analysis.validate_schedule(pair)
+    wave = pulse._waveform(pair)
+    wave.check_finite(0.0, pair.switch_fraction or 1.0, wave.omega_divergent | wave.cot_divergent)
     grid = np.linspace(0.0, 1.0, 1000)
     residual = max(dynamics.invariant_residual(pair, float(s)) for s in grid)
     lines = [
@@ -347,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UnphysicalSchedule, NoCrossing, NoFeasiblePoint) as exc:
         print(f"iecpulse: schedule infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (DivergentPulse, DegeneratePoint, StepTooCoarse, SingularSystem) as exc:
+    except (DivergentPulse, DegeneratePoint, NoConvergence, StepTooCoarse, SingularSystem) as exc:
         print(f"iecpulse: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

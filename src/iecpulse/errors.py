@@ -27,3 +27,7 @@ class StepTooCoarse(RuntimeError):
 
 class NoFeasiblePoint(RuntimeError):
     """Every grid point of a parameter sweep failed schedule validation."""
+
+
+class NoConvergence(ArithmeticError):
+    """An adaptive quadrature spent its evaluation budget without meeting its tolerance."""

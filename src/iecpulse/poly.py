@@ -2,7 +2,8 @@
 
 All schedules in this package are real polynomials in the normalized time
 s = t / t_f on [0, 1]. Fitting solves a dense Vandermonde-with-derivatives
-system; root finding brackets sign changes on a dense grid and bisects.
+system; real roots, with their multiplicities, come from the eigenvalues of
+the companion matrix.
 """
 
 from __future__ import annotations
@@ -47,20 +48,6 @@ class Polynomial:
         if len(self._coeffs) <= 1:
             return Polynomial([])
         return Polynomial(self._coeffs[1:] * np.arange(1, len(self._coeffs)))
-
-    def taylor_coefficients(self, s0: float, n: int) -> np.ndarray:
-        """Coefficients of p(s0 + u) as a power series in u, length n."""
-        out = np.zeros(n)
-        q: Polynomial = self
-        fact = 1.0
-        for j in range(n):
-            if j:
-                fact *= j
-            if q.degree < 0:
-                break
-            out[j] = q(s0) / fact
-            q = q.derivative()
-        return out
 
     def shifted(self, offset: float) -> "Polynomial":
         """p + offset (constant term shifted)."""
@@ -131,43 +118,33 @@ def fit(conditions: Sequence[Condition], degree: int) -> Polynomial:
     return p
 
 
-def real_roots(
-    p: Polynomial, lo: float, hi: float, *, cells: int = 2048, tol: float = 1e-12
-) -> list[float]:
-    """All real roots of p in [lo, hi], sorted ascending.
+def real_roots(p: Polynomial, lo: float, hi: float) -> list[float]:
+    """All real roots of p in [lo, hi], sorted ascending, each repeated by its multiplicity.
 
-    Sign changes are bracketed on a `cells`-cell grid and bisected to `tol`;
-    grid nodes where |p| is negligible relative to the grid scale count as
-    roots (catches boundary roots without a sign change). Multiple roots
-    inside one cell are reported once per sign change.
+    Candidates are the companion-matrix eigenvalues. Rounding splits a root of
+    multiplicity m into m nearby, possibly complex, values, between which p
+    cannot be told from zero: an eigenvalue counts as real, and neighbours as
+    one root at their mean, where |p| is within its rounding bound. Simple
+    roots get one Newton step.
     """
     if not lo < hi:
         raise ValueError("real_roots requires lo < hi")
-    grid = np.linspace(lo, hi, cells + 1)
-    f = np.asarray(p(grid), dtype=float)
-    scale = float(np.max(np.abs(f)))
-    if scale == 0.0:
+    nonzero = np.flatnonzero(p.coefficients)
+    if len(nonzero) == 0 or nonzero[-1] == 0:
         return []
-    roots: list[float] = [float(s) for s, v in zip(grid, f) if abs(v) <= 1e-12 * scale]
-    for i in range(cells):
-        fa, fb = f[i], f[i + 1]
-        if fa * fb < 0.0:
-            a, b = float(grid[i]), float(grid[i + 1])
-            va = fa
-            while b - a > tol:
-                m = 0.5 * (a + b)
-                vm = float(p(m))
-                if vm == 0.0:
-                    a = b = m
-                    break
-                if va * vm < 0.0:
-                    b = m
-                else:
-                    a, va = m, vm
-            roots.append(0.5 * (a + b))
-    roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        if not merged or r - merged[-1] > 1e-9:
-            merged.append(r)
-    return merged
+    c = p.coefficients[: nonzero[-1] + 1]
+
+    def negligible(x: np.ndarray) -> np.ndarray:
+        bound = 8 * len(c) * np.finfo(float).eps * npoly.polyval(np.abs(x), np.abs(c))
+        return np.abs(npoly.polyval(x, c)) <= bound
+
+    z = npoly.polyroots(c)
+    x = np.sort(z.real[(z.imag == 0) | negligible(z.real)])
+    roots: list[float] = []
+    for group in np.split(x, np.nonzero(~negligible(0.5 * (x[1:] + x[:-1])))[0] + 1):
+        r = float(group.sum()) / len(group) if len(group) else math.nan
+        if len(group) == 1:
+            r -= float(npoly.polyval(r, c) / npoly.polyval(r, c[1:] * np.arange(1, len(c))))
+        if lo - 1e-12 <= r <= hi + 1e-12:
+            roots += [min(max(r, lo), hi)] * len(group)
+    return roots

@@ -6,12 +6,21 @@ The invariant construction fixes the Rabi frequency and detuning as
     delta(t)   = omega_r * cot(gamma) * cos(beta) - beta_dot
 
 Both quotients hit 0/0 at schedule-defined points (the passage endpoints,
-the antedated zero of gamma, the rate-reversal zero of beta). Because
-gamma and beta are polynomials, the limits there are exact ratios of
-leading Taylor coefficients; this module evaluates a truncated power
-series of numerator and denominator around each such point instead of
-dividing nearly-cancelling floats. A genuine order mismatch (denominator
-vanishing faster than numerator) raises DivergentPulse.
+the antedated zero of gamma, the rate-reversal zero of beta), so they are
+evaluated in factored form. A station s0 is a point of [0, 1] where one of
+the factors gamma_dot, sin(beta), cos(beta), sin(gamma) vanishes. There a
+factor's multiplicity m is the number of leading Taylor coefficients of its
+argument (less a multiple k pi for an angle) that lie within the rounding
+bound of their evaluation, so zeros that coincide by design share a
+station. About s0 each factor is u^m (u = s - s0) times a reduced part:
+gamma_dot's Taylor series without its first m terms, and for an angle
+
+    sin(p) = u^m (-1)^k r(s) sinc((p - k pi) / pi),   p - k pi = u^m r(s).
+
+Every sample takes the reduced parts of its nearest station, so one
+vectorised formula serves the 0/0 points and all other samples alike. A
+station's order, numerator minus denominator multiplicities, is negative
+exactly where a quotient diverges (DivergentPulse).
 
 All internal arithmetic is dimensionless: rates per unit s = t / t_f and
 frequencies multiplied by t_f. Public functions convert at the boundary,
@@ -20,15 +29,15 @@ so every dimensionless output is exactly independent of t_f.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from .errors import DegeneratePoint, DivergentPulse
+from .errors import DegeneratePoint, DivergentPulse, NoConvergence
 from .poly import Polynomial, real_roots
 from .schedule import SchedulePair
 
@@ -42,108 +51,130 @@ __all__ = [
     "adaptive_simpson",
 ]
 
-#: Half-width (in s) of the neighborhood around a singular point inside
-#: which series evaluation replaces direct division.
-_WINDOW = 1e-3
-_TERMS = 20
-#: Series coefficients below this fraction of the series scale are fit
-#: noise, not structure.
-_NOISE_REL = 1e-9
+#: Stations are resolved to this distance in s: a zero candidate this close
+#: to one where more factors vanish is a rounding split of it, and a point
+#: this close to a divergent station is at it.
+ROOT_TOL = 1e-6
+
+#: Integrand evaluations adaptive_simpson may spend before giving up.
+SIMPSON_BUDGET = 100_000
 
 
 # ---------------------------------------------------------------------------
-# truncated power series helpers (plain float arrays, ascending powers)
+# factored evaluation
 
-def _series_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.convolve(a, b)[:_TERMS]
-
-
-def _series_sin_cos(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sin and cos of a power series with arbitrary constant term."""
-    c0 = h[0]
-    hh = h.copy()
-    hh[0] = 0.0
-    sin_hh = np.zeros(_TERMS)
-    cos_hh = np.zeros(_TERMS)
-    power = np.zeros(_TERMS)
-    power[0] = 1.0
-    fact = 1.0
-    for k in range(_TERMS):
-        if k:
-            fact *= k
-        term = power / fact
-        if k % 4 == 0:
-            cos_hh += term
-        elif k % 4 == 1:
-            sin_hh += term
-        elif k % 4 == 2:
-            cos_hh -= term
-        else:
-            sin_hh -= term
-        power = _series_mul(power, hh)
-        if not power.any():
-            break
-    s0, c0v = math.sin(c0), math.cos(c0)
-    return s0 * cos_hh + c0v * sin_hh, c0v * cos_hh - s0 * sin_hh
+def _angle_zeros(p: Polynomial, crit: list[float]) -> list[float]:
+    """Points in [0, 1] where p crosses or touches a multiple of pi; crit
+    holds the stationary points of p in [0, 1]."""
+    values = p(np.array([0.0, 1.0] + crit))
+    k_lo = math.ceil(values.min() / math.pi - 1e-9)
+    k_hi = math.floor(values.max() / math.pi + 1e-9)
+    return [r for k in range(k_lo, k_hi + 1) for r in real_roots(p.shifted(-k * math.pi), 0.0, 1.0)]
 
 
-_WINDOW_POWERS = _WINDOW ** np.arange(_TERMS)
+def _taylor(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Taylor coefficients about each x of the polynomials whose ascending
+    coefficients run along axis 0 of a, by repeated synthetic division;
+    shape a.shape + x.shape."""
+    c = np.repeat(a[..., None], len(x), axis=-1)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            c[j] += x * c[j + 1]
+    return c
 
 
-def _leading_index(c: np.ndarray) -> int | None:
-    # Coefficients only matter within |u| < _WINDOW, so noise is separated
-    # from structure in window-scaled units; raw high-order coefficients of
-    # composed series grow combinatorially and would drown the threshold.
-    mags = np.abs(c) * _WINDOW_POWERS[: len(c)]
-    scale = float(mags.max())
-    if scale == 0.0:
-        return None
-    threshold = _NOISE_REL * max(1.0, scale)
-    idx = np.nonzero(mags > threshold)[0]
-    return int(idx[0]) if len(idx) else None
+def _horner(c, u):
+    """The polynomial with ascending coefficients c at u (a float or an array)."""
+    out = 0.0
+    for a in reversed(c):
+        out = out * u + a
+    return out
 
 
-def _series_ratio(num: np.ndarray, den: np.ndarray, u: float, where: float) -> float:
-    jn = _leading_index(num)
-    jd = _leading_index(den)
-    if jd is None:
-        raise DivergentPulse(f"denominator vanishes identically near s = {where:.6g}")
-    if jn is None:
-        return 0.0
-    if jn < jd:
-        raise DivergentPulse(f"waveform diverges at s = {where:.6g}")
-    value = npoly.polyval(u, num[jn:]) / npoly.polyval(u, den[jd:])
-    return float(u ** (jn - jd) * value)
+def _sinc(x):
+    """sin(x) / x, 1 at x = 0, for a float or an array."""
+    if isinstance(x, float):
+        return math.sin(x) / x if x else 1.0
+    return np.sinc(x / math.pi)
 
 
-# ---------------------------------------------------------------------------
-# per-schedule waveform evaluator
+@dataclass(frozen=True)
+class _Station:
+    """Factors about s0, indexed gamma_dot, sin(beta), cos(beta), sin(gamma).
 
-def _angle_multiple_roots(p: Polynomial, dp: Polynomial) -> list[float]:
-    """Points in [0, 1] where sin(p) = 0, i.e. p crosses a multiple of pi.
-
-    A structural double root (e.g. the schedule endpoint where value and
-    rate both vanish) can numerically split into a close pair; clusters
-    within 1e-6 are merged onto the member with the smallest rate, which
-    is the correct expansion point for the series limits.
+    mult holds each factor's multiplicity m at s0 (the coefficient count if
+    it vanishes identically), and coef the Taylor coefficients about s0 of
+    its argument (gamma_dot, or p - k pi for sin(p), times (-1)^k for the
+    beta factors) without the first m.
     """
-    stations = [0.0, 1.0] + real_roots(dp, 0.0, 1.0)
-    values = [float(p(s)) for s in stations]
-    k_lo = math.ceil(min(values) / math.pi - 1e-9)
-    k_hi = math.floor(max(values) / math.pi + 1e-9)
-    roots: list[float] = []
-    for k in range(k_lo, k_hi + 1):
-        roots.extend(real_roots(p.shifted(-k * math.pi), 0.0, 1.0))
-    roots.sort()
-    merged: list[float] = []
-    cluster: list[float] = []
-    for r in roots + [math.inf]:
-        if cluster and r - cluster[-1] > 1e-6:
-            merged.append(min(cluster, key=lambda x: abs(float(dp(x)))))
-            cluster = []
-        if math.isfinite(r):
-            cluster.append(r)
-    return merged
+
+    s0: float
+    mult: tuple[int, ...]
+    coef: tuple[list[float], ...]
+    omega_order: int
+    cot_order: int
+
+
+def _angle(st: _Station, f: int, u):
+    """Angle factor f at s0 + u divided by u^m, and its argument p - k pi there."""
+    r = _horner(st.coef[f], u)
+    x = u ** st.mult[f] * r
+    return r * _sinc(x), x
+
+
+def _omega(st: _Station, u):
+    sin_b, _ = _angle(st, 1, u)
+    return u ** st.omega_order * _horner(st.coef[0], u) / sin_b
+
+
+def _cot(st: _Station, u):
+    sin_b, _ = _angle(st, 1, u)
+    cos_b, _ = _angle(st, 2, u)
+    # cot(gamma) = cos(x) / sin(x) for x = gamma - k pi, whatever the parity of k
+    sin_x, x = _angle(st, 3, u)
+    num = _horner(st.coef[0], u) * np.cos(x) * cos_b
+    return u ** st.cot_order * num / (sin_b * sin_x)
+
+
+def _stations(gamma: Polynomial, beta: Polynomial) -> list[_Station]:
+    dgamma = gamma.derivative()
+    args = (dgamma, beta, beta.shifted(0.5 * math.pi), gamma)
+    # Candidates: each factor's zeros, and the angles' stationary points,
+    # which locate multiple zeros better than their rounding-split roots.
+    gamma_crit = real_roots(dgamma, 0.0, 1.0)
+    beta_crit = real_roots(beta.derivative(), 0.0, 1.0)
+    x = np.array(sorted({0.0, *gamma_crit, *beta_crit, *_angle_zeros(args[1], beta_crit),
+                         *_angle_zeros(args[2], beta_crit), *_angle_zeros(args[3], gamma_crit)}))
+    # Multiplicity of each factor at each candidate: the number of leading
+    # Taylor coefficients of its argument (less the nearest multiple of pi
+    # for an angle) that lie within the rounding bound of their evaluation.
+    n = max(len(q.coefficients) for q in args)
+    a = np.zeros((n, 4))
+    for f, q in enumerate(args):
+        a[: len(q.coefficients), f] = q.coefficients
+    c, bound = np.split(_taylor(np.hstack([a, np.abs(a)]), x), 2, axis=1)
+    k = np.round(c[0] / math.pi)
+    k[0] = 0.0
+    c[0] -= k * math.pi
+    bound[0] += np.abs(k) * math.pi
+    small = np.abs(c) <= 4 * n * np.finfo(float).eps * bound
+    mult = np.where(small.all(axis=0), n, np.argmin(small, axis=0))
+    c[:, 1:3] *= 1.0 - 2.0 * (k[1:3] % 2)
+    # A station is a candidate where a denominator factor vanishes (elsewhere
+    # the reduced parts of any station are exact). Candidates within ROOT_TOL
+    # of one where more factors vanish are rounding splits of it. Without
+    # any, the candidate s = 0 serves every sample.
+    total = mult.sum(axis=0)
+    kept: list[int] = []
+    for j in sorted(np.nonzero(mult[1] + mult[3])[0], key=lambda j: -total[j]):
+        if all(abs(x[j] - x[i]) > ROOT_TOL for i in kept):
+            kept.append(j)
+    stations = []
+    for j in sorted(kept) or [0]:
+        m = tuple(mult[:, j].tolist())
+        cf = tuple(c[mf:, f, j].tolist() for f, mf in enumerate(m))
+        stations.append(_Station(float(x[j]), m, cf, m[0] - m[1], m[0] + m[2] - m[1] - m[3]))
+    return stations
 
 
 class _Waveform:
@@ -152,67 +183,49 @@ class _Waveform:
     def __init__(self, pair: SchedulePair):
         self.gamma = pair.gamma
         self.beta = pair.beta
-        self.dgamma = pair.gamma.derivative()
         self.dbeta = pair.beta.derivative()
         self.switch = pair.switch_fraction
-        self.beta_sing = _angle_multiple_roots(self.beta, self.dbeta)
-        self.gamma_sing = _angle_multiple_roots(self.gamma, self.dgamma)
-        self.all_sing = sorted(set(self.beta_sing) | set(self.gamma_sing))
-        self._series: dict[tuple[str, float], tuple[np.ndarray, np.ndarray]] = {}
+        self.stations = _stations(self.gamma, self.beta)
+        st = self.stations
+        self._cuts = [0.5 * (a.s0 + b.s0) for a, b in zip(st, st[1:])]
+        self._s0 = np.array([x.s0 for x in st])
+        self.omega_divergent = np.array([x.omega_order < 0 for x in st])
+        self.cot_divergent = np.array([x.cot_order < 0 for x in st])
         self._switch_delta: float | None = None
 
-    # -- singular-point bookkeeping --------------------------------------
+    def _station(self, s: float) -> _Station:
+        return self.stations[bisect.bisect(self._cuts, s)]
 
-    @staticmethod
-    def _nearest(s: float, points: list[float]) -> float | None:
-        best = None
-        dist = _WINDOW
-        for s0 in points:
-            d = abs(s - s0)
-            if d < dist:
-                best, dist = s0, d
-        return best
+    def _each(self, formula, s: np.ndarray) -> np.ndarray:
+        """formula(station, s - s0) at every sample, from the sample's nearest station."""
+        j = np.searchsorted(self._cuts, s, side="right")
+        out = np.empty_like(s)
+        for i, st in enumerate(self.stations):
+            at = j == i
+            out[at] = formula(st, s[at] - st.s0)
+        return out
 
-    def _omega_series(self, s0: float) -> tuple[np.ndarray, np.ndarray]:
-        key = ("omega", s0)
-        if key not in self._series:
-            num = self.dgamma.taylor_coefficients(s0, _TERMS)
-            sin_b, _ = _series_sin_cos(self.beta.taylor_coefficients(s0, _TERMS))
-            self._series[key] = (num, sin_b)
-        return self._series[key]
-
-    def _cot_series(self, s0: float) -> tuple[np.ndarray, np.ndarray]:
-        key = ("cot", s0)
-        if key not in self._series:
-            sin_g, cos_g = _series_sin_cos(self.gamma.taylor_coefficients(s0, _TERMS))
-            sin_b, cos_b = _series_sin_cos(self.beta.taylor_coefficients(s0, _TERMS))
-            dg = self.dgamma.taylor_coefficients(s0, _TERMS)
-            num = _series_mul(_series_mul(dg, cos_g), cos_b)
-            den = _series_mul(sin_g, sin_b)
-            self._series[key] = (num, den)
-        return self._series[key]
+    def check_finite(self, lo: float, hi: float, divergent: np.ndarray) -> None:
+        """Raise DivergentPulse at the first station in [lo, hi] flagged in divergent."""
+        hit = divergent & (self._s0 >= lo - ROOT_TOL) & (self._s0 <= hi + ROOT_TOL)
+        if hit.any():
+            raise DivergentPulse(f"waveform diverges at s = {self._s0[hit][0]:.6g}")
 
     # -- scalar evaluators (design waveform, no switch applied) ----------
 
     def omega(self, s: float) -> float:
         """Rabi frequency times t_f."""
-        s0 = self._nearest(s, self.beta_sing)
-        if s0 is None:
-            return float(self.dgamma(s)) / math.sin(float(self.beta(s)))
-        num, den = self._omega_series(s0)
-        return _series_ratio(num, den, s - s0, s0)
+        st = self._station(s)
+        if st.omega_order < 0:
+            self.check_finite(s, s, self.omega_divergent)
+        return float(_omega(st, s - st.s0))
 
     def cot_term(self, s: float) -> float:
         """omega_r * cot(gamma) * cos(beta) times t_f (= delta + beta_dot)."""
-        s0 = self._nearest(s, self.all_sing)
-        if s0 is None:
-            g = float(self.gamma(s))
-            b = float(self.beta(s))
-            return float(self.dgamma(s)) * math.cos(g) * math.cos(b) / (
-                math.sin(b) * math.sin(g)
-            )
-        num, den = self._cot_series(s0)
-        return _series_ratio(num, den, s - s0, s0)
+        st = self._station(s)
+        if st.cot_order < 0:
+            self.check_finite(s, s, self.cot_divergent)
+        return float(_cot(st, s - st.s0))
 
     def delta(self, s: float) -> float:
         """Detuning times t_f."""
@@ -232,27 +245,15 @@ class _Waveform:
 
     # -- vectorized grid evaluators ---------------------------------------
 
-    def _grid_fix(self, s: np.ndarray, out: np.ndarray, points: list[float], f) -> None:
-        for s0 in points:
-            mask = np.abs(s - s0) < _WINDOW
-            if mask.any():
-                out[mask] = [f(float(v)) for v in s[mask]]
-
     def omega_many(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = self.dgamma(s) / np.sin(self.beta(s))
-        self._grid_fix(s, out, self.beta_sing, self.omega)
-        return out
+        self.check_finite(s.min(), s.max(), self.omega_divergent)
+        return self._each(_omega, s)
 
     def delta_many(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        g = self.gamma(s)
-        b = self.beta(s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cot = self.dgamma(s) * np.cos(g) * np.cos(b) / (np.sin(b) * np.sin(g))
-        self._grid_fix(s, cot, self.all_sing, self.cot_term)
-        return cot - self.dbeta(s)
+        self.check_finite(s.min(), s.max(), self.cot_divergent)
+        return self._each(_cot, s) - self.dbeta(s)
 
     # -- switch handling ---------------------------------------------------
 
@@ -376,29 +377,40 @@ def lr_phase(pair: SchedulePair, t: float, branch: int) -> float:
     s_end = t / pair.t_f
     if s_end == 0.0:
         return 0.0
+    wave.check_finite(0.0, s_end, wave.omega_divergent | wave.cot_divergent)
     integral = adaptive_simpson(wave.omega_tilde, 0.0, s_end, 1e-9)
     return -0.5 * branch * integral
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float, *, max_depth: int = 48) -> float:
-    """Adaptive Simpson quadrature of f on [a, b] to absolute tolerance tol."""
+def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
+    """Adaptive Simpson quadrature of f on [a, b] to absolute tolerance tol.
+
+    Raises NoConvergence when the tolerance is not met within SIMPSON_BUDGET
+    evaluations of f.
+    """
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_step(f, a, b, fa, fb, fm, whole, tol, max_depth)
+    return _simpson_step(f, a, b, fa, fb, fm, whole, tol, [SIMPSON_BUDGET - 3])
 
 
-def _simpson_step(f, a, b, fa, fb, fm, whole, tol, depth):
+def _simpson_step(f, a, b, fa, fb, fm, whole, tol, budget):
+    budget[0] -= 2
+    if budget[0] < 0:
+        raise NoConvergence(
+            f"adaptive Simpson did not reach its tolerance within {SIMPSON_BUDGET} "
+            f"evaluations (still refining [{a:.6g}, {b:.6g}])"
+        )
     m = 0.5 * (a + b)
     lm, rm = 0.5 * (a + m), 0.5 * (m + b)
     flm, frm = f(lm), f(rm)
     left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
     err = left + right - whole
-    if depth <= 0 or abs(err) <= 15.0 * tol:
+    if abs(err) <= 15.0 * tol:
         return left + right + err / 15.0
     half = 0.5 * tol
-    return _simpson_step(f, a, m, fa, fm, flm, left, half, depth - 1) + _simpson_step(
-        f, m, b, fm, fb, frm, right, half, depth - 1
+    return _simpson_step(f, a, m, fa, fm, flm, left, half, budget) + _simpson_step(
+        f, m, b, fm, fb, frm, right, half, budget
     )

@@ -181,18 +181,12 @@ def antedated_pair(
 def gamma_dot_zero_crossing(gamma: Polynomial) -> float:
     """The unique interior s where d(gamma)/ds changes sign.
 
-    Roots without a sign change (tangencies, boundary roots) are ignored.
-    Raises NoCrossing when no unique interior sign change exists, e.g. for
-    the monotone cubic gamma.
+    Only roots of odd multiplicity change sign; tangencies and boundary
+    roots are ignored. Raises NoCrossing when no unique interior sign change
+    exists, e.g. for the monotone cubic gamma.
     """
-    dg = gamma.derivative()
-    candidates = real_roots(dg, 1e-9, 1.0 - 1e-9)
-    crossings = []
-    for r in candidates:
-        left = dg(max(r - 1e-6, 0.0))
-        right = dg(min(r + 1e-6, 1.0))
-        if left * right < 0.0:
-            crossings.append(r)
+    roots = real_roots(gamma.derivative(), 1e-9, 1.0 - 1e-9)
+    crossings = sorted(r for r in set(roots) if roots.count(r) % 2)
     if len(crossings) != 1:
         raise NoCrossing(
             f"expected exactly one interior sign change of gamma-dot, found {len(crossings)}"
@@ -201,11 +195,8 @@ def gamma_dot_zero_crossing(gamma: Polynomial) -> float:
 
 
 def _poly_min(p: Polynomial, lo: float, hi: float) -> float:
-    """Minimum of p on [lo, hi]: dense grid plus stationary-point refinement."""
-    grid = np.linspace(lo, hi, 10_001)
-    values = [float(np.min(p(grid)))]
-    values += [float(p(r)) for r in real_roots(p.derivative(), lo, hi)]
-    return min(values)
+    """Minimum of p on [lo, hi]: at an endpoint or a stationary point."""
+    return float(p(np.array([lo, hi] + real_roots(p.derivative(), lo, hi))).min())
 
 
 @lru_cache(maxsize=1)
@@ -214,22 +205,14 @@ def critical_gamma_mid() -> float:
 
     Below this threshold the quartic develops a negative dip just before
     t_f; the dip hugs the structural double root at t_f, so right at the
-    threshold it degenerates into a triple root there. Negativity is
-    therefore tested as interior minimum < -1e-12 (dip depth shrinks
-    cubically toward the threshold, below float resolution) or terminal
-    curvature < 0 (exact at the threshold, linear in gamma_mid). Bisection
-    to 1e-9.
+    threshold it degenerates into a triple root there, where the terminal
+    curvature vanishes. The curvature is affine in gamma_mid, because
+    gamma_mid enters the fit only through its right-hand side, so two fits
+    give the threshold exactly (5 pi / 16).
     """
-    def dips(mid: float) -> bool:
+    def curvature_end(mid: float) -> float:
         g = fit(_gamma_conditions() + [Condition(0.5, 0, mid)], 4)
-        curvature_end = g.derivative().derivative()(1.0)
-        return curvature_end < 0.0 or _poly_min(g, 0.0, 1.0) < -1e-12
+        return float(g.derivative().derivative()(1.0))
 
-    lo, hi = 0.3, PI / 2
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if dips(mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    at_zero = curvature_end(0.0)
+    return at_zero / (at_zero - curvature_end(1.0))

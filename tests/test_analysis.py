@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -60,6 +61,18 @@ def test_energy_cost_scale_invariant():
         assert energy_cost(pair) == pytest.approx(3.5509, abs=1e-3)
 
 
+def test_energy_cost_resolves_narrow_peak():
+    # beta passes within 5.4e-5 of -pi near s = 0.3711 (beta + pi has a
+    # complex root pair there), so omega peaks at 1.2e5 over a width of
+    # ~1e-3; a 30-digit mpmath rebuild of this design integrates to
+    # 552.2669488295
+    t_f = 158.03918506664547
+    pair = antedated_pair(t_f, 99.11881451794792, 0.8179669548296351 * 0.5 * PI / t_f)
+    start = time.perf_counter()
+    assert energy_cost(pair) == pytest.approx(552.2669488295, abs=1e-7)
+    assert time.perf_counter() - start < 10.0
+
+
 def test_validate_third_order_all_clear():
     report = validate_schedule(third_order_pair(1.0))
     assert report.feasible
@@ -110,6 +123,12 @@ def test_sweep_parallel_matches_serial():
 def test_sweep_no_feasible_point():
     with pytest.raises(NoFeasiblePoint):
         sweep_beta_dot0(1.0, 0.5, 400.0, 500.0, 10)
+
+
+def test_sweep_counts_unbuildable_schedules_as_infeasible():
+    # at t_a = 0.999 t_f every antedated fit fails its residual check
+    with pytest.raises(NoFeasiblePoint):
+        sweep_beta_dot0(1.0, 0.999, 4.0, 6.0, 10)
 
 
 def test_sweep_input_validation():

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from iecpulse import pulse
 from iecpulse.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
+    EXIT_NUMERICAL,
     EXIT_OK,
     ConfigError,
     main,
@@ -90,6 +92,45 @@ def test_exit_code_infeasible(tmp_path, capsys):
     code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == EXIT_INFEASIBLE
     assert "infeasible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, text, workers",
+    [
+        ("synth", "t_f = inf\nfamily = third\n", None),
+        ("synth", "t_f = nan\nfamily = third\n", None),
+        ("synth", "t_f = 1\nfamily = antedated\nt_a = 0.5\nbeta_dot0 = -inf\n", None),
+        ("synth", "t_f = 1\nfamily = third\ngrid_n = 1\n", None),
+        ("evolve", "t_f = 1\nfamily = third\nrk4_steps = 99\n", None),
+        ("sweep", ANTE_CFG.replace("sweep_n = 12", "sweep_n = 9"), None),
+        ("sweep", ANTE_CFG, "abc"),
+    ],
+    ids=["t_f-inf", "t_f-nan", "beta_dot0-inf", "grid_n", "rk4_steps", "sweep_n", "workers-env"],
+)
+def test_invalid_config_exits_1(tmp_path, capsys, monkeypatch, command, text, workers):
+    if workers is not None:
+        monkeypatch.setenv("IECPULSE_WORKERS", workers)
+    out = tmp_path / "out"
+    code = main([command, "--config", str(_write(tmp_path, text)), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_sweep_without_buildable_schedule_is_infeasible(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("IECPULSE_WORKERS", "1")
+    cfg = _write(tmp_path, ANTE_CFG.replace("t_a = 0.5", "t_a = 0.999"))
+    code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_INFEASIBLE
+    assert "no feasible beta_dot0" in capsys.readouterr().err
+
+
+def test_unconverged_cost_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(pulse, "SIMPSON_BUDGET", 20)
+    cfg = _write(tmp_path, THIRD_CFG)
+    code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERICAL
+    assert "did not reach" in capsys.readouterr().err
 
 
 def test_synth_outputs(tmp_path):

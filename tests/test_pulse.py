@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from iecpulse.errors import DivergentPulse
+from iecpulse.errors import DivergentPulse, NoConvergence
 from iecpulse.poly import Polynomial
 from iecpulse.pulse import adaptive_simpson, adiabaticity_metric, delta_at, lr_phase, omega_r_at, synthesize
 from iecpulse.schedule import SchedulePair, antedated_pair, fourth_order_pair, third_order_pair
@@ -41,7 +41,7 @@ def test_omega_r_compensated_limit(ante):
     db = ante.beta.derivative()
     expected = d2g(s0) / (db(s0) * math.cos(ante.beta(s0)))
     assert value == pytest.approx(expected, rel=1e-9)
-    # continuity: direct evaluation just outside the series window agrees
+    # continuity: direct evaluation 2e-3 away agrees
     probe = ante.gamma.derivative()(s0 + 2e-3) / math.sin(ante.beta(s0 + 2e-3))
     assert value == pytest.approx(probe, rel=1e-2)
 
@@ -57,7 +57,7 @@ def test_delta_midpoint_zero(third):
 
 
 def test_delta_continuous_across_series_window(third):
-    # series evaluation inside |s - s0| < 1e-3 must join the direct formula
+    # the factored evaluation about an endpoint must join the direct formula
     for s0 in (0.0, 1.0):
         inner = delta_at(third, s0 + (9e-4 if s0 == 0.0 else -9e-4))
         outer = delta_at(third, s0 + (2e-3 if s0 == 0.0 else -2e-3))
@@ -172,6 +172,12 @@ def test_lr_phase_invalid_branch(third):
 def test_adaptive_simpson_known_integrals():
     assert adaptive_simpson(math.sin, 0.0, PI, 1e-10) == pytest.approx(2.0, abs=1e-9)
     assert adaptive_simpson(lambda x: x**3, 0.0, 1.0, 1e-12) == pytest.approx(0.25, abs=1e-12)
+
+
+def test_adaptive_simpson_stops_at_evaluation_budget():
+    # 1.6 million oscillations cannot be resolved to 1e-10 in 1e5 evaluations
+    with pytest.raises(NoConvergence, match="did not reach its tolerance"):
+        adaptive_simpson(lambda x: math.sin(1e7 * x), 0.0, 1.0, 1e-10)
 
 
 def test_pulse_values_match_on_fourth_order_families():

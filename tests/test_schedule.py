@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from iecpulse.errors import NoCrossing, UnphysicalSchedule
 from iecpulse.poly import Polynomial
@@ -139,6 +140,12 @@ def test_gamma_dot_zero_crossing_monotone_cubic():
         gamma_dot_zero_crossing(Polynomial([PI, 0, -3 * PI, 2 * PI]))
 
 
+def test_gamma_dot_zero_crossing_skips_tangency():
+    # gamma-dot = (s - 0.3)^2 (s - 0.7) touches zero at 0.3 and crosses at 0.7
+    rate = npoly.polyfromroots([0.3, 0.3, 0.7])
+    assert gamma_dot_zero_crossing(Polynomial(npoly.polyint(rate))) == pytest.approx(0.7, abs=1e-12)
+
+
 def test_antedated_default_beta_dot0():
     pair = antedated_pair(2.0, 1.0)
     assert pair.beta_dot0 == pytest.approx(PI / 4)  # pi / (2 t_f) with t_f = 2
@@ -164,7 +171,7 @@ def test_critical_gamma_mid_value():
     # reported as 2 pi / 6.40175; the exact threshold is 5 pi / 16
     value = critical_gamma_mid()
     assert value == pytest.approx(2 * PI / 6.40175, rel=1e-3)
-    assert value == pytest.approx(5 * PI / 16, abs=1e-6)
+    assert value == pytest.approx(5 * PI / 16, abs=1e-14)
 
 
 def test_critical_gamma_mid_is_positivity_threshold():
