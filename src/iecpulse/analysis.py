@@ -3,16 +3,16 @@
 The energy cost of a passage is the dimensionless pulse area
 integral of omega_r from 0 to the completion time (t_a for antedated
 schedules, else t_f). A resonant pi-pulse has area pi, the lower bound.
-For a fixed antedating time the cost is a unimodal function of the
-initial beta rate; sweep_beta_dot0 locates its minimum by a grid scan
+validate_schedule decides feasibility only; max_adiabaticity_metric
+reports the adiabaticity metric's maximum on the same grid. For a fixed
+antedating time the cost is a unimodal function of the initial beta rate;
+sweep_beta_dot0 locates its minimum in the calling process by a grid scan
 followed by golden-section refinement.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .dynamics import Weights, adiabatic_state, bloch_vector, fidelity, invariant_state
 from .errors import DegeneratePoint, DivergentPulse, NoConvergence, NoCrossing, NoFeasiblePoint
 from .errors import SingularSystem
-from .pulse import _waveform, adaptive_simpson
+from .pulse import _metric, _waveform, adaptive_simpson
 from .schedule import SchedulePair, antedated_pair
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "PassageReport",
     "energy_cost",
     "validate_schedule",
+    "max_adiabaticity_metric",
     "sweep_beta_dot0",
     "compare_passages",
     "golden_section",
@@ -37,6 +38,11 @@ __all__ = [
 #: Frequencies are "finite" when |delta| * t_f stays below this bound on the
 #: validation grid; genuine divergences blow past any fixed threshold.
 DELTA_FINITE_BOUND = 1e3
+
+#: Samples of the validation grids: midpoints of the driven segment for the
+#: waveforms and the adiabaticity metric, GRID_POINTS + 1 nodes of [0, 1]
+#: for gamma.
+GRID_POINTS = 10_000
 
 
 def energy_cost(pair: SchedulePair) -> float:
@@ -47,6 +53,12 @@ def energy_cost(pair: SchedulePair) -> float:
     return adaptive_simpson(wave.omega, 0.0, s_end, 1e-8)
 
 
+def _driven_grid(pair: SchedulePair) -> np.ndarray:
+    """GRID_POINTS midpoints of the driven segment [0, t_end], in s."""
+    s_end = pair.switch_fraction if pair.switch_fraction is not None else 1.0
+    return (np.arange(GRID_POINTS) + 0.5) * (s_end / GRID_POINTS)
+
+
 @dataclass
 class ValidationReport:
     """Grid-check outcome for one schedule; validation never raises."""
@@ -54,7 +66,6 @@ class ValidationReport:
     omega_r_nonnegative: bool
     delta_finite: bool
     gamma_range_ok: bool
-    max_adiabaticity_metric: float
     messages: list[str] = field(default_factory=list)
 
     @property
@@ -62,21 +73,17 @@ class ValidationReport:
         return self.omega_r_nonnegative and self.delta_finite and self.gamma_range_ok
 
 
-def validate_schedule(pair: SchedulePair, *, grid_points: int = 10_000) -> ValidationReport:
-    """Check waveform physicality on a dense grid.
+def validate_schedule(pair: SchedulePair) -> ValidationReport:
+    """Decide whether a schedule's waveforms are physical, on dense grids.
 
     omega_r must be nonnegative and delta bounded over the driven segment
     [0, t_end]; gamma must stay within [-pi, pi] over the whole design
     window [0, t_f] (dips below -pi signal non-compensable singularities).
-    Also reports the maximum adiabaticity metric over the driven segment.
     """
     wave = _waveform(pair)
-    s_end = pair.switch_fraction if pair.switch_fraction is not None else 1.0
-    grid = (np.arange(grid_points) + 0.5) * (s_end / grid_points)
+    grid = _driven_grid(pair)
     messages: list[str] = []
-
     omega_ok = delta_ok = True
-    max_metric = math.nan
     try:
         omega = wave.omega_many(grid)
         delta = wave.delta_many(grid)
@@ -92,11 +99,8 @@ def validate_schedule(pair: SchedulePair, *, grid_points: int = 10_000) -> Valid
         if not np.isfinite(max_delta) or max_delta > DELTA_FINITE_BOUND:
             delta_ok = False
             messages.append(f"delta exceeds the finiteness bound (max {max_delta:.3e} * 1/t_f)")
-        max_metric = _max_adiabaticity(wave, grid, omega, delta)
-        if math.isnan(max_metric):
-            messages.append("adiabaticity metric undefined somewhere (level crossing)")
 
-    full = np.linspace(0.0, 1.0, grid_points + 1)
+    full = np.linspace(0.0, 1.0, GRID_POINTS + 1)
     gamma = np.asarray(pair.gamma(full), dtype=float)
     gamma_ok = bool(gamma.min() >= -math.pi - 1e-9 and gamma.max() <= math.pi + 1e-9)
     if not gamma_ok:
@@ -107,26 +111,18 @@ def validate_schedule(pair: SchedulePair, *, grid_points: int = 10_000) -> Valid
         omega_r_nonnegative=omega_ok,
         delta_finite=delta_ok,
         gamma_range_ok=gamma_ok,
-        max_adiabaticity_metric=max_metric,
         messages=messages,
     )
 
 
-def _max_adiabaticity(wave, grid: np.ndarray, omega: np.ndarray, delta: np.ndarray) -> float:
-    h = 1e-6
+def max_adiabaticity_metric(pair: SchedulePair) -> float:
+    """Maximum of pulse.adiabaticity_metric over the driven-segment grid of
+    validate_schedule; NaN where the metric is undefined somewhere on it
+    (a level crossing, or a divergence within its difference step)."""
     try:
-        om_p = wave.omega_many(grid + h)
-        om_m = wave.omega_many(grid - h)
-        dl_p = wave.delta_many(grid + h)
-        dl_m = wave.delta_many(grid - h)
-    except DivergentPulse:
+        return float(_metric(_waveform(pair), _driven_grid(pair)).max())
+    except (DegeneratePoint, DivergentPulse):
         return math.nan
-    gen = np.hypot(omega, delta)
-    if gen.min() < 1e-12:
-        return math.nan
-    dom = (om_p - om_m) / (2.0 * h)
-    ddl = (dl_p - dl_m) / (2.0 * h)
-    return float(np.abs((omega * ddl - dom * delta) / gen**3).max())
 
 
 @dataclass
@@ -143,12 +139,11 @@ class SweepResult:
     infeasible_points: list[float]
 
 
-def _sweep_point(args: tuple[float, float, float]) -> tuple[float, bool]:
-    """Cost and feasibility at one grid point (t_f, t_a, beta_dot0 units).
+def _sweep_point(t_f: float, t_a: float, units: float) -> tuple[float, bool]:
+    """Cost and feasibility at one grid point, beta_dot0 in units of pi / 2 t_f.
 
     A schedule that cannot be built or costed is an infeasible point.
     """
-    t_f, t_a, units = args
     try:
         pair = antedated_pair(t_f, t_a, units * 0.5 * math.pi / t_f, enforce_range=False)
         if not validate_schedule(pair).feasible:
@@ -158,33 +153,20 @@ def _sweep_point(args: tuple[float, float, float]) -> tuple[float, bool]:
         return math.nan, False
 
 
-def sweep_beta_dot0(
-    t_f: float,
-    t_a: float,
-    lo: float,
-    hi: float,
-    n: int,
-    *,
-    workers: int | None = None,
-) -> SweepResult:
+def sweep_beta_dot0(t_f: float, t_a: float, lo: float, hi: float, n: int) -> SweepResult:
     """Sweep the initial beta rate over [lo, hi] (units of pi / 2 t_f).
 
-    Builds the antedated schedule at each of n grid points, records the
-    energy cost of feasible points, then refines the best bracket by
-    golden-section search (well below the 1e-4 contract). Raises
-    NoFeasiblePoint when validation fails everywhere.
+    Builds the antedated schedule at each of n grid points in the calling
+    process, records the energy cost of feasible points, then refines the
+    best bracket by golden-section search (well below the 1e-4 contract).
+    Raises NoFeasiblePoint when validation fails everywhere.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
     if n < 10:
         raise ValueError("need n >= 10 grid points")
     units = np.linspace(lo, hi, n)
-    jobs = [(t_f, t_a, float(u)) for u in units]
-    if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            evaluated = list(pool.map(_sweep_point, jobs, chunksize=max(1, n // (4 * workers))))
-    else:
-        evaluated = [_sweep_point(job) for job in jobs]
+    evaluated = [_sweep_point(t_f, t_a, float(u)) for u in units]
     grid = [(float(u), cost) for u, (cost, _) in zip(units, evaluated)]
     infeasible = [float(u) for u, (_, ok) in zip(units, evaluated) if not ok]
     feasible = [(float(u), cost) for u, (cost, ok) in zip(units, evaluated) if ok]
@@ -196,7 +178,7 @@ def sweep_beta_dot0(
     bracket_hi = feasible[min(best_idx + 1, len(feasible) - 1)][0]
 
     def cost_at(u: float) -> float:
-        value, ok = _sweep_point((t_f, t_a, u))
+        value, ok = _sweep_point(t_f, t_a, u)
         return value if ok else math.inf
 
     candidates = [feasible[best_idx]]
@@ -302,8 +284,5 @@ def compare_passages(
 
 
 def default_workers() -> int:
-    """Worker count for parallel sweeps; IECPULSE_WORKERS overrides cpu_count."""
-    env = os.environ.get("IECPULSE_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """Processes a sweep uses: sweeps run in the calling process."""
+    return 1

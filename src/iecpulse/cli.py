@@ -24,8 +24,8 @@ Recognized keys:
 Unknown keys and non-finite numbers are an error. Frequencies in emitted
 CSVs are in units of 1/t_f; t_f itself is echoed in summary.txt. Outputs
 contain no timestamps, so identical configs produce byte-identical files.
-The IECPULSE_WORKERS environment variable caps sweep parallelism (default:
-all cores); a value that is not an integer is a config error.
+Exit codes: 0 success, 1 config error, 2 infeasible schedule (including
+one whose fit is singular), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -206,14 +206,13 @@ def _cmd_synth(cfg: RunConfig, out: Path) -> None:
         ["t", "omega_r", "delta", "gamma", "beta"],
         [table.t, table.omega_r * cfg.t_f, table.delta * cfg.t_f, pair.gamma(s), pair.beta(s)],
     )
-    report = analysis.validate_schedule(pair)
     _write_summary(
         out / "summary.txt",
         [
             ("t_f", float(cfg.t_f)),
             ("family", cfg.family),
             ("energy_cost", analysis.energy_cost(pair)),
-            ("max_adiabaticity_metric", report.max_adiabaticity_metric),
+            ("max_adiabaticity_metric", analysis.max_adiabaticity_metric(pair)),
             ("omega_r_max", float((table.omega_r * cfg.t_f).max())),
         ],
     )
@@ -280,11 +279,7 @@ def _cmd_sweep(cfg: RunConfig, out: Path) -> None:
     if cfg.t_a is None:
         raise ConfigError("sweep subcommand requires t_a")
     lo, hi, n = cfg.sweep
-    try:
-        workers = analysis.default_workers()
-    except ValueError as exc:
-        raise ConfigError(f"IECPULSE_WORKERS is not an integer: {exc}") from exc
-    result = analysis.sweep_beta_dot0(cfg.t_f, cfg.t_a, lo, hi, n, workers=workers)
+    result = analysis.sweep_beta_dot0(cfg.t_f, cfg.t_a, lo, hi, n)
     infeasible = set(result.infeasible_points)
     _write_csv(
         out / "sweep.csv",
@@ -314,13 +309,17 @@ def _cmd_check(cfg: RunConfig, out: Path) -> None:
     wave.check_finite(0.0, pair.switch_fraction or 1.0, wave.omega_divergent | wave.cot_divergent)
     grid = np.linspace(0.0, 1.0, 1000)
     residual = max(dynamics.invariant_residual(pair, float(s)) for s in grid)
+    metric = analysis.max_adiabaticity_metric(pair)
+    messages = report.messages
+    if math.isnan(metric):
+        messages = messages + ["adiabaticity metric undefined somewhere (level crossing)"]
     lines = [
         f"omega_r_nonnegative: {report.omega_r_nonnegative}",
         f"delta_finite: {report.delta_finite}",
         f"gamma_range_ok: {report.gamma_range_ok}",
-        f"max_adiabaticity_metric: {report.max_adiabaticity_metric!r}",
+        f"max_adiabaticity_metric: {metric!r}",
         f"max_invariant_residual: {residual!r}",
-    ] + [f"message: {m}" for m in report.messages]
+    ] + [f"message: {m}" for m in messages]
     (out / "check_report.txt").write_text("\n".join(lines) + "\n")
     _write_summary(
         out / "summary.txt",
@@ -328,7 +327,7 @@ def _cmd_check(cfg: RunConfig, out: Path) -> None:
             ("t_f", float(cfg.t_f)),
             ("family", cfg.family),
             ("max_residual", residual),
-            ("max_adiabaticity_metric", report.max_adiabaticity_metric),
+            ("max_adiabaticity_metric", metric),
             ("schedule_feasible", str(report.feasible).lower()),
         ],
     )
@@ -357,10 +356,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"iecpulse: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (UnphysicalSchedule, NoCrossing, NoFeasiblePoint) as exc:
+    except (UnphysicalSchedule, NoCrossing, NoFeasiblePoint, SingularSystem) as exc:
         print(f"iecpulse: schedule infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (DivergentPulse, DegeneratePoint, NoConvergence, StepTooCoarse, SingularSystem) as exc:
+    except (DivergentPulse, DegeneratePoint, NoConvergence, StepTooCoarse) as exc:
         print(f"iecpulse: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

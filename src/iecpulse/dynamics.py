@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePoint, StepTooCoarse
-from .pulse import _waveform
+from .pulse import _Waveform, _waveform
 from .schedule import SchedulePair
 
 __all__ = [
@@ -102,10 +102,9 @@ def check_density_matrix(
 # ---------------------------------------------------------------------------
 # operators along the passage
 
-def _h_dimless(pair: SchedulePair, s: float) -> np.ndarray:
+def _h_dimless(wave: _Waveform, s: float) -> np.ndarray:
     """H * t_f at s, honoring the antedated switch for s > t_a / t_f."""
-    wave = _waveform(pair)
-    a = pair.switch_fraction
+    a = wave.switch
     if a is not None and s > a:
         d = wave.switch_delta()
         return np.array([[0.5 * d, 0.0], [0.0, -0.5 * d]], dtype=complex)
@@ -116,7 +115,7 @@ def _h_dimless(pair: SchedulePair, s: float) -> np.ndarray:
 
 def hamiltonian_at(pair: SchedulePair, s: float) -> np.ndarray:
     """The 2x2 control Hamiltonian at s, in angular-frequency units."""
-    return _h_dimless(pair, s) / pair.t_f
+    return _h_dimless(_waveform(pair), s) / pair.t_f
 
 
 def invariant_at(pair: SchedulePair, s: float) -> np.ndarray:
@@ -155,15 +154,16 @@ def invariant_residual(pair: SchedulePair, s: float) -> float:
     switch the invariant is frozen at its t_a value and checked against
     the switched (diagonal) Hamiltonian.
     """
+    wave = _waveform(pair)
     a = pair.switch_fraction
     if a is not None and s > a:
         inv = invariant_at(pair, a)
-        h = _h_dimless(pair, s)
+        h = _h_dimless(wave, s)
         return float(np.linalg.norm(h @ inv - inv @ h))
     g = float(pair.gamma(s))
     b = float(pair.beta(s))
-    dg = float(pair.gamma.derivative()(s))
-    db = float(pair.beta.derivative()(s))
+    dg = float(wave.dgamma(s))
+    db = float(wave.dbeta(s))
     phase = complex(math.cos(b), math.sin(b))
     d_off = 0.5 * phase * complex(dg * math.cos(g), db * math.sin(g))
     d_inv = np.array(
@@ -171,7 +171,7 @@ def invariant_residual(pair: SchedulePair, s: float) -> float:
         dtype=complex,
     )
     inv = invariant_at(pair, s)
-    h = _h_dimless(pair, s)
+    h = _h_dimless(wave, s)
     return float(np.linalg.norm(1j * d_inv - (h @ inv - inv @ h)))
 
 
@@ -259,6 +259,27 @@ def _h_grid(pair: SchedulePair, s_lo: float, s_hi: float, n: int) -> np.ndarray:
     return h
 
 
+def _rk4(pair: SchedulePair, y0: np.ndarray, n_steps: int, rate):
+    """Fixed-step RK4 of dy/ds = rate(H * t_f, y) from y0 over the legs of
+    the step grid; returns the s values and the states, y0 first."""
+    times = [0.0]
+    states = [y0]
+    y = y0
+    for s_lo, s_hi, n in _legs(pair, n_steps):
+        h_grid = _h_grid(pair, s_lo, s_hi, n)
+        step = (s_hi - s_lo) / n
+        for k in range(n):
+            h0, hm, h1 = h_grid[2 * k], h_grid[2 * k + 1], h_grid[2 * k + 2]
+            k1 = rate(h0, y)
+            k2 = rate(hm, y + 0.5 * step * k1)
+            k3 = rate(hm, y + 0.5 * step * k2)
+            k4 = rate(h1, y + step * k3)
+            y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            times.append(s_lo + (k + 1) * step)
+            states.append(y)
+    return times, states
+
+
 def evolve(
     pair: SchedulePair,
     rho0: np.ndarray,
@@ -278,24 +299,7 @@ def evolve(
     check_density_matrix(rho0, herm_tol=1e-9, trace_tol=1e-9)
     if target is None:
         target = SIGMA_X @ rho0 @ SIGMA_X
-    times = [0.0]
-    states = [rho0]
-    rho = rho0
-    for s_lo, s_hi, n in _legs(pair, n_steps):
-        h_grid = _h_grid(pair, s_lo, s_hi, n)
-        step = (s_hi - s_lo) / n
-        for k in range(n):
-            h0, hm, h1 = h_grid[2 * k], h_grid[2 * k + 1], h_grid[2 * k + 2]
-            k1 = -1j * (h0 @ rho - rho @ h0)
-            r = rho + 0.5 * step * k1
-            k2 = -1j * (hm @ r - r @ hm)
-            r = rho + 0.5 * step * k2
-            k3 = -1j * (hm @ r - r @ hm)
-            r = rho + step * k3
-            k4 = -1j * (h1 @ r - r @ h1)
-            rho = rho + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            times.append(s_lo + (k + 1) * step)
-            states.append(rho)
+    times, states = _rk4(pair, rho0, n_steps, lambda h, r: -1j * (h @ r - r @ h))
     rho_arr = np.array(states)
     trace_drift = np.abs(np.trace(rho_arr, axis1=1, axis2=2) - 1.0).max()
     herm_drift = np.abs(rho_arr - rho_arr.conj().transpose(0, 2, 1)).max()
@@ -326,19 +330,9 @@ def evolve_pure(
     """
     if n_steps < 100:
         raise ValueError("need n_steps >= 100")
-    psi = invariant_eigenstate(pair, branch, 0.0)
-    out = [(0.0, psi)]
-    for s_lo, s_hi, n in _legs(pair, n_steps):
-        h_grid = _h_grid(pair, s_lo, s_hi, n)
-        step = (s_hi - s_lo) / n
-        for k in range(n):
-            h0, hm, h1 = h_grid[2 * k], h_grid[2 * k + 1], h_grid[2 * k + 2]
-            k1 = -1j * (h0 @ psi)
-            k2 = -1j * (hm @ (psi + 0.5 * step * k1))
-            k3 = -1j * (hm @ (psi + 0.5 * step * k2))
-            k4 = -1j * (h1 @ (psi + step * k3))
-            psi = psi + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            out.append(((s_lo + (k + 1) * step) * pair.t_f, psi))
+    psi0 = invariant_eigenstate(pair, branch, 0.0)
+    times, states = _rk4(pair, psi0, n_steps, lambda h, psi: -1j * (h @ psi))
+    out = [(s * pair.t_f, psi) for s, psi in zip(times, states)]
     norm_drift = max(abs(np.linalg.norm(p) - 1.0) for _, p in out)
     if norm_drift > 1e-8:
         raise StepTooCoarse(f"state norm drift {norm_drift:.2e} exceeds 1e-8; increase n_steps")

@@ -59,6 +59,9 @@ ROOT_TOL = 1e-6
 #: Integrand evaluations adaptive_simpson may spend before giving up.
 SIMPSON_BUDGET = 100_000
 
+#: Step in s of the central differences in adiabaticity_metric.
+METRIC_STEP = 1e-6
+
 
 # ---------------------------------------------------------------------------
 # factored evaluation
@@ -136,13 +139,13 @@ def _cot(st: _Station, u):
     return u ** st.cot_order * num / (sin_b * sin_x)
 
 
-def _stations(gamma: Polynomial, beta: Polynomial) -> list[_Station]:
-    dgamma = gamma.derivative()
+def _stations(gamma: Polynomial, dgamma: Polynomial, beta: Polynomial,
+              dbeta: Polynomial) -> list[_Station]:
     args = (dgamma, beta, beta.shifted(0.5 * math.pi), gamma)
     # Candidates: each factor's zeros, and the angles' stationary points,
     # which locate multiple zeros better than their rounding-split roots.
     gamma_crit = real_roots(dgamma, 0.0, 1.0)
-    beta_crit = real_roots(beta.derivative(), 0.0, 1.0)
+    beta_crit = real_roots(dbeta, 0.0, 1.0)
     x = np.array(sorted({0.0, *gamma_crit, *beta_crit, *_angle_zeros(args[1], beta_crit),
                          *_angle_zeros(args[2], beta_crit), *_angle_zeros(args[3], gamma_crit)}))
     # Multiplicity of each factor at each candidate: the number of leading
@@ -183,9 +186,10 @@ class _Waveform:
     def __init__(self, pair: SchedulePair):
         self.gamma = pair.gamma
         self.beta = pair.beta
+        self.dgamma = pair.gamma.derivative()
         self.dbeta = pair.beta.derivative()
         self.switch = pair.switch_fraction
-        self.stations = _stations(self.gamma, self.beta)
+        self.stations = _stations(self.gamma, self.dgamma, self.beta, self.dbeta)
         st = self.stations
         self._cuts = [0.5 * (a.s0 + b.s0) for a, b in zip(st, st[1:])]
         self._s0 = np.array([x.s0 for x in st])
@@ -343,24 +347,32 @@ def synthesize(pair: SchedulePair, n: int) -> PulseTable:
     )
 
 
-def adiabaticity_metric(pair: SchedulePair, s: float, *, h: float = 1e-6) -> float:
+def adiabaticity_metric(pair: SchedulePair, s: float | np.ndarray) -> float | np.ndarray:
     """|omega_r * delta_dot - omega_r_dot * delta| / Omega^3 at interior s.
 
-    Dimensionless and independent of t_f. Rates are central finite
-    differences of the closed-form evaluators at step h in s. Raises
-    DegeneratePoint at a level crossing (Omega * t_f < 1e-12).
+    s is a float or an array; the result has the same form. Dimensionless
+    and independent of t_f. Rates are central finite differences of the
+    closed-form evaluators at step METRIC_STEP in s. Raises DegeneratePoint
+    at a level crossing (Omega * t_f < 1e-12).
     """
-    if not h < s < 1.0 - h:
+    x = np.atleast_1d(np.asarray(s, dtype=float))
+    if not (METRIC_STEP < x.min() and x.max() < 1.0 - METRIC_STEP):
         raise ValueError("adiabaticity metric is defined at interior points")
-    wave = _waveform(pair)
-    om = wave.omega(s)
-    dl = wave.delta(s)
-    gen = math.hypot(om, dl)
-    if gen < 1e-12:
-        raise DegeneratePoint(f"generalized Rabi frequency vanishes at s = {s:.6g}")
-    dom = (wave.omega(s + h) - wave.omega(s - h)) / (2.0 * h)
-    ddl = (wave.delta(s + h) - wave.delta(s - h)) / (2.0 * h)
-    return abs(om * ddl - dom * dl) / gen**3
+    metric = _metric(_waveform(pair), x)
+    return float(metric[0]) if np.ndim(s) == 0 else metric
+
+
+def _metric(wave: _Waveform, s: np.ndarray) -> np.ndarray:
+    """The adiabaticity metric at every sample of s."""
+    om = wave.omega_many(s)
+    dl = wave.delta_many(s)
+    gen = np.hypot(om, dl)
+    if gen.min() < 1e-12:
+        raise DegeneratePoint(f"generalized Rabi frequency vanishes at s = {s[gen.argmin()]:.6g}")
+    h = METRIC_STEP
+    dom = (wave.omega_many(s + h) - wave.omega_many(s - h)) / (2.0 * h)
+    ddl = (wave.delta_many(s + h) - wave.delta_many(s - h)) / (2.0 * h)
+    return np.abs((om * ddl - dom * dl) / gen**3)
 
 
 def lr_phase(pair: SchedulePair, t: float, branch: int) -> float:

@@ -95,21 +95,18 @@ def test_exit_code_infeasible(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, text, workers",
+    "command, text",
     [
-        ("synth", "t_f = inf\nfamily = third\n", None),
-        ("synth", "t_f = nan\nfamily = third\n", None),
-        ("synth", "t_f = 1\nfamily = antedated\nt_a = 0.5\nbeta_dot0 = -inf\n", None),
-        ("synth", "t_f = 1\nfamily = third\ngrid_n = 1\n", None),
-        ("evolve", "t_f = 1\nfamily = third\nrk4_steps = 99\n", None),
-        ("sweep", ANTE_CFG.replace("sweep_n = 12", "sweep_n = 9"), None),
-        ("sweep", ANTE_CFG, "abc"),
+        ("synth", "t_f = inf\nfamily = third\n"),
+        ("synth", "t_f = nan\nfamily = third\n"),
+        ("synth", "t_f = 1\nfamily = antedated\nt_a = 0.5\nbeta_dot0 = -inf\n"),
+        ("synth", "t_f = 1\nfamily = third\ngrid_n = 1\n"),
+        ("evolve", "t_f = 1\nfamily = third\nrk4_steps = 99\n"),
+        ("sweep", ANTE_CFG.replace("sweep_n = 12", "sweep_n = 9")),
     ],
-    ids=["t_f-inf", "t_f-nan", "beta_dot0-inf", "grid_n", "rk4_steps", "sweep_n", "workers-env"],
+    ids=["t_f-inf", "t_f-nan", "beta_dot0-inf", "grid_n", "rk4_steps", "sweep_n"],
 )
-def test_invalid_config_exits_1(tmp_path, capsys, monkeypatch, command, text, workers):
-    if workers is not None:
-        monkeypatch.setenv("IECPULSE_WORKERS", workers)
+def test_invalid_config_exits_1(tmp_path, capsys, command, text):
     out = tmp_path / "out"
     code = main([command, "--config", str(_write(tmp_path, text)), "--out", str(out)])
     assert code == EXIT_CONFIG
@@ -117,12 +114,20 @@ def test_invalid_config_exits_1(tmp_path, capsys, monkeypatch, command, text, wo
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_sweep_without_buildable_schedule_is_infeasible(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("IECPULSE_WORKERS", "1")
+def test_sweep_without_buildable_schedule_is_infeasible(tmp_path, capsys):
     cfg = _write(tmp_path, ANTE_CFG.replace("t_a = 0.5", "t_a = 0.999"))
     code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == EXIT_INFEASIBLE
     assert "no feasible beta_dot0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "check"])
+def test_unbuildable_schedule_exits_2(tmp_path, capsys, command):
+    # at t_a = 0.999 t_f the antedated fit is singular: an infeasible design
+    cfg = _write(tmp_path, "t_f = 1.0\nfamily = antedated\nt_a = 0.999\n")
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_INFEASIBLE
+    assert "schedule infeasible" in capsys.readouterr().err
 
 
 def test_unconverged_cost_exits_3(tmp_path, capsys, monkeypatch):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from iecpulse.errors import DivergentPulse, NoConvergence
+from iecpulse.analysis import max_adiabaticity_metric
+from iecpulse.errors import DegeneratePoint, DivergentPulse, NoConvergence
 from iecpulse.poly import Polynomial
 from iecpulse.pulse import adaptive_simpson, adiabaticity_metric, delta_at, lr_phase, omega_r_at, synthesize
 from iecpulse.schedule import SchedulePair, antedated_pair, fourth_order_pair, third_order_pair
@@ -134,6 +135,24 @@ def test_adiabaticity_metric_usual_vs_antedated(third, ante):
     antedated = max(adiabaticity_metric(ante, float(x)) for x in pre_switch)
     assert usual < 1.0  # the baseline waveforms happen to respect adiabaticity
     assert antedated > usual  # the antedated passage is the non-adiabatic one
+
+
+def test_adiabaticity_metric_array_matches_scalar(third, ante):
+    for pair, s_end in ((third, 1.0), (ante, 0.5)):
+        s = np.linspace(1e-3, s_end - 1e-3, 101)
+        metric = adiabaticity_metric(pair, s)
+        assert metric.shape == s.shape
+        assert metric.tolist() == [adiabaticity_metric(pair, float(x)) for x in s]
+
+
+def test_adiabaticity_metric_level_crossing():
+    # constant angles: omega_r = delta = 0 everywhere, so Omega vanishes
+    crossing = SchedulePair(Polynomial([1.0]), Polynomial([-1.2]), 1.0, None, 0.3)
+    with pytest.raises(DegeneratePoint):
+        adiabaticity_metric(crossing, 0.4)
+    with pytest.raises(DegeneratePoint):
+        adiabaticity_metric(crossing, np.array([0.2, 0.4]))
+    assert math.isnan(max_adiabaticity_metric(crossing))
 
 
 def test_adiabaticity_metric_scale_invariant():
