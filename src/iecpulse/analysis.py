@@ -211,10 +211,13 @@ def golden_section(f, lo: float, hi: float, *, tol: float = 1e-6) -> tuple[float
 
 @dataclass
 class PassageReport:
-    """Aligned per-passage tables: populations, Bloch trajectories, timing."""
+    """Aligned per-passage tables: states, populations, Bloch trajectories,
+    timing. The adiabatic columns are NaN where the reference is undefined."""
 
     pair: SchedulePair
     t: np.ndarray
+    rho: np.ndarray
+    adiabatic_rho: np.ndarray
     rho11: np.ndarray
     rho22: np.ndarray
     bloch: np.ndarray
@@ -235,31 +238,26 @@ def compare_passages(
 ) -> list[PassageReport]:
     """Tabulate invariant-basis and adiabatic-reference passages side by side.
 
-    For each schedule: diagonal populations and Bloch trajectory of the
-    designed state, the same for the mixing-angle reference, the largest
-    population gap between the two, and the first time the populations
-    reach their inverted targets within population_tol.
+    For each schedule, on n_grid + 1 uniform samples: the (n_grid + 1, 2, 2)
+    state stacks of the designed passage and of the mixing-angle reference
+    (NaN throughout when the reference meets a level crossing), their
+    diagonal populations and Bloch trajectories, the designed state's
+    fidelity to its final state, the largest population gap between the two
+    passages, and the first time the populations reach their inverted
+    targets within population_tol. Each stack is built in one call, so a
+    waveform that diverges on the driven segment raises DivergentPulse.
     """
     reports = []
     for pair in pairs:
         s_grid = np.arange(n_grid + 1) / n_grid
-        rho = [invariant_state(pair, w, float(s)) for s in s_grid]
+        rho = invariant_state(pair, w, s_grid)
         try:
-            ad = [adiabatic_state(pair, w, float(s)) for s in s_grid]
+            ad = adiabatic_state(pair, w, s_grid)
         except DegeneratePoint:
-            ad = None
-        target = invariant_state(pair, w, 1.0)
-        rho11 = np.array([r[0, 0].real for r in rho])
-        rho22 = np.array([r[1, 1].real for r in rho])
-        fid = np.array([fidelity(r, target) for r in rho])
-        gap = math.nan
-        ad11 = ad22 = np.full(n_grid + 1, math.nan)
-        ad_bloch = np.full((n_grid + 1, 3), math.nan)
-        if ad is not None:
-            ad11 = np.array([r[0, 0].real for r in ad])
-            ad22 = np.array([r[1, 1].real for r in ad])
-            ad_bloch = np.stack([bloch_vector(r) for r in ad])
-            gap = float(np.abs(rho11 - ad11).max())
+            ad = np.full_like(rho, math.nan)
+        target = rho[-1]
+        rho11, rho22 = rho[:, 0, 0].real, rho[:, 1, 1].real
+        ad11 = ad[:, 0, 0].real
         hit = np.nonzero(
             (np.abs(rho11 - target[0, 0].real) <= population_tol)
             & (np.abs(rho22 - target[1, 1].real) <= population_tol)
@@ -269,14 +267,16 @@ def compare_passages(
             PassageReport(
                 pair=pair,
                 t=s_grid * pair.t_f,
+                rho=rho,
+                adiabatic_rho=ad,
                 rho11=rho11,
                 rho22=rho22,
-                bloch=np.stack([bloch_vector(r) for r in rho]),
+                bloch=bloch_vector(rho),
                 adiabatic_rho11=ad11,
-                adiabatic_rho22=ad22,
-                adiabatic_bloch=ad_bloch,
-                fidelity_to_target=fid,
-                max_population_gap=gap,
+                adiabatic_rho22=ad[:, 1, 1].real,
+                adiabatic_bloch=bloch_vector(ad),
+                fidelity_to_target=fidelity(rho, target),
+                max_population_gap=float(np.abs(rho11 - ad11).max()),
                 inversion_time=inversion_time,
             )
         )

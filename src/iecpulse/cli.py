@@ -221,10 +221,10 @@ def _cmd_synth(cfg: RunConfig, out: Path) -> None:
 def _trajectory_columns(t, rho, bloch, fid):
     return [
         t,
-        np.array([r[0, 0].real for r in rho]),
-        np.array([r[1, 1].real for r in rho]),
-        np.array([r[0, 1].real for r in rho]),
-        np.array([r[0, 1].imag for r in rho]),
+        rho[:, 0, 0].real,
+        rho[:, 1, 1].real,
+        rho[:, 0, 1].real,
+        rho[:, 0, 1].imag,
         bloch[:, 0],
         bloch[:, 1],
         bloch[:, 2],
@@ -235,30 +235,29 @@ def _trajectory_columns(t, rho, bloch, fid):
 def _cmd_evolve(cfg: RunConfig, out: Path) -> None:
     pair = cfg.build_pair()
     report = analysis.compare_passages([pair], cfg.weights, cfg.grid_n)[0]
+    if math.isnan(report.max_population_gap):
+        # the reference passage meets a level crossing: raise its DegeneratePoint
+        dynamics.adiabatic_state(pair, cfg.weights, report.t / cfg.t_f)
+    target = report.rho[-1]
+    integrated = dynamics.evolve(pair, report.rho[0], cfg.rk4_steps, target=target)
+    stride = max(1, cfg.rk4_steps // cfg.grid_n)
+    analytic = dynamics.invariant_state(pair, cfg.weights, integrated.t[::stride] / cfg.t_f)
+    deviation = float(np.abs(integrated.rho[::stride] - analytic).max())
     header = ["t", "rho11", "rho22", "re_rho12", "im_rho12", "bloch_x", "bloch_y", "bloch_z", "fidelity"]
-    rho = [dynamics.invariant_state(pair, cfg.weights, float(s)) for s in report.t / cfg.t_f]
     _write_csv(
         out / "trajectory_iec.csv",
         header,
-        _trajectory_columns(report.t, rho, report.bloch, report.fidelity_to_target),
+        _trajectory_columns(report.t, report.rho, report.bloch, report.fidelity_to_target),
     )
-    target = dynamics.invariant_state(pair, cfg.weights, 1.0)
-    ad = [dynamics.adiabatic_state(pair, cfg.weights, float(s)) for s in report.t / cfg.t_f]
-    ad_fid = np.array([dynamics.fidelity(r, target) for r in ad])
     _write_csv(
         out / "trajectory_adiabatic.csv",
         header,
-        _trajectory_columns(report.t, ad, report.adiabatic_bloch, ad_fid),
-    )
-    rho0 = dynamics.invariant_state(pair, cfg.weights, 0.0)
-    integrated = dynamics.evolve(pair, rho0, cfg.rk4_steps, target=target)
-    stride = max(1, cfg.rk4_steps // cfg.grid_n)
-    analytic = [
-        dynamics.invariant_state(pair, cfg.weights, float(s))
-        for s in (integrated.t / cfg.t_f)[::stride]
-    ]
-    deviation = max(
-        float(np.abs(r - a).max()) for r, a in zip(integrated.rho[::stride], analytic)
+        _trajectory_columns(
+            report.t,
+            report.adiabatic_rho,
+            report.adiabatic_bloch,
+            dynamics.fidelity(report.adiabatic_rho, target),
+        ),
     )
     _write_summary(
         out / "summary.txt",

@@ -1,14 +1,18 @@
 """Two-level mixed-state dynamics along a designed passage.
 
 States are plain 2x2 complex numpy arrays (density matrices) or length-2
-complex vectors. The invariant-basis mixed state
+complex vectors. The state builders take a float s or an array of s and
+return a 2x2 state or an (n, 2, 2) stack; bloch_vector and fidelity take a
+state or a stack. The invariant-basis mixed state
 
     rho(t) = p_plus |phi_plus(t)><phi_plus(t)| + p_minus |phi_minus(t)><phi_minus(t)|
 
 is the exact solution of the von Neumann equation under the engineered
 Hamiltonian, so a fixed-step RK4 integration of i drho/dt = [H, rho]
-serves as an independent oracle for the whole construction. The
-mixing-angle (instantaneous-eigenbasis) state provides the adiabatic
+serves as an independent oracle for the whole construction. RK4 on that
+equation keeps trace and Hermiticity even when it is unstable, so evolve
+also checks the purity tr(rho^2), which fixes a qubit state's spectrum.
+The mixing-angle (instantaneous-eigenbasis) state provides the adiabatic
 reference passage.
 """
 
@@ -40,9 +44,10 @@ __all__ = [
 ]
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY = np.eye(2, dtype=complex)
+
+#: Largest drift of tr(rho^2) from its initial value that evolve accepts:
+#: the RK4 agreement bound.
+PURITY_DRIFT_BOUND = 1e-6
 
 
 @dataclass(frozen=True)
@@ -75,13 +80,16 @@ class Trajectory:
 
 
 def bloch_vector(rho: np.ndarray) -> np.ndarray:
-    """(x, y, z) with rho = (I + x sx + y sy + z sz) / 2."""
-    return np.array(
+    """(x, y, z) with rho = (I + x sx + y sy + z sz) / 2, for a state or an
+    (n, 2, 2) stack (then shape (n, 3))."""
+    rho = np.asarray(rho)
+    return np.stack(
         [
-            2.0 * rho[0, 1].real,
-            -2.0 * rho[0, 1].imag,
-            (rho[0, 0] - rho[1, 1]).real,
-        ]
+            2.0 * rho[..., 0, 1].real,
+            -2.0 * rho[..., 0, 1].imag,
+            (rho[..., 0, 0] - rho[..., 1, 1]).real,
+        ],
+        axis=-1,
     )
 
 
@@ -178,54 +186,87 @@ def invariant_residual(pair: SchedulePair, s: float) -> float:
 # ---------------------------------------------------------------------------
 # states
 
-def invariant_state(pair: SchedulePair, w: Weights, s: float) -> np.ndarray:
+def _states(rho11, rho22, rho12) -> np.ndarray:
+    """Hermitian 2x2 states from their diagonal and upper off-diagonal
+    entries, stacked over the entries' shape."""
+    rho = np.empty(np.shape(rho11) + (2, 2), dtype=complex)
+    rho[..., 0, 0] = rho11
+    rho[..., 0, 1] = rho12
+    rho[..., 1, 0] = np.conj(rho12)
+    rho[..., 1, 1] = rho22
+    return rho
+
+
+def invariant_state(pair: SchedulePair, w: Weights, s: float | np.ndarray) -> np.ndarray:
     """Mixed state carried by the invariant branches at s.
 
-    For antedated schedules the state is frozen from t_a on (diagonal state
-    under a diagonal Hamiltonian).
+    s is a float (a 2x2 state) or an array (a stack of states, shape
+    s.shape + (2, 2)). For antedated schedules the state is frozen from t_a
+    on (diagonal state under a diagonal Hamiltonian).
     """
+    s = np.asarray(s, dtype=float)
     a = pair.switch_fraction
-    if a is not None and s > a:
-        s = a
-    g = float(pair.gamma(s))
-    b = float(pair.beta(s))
+    if a is not None:
+        s = np.minimum(s, a)
+    g = pair.gamma(s)
+    b = pair.beta(s)
     dp = w.difference
-    off = 0.5 * dp * math.sin(g) * complex(math.cos(b), math.sin(b))
-    return np.array(
-        [
-            [0.5 * (1.0 + dp * math.cos(g)), off],
-            [off.conjugate(), 0.5 * (1.0 - dp * math.cos(g))],
-        ],
-        dtype=complex,
-    )
+    off = 0.5 * dp * np.sin(g) * (np.cos(b) + 1j * np.sin(b))
+    return _states(0.5 * (1.0 + dp * np.cos(g)), 0.5 * (1.0 - dp * np.cos(g)), off)
 
 
-def adiabatic_state(pair: SchedulePair, w: Weights, s: float) -> np.ndarray:
+def adiabatic_state(pair: SchedulePair, w: Weights, s: float | np.ndarray) -> np.ndarray:
     """Reference state that adiabatically follows the Hamiltonian eigenbasis.
 
-    Mixing angle theta = arccos(delta / Omega); the Bloch vector stays in
-    the xz-plane. Raises DegeneratePoint at a level crossing.
+    s is a float or an array, as for invariant_state. Mixing angle
+    theta = arccos(delta / Omega); the Bloch vector stays in the xz-plane.
+    Samples past an antedated switch see the held detuning and no drive.
+    Raises DegeneratePoint at a level crossing, and DivergentPulse when a
+    waveform diverges within the span of the driven samples.
     """
     wave = _waveform(pair)
+    s = np.asarray(s, dtype=float)
     a = pair.switch_fraction
-    if a is not None and s > a:
-        om, dl = 0.0, wave.switch_delta()
-    else:
-        om, dl = wave.omega(s), wave.delta(s)
-    gen = math.hypot(om, dl)
-    if gen < 1e-12:
-        raise DegeneratePoint(f"level crossing at s = {s:.6g}: mixing angle undefined")
-    theta = math.atan2(om, dl)
-    dp = w.difference
-    return 0.5 * IDENTITY + 0.5 * dp * (math.sin(theta) * SIGMA_X + math.cos(theta) * SIGMA_Z)
+    driven = s <= a if a is not None else np.ones(s.shape, dtype=bool)
+    om = np.zeros(s.shape)
+    dl = np.zeros(s.shape)
+    if driven.any():
+        om[driven] = wave.omega_many(s[driven])
+        dl[driven] = wave.delta_many(s[driven])
+    if not driven.all():
+        dl[~driven] = wave.switch_delta()
+    crossing = np.hypot(om, dl) < 1e-12
+    if crossing.any():
+        at = s[crossing][0]
+        raise DegeneratePoint(f"level crossing at s = {at:.6g}: mixing angle undefined")
+    theta = np.arctan2(om, dl)
+    half = 0.5 * w.difference
+    return _states(0.5 + half * np.cos(theta), 0.5 - half * np.cos(theta), half * np.sin(theta))
 
 
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity of two qubit states: tr(rho sigma) + 2 sqrt(det rho det sigma)."""
-    overlap = float(np.trace(rho @ sigma).real)
-    det_r = max(float(np.linalg.det(rho).real), 0.0)
-    det_s = max(float(np.linalg.det(sigma).real), 0.0)
-    return min(max(overlap + 2.0 * math.sqrt(det_r * det_s), 0.0), 1.0)
+def _overlap(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Re tr(rho sigma) over the trailing 2x2 axes."""
+    return (
+        (rho[..., 0, 0] * sigma[..., 0, 0] + rho[..., 0, 1] * sigma[..., 1, 0])
+        + (rho[..., 1, 0] * sigma[..., 0, 1] + rho[..., 1, 1] * sigma[..., 1, 1])
+    ).real
+
+
+def _det(rho: np.ndarray) -> np.ndarray:
+    """Re det(rho) over the trailing 2x2 axes."""
+    return (rho[..., 0, 0] * rho[..., 1, 1] - rho[..., 0, 1] * rho[..., 1, 0]).real
+
+
+def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
+    """Uhlmann fidelity of two qubit states: tr(rho sigma) + 2 sqrt(det rho det sigma).
+
+    rho and sigma are states or (n, 2, 2) stacks, broadcast against each
+    other; two states give a float, a stack an array.
+    """
+    rho, sigma = np.asarray(rho), np.asarray(sigma)
+    dets = np.maximum(_det(rho), 0.0) * np.maximum(_det(sigma), 0.0)
+    fid = np.clip(_overlap(rho, sigma) + 2.0 * np.sqrt(dets), 0.0, 1.0)
+    return float(fid) if fid.ndim == 0 else fid
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +332,9 @@ def evolve(
 
     The step grid honors the antedated switch exactly (separate legs before
     and after t_a). Global error is O(n_steps**-4). Raises StepTooCoarse if
-    trace or Hermiticity drift exceeds 1e-8.
+    trace or Hermiticity drift exceeds 1e-8, or if the purity tr(rho^2) of
+    any state drifts from rho0's by more than PURITY_DRIFT_BOUND: trace and
+    Hermiticity survive an unstable run, the spectrum does not.
     """
     if n_steps < 100:
         raise ValueError("need n_steps >= 100")
@@ -303,13 +346,19 @@ def evolve(
     rho_arr = np.array(states)
     trace_drift = np.abs(np.trace(rho_arr, axis1=1, axis2=2) - 1.0).max()
     herm_drift = np.abs(rho_arr - rho_arr.conj().transpose(0, 2, 1)).max()
-    if trace_drift > 1e-8 or herm_drift > 1e-8:
+    if not (trace_drift <= 1e-8 and herm_drift <= 1e-8):
         raise StepTooCoarse(
             f"integration drift (trace {trace_drift:.2e}, hermiticity {herm_drift:.2e}) "
             "exceeds 1e-8; increase n_steps"
         )
-    bloch = np.stack([bloch_vector(r) for r in rho_arr])
-    fid = np.array([fidelity(r, target) for r in rho_arr])
+    purity_drift = np.abs(_overlap(rho_arr, rho_arr) - _overlap(rho0, rho0)).max()
+    if not purity_drift <= PURITY_DRIFT_BOUND:
+        raise StepTooCoarse(
+            f"integration purity drift {purity_drift:.2e} exceeds {PURITY_DRIFT_BOUND:g}; "
+            "increase n_steps"
+        )
+    bloch = bloch_vector(rho_arr)
+    fid = fidelity(rho_arr, target)
     return Trajectory(
         t=np.array(times) * pair.t_f,
         rho=rho_arr,
@@ -332,8 +381,7 @@ def evolve_pure(
         raise ValueError("need n_steps >= 100")
     psi0 = invariant_eigenstate(pair, branch, 0.0)
     times, states = _rk4(pair, psi0, n_steps, lambda h, psi: -1j * (h @ psi))
-    out = [(s * pair.t_f, psi) for s, psi in zip(times, states)]
-    norm_drift = max(abs(np.linalg.norm(p) - 1.0) for _, p in out)
-    if norm_drift > 1e-8:
+    norm_drift = np.abs(np.linalg.norm(np.array(states), axis=1) - 1.0).max()
+    if not norm_drift <= 1e-8:
         raise StepTooCoarse(f"state norm drift {norm_drift:.2e} exceeds 1e-8; increase n_steps")
-    return out
+    return [(s * pair.t_f, psi) for s, psi in zip(times, states)]

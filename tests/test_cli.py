@@ -10,9 +10,12 @@ from iecpulse.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     ConfigError,
+    RunConfig,
     main,
     parse_config,
 )
+from iecpulse.poly import Polynomial
+from iecpulse.schedule import SchedulePair
 
 PI = math.pi
 
@@ -151,13 +154,51 @@ def test_synth_outputs(tmp_path):
     assert "energy_cost" in summary and "max_adiabaticity_metric" in summary
 
 
-def test_synth_deterministic(tmp_path):
+@pytest.mark.parametrize("command", ["synth", "evolve", "check"])
+def test_synth_deterministic(tmp_path, command):
     cfg = _write(tmp_path, THIRD_CFG)
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["synth", "--config", str(cfg), "--out", str(out1)]) == EXIT_OK
-    assert main(["synth", "--config", str(cfg), "--out", str(out2)]) == EXIT_OK
-    assert (out1 / "pulse.csv").read_bytes() == (out2 / "pulse.csv").read_bytes()
-    assert (out1 / "summary.txt").read_bytes() == (out2 / "summary.txt").read_bytes()
+    assert main([command, "--config", str(cfg), "--out", str(out1)]) == EXIT_OK
+    assert main([command, "--config", str(cfg), "--out", str(out2)]) == EXIT_OK
+    names = sorted(p.name for p in out1.iterdir())
+    assert names and names == sorted(p.name for p in out2.iterdir())
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def _assert_no_nan_csv(out):
+    for path in out.glob("*.csv"):
+        assert np.isfinite(_read_csv(path)[1]).all(), path.name
+
+
+def test_evolve_level_crossing_exits_3(tmp_path, capsys, monkeypatch):
+    # constant angles: omega_r = delta = 0, so the adiabatic reference is undefined
+    crossing = SchedulePair(Polynomial([1.0]), Polynomial([-1.2]), 1.0, None, 0.3)
+    monkeypatch.setattr(RunConfig, "build_pair", lambda self: crossing)
+    out = tmp_path / "out"
+    code = main(["evolve", "--config", str(_write(tmp_path, THIRD_CFG)), "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    assert "level crossing" in capsys.readouterr().err
+    _assert_no_nan_csv(out)
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("beta_dot0 = 8.17\n", "waveform diverges at s = 0.195259"),
+        # unstable at 100 steps: eigenvalues reach +-3e13 while trace and
+        # Hermiticity hold
+        ("beta_dot0 = 8.164\nrk4_steps = 100\ngrid_n = 100\n", "increase n_steps"),
+    ],
+    ids=["divergent", "rk4-blow-up"],
+)
+def test_evolve_numerical_failure_exits_3(tmp_path, capsys, extra, message):
+    cfg = _write(tmp_path, "t_f = 1\nfamily = antedated\nt_a = 0.71\n" + extra)
+    out = tmp_path / "out"
+    code = main(["evolve", "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    assert message in capsys.readouterr().err
+    _assert_no_nan_csv(out)
 
 
 def test_evolve_antedated_freezes_populations(tmp_path):

@@ -19,6 +19,9 @@ from iecpulse.dynamics import (
     invariant_residual,
     invariant_state,
 )
+from iecpulse import dynamics
+from iecpulse.errors import DegeneratePoint, StepTooCoarse
+from iecpulse.poly import Polynomial
 from iecpulse.pulse import lr_phase
 from iecpulse.schedule import SchedulePair, antedated_pair, third_order_pair
 
@@ -161,8 +164,32 @@ def test_adiabatic_state_start(third):
 
 
 def test_adiabatic_state_in_xz_plane(third):
-    for s in np.linspace(0.0, 1.0, 101):
+    s_grid = np.linspace(0.0, 1.0, 101)
+    for s in s_grid:
         assert bloch_vector(adiabatic_state(third, W, float(s)))[1] == 0.0
+    assert np.all(bloch_vector(adiabatic_state(third, W, s_grid))[:, 1] == 0.0)
+
+
+@pytest.mark.parametrize("state", [invariant_state, adiabatic_state])
+@pytest.mark.parametrize("name", ["third", "ante"])
+def test_state_arrays_match_scalar_calls(request, name, state):
+    # ante switches at s = 0.5, so half the samples lie past t_a
+    pair = request.getfixturevalue(name)
+    s_grid = np.concatenate([np.linspace(0.0, 1.0, 201), np.random.default_rng(7).uniform(0, 1, 50)])
+    stack = state(pair, W, s_grid)
+    assert stack.shape == (len(s_grid), 2, 2)
+    scalar = np.array([state(pair, W, float(s)) for s in s_grid])
+    assert np.abs(stack - scalar).max() <= 1e-15
+    bloch = bloch_vector(stack)
+    assert bloch.shape == (len(s_grid), 3)
+    assert np.abs(bloch - np.array([bloch_vector(r) for r in scalar])).max() <= 1e-15
+
+
+def test_adiabatic_state_array_at_level_crossing():
+    # constant angles: omega_r = delta = 0 everywhere
+    crossing = SchedulePair(Polynomial([1.0]), Polynomial([-1.2]), 1.0, None, 0.3)
+    with pytest.raises(DegeneratePoint):
+        adiabatic_state(crossing, W, np.linspace(0.0, 1.0, 11))
 
 
 def test_adiabatic_state_midpoint(third):
@@ -230,6 +257,32 @@ def test_evolve_fidelity_reaches_target(third):
     assert isinstance(traj, Trajectory)
 
 
+def test_evolve_rejects_blown_up_run():
+    # unstable at 100 steps: trace and Hermiticity hold while the
+    # eigenvalues grow to +-3e13, so only the purity shows it
+    pair = antedated_pair(1.0, 0.71, 8.164 * 0.5 * PI)
+    rho0 = invariant_state(pair, W, 0.0)
+    with pytest.raises(StepTooCoarse, match="purity"):
+        evolve(pair, rho0, 100)
+
+
+@pytest.mark.parametrize("run", ["evolve", "evolve_pure"])
+def test_drift_checks_reject_nan(third, monkeypatch, run):
+    real_h_grid = dynamics._h_grid
+
+    def poisoned(*args):
+        h = real_h_grid(*args)
+        h[len(h) // 2] = np.nan
+        return h
+
+    monkeypatch.setattr(dynamics, "_h_grid", poisoned)
+    with pytest.raises(StepTooCoarse):
+        if run == "evolve":
+            evolve(third, invariant_state(third, W, 0.0), 200)
+        else:
+            evolve_pure(third, +1, 200)
+
+
 def test_evolve_requires_enough_steps(third):
     with pytest.raises(ValueError):
         evolve(third, np.diag([0.8, 0.2]).astype(complex), 50)
@@ -254,6 +307,36 @@ def test_evolve_pure_phase_matches_quadrature(third):
 def test_evolve_pure_minus_branch_initial_state(third):
     states = evolve_pure(third, -1, 200)
     np.testing.assert_allclose(states[0][1], [1.0, 0.0], atol=1e-12)
+
+
+def _fidelity_reference(rho, sigma):
+    """The per-state fidelity fidelity() replaced, with np.linalg.det."""
+    overlap = float(np.trace(rho @ sigma).real)
+    det_r = max(float(np.linalg.det(rho).real), 0.0)
+    det_s = max(float(np.linalg.det(sigma).real), 0.0)
+    return min(max(overlap + 2.0 * math.sqrt(det_r * det_s), 0.0), 1.0)
+
+
+def test_fidelity_stack_matches_det_loop(third, ante):
+    # Each target shares its stack's spectrum, as in evolve and
+    # compare_passages. Against a state of another spectrum, a pure state's
+    # det ~ 1e-17 of round-off in either form becomes ~1e-9 under the sqrt.
+    s_grid = np.linspace(0.0, 1.0, 301)
+    mixed = np.concatenate(
+        [
+            invariant_state(third, W, s_grid),
+            adiabatic_state(ante, W, s_grid),
+            evolve(ante, invariant_state(ante, W, 0.0), 300).rho,
+        ]
+    )
+    pure = invariant_state(third, Weights(1.0, 0.0), s_grid)
+    for stack in (mixed, pure):
+        for target in (stack[0], stack[len(stack) // 2], stack[-1]):
+            fid = fidelity(stack, target)
+            assert fid.shape == (len(stack),)
+            expected = np.array([_fidelity_reference(r, target) for r in stack])
+            assert np.abs(fid - expected).max() <= 1e-15
+            assert np.array_equal(fid, [fidelity(r, target) for r in stack])
 
 
 def test_fidelity_identity():
