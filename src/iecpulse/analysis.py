@@ -118,7 +118,7 @@ def validate_schedule(pair: SchedulePair) -> ValidationReport:
 def max_adiabaticity_metric(pair: SchedulePair) -> float:
     """Maximum of pulse.adiabaticity_metric over the driven-segment grid of
     validate_schedule; NaN where the metric is undefined somewhere on it
-    (a level crossing, or a divergence within its difference step)."""
+    (a level crossing, or a divergent station)."""
     try:
         return float(_metric(_waveform(pair), _driven_grid(pair)).max())
     except (DegeneratePoint, DivergentPulse):

@@ -12,14 +12,15 @@ Recognized keys:
     t_f        final time (required, > 0)
     family     third | fourth | antedated (required)
     gamma_mid  midpoint value for family=fourth (radians)
-    t_a        antedated switch time for family=antedated (same units as t_f)
-    beta_dot0  initial beta rate in units of pi / (2 t_f) (antedated only)
+    t_a        antedated switch time for family=antedated (same units as t_f,
+               inside (0, t_f))
+    beta_dot0  initial beta rate in units of pi / (2 t_f), > 0 (antedated only)
     p_plus     upper-branch weight (default 0.2)
     p_minus    lower-branch weight (default 0.8)
     grid_n     output grid intervals (default 1000, at least 2)
     rk4_steps  integrator steps (default 10000, at least 100)
     sweep_lo, sweep_hi, sweep_n   beta_dot0 sweep grid (sweep subcommand;
-               sweep_n at least 10)
+               0 < sweep_lo < sweep_hi, sweep_n at least 10)
 
 Unknown keys and non-finite numbers are an error. Frequencies in emitted
 CSVs are in units of 1/t_f; t_f itself is echoed in summary.txt. Outputs
@@ -154,22 +155,37 @@ def parse_config(path: Path) -> RunConfig:
         weights = dynamics.Weights(p_plus, p_minus)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    t_a = opt_float("t_a")
+    if t_a is not None and not 0.0 < t_a / t_f < 1.0:
+        raise ConfigError(f"t_a must lie strictly inside (0, t_f), got {t_a!r}")
+    beta_dot0 = opt_float("beta_dot0")
+    if beta_dot0 is not None:
+        _check_rate("beta_dot0", beta_dot0, t_f)
     sweep = None
     if any(k in raw for k in ("sweep_lo", "sweep_hi", "sweep_n")):
         if not all(k in raw for k in ("sweep_lo", "sweep_hi", "sweep_n")):
             raise ConfigError("sweep requires all of sweep_lo, sweep_hi, sweep_n")
         sweep = (need_float("sweep_lo"), need_float("sweep_hi"), opt_int("sweep_n", 0, 10))
+        _check_rate("sweep_lo", sweep[0], t_f)
+        if not sweep[0] < sweep[1]:
+            raise ConfigError(f"sweep_lo must be below sweep_hi, got {sweep[0]!r} >= {sweep[1]!r}")
     return RunConfig(
         t_f=t_f,
         family=family,
         weights=weights,
         gamma_mid=opt_float("gamma_mid"),
-        t_a=opt_float("t_a"),
-        beta_dot0=opt_float("beta_dot0"),
+        t_a=t_a,
+        beta_dot0=beta_dot0,
         grid_n=opt_int("grid_n", 1000, 2),
         rk4_steps=opt_int("rk4_steps", 10_000, 100),
         sweep=sweep,
     )
+
+
+def _check_rate(key: str, units: float, t_f: float) -> None:
+    """A beta_dot0 value, in units of pi / (2 t_f), must give a positive rate."""
+    if not units * 0.5 * math.pi / t_f > 0:
+        raise ConfigError(f"config key {key!r} must be positive, got {units!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +323,7 @@ def _cmd_check(cfg: RunConfig, out: Path) -> None:
     wave = pulse._waveform(pair)
     wave.check_finite(0.0, pair.switch_fraction or 1.0, wave.omega_divergent | wave.cot_divergent)
     grid = np.linspace(0.0, 1.0, 1000)
-    residual = max(dynamics.invariant_residual(pair, float(s)) for s in grid)
+    residual = float(dynamics.invariant_residual(pair, grid).max())
     metric = analysis.max_adiabaticity_metric(pair)
     messages = report.messages
     if math.isnan(metric):

@@ -1,9 +1,11 @@
 """Two-level mixed-state dynamics along a designed passage.
 
 States are plain 2x2 complex numpy arrays (density matrices) or length-2
-complex vectors. The state builders take a float s or an array of s and
-return a 2x2 state or an (n, 2, 2) stack; bloch_vector and fidelity take a
-state or a stack. The invariant-basis mixed state
+complex vectors. The operator and state builders take a float s or an
+array of s and return a 2x2 matrix or an (n, 2, 2) stack, and
+invariant_residual a float or an array, from one pass over the samples;
+bloch_vector and fidelity take a state or a stack. The invariant-basis
+mixed state
 
     rho(t) = p_plus |phi_plus(t)><phi_plus(t)| + p_minus |phi_minus(t)><phi_minus(t)|
 
@@ -110,30 +112,48 @@ def check_density_matrix(
 # ---------------------------------------------------------------------------
 # operators along the passage
 
-def _h_dimless(wave: _Waveform, s: float) -> np.ndarray:
-    """H * t_f at s, honoring the antedated switch for s > t_a / t_f."""
+def _states(rho11, rho22, rho12) -> np.ndarray:
+    """Hermitian 2x2 states from their diagonal and upper off-diagonal
+    entries, stacked over the entries' shape."""
+    rho = np.empty(np.shape(rho11) + (2, 2), dtype=complex)
+    rho[..., 0, 0] = rho11
+    rho[..., 0, 1] = rho12
+    rho[..., 1, 0] = np.conj(rho12)
+    rho[..., 1, 1] = rho22
+    return rho
+
+
+def _drive(wave: _Waveform, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """omega_r and delta times t_f at the samples s, honoring the antedated
+    switch: samples past t_a / t_f see no drive and the held detuning."""
     a = wave.switch
-    if a is not None and s > a:
-        d = wave.switch_delta()
-        return np.array([[0.5 * d, 0.0], [0.0, -0.5 * d]], dtype=complex)
-    om = wave.omega(s)
-    dl = wave.delta(s)
-    return np.array([[0.5 * dl, 0.5 * om], [0.5 * om, -0.5 * dl]], dtype=complex)
+    driven = s <= a if a is not None else np.ones(s.shape, dtype=bool)
+    om, dl = np.zeros(s.shape), np.zeros(s.shape)
+    if driven.any():
+        om[driven] = wave.omega_many(s[driven])
+        dl[driven] = wave.delta_many(s[driven])
+    if not driven.all():
+        dl[~driven] = wave.switch_delta()
+    return om, dl
 
 
-def hamiltonian_at(pair: SchedulePair, s: float) -> np.ndarray:
-    """The 2x2 control Hamiltonian at s, in angular-frequency units."""
-    return _h_dimless(_waveform(pair), s) / pair.t_f
+def _h_dimless(wave: _Waveform, s: np.ndarray) -> np.ndarray:
+    """H * t_f at the samples s, as a stack of shape s.shape + (2, 2)."""
+    om, dl = _drive(wave, s)
+    return _states(0.5 * dl, -0.5 * dl, 0.5 * om)
 
 
-def invariant_at(pair: SchedulePair, s: float) -> np.ndarray:
-    """The dynamical invariant (unit scale constant) of the design at s."""
-    g = float(pair.gamma(s))
-    b = float(pair.beta(s))
-    off = 0.5 * math.sin(g) * complex(math.cos(b), math.sin(b))
-    return np.array(
-        [[0.5 * math.cos(g), off], [off.conjugate(), -0.5 * math.cos(g)]], dtype=complex
-    )
+def hamiltonian_at(pair: SchedulePair, s: float | np.ndarray) -> np.ndarray:
+    """The control Hamiltonian at s, in angular-frequency units (a stack for an s array)."""
+    return _h_dimless(_waveform(pair), np.asarray(s, dtype=float)) / pair.t_f
+
+
+def invariant_at(pair: SchedulePair, s: float | np.ndarray) -> np.ndarray:
+    """The dynamical invariant (unit scale constant) of the design at s (a
+    stack for an s array)."""
+    g, b = pair.gamma(s), pair.beta(s)
+    off = 0.5 * np.sin(g) * (np.cos(b) + 1j * np.sin(b))
+    return _states(0.5 * np.cos(g), -0.5 * np.cos(g), off)
 
 
 def invariant_eigenstate(pair: SchedulePair, branch: int, s: float) -> np.ndarray:
@@ -153,49 +173,34 @@ def invariant_eigenstate(pair: SchedulePair, branch: int, s: float) -> np.ndarra
     raise ValueError("branch must be +1 or -1")
 
 
-def invariant_residual(pair: SchedulePair, s: float) -> float:
+def invariant_residual(pair: SchedulePair, s: float | np.ndarray) -> float | np.ndarray:
     """Frobenius norm of i dI/dt - [H, I], times t_f (dimensionless).
 
     This is the self-consistency check of the whole inverse construction:
     the waveforms are derived exactly from the invariant equation, so the
-    residual must vanish to floating-point accuracy. Past the antedated
-    switch the invariant is frozen at its t_a value and checked against
-    the switched (diagonal) Hamiltonian.
+    residual must vanish to floating-point accuracy. s is a float (a float
+    result) or an array (an array of the same shape). Past the antedated
+    switch the invariant is frozen at its t_a value (dI/dt = 0) and checked
+    against the switched (diagonal) Hamiltonian.
     """
     wave = _waveform(pair)
+    x = np.atleast_1d(np.asarray(s, dtype=float))
     a = pair.switch_fraction
-    if a is not None and s > a:
-        inv = invariant_at(pair, a)
-        h = _h_dimless(wave, s)
-        return float(np.linalg.norm(h @ inv - inv @ h))
-    g = float(pair.gamma(s))
-    b = float(pair.beta(s))
-    dg = float(wave.dgamma(s))
-    db = float(wave.dbeta(s))
-    phase = complex(math.cos(b), math.sin(b))
-    d_off = 0.5 * phase * complex(dg * math.cos(g), db * math.sin(g))
-    d_inv = np.array(
-        [[-0.5 * dg * math.sin(g), d_off], [d_off.conjugate(), 0.5 * dg * math.sin(g)]],
-        dtype=complex,
-    )
-    inv = invariant_at(pair, s)
-    h = _h_dimless(wave, s)
-    return float(np.linalg.norm(1j * d_inv - (h @ inv - inv @ h)))
+    x_inv = x if a is None else np.minimum(x, a)
+    g, b = pair.gamma(x_inv), pair.beta(x_inv)
+    dg = np.where(x_inv == x, wave.dgamma(x_inv), 0.0)
+    db = np.where(x_inv == x, wave.dbeta(x_inv), 0.0)
+    sin_g, cos_g, phase = np.sin(g), np.cos(g), np.cos(b) + 1j * np.sin(b)
+    inv = _states(0.5 * cos_g, -0.5 * cos_g, 0.5 * sin_g * phase)
+    d_off = 0.5 * phase * (dg * cos_g + 1j * (db * sin_g))
+    d_inv = _states(-0.5 * dg * sin_g, 0.5 * dg * sin_g, d_off)
+    h = _h_dimless(wave, x)
+    residual = np.linalg.norm(1j * d_inv - (h @ inv - inv @ h), axis=(-2, -1))
+    return float(residual[0]) if np.ndim(s) == 0 else residual
 
 
 # ---------------------------------------------------------------------------
 # states
-
-def _states(rho11, rho22, rho12) -> np.ndarray:
-    """Hermitian 2x2 states from their diagonal and upper off-diagonal
-    entries, stacked over the entries' shape."""
-    rho = np.empty(np.shape(rho11) + (2, 2), dtype=complex)
-    rho[..., 0, 0] = rho11
-    rho[..., 0, 1] = rho12
-    rho[..., 1, 0] = np.conj(rho12)
-    rho[..., 1, 1] = rho22
-    return rho
-
 
 def invariant_state(pair: SchedulePair, w: Weights, s: float | np.ndarray) -> np.ndarray:
     """Mixed state carried by the invariant branches at s.
@@ -224,17 +229,8 @@ def adiabatic_state(pair: SchedulePair, w: Weights, s: float | np.ndarray) -> np
     Raises DegeneratePoint at a level crossing, and DivergentPulse when a
     waveform diverges within the span of the driven samples.
     """
-    wave = _waveform(pair)
     s = np.asarray(s, dtype=float)
-    a = pair.switch_fraction
-    driven = s <= a if a is not None else np.ones(s.shape, dtype=bool)
-    om = np.zeros(s.shape)
-    dl = np.zeros(s.shape)
-    if driven.any():
-        om[driven] = wave.omega_many(s[driven])
-        dl[driven] = wave.delta_many(s[driven])
-    if not driven.all():
-        dl[~driven] = wave.switch_delta()
+    om, dl = _drive(_waveform(pair), s)
     crossing = np.hypot(om, dl) < 1e-12
     if crossing.any():
         at = s[crossing][0]
@@ -261,7 +257,10 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
     """Uhlmann fidelity of two qubit states: tr(rho sigma) + 2 sqrt(det rho det sigma).
 
     rho and sigma are states or (n, 2, 2) stacks, broadcast against each
-    other; two states give a float, a stack an array.
+    other; two states give a float, a stack an array. A (near-)pure state
+    against a mixed target carries ~1e-9 of round-off: its det is ~1e-17 of
+    rounding in any form, and enters under the square root beside the
+    target's.
     """
     rho, sigma = np.asarray(rho), np.asarray(sigma)
     dets = np.maximum(_det(rho), 0.0) * np.maximum(_det(sigma), 0.0)

@@ -41,7 +41,8 @@ class Polynomial:
 
     def __call__(self, s):
         if len(self._coeffs) == 0:
-            return np.zeros_like(np.asarray(s, dtype=float)) if np.ndim(s) else 0.0
+            s = np.asarray(s)
+            return np.zeros(s.shape, dtype=np.result_type(s, float))[()]
         return npoly.polyval(s, self._coeffs)
 
     def derivative(self) -> "Polynomial":

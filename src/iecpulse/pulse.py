@@ -20,7 +20,10 @@ gamma_dot's Taylor series without its first m terms, and for an angle
 Every sample takes the reduced parts of its nearest station, so one
 vectorised formula serves the 0/0 points and all other samples alike. A
 station's order, numerator minus denominator multiplicities, is negative
-exactly where a quotient diverges (DivergentPulse).
+exactly where a quotient diverges (DivergentPulse). The adiabaticity
+metric evaluates the same formulas once at complex s + i h (h = 1e-30):
+the real parts are omega_r and delta and Im / h their rates, exact to
+rounding because nothing is subtracted (complex step).
 
 All internal arithmetic is dimensionless: rates per unit s = t / t_f and
 frequencies multiplied by t_f. Public functions convert at the boundary,
@@ -59,9 +62,6 @@ ROOT_TOL = 1e-6
 #: Integrand evaluations adaptive_simpson may spend before giving up.
 SIMPSON_BUDGET = 100_000
 
-#: Step in s of the central differences in adiabaticity_metric.
-METRIC_STEP = 1e-6
-
 
 # ---------------------------------------------------------------------------
 # factored evaluation
@@ -95,9 +95,17 @@ def _horner(c, u):
 
 
 def _sinc(x):
-    """sin(x) / x, 1 at x = 0, for a float or an array."""
+    """sin(x) / x, 1 at x = 0, for a float or an array. A complex x is a
+    complex step a + i b: sinc(a) + i b sinc'(a), with sinc' by its series
+    near 0, where cos(a) - sinc(a) cancels."""
     if isinstance(x, float):
         return math.sin(x) / x if x else 1.0
+    if np.iscomplexobj(x):
+        a, a2, value = x.real, x.real**2, np.sinc(x.real / math.pi)
+        small = np.abs(a) < 1e-2
+        series = a * (a2 * (1.0 / 30.0 - a2 / 840.0) - 1.0 / 3.0)
+        rate = np.where(small, series, (np.cos(a) - value) / np.where(small, 1.0, a))
+        return value + 1j * (x.imag * rate)
     return np.sinc(x / math.pi)
 
 
@@ -201,8 +209,8 @@ class _Waveform:
         return self.stations[bisect.bisect(self._cuts, s)]
 
     def _each(self, formula, s: np.ndarray) -> np.ndarray:
-        """formula(station, s - s0) at every sample, from the sample's nearest station."""
-        j = np.searchsorted(self._cuts, s, side="right")
+        """formula(station, s - s0) at every sample, from the station nearest s.real."""
+        j = np.searchsorted(self._cuts, s.real, side="right")
         out = np.empty_like(s)
         for i, st in enumerate(self.stations):
             at = j == i
@@ -348,31 +356,32 @@ def synthesize(pair: SchedulePair, n: int) -> PulseTable:
 
 
 def adiabaticity_metric(pair: SchedulePair, s: float | np.ndarray) -> float | np.ndarray:
-    """|omega_r * delta_dot - omega_r_dot * delta| / Omega^3 at interior s.
+    """|omega_r * delta_dot - omega_r_dot * delta| / Omega^3 at 0 < s < 1.
 
     s is a float or an array; the result has the same form. Dimensionless
-    and independent of t_f. Rates are central finite differences of the
-    closed-form evaluators at step METRIC_STEP in s. Raises DegeneratePoint
-    at a level crossing (Omega * t_f < 1e-12).
+    and independent of t_f. The rates are complex-step derivatives of the
+    factored evaluators (exact to rounding). Raises DegeneratePoint at a
+    level crossing (Omega * t_f < 1e-12).
     """
     x = np.atleast_1d(np.asarray(s, dtype=float))
-    if not (METRIC_STEP < x.min() and x.max() < 1.0 - METRIC_STEP):
+    if not (0.0 < x.min() and x.max() < 1.0):
         raise ValueError("adiabaticity metric is defined at interior points")
     metric = _metric(_waveform(pair), x)
     return float(metric[0]) if np.ndim(s) == 0 else metric
 
 
 def _metric(wave: _Waveform, s: np.ndarray) -> np.ndarray:
-    """The adiabaticity metric at every sample of s."""
-    om = wave.omega_many(s)
-    dl = wave.delta_many(s)
-    gen = np.hypot(om, dl)
+    """The adiabaticity metric at every sample of s. omega_r and delta are
+    evaluated once, at s + i h: the real parts are their values and Im / h
+    their rates, with no difference to cancel (complex step)."""
+    wave.check_finite(s.min(), s.max(), wave.omega_divergent | wave.cot_divergent)
+    h = 1e-30
+    om = wave._each(_omega, s + 1j * h)
+    dl = wave._each(_cot, s + 1j * h) - wave.dbeta(s + 1j * h)
+    gen = np.hypot(om.real, dl.real)
     if gen.min() < 1e-12:
         raise DegeneratePoint(f"generalized Rabi frequency vanishes at s = {s[gen.argmin()]:.6g}")
-    h = METRIC_STEP
-    dom = (wave.omega_many(s + h) - wave.omega_many(s - h)) / (2.0 * h)
-    ddl = (wave.delta_many(s + h) - wave.delta_many(s - h)) / (2.0 * h)
-    return np.abs((om * ddl - dom * dl) / gen**3)
+    return np.abs((om.real * (dl.imag / h) - (om.imag / h) * dl.real) / gen**3)
 
 
 def lr_phase(pair: SchedulePair, t: float, branch: int) -> float:

@@ -106,8 +106,24 @@ def test_exit_code_infeasible(tmp_path, capsys):
         ("synth", "t_f = 1\nfamily = third\ngrid_n = 1\n"),
         ("evolve", "t_f = 1\nfamily = third\nrk4_steps = 99\n"),
         ("sweep", ANTE_CFG.replace("sweep_n = 12", "sweep_n = 9")),
+        ("synth", ANTE_CFG.replace("t_a = 0.5", "t_a = 2")),
+        ("synth", ANTE_CFG.replace("t_a = 0.5", "t_a = 1")),
+        ("synth", ANTE_CFG.replace("t_a = 0.5", "t_a = 0")),
+        ("synth", ANTE_CFG.replace("t_a = 0.5", "t_a = -0.5")),
+        ("sweep", ANTE_CFG.replace("t_a = 0.5", "t_a = 1")),
+        ("synth", ANTE_CFG + "beta_dot0 = 0\n"),
+        ("check", ANTE_CFG + "beta_dot0 = -1.5\n"),
+        ("sweep", ANTE_CFG.replace("sweep_hi = 6.0", "sweep_hi = 4.5")),
+        ("sweep", ANTE_CFG.replace("sweep_hi = 6.0", "sweep_hi = 3.0")),
+        ("sweep", ANTE_CFG.replace("sweep_lo = 4.5", "sweep_lo = 0")),
+        ("sweep", ANTE_CFG.replace("sweep_lo = 4.5", "sweep_lo = -1")),
     ],
-    ids=["t_f-inf", "t_f-nan", "beta_dot0-inf", "grid_n", "rk4_steps", "sweep_n"],
+    ids=[
+        "t_f-inf", "t_f-nan", "beta_dot0-inf", "grid_n", "rk4_steps", "sweep_n",
+        "t_a-2", "t_a-1", "t_a-0", "t_a-negative", "sweep-t_a-1", "beta_dot0-0",
+        "beta_dot0-negative", "sweep_lo-equals-hi", "sweep_lo-above-hi", "sweep_lo-0",
+        "sweep_lo-negative",
+    ],
 )
 def test_invalid_config_exits_1(tmp_path, capsys, command, text):
     out = tmp_path / "out"
@@ -115,6 +131,22 @@ def test_invalid_config_exits_1(tmp_path, capsys, command, text):
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("text", [THIRD_CFG, ANTE_CFG], ids=["third", "antedated"])
+def test_check_makes_no_scalar_waveform_scan(tmp_path, monkeypatch, text):
+    # check evaluates its residual and metric grids as arrays: the only
+    # scalar evaluation left is the cached detuning held after the switch
+    calls = []
+    for name in ("omega", "delta"):
+        scalar = getattr(pulse._Waveform, name)
+        monkeypatch.setattr(
+            pulse._Waveform, name, lambda self, s, f=scalar: calls.append(s) or f(self, s)
+        )
+    pulse._waveform.cache_clear()
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(_write(tmp_path, text)), "--out", str(out)]) == EXIT_OK
+    assert len(calls) <= 1
 
 
 def test_sweep_without_buildable_schedule_is_infeasible(tmp_path, capsys):

@@ -22,8 +22,8 @@ from iecpulse.dynamics import (
 from iecpulse import dynamics
 from iecpulse.errors import DegeneratePoint, StepTooCoarse
 from iecpulse.poly import Polynomial
-from iecpulse.pulse import lr_phase
-from iecpulse.schedule import SchedulePair, antedated_pair, third_order_pair
+from iecpulse.pulse import _waveform, lr_phase
+from iecpulse.schedule import SchedulePair, antedated_pair, fourth_order_pair, third_order_pair
 
 PI = math.pi
 W = Weights(0.2, 0.8)
@@ -98,8 +98,60 @@ def test_antedated_commutators(ante):
 
 
 def test_invariant_residual_vanishes(third):
-    worst = max(invariant_residual(third, float(s)) for s in np.linspace(0, 1, 500))
+    worst = invariant_residual(third, np.linspace(0, 1, 500)).max()
     assert worst < 1e-8
+
+
+def _residual_reference(pair, s):
+    """The per-sample residual invariant_residual replaced: 2x2 matrices
+    built with math and Python complex arithmetic. H takes omega_r and delta
+    from the vector evaluators, as invariant_residual does: the scalar ones
+    differ from them by an ulp at some samples (math.sin(x) / x against
+    np.sinc), which moves these ~1e-14 residuals by up to ~1.4e-15."""
+    wave = _waveform(pair)
+
+    def invariant(x):
+        g, b = float(pair.gamma(x)), float(pair.beta(x))
+        off = 0.5 * math.sin(g) * complex(math.cos(b), math.sin(b))
+        return np.array([[0.5 * math.cos(g), off], [off.conjugate(), -0.5 * math.cos(g)]])
+
+    a = pair.switch_fraction
+    if a is not None and s > a:
+        d = wave.switch_delta()
+        h = np.array([[0.5 * d, 0.0], [0.0, -0.5 * d]], dtype=complex)
+        inv = invariant(a)
+        return float(np.linalg.norm(h @ inv - inv @ h))
+    om, dl = float(wave.omega_many(np.array([s]))[0]), float(wave.delta_many(np.array([s]))[0])
+    h = np.array([[0.5 * dl, 0.5 * om], [0.5 * om, -0.5 * dl]], dtype=complex)
+    g, b = float(pair.gamma(s)), float(pair.beta(s))
+    dg, db = float(wave.dgamma(s)), float(wave.dbeta(s))
+    d_off = 0.5 * complex(math.cos(b), math.sin(b)) * complex(dg * math.cos(g), db * math.sin(g))
+    d_inv = np.array(
+        [[-0.5 * dg * math.sin(g), d_off], [d_off.conjugate(), 0.5 * dg * math.sin(g)]]
+    )
+    inv = invariant(s)
+    return float(np.linalg.norm(1j * d_inv - (h @ inv - inv @ h)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: third_order_pair(1.0),
+        lambda: fourth_order_pair(1.0, 1.2),
+        lambda: antedated_pair(1.0, 0.5),
+    ],
+    ids=["third", "fourth-1.2", "antedated-0.5"],
+)
+def test_invariant_residual_array_matches_scalar_formula(build):
+    pair = build()
+    s = np.linspace(0.0, 1.0, 401)  # holds s = 0.5 = t_a / t_f and 200 samples past it
+    residual = invariant_residual(pair, s)
+    assert residual.shape == s.shape
+    assert residual.tolist() == [invariant_residual(pair, float(x)) for x in s]
+    square = invariant_residual(pair, s[:400].reshape(20, 20))
+    assert np.array_equal(square, residual[:400].reshape(20, 20))
+    reference = np.array([_residual_reference(pair, float(x)) for x in s])
+    assert np.abs(residual - reference).max() <= 1e-15
 
 
 def test_invariant_residual_is_self_consistent_for_any_smooth_pair(third):
@@ -108,7 +160,7 @@ def test_invariant_residual_is_self_consistent_for_any_smooth_pair(third):
     import dataclasses
 
     shifted = dataclasses.replace(third, beta=third.beta.shifted(0.1))
-    worst = max(invariant_residual(shifted, float(s)) for s in np.linspace(0.05, 0.95, 200))
+    worst = invariant_residual(shifted, np.linspace(0.05, 0.95, 200)).max()
     assert worst < 1e-8
 
 
@@ -133,8 +185,7 @@ def test_invariant_residual_detects_mismatched_invariant(third):
 
 
 def test_invariant_residual_after_switch(ante):
-    for s in (0.6, 0.8, 1.0):
-        assert invariant_residual(ante, s) < 1e-10
+    assert invariant_residual(ante, np.array([0.6, 0.8, 1.0])).max() < 1e-10
 
 
 def test_invariant_state_endpoints(third):
@@ -170,10 +221,20 @@ def test_adiabatic_state_in_xz_plane(third):
     assert np.all(bloch_vector(adiabatic_state(third, W, s_grid))[:, 1] == 0.0)
 
 
-@pytest.mark.parametrize("state", [invariant_state, adiabatic_state])
+@pytest.mark.parametrize(
+    "state",
+    [
+        invariant_state,
+        adiabatic_state,
+        lambda pair, w, s: hamiltonian_at(pair, s),
+        lambda pair, w, s: invariant_at(pair, s),
+    ],
+    ids=["invariant_state", "adiabatic_state", "hamiltonian_at", "invariant_at"],
+)
 @pytest.mark.parametrize("name", ["third", "ante"])
 def test_state_arrays_match_scalar_calls(request, name, state):
-    # ante switches at s = 0.5, so half the samples lie past t_a
+    # ante switches at s = 0.5, so half the samples lie past t_a; the
+    # Hamiltonian and the invariant go through the same stack code
     pair = request.getfixturevalue(name)
     s_grid = np.concatenate([np.linspace(0.0, 1.0, 201), np.random.default_rng(7).uniform(0, 1, 50)])
     stack = state(pair, W, s_grid)

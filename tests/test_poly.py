@@ -43,6 +43,17 @@ def test_derivative_of_constant_is_zero_polynomial():
     assert d(0.7) == 0.0
 
 
+def test_zero_polynomial_keeps_input_dtype():
+    # complex input (a complex-step evaluation) must not be cast to float,
+    # which would raise ComplexWarning
+    zero = Polynomial([]).derivative()
+    s = np.array([0.2, 0.7]) + 1e-30j
+    assert zero(s).dtype == complex and zero(s).shape == (2,) and not zero(s).any()
+    assert zero(0.3 + 1e-30j) == 0 and np.iscomplexobj(zero(0.3 + 1e-30j))
+    assert zero(np.array([0.2, 0.7])).dtype == float
+    assert zero([0.1, 0.2, 0.3]).shape == (3,)
+
+
 def test_second_derivative():
     d2 = Polynomial(CUBIC).derivative().derivative()
     np.testing.assert_allclose(d2.coefficients, [-6.0 * PI, 12.0 * PI])

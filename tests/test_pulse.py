@@ -6,7 +6,15 @@ import pytest
 from iecpulse.analysis import max_adiabaticity_metric
 from iecpulse.errors import DegeneratePoint, DivergentPulse, NoConvergence
 from iecpulse.poly import Polynomial
-from iecpulse.pulse import adaptive_simpson, adiabaticity_metric, delta_at, lr_phase, omega_r_at, synthesize
+from iecpulse.pulse import (
+    _waveform,
+    adaptive_simpson,
+    adiabaticity_metric,
+    delta_at,
+    lr_phase,
+    omega_r_at,
+    synthesize,
+)
 from iecpulse.schedule import SchedulePair, antedated_pair, fourth_order_pair, third_order_pair
 
 PI = math.pi
@@ -138,11 +146,42 @@ def test_adiabaticity_metric_usual_vs_antedated(third, ante):
 
 
 def test_adiabaticity_metric_array_matches_scalar(third, ante):
-    for pair, s_end in ((third, 1.0), (ante, 0.5)):
+    fourth = fourth_order_pair(1.0, 1.2)
+    for pair, s_end in ((third, 1.0), (fourth, 1.0), (ante, 0.5)):
         s = np.linspace(1e-3, s_end - 1e-3, 101)
         metric = adiabaticity_metric(pair, s)
         assert metric.shape == s.shape
         assert metric.tolist() == [adiabaticity_metric(pair, float(x)) for x in s]
+
+
+def _metric_central_difference(pair, s, h=1e-6):
+    """The metric adiabaticity_metric replaced: rates by central differences
+    of the vector evaluators at step h in s."""
+    wave = _waveform(pair)
+    om, dl = wave.omega_many(s), wave.delta_many(s)
+    dom = (wave.omega_many(s + h) - wave.omega_many(s - h)) / (2.0 * h)
+    ddl = (wave.delta_many(s + h) - wave.delta_many(s - h)) / (2.0 * h)
+    return np.abs((om * ddl - dom * dl) / np.hypot(om, dl) ** 3)
+
+
+def test_adiabaticity_metric_matches_central_difference(third, ante):
+    for pair in (third, fourth_order_pair(1.0, 1.2), ante):
+        s_end = pair.switch_fraction or 1.0
+        s = np.linspace(0.0, s_end, 2001)[1:-1]
+        stations = np.array([st.s0 for st in _waveform(pair).stations])
+        s = s[np.abs(s[:, None] - stations).min(axis=1) > 1e-3]
+        metric = adiabaticity_metric(pair, s)
+        reference = _metric_central_difference(pair, s)
+        assert np.abs(metric - reference).max() <= 1e-6 * reference.max()
+        assert np.all(np.abs(metric - reference) <= 1e-6 * reference)
+
+
+def test_adiabaticity_metric_domain(third):
+    for s in (0.0, 1.0, np.array([0.0, 0.5])):
+        with pytest.raises(ValueError):
+            adiabaticity_metric(third, s)
+    # the complex step has no difference step to keep inside [0, 1]
+    assert math.isfinite(adiabaticity_metric(third, 1e-9))
 
 
 def test_adiabaticity_metric_level_crossing():

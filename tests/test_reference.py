@@ -5,7 +5,8 @@ that the schedule module states, takes the rate-reversal point t_s from
 gamma_dot = c s (s - 1)(s - t_s), and evaluates the closed-form quotients
 directly. It steps around their 0/0 points by averaging the quotient at
 s - h and s + h (h = 1e-15), which is exact to O(h^2) because the
-quotients are analytic there.
+quotients are analytic there. The adiabaticity metric is checked against
+the same rebuild, differentiated by mpmath, at 50 digits.
 """
 
 import math
@@ -14,7 +15,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from iecpulse.pulse import delta_at, omega_r_at
+from iecpulse.pulse import adiabaticity_metric, delta_at, omega_r_at
 from iecpulse.schedule import antedated_pair, fourth_order_pair, third_order_pair
 
 OFFSETS = (1e-9, 1e-7, 1e-5, 1e-4, 9.9e-4, 1.01e-3, 1e-2)
@@ -109,3 +110,45 @@ def test_waveforms_match_50_digit_reference(name, build, args):
                 if err > worst:
                     worst, where = err, s
     assert worst <= REL, f"relative error {worst:.3e} at s = {where!r}"
+
+
+def _metric(gamma, beta, s):
+    """|omega_r delta' - omega_r' delta| / Omega^3 at an s off the 0/0 points."""
+    dgamma = [j * c for j, c in enumerate(gamma)][1:]
+    dbeta = [j * c for j, c in enumerate(beta)][1:]
+
+    def omega(x):
+        return mp.polyval(dgamma[::-1], x) / mp.sin(mp.polyval(beta[::-1], x))
+
+    def delta(x):
+        g, b = mp.polyval(gamma[::-1], x), mp.polyval(beta[::-1], x)
+        return omega(x) * mp.cos(g) * mp.cos(b) / mp.sin(g) - mp.polyval(dbeta[::-1], x)
+
+    om, dl = omega(s), delta(s)
+    return abs(om * mp.diff(delta, s) - mp.diff(omega, s) * dl) / mp.hypot(om, dl) ** 3
+
+
+@pytest.mark.parametrize(
+    "name, build, args", CASES, ids=[f"{c[0]}{list(c[2])}" for c in CASES]
+)
+def test_adiabaticity_metric_matches_50_digit_reference(name, build, args):
+    # down to 1e-9 from each 0/0 point, where a rate taken by differences
+    # (or a complex step through sin(x) / x) loses digits to cancellation
+    pair = build()
+    s_end = pair.switch_fraction or 1.0
+    with mp.workdps(50):
+        gamma, beta, points = _reference(name, *args)
+        near = {
+            float(p + side * d)
+            for p in points
+            for d in OFFSETS
+            for side in (-1, 1)
+            if 0 < p + side * d < s_end
+        }
+        worst, where = 0.0, None
+        for s in sorted(set(np.linspace(0.0, s_end, 41)[1:-1].tolist()) | near):
+            ref = _metric(gamma, beta, mp.mpf(s))
+            err = float(abs(adiabaticity_metric(pair, s) - ref) / ref)
+            if err > worst:
+                worst, where = err, s
+    assert worst <= 1e-11, f"relative error {worst:.3e} at s = {where!r}"
