@@ -45,6 +45,7 @@ from .schedule import (
     SchedulePair,
     antedated_pair,
     critical_gamma_mid,
+    critical_t_a,
     fourth_order_pair,
     gamma_dot_zero_crossing,
     third_order_pair,
@@ -76,6 +77,7 @@ __all__ = [
     "bloch_vector",
     "compare_passages",
     "critical_gamma_mid",
+    "critical_t_a",
     "delta_at",
     "energy_cost",
     "evolve",

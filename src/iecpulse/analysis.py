@@ -7,7 +7,9 @@ validate_schedule decides feasibility only; max_adiabaticity_metric
 reports the adiabaticity metric's maximum on the same grid. For a fixed
 antedating time the cost is a unimodal function of the initial beta rate;
 sweep_beta_dot0 locates its minimum in the calling process by a grid scan
-followed by golden-section refinement.
+followed by golden-section refinement. Every candidate of a sweep shares
+one gamma fit and one pair of beta solves, because beta is affine in the
+rate (_Sweep).
 """
 
 from __future__ import annotations
@@ -16,12 +18,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .dynamics import Weights, adiabatic_state, bloch_vector, fidelity, invariant_state
 from .errors import DegeneratePoint, DivergentPulse, NoConvergence, NoCrossing, NoFeasiblePoint
 from .errors import SingularSystem
-from .pulse import _metric, _waveform, adaptive_simpson
-from .schedule import SchedulePair, antedated_pair
+from .poly import FIT_TOL, Condition, Polynomial, misfit, real_roots, solve
+from .pulse import _metric, _waveform, gauss_legendre
+from .schedule import SchedulePair, _antedated_beta_conditions, _antedated_gamma, antedated_pair
+from .schedule import gamma_dot_zero_crossing
 
 __all__ = [
     "SweepResult",
@@ -44,19 +49,53 @@ DELTA_FINITE_BOUND = 1e3
 #: for gamma.
 GRID_POINTS = 10_000
 
+#: Absolute tolerance of the pulse area: successive Gauss-Legendre sums of
+#: every piece agree to it.
+COST_TOL = 1e-8
+
+#: Sweep candidates evaluated together: 8 rows of the validation grid make
+#: 640 kB per array.
+SWEEP_BLOCK = 8
+
 
 def energy_cost(pair: SchedulePair) -> float:
-    """Pulse area of omega_r up to the completion time (dimensionless)."""
-    s_end = pair.switch_fraction if pair.switch_fraction is not None else 1.0
+    """Pulse area of omega_r up to the completion time (dimensionless).
+
+    The area of the stored double-precision polynomials, by gauss_legendre
+    to COST_TOL on [0, t_end] cut at the stations and at beta's stationary
+    points. The nodes lie inside the pieces, so no node meets a 0/0 point
+    and omega_r is the plain quotient gamma_dot / sin(beta) there. Where
+    beta nearly touches a multiple of pi, omega_r peaks as 1 / sin(beta),
+    and the area magnifies the rounding of the fit's coefficients: on the
+    narrow-peak schedule of the tests (sin(beta) ~ 5e-5) the stored
+    polynomials' area lies 2.7e-8 from that of a 30-digit refit. That gap
+    is a floor of the formulation, not of the quadrature.
+    """
+    s_end = _s_end(pair)
     wave = _waveform(pair)
     wave.check_finite(0.0, s_end, wave.omega_divergent)
-    return adaptive_simpson(wave.omega, 0.0, s_end, 1e-8)
+
+    def omega(s, row):
+        return wave.dgamma(s) / np.sin(wave.beta(s))
+
+    return float(gauss_legendre(omega, wave.edges(s_end), COST_TOL)[0])
 
 
-def _driven_grid(pair: SchedulePair) -> np.ndarray:
-    """GRID_POINTS midpoints of the driven segment [0, t_end], in s."""
-    s_end = pair.switch_fraction if pair.switch_fraction is not None else 1.0
+def _s_end(pair: SchedulePair) -> float:
+    return pair.switch_fraction if pair.switch_fraction is not None else 1.0
+
+
+def _driven_grid(s_end: float) -> np.ndarray:
+    """GRID_POINTS midpoints of the driven segment [0, s_end]."""
     return (np.arange(GRID_POINTS) + 0.5) * (s_end / GRID_POINTS)
+
+
+def _gamma_check(gamma: Polynomial) -> str | None:
+    """Why gamma leaves [-pi, pi] on GRID_POINTS + 1 nodes of [0, 1], or None."""
+    g = np.asarray(gamma(np.linspace(0.0, 1.0, GRID_POINTS + 1)), dtype=float)
+    if g.min() >= -math.pi - 1e-9 and g.max() <= math.pi + 1e-9:
+        return None
+    return f"gamma leaves [-pi, pi] (range [{g.min():.4f}, {g.max():.4f}] rad)"
 
 
 @dataclass
@@ -81,7 +120,7 @@ def validate_schedule(pair: SchedulePair) -> ValidationReport:
     window [0, t_f] (dips below -pi signal non-compensable singularities).
     """
     wave = _waveform(pair)
-    grid = _driven_grid(pair)
+    grid = _driven_grid(_s_end(pair))
     messages: list[str] = []
     omega_ok = delta_ok = True
     try:
@@ -100,17 +139,13 @@ def validate_schedule(pair: SchedulePair) -> ValidationReport:
             delta_ok = False
             messages.append(f"delta exceeds the finiteness bound (max {max_delta:.3e} * 1/t_f)")
 
-    full = np.linspace(0.0, 1.0, GRID_POINTS + 1)
-    gamma = np.asarray(pair.gamma(full), dtype=float)
-    gamma_ok = bool(gamma.min() >= -math.pi - 1e-9 and gamma.max() <= math.pi + 1e-9)
-    if not gamma_ok:
-        messages.append(
-            f"gamma leaves [-pi, pi] (range [{gamma.min():.4f}, {gamma.max():.4f}] rad)"
-        )
+    gamma_message = _gamma_check(pair.gamma)
+    if gamma_message is not None:
+        messages.append(gamma_message)
     return ValidationReport(
         omega_r_nonnegative=omega_ok,
         delta_finite=delta_ok,
-        gamma_range_ok=gamma_ok,
+        gamma_range_ok=gamma_message is None,
         messages=messages,
     )
 
@@ -120,7 +155,7 @@ def max_adiabaticity_metric(pair: SchedulePair) -> float:
     validate_schedule; NaN where the metric is undefined somewhere on it
     (a level crossing, or a divergent station)."""
     try:
-        return float(_metric(_waveform(pair), _driven_grid(pair)).max())
+        return float(_metric(_waveform(pair), _driven_grid(_s_end(pair))).max())
     except (DegeneratePoint, DivergentPulse):
         return math.nan
 
@@ -153,23 +188,149 @@ def _sweep_point(t_f: float, t_a: float, units: float) -> tuple[float, bool]:
         return math.nan, False
 
 
+class _Sweep:
+    """What every beta_dot0 candidate at one (t_f, t_a) shares.
+
+    b = beta_dot0 t_f enters the antedated beta fit only through its
+    right-hand side, so beta = B0 + b B1: one gamma fit, t_s and two beta
+    solves serve every candidate. evaluate decides each candidate as
+    _sweep_point does, from shared parts: the gamma-range verdict, the fit's
+    residual check on B0 + b B1, the band of b where -pi < beta < 0 on the
+    driven segment (omega_r is then finite and positive, a plain quotient
+    with no station), and the detuning policy on the validation grid. The
+    feasible candidates are costed together by gauss_legendre.
+    Raises SingularSystem or NoCrossing when no candidate can be built.
+    """
+
+    def __init__(self, t_f: float, t_a: float):
+        self.t_f = t_f
+        self.s_end = a = t_a / t_f
+        self.gamma = _antedated_gamma(a)
+        t_s = gamma_dot_zero_crossing(self.gamma)
+        at_zero, at_one = (_antedated_beta_conditions(a, t_s, b) for b in (0.0, 1.0))
+        slope = [Condition(c.s, c.derivative_order, u.value - c.value)
+                 for c, u in zip(at_zero, at_one)]
+        self.b0, self.b1 = solve(at_zero, 5), solve(slope, 5)
+        self._values = np.array([[c.value for c in at_zero], [c.value for c in slope]])
+        self._misfit = np.array([misfit(self.b0, at_zero), misfit(self.b1, slope)])
+        self.gamma_ok = _gamma_check(self.gamma) is None
+        self.band = _band(self.b0, self.b1, a)
+        self.dgamma = self.gamma.derivative()
+        self._db0, self._db1 = self.b0.derivative(), self.b1.derivative()
+        s = _driven_grid(a)
+        g = self.gamma(s)
+        self._grid_cot = self.dgamma(s) * np.cos(g) / np.sin(g)
+        self._grid_beta = self.b0(s), self.b1(s)
+        self._grid_rate = self._db0(s), self._db1(s)
+
+    def evaluate(self, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(cost, feasible) at each beta_dot0, in units of pi / (2 t_f); cost
+        is NaN where infeasible."""
+        b = units * 0.5 * math.pi / self.t_f * self.t_f  # rounded as _sweep_point rounds it
+        lo, hi = self.band
+        ok = self.gamma_ok & (lo < b) & (b < hi) & self._fit_ok(b)
+        cost = np.full(len(b), math.nan)
+        rows = np.flatnonzero(ok)
+        for i in range(0, len(rows), SWEEP_BLOCK):
+            block = rows[i : i + SWEEP_BLOCK]
+            ok[block] = self._detuning_ok(b[block])
+            block = block[ok[block]]
+            if len(block):
+                cost[block] = self._cost(b[block])
+        return cost, ok
+
+    def _fit_ok(self, b: np.ndarray) -> np.ndarray:
+        """fit's residual check on B0 + b B1 against the conditions at b."""
+        values = self._values[0] + b[:, None] * self._values[1]
+        miss = self._misfit[0] + b[:, None] * self._misfit[1]
+        scale = np.maximum(1.0, np.abs(values).max(axis=1))
+        return (np.abs(miss) <= FIT_TOL * scale[:, None]).all(axis=1)
+
+    def _detuning_ok(self, b: np.ndarray) -> np.ndarray:
+        """|delta| t_f <= DELTA_FINITE_BOUND on the validation grid, where
+        delta = gamma_dot cot(gamma) cot(beta) - beta_dot."""
+        beta = np.multiply.outer(b, self._grid_beta[1])
+        beta += self._grid_beta[0]
+        delta = np.cos(beta)
+        delta /= np.sin(beta, out=beta)
+        delta *= self._grid_cot
+        rate = np.multiply.outer(b, self._grid_rate[1], out=beta)
+        rate += self._grid_rate[0]
+        delta -= rate
+        peak = np.abs(delta, out=delta).max(axis=1)
+        return np.isfinite(peak) & (peak <= DELTA_FINITE_BOUND)
+
+    def _cost(self, b: np.ndarray) -> np.ndarray:
+        """Pulse areas, each on [0, t_a / t_f] cut at its beta's stationary points."""
+        d0, d1 = self._db0.coefficients, self._db1.coefficients
+        cuts = [real_roots(Polynomial(d0 + x * d1), 0.0, self.s_end) for x in b]
+        width = max(map(len, cuts)) + 1
+        edges = [[0.0, *c] + [self.s_end] * (width - len(c)) for c in cuts]
+
+        def omega(s, row):
+            return self.dgamma(s) / np.sin(self.b0(s) + b[row, None] * self.b1(s))
+
+        return gauss_legendre(omega, edges, COST_TOL)
+
+
+def _band(b0: Polynomial, b1: Polynomial, s_end: float) -> tuple[float, float]:
+    """The open interval (lo, hi) of b where -pi < b0 + b b1 < 0 on (0, s_end);
+    empty when lo >= hi.
+
+    Where b1 vanishes inside, b0 alone must lie in (-pi, 0). Elsewhere level
+    c (0 or -pi) bounds b by (c - b0) / b1: from above where b1 > 0 and
+    c = 0 or b1 < 0 and c = -pi, from below otherwise. At each end of a sign
+    piece of b1 that ratio runs off to the infinity that bounds nothing, so
+    its binding values lie at its stationary points, the roots of
+    b0' b1 - (b0 - c) b1'.
+    """
+    for s in real_roots(b1, 0.0, s_end):
+        if 0.0 < s < s_end and not -math.pi < b0(s) < 0.0:
+            return 0.0, 0.0
+    lo, hi = -math.inf, math.inf
+    d0, d1 = b0.derivative().coefficients, b1.derivative().coefficients
+    for c in (0.0, -math.pi):
+        q = npoly.polysub(npoly.polymul(d0, b1.coefficients),
+                          npoly.polymul(b0.shifted(-c).coefficients, d1))
+        for s in real_roots(Polynomial(q), 0.0, s_end):
+            w = float(b1(s))
+            if w == 0.0:
+                continue
+            edge = (c - float(b0(s))) / w
+            if (w > 0.0) == (c == 0.0):
+                hi = min(hi, edge)
+            else:
+                lo = max(lo, edge)
+    return lo, hi
+
+
 def sweep_beta_dot0(t_f: float, t_a: float, lo: float, hi: float, n: int) -> SweepResult:
     """Sweep the initial beta rate over [lo, hi] (units of pi / 2 t_f).
 
-    Builds the antedated schedule at each of n grid points in the calling
-    process, records the energy cost of feasible points, then refines the
-    best bracket by golden-section search (well below the 1e-4 contract).
-    Raises NoFeasiblePoint when validation fails everywhere.
+    Decides and costs all n grid points at once from one _Sweep, then
+    refines the best bracket by golden-section search on the same _Sweep
+    (well below the 1e-4 contract). The reported minimum is evaluated once
+    more through _sweep_point, the per-schedule path; raises NoConvergence
+    when the two disagree (feasibility, or cost beyond 1e-7 relative), and
+    NoFeasiblePoint when every grid point is infeasible.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
     if n < 10:
         raise ValueError("need n >= 10 grid points")
+    if not lo > 0:
+        raise ValueError("beta_dot0 must be positive")
+    if not 0 < t_a < t_f:
+        raise ValueError("need 0 < t_a < t_f")
     units = np.linspace(lo, hi, n)
-    evaluated = [_sweep_point(t_f, t_a, float(u)) for u in units]
-    grid = [(float(u), cost) for u, (cost, _) in zip(units, evaluated)]
-    infeasible = [float(u) for u, (_, ok) in zip(units, evaluated) if not ok]
-    feasible = [(float(u), cost) for u, (cost, ok) in zip(units, evaluated) if ok]
+    try:
+        sweep = _Sweep(t_f, t_a)
+    except (SingularSystem, NoCrossing):
+        raise NoFeasiblePoint(f"no feasible beta_dot0 in [{lo}, {hi}] for t_a = {t_a}") from None
+    costs, ok = sweep.evaluate(units)
+    grid = list(zip(units.tolist(), costs.tolist()))
+    infeasible = units[~ok].tolist()
+    feasible = [p for p, keep in zip(grid, ok) if keep]
     if not feasible:
         raise NoFeasiblePoint(f"no feasible beta_dot0 in [{lo}, {hi}] for t_a = {t_a}")
 
@@ -178,8 +339,8 @@ def sweep_beta_dot0(t_f: float, t_a: float, lo: float, hi: float, n: int) -> Swe
     bracket_hi = feasible[min(best_idx + 1, len(feasible) - 1)][0]
 
     def cost_at(u: float) -> float:
-        value, ok = _sweep_point(t_f, t_a, u)
-        return value if ok else math.inf
+        value, feasible_u = sweep.evaluate(np.array([u]))
+        return float(value[0]) if feasible_u[0] else math.inf
 
     candidates = [feasible[best_idx]]
     if bracket_hi > bracket_lo:
@@ -187,6 +348,12 @@ def sweep_beta_dot0(t_f: float, t_a: float, lo: float, hi: float, n: int) -> Swe
         if math.isfinite(c_star):
             candidates.append((u_star, c_star))
     minimum = min(candidates, key=lambda p: p[1])
+    check, check_ok = _sweep_point(t_f, t_a, minimum[0])
+    if not (check_ok and abs(check - minimum[1]) <= 1e-7 * abs(check)):
+        raise NoConvergence(
+            f"sweep minimum {minimum[1]!r} at beta_dot0 = {minimum[0]!r} disagrees with "
+            f"the per-schedule path ({'cost ' + repr(check) if check_ok else 'infeasible'})"
+        )
     return SweepResult(t_a=t_a, grid=grid, minimum=minimum, infeasible_points=infeasible)
 
 

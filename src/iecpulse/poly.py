@@ -17,7 +17,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import SingularSystem
 
-__all__ = ["Polynomial", "Condition", "fit", "real_roots"]
+__all__ = ["Polynomial", "Condition", "fit", "solve", "misfit", "real_roots"]
 
 
 class Polynomial:
@@ -92,8 +92,13 @@ def _condition_row(s: float, order: int, degree: int) -> np.ndarray:
     return row
 
 
-def fit(conditions: Sequence[Condition], degree: int) -> Polynomial:
-    """Fit the unique degree-`degree` polynomial through the given conditions.
+#: fit rejects a solution that misses a condition by more than this, relative
+#: to the largest condition value (at least 1).
+FIT_TOL = 1e-9
+
+
+def solve(conditions: Sequence[Condition], degree: int) -> Polynomial:
+    """The degree-`degree` polynomial through the given conditions, unchecked.
 
     Requires exactly degree + 1 conditions. Raises SingularSystem when the
     constraint matrix is rank-deficient (duplicate or conflicting conditions).
@@ -105,17 +110,34 @@ def fit(conditions: Sequence[Condition], degree: int) -> Polynomial:
     a = np.array([_condition_row(c.s, c.derivative_order, degree) for c in conditions])
     b = np.array([c.value for c in conditions])
     try:
-        coeffs = np.linalg.solve(a, b)
+        return Polynomial(np.linalg.solve(a, b))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"rank-deficient interpolation system: {exc}") from exc
-    p = Polynomial(coeffs)
-    scale = max(1.0, float(np.max(np.abs(b))))
-    for c in conditions:
+
+
+def misfit(p: Polynomial, conditions: Sequence[Condition]) -> np.ndarray:
+    """Signed amount by which p misses each condition."""
+    out = np.empty(len(conditions))
+    for i, c in enumerate(conditions):
         q = p
         for _ in range(c.derivative_order):
             q = q.derivative()
-        if abs(q(c.s) - c.value) > 1e-9 * scale:
-            raise SingularSystem("ill-conditioned interpolation system (residual check failed)")
+        out[i] = q(c.s) - c.value
+    return out
+
+
+def fit(conditions: Sequence[Condition], degree: int) -> Polynomial:
+    """Fit the unique degree-`degree` polynomial through the given conditions.
+
+    Requires exactly degree + 1 conditions. Raises SingularSystem when the
+    constraint matrix is rank-deficient, or when the solution misses a
+    condition by more than FIT_TOL relative to the largest value
+    (ill-conditioned).
+    """
+    p = solve(conditions, degree)
+    scale = max(1.0, max(abs(c.value) for c in conditions))
+    if np.abs(misfit(p, conditions)).max() > FIT_TOL * scale:
+        raise SingularSystem("ill-conditioned interpolation system (residual check failed)")
     return p
 
 

@@ -32,7 +32,6 @@ so every dimensionless output is exactly independent of t_f.
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -51,7 +50,7 @@ __all__ = [
     "synthesize",
     "adiabaticity_metric",
     "lr_phase",
-    "adaptive_simpson",
+    "gauss_legendre",
 ]
 
 #: Stations are resolved to this distance in s: a zero candidate this close
@@ -59,8 +58,10 @@ __all__ = [
 #: this close to a divergent station is at it.
 ROOT_TOL = 1e-6
 
-#: Integrand evaluations adaptive_simpson may spend before giving up.
-SIMPSON_BUDGET = 100_000
+#: Gauss-Legendre nodes per piece: the first rule, and the most that
+#: doubling may reach before the quadrature gives up.
+GAUSS_START = 16
+GAUSS_CAP = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +96,9 @@ def _horner(c, u):
 
 
 def _sinc(x):
-    """sin(x) / x, 1 at x = 0, for a float or an array. A complex x is a
-    complex step a + i b: sinc(a) + i b sinc'(a), with sinc' by its series
-    near 0, where cos(a) - sinc(a) cancels."""
-    if isinstance(x, float):
-        return math.sin(x) / x if x else 1.0
+    """sin(x) / x, 1 at x = 0, for an array. A complex x is a complex step
+    a + i b: sinc(a) + i b sinc'(a), with sinc' by its series near 0, where
+    cos(a) - sinc(a) cancels."""
     if np.iscomplexobj(x):
         a, a2, value = x.real, x.real**2, np.sinc(x.real / math.pi)
         small = np.abs(a) < 1e-2
@@ -205,9 +204,6 @@ class _Waveform:
         self.cot_divergent = np.array([x.cot_order < 0 for x in st])
         self._switch_delta: float | None = None
 
-    def _station(self, s: float) -> _Station:
-        return self.stations[bisect.bisect(self._cuts, s)]
-
     def _each(self, formula, s: np.ndarray) -> np.ndarray:
         """formula(station, s - s0) at every sample, from the station nearest s.real."""
         j = np.searchsorted(self._cuts, s.real, side="right")
@@ -223,37 +219,27 @@ class _Waveform:
         if hit.any():
             raise DivergentPulse(f"waveform diverges at s = {self._s0[hit][0]:.6g}")
 
-    # -- scalar evaluators (design waveform, no switch applied) ----------
+    def edges(self, s_end: float) -> np.ndarray:
+        """0, the stations and beta's stationary points inside (0, s_end), and
+        s_end: the piece edges for a quadrature of the waveforms."""
+        inner = {x for x in (*self._s0.tolist(), *real_roots(self.dbeta, 0.0, s_end))
+                 if 0.0 < x < s_end}
+        return np.array([0.0, *sorted(inner), s_end])
+
+    # -- scalar evaluators: one sample of the vector formulas ---------------
 
     def omega(self, s: float) -> float:
         """Rabi frequency times t_f."""
-        st = self._station(s)
-        if st.omega_order < 0:
-            self.check_finite(s, s, self.omega_divergent)
-        return float(_omega(st, s - st.s0))
+        return float(self.omega_many(np.array([s]))[0])
 
     def cot_term(self, s: float) -> float:
         """omega_r * cot(gamma) * cos(beta) times t_f (= delta + beta_dot)."""
-        st = self._station(s)
-        if st.cot_order < 0:
-            self.check_finite(s, s, self.cot_divergent)
-        return float(_cot(st, s - st.s0))
+        self.check_finite(s, s, self.cot_divergent)
+        return float(self._each(_cot, np.array([s], dtype=float))[0])
 
     def delta(self, s: float) -> float:
         """Detuning times t_f."""
         return self.cot_term(s) - float(self.dbeta(s))
-
-    def omega_tilde(self, s: float) -> float:
-        """Phase-accumulation rate times t_f:
-        (delta + beta_dot) cos(gamma) + beta_dot + omega_r sin(gamma) cos(beta).
-        """
-        g = float(self.gamma(s))
-        b = float(self.beta(s))
-        return (
-            self.cot_term(s) * math.cos(g)
-            + float(self.dbeta(s))
-            + self.omega(s) * math.sin(g) * math.cos(b)
-        )
 
     # -- vectorized grid evaluators ---------------------------------------
 
@@ -388,7 +374,10 @@ def lr_phase(pair: SchedulePair, t: float, branch: int) -> float:
     """Phase accumulated by an invariant eigenstate up to time t (radians).
 
     branch = +1 for the upper invariant branch, -1 for the lower; the two
-    phases are opposite. Quadrature is adaptive Simpson to 1e-9 absolute.
+    phases are opposite. The rate (delta + beta_dot) cos(gamma) + beta_dot
+    + omega_r sin(gamma) cos(beta) comes from the factored formulas and is
+    integrated by gauss_legendre to 1e-9, cut at the stations and at beta's
+    stationary points.
     """
     if branch not in (+1, -1):
         raise ValueError("branch must be +1 or -1")
@@ -399,39 +388,57 @@ def lr_phase(pair: SchedulePair, t: float, branch: int) -> float:
     if s_end == 0.0:
         return 0.0
     wave.check_finite(0.0, s_end, wave.omega_divergent | wave.cot_divergent)
-    integral = adaptive_simpson(wave.omega_tilde, 0.0, s_end, 1e-9)
+
+    def rate(s, row):
+        g = wave.gamma(s)
+        return (wave._each(_cot, s) * np.cos(g) + wave.dbeta(s)
+                + wave._each(_omega, s) * np.sin(g) * np.cos(wave.beta(s)))
+
+    integral = float(gauss_legendre(rate, wave.edges(s_end), 1e-9)[0])
     return -0.5 * branch * integral
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
-    """Adaptive Simpson quadrature of f on [a, b] to absolute tolerance tol.
+@lru_cache(maxsize=None)
+def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
+    return np.polynomial.legendre.leggauss(n)
 
-    Raises NoConvergence when the tolerance is not met within SIMPSON_BUDGET
-    evaluations of f.
+
+def gauss_legendre(f, edges, tol: float) -> np.ndarray:
+    """Integral of f from the first to the last edge of each row of edges.
+
+    Consecutive edges of a row bound its pieces (equal edges make an empty
+    piece). f(s, row) returns the integrand at the nodes s, an array with
+    one line of nodes per piece, whose pieces belong to the rows row. Each
+    piece starts with GAUSS_START nodes, and the count doubles until
+    successive sums agree to tol (absolute); the finer sum is kept. Raises
+    NoConvergence naming the first piece still unsettled beyond GAUSS_CAP
+    nodes.
     """
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_step(f, a, b, fa, fb, fm, whole, tol, [SIMPSON_BUDGET - 3])
+    edges = np.atleast_2d(np.asarray(edges, dtype=float))
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    row = np.repeat(np.arange(len(edges)), edges.shape[1] - 1)
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
 
+    def rule(n: int, idx: np.ndarray) -> np.ndarray:
+        x, w = _gauss_rule(n)
+        return half[idx] * (f(mid[idx, None] + half[idx, None] * x, row[idx]) @ w)
 
-def _simpson_step(f, a, b, fa, fb, fm, whole, tol, budget):
-    budget[0] -= 2
-    if budget[0] < 0:
-        raise NoConvergence(
-            f"adaptive Simpson did not reach its tolerance within {SIMPSON_BUDGET} "
-            f"evaluations (still refining [{a:.6g}, {b:.6g}])"
-        )
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    err = left + right - whole
-    if abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    half = 0.5 * tol
-    return _simpson_step(f, a, m, fa, fm, flm, left, half, budget) + _simpson_step(
-        f, m, b, fm, fb, frm, right, half, budget
-    )
+    total = np.zeros(len(lo))
+    todo = np.flatnonzero(hi > lo)
+    n = GAUSS_START
+    prev, gap = rule(n, todo), np.full(len(todo), math.inf)
+    while todo.size:
+        if 2 * n > GAUSS_CAP:
+            i = todo[0]
+            raise NoConvergence(
+                f"Gauss-Legendre quadrature did not converge on [{lo[i]:.6g}, {hi[i]:.6g}] "
+                f"within {GAUSS_CAP} nodes (successive sums differ by {gap[0]:.3e})"
+            )
+        n *= 2
+        cur = rule(n, todo)
+        gap = np.abs(cur - prev)
+        done = gap <= tol
+        total[todo[done]] = cur[done]
+        todo, prev, gap = todo[~done], cur[~done], gap[~done]
+    return np.bincount(row, weights=total, minlength=len(edges))

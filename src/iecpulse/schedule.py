@@ -35,13 +35,10 @@ __all__ = [
     "antedated_pair",
     "gamma_dot_zero_crossing",
     "critical_gamma_mid",
+    "critical_t_a",
 ]
 
 PI = math.pi
-
-#: Antedating times below roughly 2 t_f / 7.7 push gamma under -pi and make
-#: the waveforms non-compensable.
-MIN_ANTEDATE_FRACTION = 2.0 / 7.7
 
 
 @dataclass(frozen=True)
@@ -145,9 +142,9 @@ def antedated_pair(
     pi / (2 t_f) and is tunable (it controls the energy cost).
 
     With enforce_range=True (default) schedules whose gamma leaves
-    [-pi, pi] raise UnphysicalSchedule; t_a below ~MIN_ANTEDATE_FRACTION
-    * t_f trips this. Pass enforce_range=False to construct such a pair
-    anyway for diagnostic validation.
+    [-pi, pi] raise UnphysicalSchedule; t_a below critical_t_a() * t_f
+    trips this. Pass enforce_range=False to construct such a pair anyway
+    for diagnostic validation.
     """
     if beta_dot0 is None:
         beta_dot0 = 0.5 * PI / t_f
@@ -156,26 +153,33 @@ def antedated_pair(
     a = t_a / t_f
     if not 0.0 < a < 1.0:
         raise ValueError("t_a must lie strictly inside (0, t_f)")
-    gamma = fit(_gamma_conditions() + [Condition(a, 0, 0.0)], 4)
+    gamma = _antedated_gamma(a)
     if enforce_range and _poly_min(gamma, 0.0, 1.0) < -PI - 1e-9:
         raise UnphysicalSchedule(
             f"gamma dips below -pi for t_a = {t_a!r} "
-            f"(antedating earlier than ~{MIN_ANTEDATE_FRACTION:.4f} t_f)"
+            f"(antedating earlier than {critical_t_a():.6f} t_f)"
         )
     t_s = gamma_dot_zero_crossing(gamma)
-    b = beta_dot0 * t_f
-    beta = fit(
-        [
-            Condition(0.0, 0, -PI / 2),
-            Condition(1.0, 0, PI / 2),
-            Condition(a, 0, -PI / 2),
-            Condition(t_s, 0, 0.0),
-            Condition(0.0, 1, b),
-            Condition(1.0, 1, -b),
-        ],
-        5,
-    )
+    beta = fit(_antedated_beta_conditions(a, t_s, beta_dot0 * t_f), 5)
     return SchedulePair(gamma, beta, t_f, t_a, beta_dot0)
+
+
+def _antedated_gamma(a: float) -> Polynomial:
+    """The antedated quartic gamma, zero at s = a."""
+    return fit(_gamma_conditions() + [Condition(a, 0, 0.0)], 4)
+
+
+def _antedated_beta_conditions(a: float, t_s: float, b: float) -> list[Condition]:
+    """The antedated quintic beta's conditions; b = beta_dot0 * t_f enters
+    only their right-hand side."""
+    return [
+        Condition(0.0, 0, -PI / 2),
+        Condition(1.0, 0, PI / 2),
+        Condition(a, 0, -PI / 2),
+        Condition(t_s, 0, 0.0),
+        Condition(0.0, 1, b),
+        Condition(1.0, 1, -b),
+    ]
 
 
 def gamma_dot_zero_crossing(gamma: Polynomial) -> float:
@@ -216,3 +220,25 @@ def critical_gamma_mid() -> float:
 
     at_zero = curvature_end(0.0)
     return at_zero / (at_zero - curvature_end(1.0))
+
+
+@lru_cache(maxsize=1)
+def critical_t_a() -> float:
+    """Earliest antedating time, as a fraction of t_f, keeping gamma >= -pi.
+
+    With gamma(a) = 0 the antedated quartic is gamma = pi g(s), where
+    g = (1 - s)^2 (1 + 2 s + k s^2) = 1 + (k - 3) s^2 + (2 - 2k) s^3 + k s^4
+    and k = -(1 + 2a) / a^2. At the limit the interior minimum of gamma
+    touches -pi: g(s) = -1 and g'(s) = 0, solved for (s, k) by Newton from
+    a = 1/4. Then a is the root in (0, 1) of k a^2 + 2a + 1 = 0.
+    """
+    k = -24.0
+    s = (k - 3.0) / (2.0 * k)
+    dg_dk = Polynomial([0.0, 0.0, 1.0, -2.0, 1.0])
+    for _ in range(8):  # quadratic convergence: four steps reach rounding
+        g = Polynomial([1.0, 0.0, k - 3.0, 2.0 - 2.0 * k, k])
+        dg = g.derivative()
+        jac = [[dg(s), dg_dk(s)], [dg.derivative()(s), dg_dk.derivative()(s)]]
+        ds, dk = np.linalg.solve(jac, [g(s) + 1.0, dg(s)])
+        s, k = s - ds, k - dk
+    return 1.0 / (math.sqrt(1.0 - k) - 1.0)

@@ -1,10 +1,14 @@
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from iecpulse import analysis
 from iecpulse.analysis import (
+    _Sweep,
+    _sweep_point,
     compare_passages,
     energy_cost,
     golden_section,
@@ -13,7 +17,8 @@ from iecpulse.analysis import (
     validate_schedule,
 )
 from iecpulse.dynamics import Weights
-from iecpulse.errors import NoFeasiblePoint
+from iecpulse.errors import NoConvergence, NoFeasiblePoint
+from iecpulse.poly import real_roots
 from iecpulse.schedule import antedated_pair, fourth_order_pair, third_order_pair
 
 PI = math.pi
@@ -62,16 +67,44 @@ def test_energy_cost_scale_invariant():
         assert energy_cost(pair) == pytest.approx(3.5509, abs=1e-3)
 
 
+def _stored_area(pair, dps=30):
+    """mpmath integral of the stored polynomials' gamma_dot / sin(beta) over
+    the driven segment, cut at beta's stationary points."""
+    s_end = pair.switch_fraction or 1.0
+    cuts = {0.0, s_end, *real_roots(pair.beta.derivative(), 0.0, s_end)}
+    with mp.workdps(dps):
+        dg = [mp.mpf(float(c)) for c in pair.gamma.derivative().coefficients[::-1]]
+        b = [mp.mpf(float(c)) for c in pair.beta.coefficients[::-1]]
+        return float(mp.quad(lambda s: mp.polyval(dg, s) / mp.sin(mp.polyval(b, s)),
+                             [mp.mpf(c) for c in sorted(cuts)]))
+
+
+@pytest.mark.parametrize("t_f, frac, units", [
+    (780.7678273465917, 0.3576194965344188, 2.997989949748744),
+    (1.0, 0.4628053505924294, 1.727638190954774),
+    (1.0, 0.3936363636363637, 1.0),
+])
+def test_energy_cost_matches_stored_polynomial_integral(t_f, frac, units):
+    # adaptive Simpson stopped early on these (its first halves agreed by
+    # accident): 6.5e-6, 2.4e-7 and 3.0e-7 off
+    pair = antedated_pair(t_f, frac * t_f, units * 0.5 * PI / t_f)
+    assert energy_cost(pair) == pytest.approx(_stored_area(pair), abs=1e-8)
+
+
 def test_energy_cost_resolves_narrow_peak():
     # beta passes within 5.4e-5 of -pi near s = 0.3711 (beta + pi has a
     # complex root pair there), so omega peaks at 1.2e5 over a width of
     # ~1e-3; a 30-digit mpmath rebuild of this design integrates to
-    # 552.2669488295
+    # 552.2669488295. The stored double-precision polynomials integrate to
+    # 552.26694880185: the 2.7e-8 between the two is the rounding of the
+    # fit's coefficients, magnified by 1 / sin(beta)
     t_f = 158.03918506664547
     pair = antedated_pair(t_f, 99.11881451794792, 0.8179669548296351 * 0.5 * PI / t_f)
     start = time.perf_counter()
-    assert energy_cost(pair) == pytest.approx(552.2669488295, abs=1e-7)
+    cost = energy_cost(pair)
     assert time.perf_counter() - start < 10.0
+    assert cost == pytest.approx(552.2669488295, abs=1e-7)
+    assert cost == pytest.approx(_stored_area(pair, dps=40), abs=1e-8)
 
 
 def test_validate_third_order_all_clear():
@@ -123,6 +156,50 @@ def test_sweep_counts_unbuildable_schedules_as_infeasible():
     # at t_a = 0.999 t_f every antedated fit fails its residual check
     with pytest.raises(NoFeasiblePoint):
         sweep_beta_dot0(1.0, 0.999, 4.0, 6.0, 10)
+
+
+def test_sweep_decides_and_costs_as_per_schedule_path():
+    for frac in (0.3, 0.45, 0.6, 0.71, 0.85):
+        sweep = _Sweep(1.0, frac)
+        units = np.linspace(0.25, 10.0, 40)
+        cost, ok = sweep.evaluate(units)
+        for u, c, f in zip(units, cost, ok):
+            ref, ref_ok = _sweep_point(1.0, frac, float(u))
+            assert f == ref_ok, (frac, u)
+            if f:
+                assert c == pytest.approx(ref, rel=1e-7)
+            else:
+                assert math.isnan(c)
+
+
+def test_detuning_policy_decides_pinned_point():
+    # beta stays inside (-pi, 0) (max -0.0045), but |delta| t_f reaches 1502
+    sweep = _Sweep(1.0, 0.71)
+    b = 8.154 * 0.5 * PI
+    assert sweep.band[0] < b < sweep.band[1]
+    assert sweep.gamma_ok and sweep._fit_ok(np.array([b]))[0]
+    assert not sweep._detuning_ok(np.array([b]))[0]
+    assert not sweep.evaluate(np.array([8.154]))[1][0]
+    assert _sweep_point(1.0, 0.71, 8.154) == (pytest.approx(math.nan, nan_ok=True), False)
+    assert "delta exceeds" in validate_schedule(antedated_pair(1.0, 0.71, b)).messages[0]
+
+
+@pytest.mark.parametrize("frac", [0.27, 0.5, 0.71, 0.8])
+def test_band_edges_are_where_beta_touches_its_bounds(frac):
+    # each finite edge puts an extremum of beta on the driven segment at 0 or -pi
+    sweep = _Sweep(1.0, frac)
+    for edge in sweep.band:
+        beta = sweep.b0.coefficients + edge * sweep.b1.coefficients
+        crit = np.polynomial.polynomial.polyroots(np.polynomial.polynomial.polyder(beta))
+        crit = crit.real[(np.abs(crit.imag) < 1e-9) & (crit.real > 0) & (crit.real < frac)]
+        values = np.polynomial.polynomial.polyval(crit, beta)
+        assert min(abs(values.max()), abs(values.min() + PI)) < 1e-9
+
+
+def test_sweep_rejects_a_minimum_the_per_schedule_path_disagrees_with(monkeypatch):
+    monkeypatch.setattr(analysis, "_sweep_point", lambda t_f, t_a, u: (3.3, True))
+    with pytest.raises(NoConvergence, match="disagrees with the per-schedule path"):
+        sweep_beta_dot0(1.0, 0.5, 4.0, 6.5, 26)
 
 
 def test_sweep_input_validation():

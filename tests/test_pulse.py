@@ -7,10 +7,11 @@ from iecpulse.analysis import max_adiabaticity_metric
 from iecpulse.errors import DegeneratePoint, DivergentPulse, NoConvergence
 from iecpulse.poly import Polynomial
 from iecpulse.pulse import (
+    _cot,
     _waveform,
-    adaptive_simpson,
     adiabaticity_metric,
     delta_at,
+    gauss_legendre,
     lr_phase,
     omega_r_at,
     synthesize,
@@ -71,6 +72,16 @@ def test_delta_continuous_across_series_window(third):
         inner = delta_at(third, s0 + (9e-4 if s0 == 0.0 else -9e-4))
         outer = delta_at(third, s0 + (2e-3 if s0 == 0.0 else -2e-3))
         assert inner == pytest.approx(outer, rel=5e-2)
+
+
+def test_scalar_evaluators_are_vector_elements(third, ante):
+    # one evaluator per quantity: a scalar call is a one-sample vector call
+    s = np.linspace(0.0, 1.0, 1001)
+    for pair in (third, ante):
+        wave = _waveform(pair)
+        assert [wave.omega(x) for x in s.tolist()] == wave.omega_many(s).tolist()
+        assert [wave.cot_term(x) for x in s.tolist()] == wave._each(_cot, s).tolist()
+        assert [wave.delta(x) for x in s.tolist()] == wave.delta_many(s).tolist()
 
 
 def test_frequencies_scale_as_inverse_t_f():
@@ -227,15 +238,18 @@ def test_lr_phase_invalid_branch(third):
         lr_phase(third, 0.5, 2)
 
 
-def test_adaptive_simpson_known_integrals():
-    assert adaptive_simpson(math.sin, 0.0, PI, 1e-10) == pytest.approx(2.0, abs=1e-9)
-    assert adaptive_simpson(lambda x: x**3, 0.0, 1.0, 1e-12) == pytest.approx(0.25, abs=1e-12)
+def test_gauss_legendre_known_integrals():
+    pieces = np.array([[0.0, 0.5 * PI, PI], [0.0, 1.0, 1.0]])
+    rows = np.array([0.0, 1.0])
+    values = gauss_legendre(lambda s, row: np.where(rows[row, None] == 0, np.sin(s), s**3),
+                            pieces, 1e-12)
+    assert values == pytest.approx([2.0, 0.25], abs=1e-12)
 
 
-def test_adaptive_simpson_stops_at_evaluation_budget():
-    # 1.6 million oscillations cannot be resolved to 1e-10 in 1e5 evaluations
-    with pytest.raises(NoConvergence, match="did not reach its tolerance"):
-        adaptive_simpson(lambda x: math.sin(1e7 * x), 0.0, 1.0, 1e-10)
+def test_gauss_legendre_stops_at_node_cap():
+    # 1.6 million oscillations cannot be resolved by 1024 nodes per piece
+    with pytest.raises(NoConvergence, match=r"did not converge on \[0, 0.5\]"):
+        gauss_legendre(lambda s, row: np.sin(1e7 * s), [0.0, 0.5, 1.0], 1e-10)
 
 
 def test_pulse_values_match_on_fourth_order_families():

@@ -9,6 +9,7 @@ from iecpulse.poly import Polynomial
 from iecpulse.schedule import (
     antedated_pair,
     critical_gamma_mid,
+    critical_t_a,
     fourth_order_pair,
     gamma_dot_zero_crossing,
     third_order_pair,
@@ -172,6 +173,29 @@ def test_critical_gamma_mid_value():
     value = critical_gamma_mid()
     assert value == pytest.approx(2 * PI / 6.40175, rel=1e-3)
     assert value == pytest.approx(5 * PI / 16, abs=1e-14)
+
+
+def test_critical_t_a_matches_mpmath():
+    # an independent 40-digit solve of gamma(s) = -pi, gamma'(s) = 0 for
+    # (s, a), gamma fitted through the antedated conditions at a
+    import mpmath as mp
+
+    def gamma(s, a):
+        rows = [[s0**j for j in range(5)] for s0 in (0, 1, a)]
+        rows += [[j * s0 ** (j - 1) if j else 0 for j in range(5)] for s0 in (0, 1)]
+        c = mp.lu_solve(mp.matrix(rows), mp.matrix([mp.pi, 0, 0, 0, 0]))
+        return lambda x, d=0: mp.polyval([c[j] * mp.ff(j, d) for j in range(4, d - 1, -1)], x)
+
+    with mp.workdps(40):
+        s, a = mp.findroot(lambda s, a: [gamma(s, a)(s) + mp.pi, gamma(s, a)(s, 1)], (0.56, 0.25))
+    assert critical_t_a() == pytest.approx(float(a), abs=1e-12)
+    assert 1.0 / critical_t_a() == pytest.approx(3.92211, abs=1e-5)
+
+
+def test_critical_t_a_is_range_threshold():
+    antedated_pair(1.0, critical_t_a() + 1e-6)
+    with pytest.raises(UnphysicalSchedule, match=r"earlier than 0\.254965 t_f"):
+        antedated_pair(1.0, critical_t_a() - 1e-6)
 
 
 def test_critical_gamma_mid_is_positivity_threshold():
