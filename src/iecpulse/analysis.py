@@ -23,7 +23,7 @@ from numpy.polynomial import polynomial as npoly
 from .dynamics import Weights, adiabatic_state, bloch_vector, fidelity, invariant_state
 from .errors import DegeneratePoint, DivergentPulse, NoConvergence, NoCrossing, NoFeasiblePoint
 from .errors import SingularSystem
-from .poly import FIT_TOL, Condition, Polynomial, misfit, real_roots, solve
+from .poly import FIT_TOL, Condition, Polynomial, misfit, real_roots, solve, value_range
 from .pulse import _metric, _waveform, gauss_legendre
 from .schedule import SchedulePair, _antedated_beta_conditions, _antedated_gamma, antedated_pair
 from .schedule import gamma_dot_zero_crossing
@@ -44,9 +44,8 @@ __all__ = [
 #: validation grid; genuine divergences blow past any fixed threshold.
 DELTA_FINITE_BOUND = 1e3
 
-#: Samples of the validation grids: midpoints of the driven segment for the
-#: waveforms and the adiabaticity metric, GRID_POINTS + 1 nodes of [0, 1]
-#: for gamma.
+#: Samples of the validation grid: midpoints of the driven segment for the
+#: waveforms and the adiabaticity metric.
 GRID_POINTS = 10_000
 
 #: Absolute tolerance of the pulse area: successive Gauss-Legendre sums of
@@ -71,18 +70,13 @@ def energy_cost(pair: SchedulePair) -> float:
     polynomials' area lies 2.7e-8 from that of a 30-digit refit. That gap
     is a floor of the formulation, not of the quadrature.
     """
-    s_end = _s_end(pair)
     wave = _waveform(pair)
-    wave.check_finite(0.0, s_end, wave.omega_divergent)
+    wave.check_finite(0.0, wave.end, wave.omega_divergent)
 
     def omega(s, row):
         return wave.dgamma(s) / np.sin(wave.beta(s))
 
-    return float(gauss_legendre(omega, wave.edges(s_end), COST_TOL)[0])
-
-
-def _s_end(pair: SchedulePair) -> float:
-    return pair.switch_fraction if pair.switch_fraction is not None else 1.0
+    return float(gauss_legendre(omega, wave.edges(wave.end), COST_TOL)[0])
 
 
 def _driven_grid(s_end: float) -> np.ndarray:
@@ -91,11 +85,11 @@ def _driven_grid(s_end: float) -> np.ndarray:
 
 
 def _gamma_check(gamma: Polynomial) -> str | None:
-    """Why gamma leaves [-pi, pi] on GRID_POINTS + 1 nodes of [0, 1], or None."""
-    g = np.asarray(gamma(np.linspace(0.0, 1.0, GRID_POINTS + 1)), dtype=float)
-    if g.min() >= -math.pi - 1e-9 and g.max() <= math.pi + 1e-9:
+    """Why gamma leaves [-pi, pi] on [0, 1], or None."""
+    lo, hi = value_range(gamma, 0.0, 1.0)
+    if lo >= -math.pi - 1e-9 and hi <= math.pi + 1e-9:
         return None
-    return f"gamma leaves [-pi, pi] (range [{g.min():.4f}, {g.max():.4f}] rad)"
+    return f"gamma leaves [-pi, pi] (range [{lo:.4f}, {hi:.4f}] rad)"
 
 
 @dataclass
@@ -113,14 +107,15 @@ class ValidationReport:
 
 
 def validate_schedule(pair: SchedulePair) -> ValidationReport:
-    """Decide whether a schedule's waveforms are physical, on dense grids.
+    """Decide whether a schedule's waveforms are physical.
 
-    omega_r must be nonnegative and delta bounded over the driven segment
-    [0, t_end]; gamma must stay within [-pi, pi] over the whole design
-    window [0, t_f] (dips below -pi signal non-compensable singularities).
+    omega_r must be nonnegative and delta bounded on the validation grid of
+    the driven segment [0, t_end]; gamma must stay within [-pi, pi] over the
+    whole design window [0, t_f] (dips below -pi signal non-compensable
+    singularities), decided exactly from its stationary points.
     """
     wave = _waveform(pair)
-    grid = _driven_grid(_s_end(pair))
+    grid = _driven_grid(wave.end)
     messages: list[str] = []
     omega_ok = delta_ok = True
     try:
@@ -154,8 +149,9 @@ def max_adiabaticity_metric(pair: SchedulePair) -> float:
     """Maximum of pulse.adiabaticity_metric over the driven-segment grid of
     validate_schedule; NaN where the metric is undefined somewhere on it
     (a level crossing, or a divergent station)."""
+    wave = _waveform(pair)
     try:
-        return float(_metric(_waveform(pair), _driven_grid(_s_end(pair))).max())
+        return float(_metric(wave, _driven_grid(wave.end)).max())
     except (DegeneratePoint, DivergentPulse):
         return math.nan
 

@@ -321,7 +321,7 @@ def _cmd_check(cfg: RunConfig, out: Path) -> None:
     pair = cfg.build_pair()
     report = analysis.validate_schedule(pair)
     wave = pulse._waveform(pair)
-    wave.check_finite(0.0, pair.switch_fraction or 1.0, wave.omega_divergent | wave.cot_divergent)
+    wave.check_finite(0.0, wave.end, wave.omega_divergent | wave.cot_divergent)
     grid = np.linspace(0.0, 1.0, 1000)
     residual = float(dynamics.invariant_residual(pair, grid).max())
     metric = analysis.max_adiabaticity_metric(pair)

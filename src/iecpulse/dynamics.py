@@ -16,6 +16,8 @@ equation keeps trace and Hermiticity even when it is unstable, so evolve
 also checks the purity tr(rho^2), which fixes a qubit state's spectrum.
 The mixing-angle (instantaneous-eigenbasis) state provides the adiabatic
 reference passage.
+Everything here follows the antedated switch rule stated in pulse: past
+t_a the drive is off (_Waveform.drive) and the invariant frozen (_angles).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePoint, StepTooCoarse
-from .pulse import _Waveform, _waveform
+from .pulse import _waveform
 from .schedule import SchedulePair
 
 __all__ = [
@@ -123,43 +125,37 @@ def _states(rho11, rho22, rho12) -> np.ndarray:
     return rho
 
 
-def _drive(wave: _Waveform, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """omega_r and delta times t_f at the samples s, honoring the antedated
-    switch: samples past t_a / t_f see no drive and the held detuning."""
-    a = wave.switch
-    driven = s <= a if a is not None else np.ones(s.shape, dtype=bool)
-    om, dl = np.zeros(s.shape), np.zeros(s.shape)
-    if driven.any():
-        om[driven] = wave.omega_many(s[driven])
-        dl[driven] = wave.delta_many(s[driven])
-    if not driven.all():
-        dl[~driven] = wave.switch_delta()
-    return om, dl
-
-
-def _h_dimless(wave: _Waveform, s: np.ndarray) -> np.ndarray:
-    """H * t_f at the samples s, as a stack of shape s.shape + (2, 2)."""
-    om, dl = _drive(wave, s)
+def _hamiltonian(om: np.ndarray, dl: np.ndarray) -> np.ndarray:
+    """H * t_f from omega_r and delta times t_f (wave.drive), stacked over their shape."""
     return _states(0.5 * dl, -0.5 * dl, 0.5 * om)
+
+
+def _angles(pair: SchedulePair, s):
+    """gamma, beta and their rates per unit s at the samples s, with the
+    invariant frozen from t_a on: the values at t_a, the rates 0."""
+    a = pair.switch_fraction
+    x = np.asarray(s, dtype=float) if a is None else np.minimum(s, a)
+    rates = (np.where(x == s, p.derivative()(x), 0.0) for p in (pair.gamma, pair.beta))
+    return (pair.gamma(x), pair.beta(x), *rates)
 
 
 def hamiltonian_at(pair: SchedulePair, s: float | np.ndarray) -> np.ndarray:
     """The control Hamiltonian at s, in angular-frequency units (a stack for an s array)."""
-    return _h_dimless(_waveform(pair), np.asarray(s, dtype=float)) / pair.t_f
+    return _hamiltonian(*_waveform(pair).drive(np.asarray(s, dtype=float))) / pair.t_f
 
 
 def invariant_at(pair: SchedulePair, s: float | np.ndarray) -> np.ndarray:
     """The dynamical invariant (unit scale constant) of the design at s (a
-    stack for an s array)."""
-    g, b = pair.gamma(s), pair.beta(s)
+    stack for an s array), frozen at its t_a value past an antedated switch."""
+    g, b, _, _ = _angles(pair, s)
     off = 0.5 * np.sin(g) * (np.cos(b) + 1j * np.sin(b))
     return _states(0.5 * np.cos(g), -0.5 * np.cos(g), off)
 
 
 def invariant_eigenstate(pair: SchedulePair, branch: int, s: float) -> np.ndarray:
-    """Instantaneous eigenstate of the invariant, branch = +1 or -1."""
-    g = float(pair.gamma(s))
-    b = float(pair.beta(s))
+    """Instantaneous eigenstate of the invariant, branch = +1 or -1, frozen
+    at its t_a value past an antedated switch."""
+    g, b, _, _ = map(float, _angles(pair, s))
     if branch == +1:
         return np.array(
             [math.cos(0.5 * g) * complex(math.cos(b), math.sin(b)), math.sin(0.5 * g)],
@@ -180,21 +176,15 @@ def invariant_residual(pair: SchedulePair, s: float | np.ndarray) -> float | np.
     the waveforms are derived exactly from the invariant equation, so the
     residual must vanish to floating-point accuracy. s is a float (a float
     result) or an array (an array of the same shape). Past the antedated
-    switch the invariant is frozen at its t_a value (dI/dt = 0) and checked
-    against the switched (diagonal) Hamiltonian.
+    switch the frozen invariant is checked against the held Hamiltonian.
     """
-    wave = _waveform(pair)
     x = np.atleast_1d(np.asarray(s, dtype=float))
-    a = pair.switch_fraction
-    x_inv = x if a is None else np.minimum(x, a)
-    g, b = pair.gamma(x_inv), pair.beta(x_inv)
-    dg = np.where(x_inv == x, wave.dgamma(x_inv), 0.0)
-    db = np.where(x_inv == x, wave.dbeta(x_inv), 0.0)
+    g, b, dg, db = _angles(pair, x)
     sin_g, cos_g, phase = np.sin(g), np.cos(g), np.cos(b) + 1j * np.sin(b)
     inv = _states(0.5 * cos_g, -0.5 * cos_g, 0.5 * sin_g * phase)
     d_off = 0.5 * phase * (dg * cos_g + 1j * (db * sin_g))
     d_inv = _states(-0.5 * dg * sin_g, 0.5 * dg * sin_g, d_off)
-    h = _h_dimless(wave, x)
+    h = _hamiltonian(*_waveform(pair).drive(x))
     residual = np.linalg.norm(1j * d_inv - (h @ inv - inv @ h), axis=(-2, -1))
     return float(residual[0]) if np.ndim(s) == 0 else residual
 
@@ -206,15 +196,9 @@ def invariant_state(pair: SchedulePair, w: Weights, s: float | np.ndarray) -> np
     """Mixed state carried by the invariant branches at s.
 
     s is a float (a 2x2 state) or an array (a stack of states, shape
-    s.shape + (2, 2)). For antedated schedules the state is frozen from t_a
-    on (diagonal state under a diagonal Hamiltonian).
+    s.shape + (2, 2)). Frozen from t_a on, like the invariant.
     """
-    s = np.asarray(s, dtype=float)
-    a = pair.switch_fraction
-    if a is not None:
-        s = np.minimum(s, a)
-    g = pair.gamma(s)
-    b = pair.beta(s)
+    g, b, _, _ = _angles(pair, s)
     dp = w.difference
     off = 0.5 * dp * np.sin(g) * (np.cos(b) + 1j * np.sin(b))
     return _states(0.5 * (1.0 + dp * np.cos(g)), 0.5 * (1.0 - dp * np.cos(g)), off)
@@ -224,13 +208,12 @@ def adiabatic_state(pair: SchedulePair, w: Weights, s: float | np.ndarray) -> np
     """Reference state that adiabatically follows the Hamiltonian eigenbasis.
 
     s is a float or an array, as for invariant_state. Mixing angle
-    theta = arccos(delta / Omega); the Bloch vector stays in the xz-plane.
-    Samples past an antedated switch see the held detuning and no drive.
-    Raises DegeneratePoint at a level crossing, and DivergentPulse when a
-    waveform diverges within the span of the driven samples.
+    theta = arccos(delta / Omega) of the switched drive; the Bloch vector
+    stays in the xz-plane. Raises DegeneratePoint at a level crossing, and
+    DivergentPulse when a waveform diverges within the driven samples' span.
     """
     s = np.asarray(s, dtype=float)
-    om, dl = _drive(_waveform(pair), s)
+    om, dl = _waveform(pair).drive(s)
     crossing = np.hypot(om, dl) < 1e-12
     if crossing.any():
         at = s[crossing][0]
@@ -280,23 +263,17 @@ def _legs(pair: SchedulePair, n_steps: int) -> list[tuple[float, float, int]]:
 
 
 def _h_grid(pair: SchedulePair, s_lo: float, s_hi: float, n: int) -> np.ndarray:
-    """H * t_f at the 2n+1 half-step grid points of [s_lo, s_hi]."""
+    """H * t_f at the 2n+1 half-step grid points of the leg [s_lo, s_hi].
+
+    The leg picks the side of the switch: the leg after it (s_lo > 0) holds
+    the switched Hamiltonian from t_a on, the driven leg takes the driven
+    formulas at every point, also one that rounds an ulp past t_a.
+    """
     wave = _waveform(pair)
+    if s_lo > 0.0:
+        return _hamiltonian(*wave.drive(np.full(2 * n + 1, s_hi)))
     s = s_lo + (s_hi - s_lo) * np.arange(2 * n + 1) / (2 * n)
-    a = pair.switch_fraction
-    h = np.zeros((2 * n + 1, 2, 2), dtype=complex)
-    if a is not None and s_lo >= a - 1e-15 and s_lo > 0.0:
-        d = wave.switch_delta()
-        h[:, 0, 0] = 0.5 * d
-        h[:, 1, 1] = -0.5 * d
-        return h
-    om = wave.omega_many(s)
-    dl = wave.delta_many(s)
-    h[:, 0, 0] = 0.5 * dl
-    h[:, 1, 1] = -0.5 * dl
-    h[:, 0, 1] = 0.5 * om
-    h[:, 1, 0] = 0.5 * om
-    return h
+    return _hamiltonian(wave.omega_many(s), wave.delta_many(s))
 
 
 def _rk4(pair: SchedulePair, y0: np.ndarray, n_steps: int, rate):

@@ -17,7 +17,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import SingularSystem
 
-__all__ = ["Polynomial", "Condition", "fit", "solve", "misfit", "real_roots"]
+__all__ = ["Polynomial", "Condition", "fit", "solve", "misfit", "real_roots", "value_range"]
 
 
 class Polynomial:
@@ -101,7 +101,8 @@ def solve(conditions: Sequence[Condition], degree: int) -> Polynomial:
     """The degree-`degree` polynomial through the given conditions, unchecked.
 
     Requires exactly degree + 1 conditions. Raises SingularSystem when the
-    constraint matrix is rank-deficient (duplicate or conflicting conditions).
+    constraint matrix is rank-deficient (duplicate or conflicting conditions)
+    or the solution overflows.
     """
     if len(conditions) != degree + 1:
         raise ValueError(
@@ -110,9 +111,12 @@ def solve(conditions: Sequence[Condition], degree: int) -> Polynomial:
     a = np.array([_condition_row(c.s, c.derivative_order, degree) for c in conditions])
     b = np.array([c.value for c in conditions])
     try:
-        return Polynomial(np.linalg.solve(a, b))
+        c = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"rank-deficient interpolation system: {exc}") from exc
+    if not np.isfinite(c).all():
+        raise SingularSystem("interpolation solution overflows")
+    return Polynomial(c)
 
 
 def misfit(p: Polynomial, conditions: Sequence[Condition]) -> np.ndarray:
@@ -139,6 +143,12 @@ def fit(conditions: Sequence[Condition], degree: int) -> Polynomial:
     if np.abs(misfit(p, conditions)).max() > FIT_TOL * scale:
         raise SingularSystem("ill-conditioned interpolation system (residual check failed)")
     return p
+
+
+def value_range(p: Polynomial, lo: float, hi: float) -> tuple[float, float]:
+    """(min, max) of p on [lo, hi]: taken at an endpoint or a stationary point."""
+    v = p(np.array([lo, hi] + real_roots(p.derivative(), lo, hi)))
+    return float(v.min()), float(v.max())
 
 
 def real_roots(p: Polynomial, lo: float, hi: float) -> list[float]:

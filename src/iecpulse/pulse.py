@@ -25,6 +25,13 @@ metric evaluates the same formulas once at complex s + i h (h = 1e-30):
 the real parts are omega_r and delta and Im / h their rates, exact to
 rounding because nothing is subtracted (complex step).
 
+An antedated passage switches the drive off at t_a: past _Waveform.end
+(t_a / t_f, else 1) omega_r = 0, delta holds its t_a value and the
+invariant stays frozen (_Waveform.drive, dynamics._angles). H, synthesize's
+table, the states, the invariant, its eigenstates and lr_phase follow this
+rule; omega_r_at, delta_at and adiabaticity_metric probe the continuation
+of the driven formulas.
+
 All internal arithmetic is dimensionless: rates per unit s = t / t_f and
 frequencies multiplied by t_f. Public functions convert at the boundary,
 so every dimensionless output is exactly independent of t_f.
@@ -196,6 +203,7 @@ class _Waveform:
         self.dgamma = pair.gamma.derivative()
         self.dbeta = pair.beta.derivative()
         self.switch = pair.switch_fraction
+        self.end = self.switch if self.switch is not None else 1.0
         self.stations = _stations(self.gamma, self.dgamma, self.beta, self.dbeta)
         st = self.stations
         self._cuts = [0.5 * (a.s0 + b.s0) for a, b in zip(st, st[1:])]
@@ -253,7 +261,20 @@ class _Waveform:
         self.check_finite(s.min(), s.max(), self.cot_divergent)
         return self._each(_cot, s) - self.dbeta(s)
 
-    # -- switch handling ---------------------------------------------------
+    # -- the antedated switch ----------------------------------------------
+
+    def drive(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """omega_r and delta times t_f at the samples s, with the switch
+        applied: samples past end see no drive and the held detuning. Only
+        the driven samples are evaluated and checked for divergence."""
+        driven = s <= self.end if self.switch is not None else np.ones(s.shape, dtype=bool)
+        om, dl = np.zeros(s.shape), np.zeros(s.shape)
+        if driven.any():
+            om[driven] = self.omega_many(s[driven])
+            dl[driven] = self.delta_many(s[driven])
+        if not driven.all():
+            dl[~driven] = self.switch_delta()
+        return om, dl
 
     def switch_delta(self) -> float:
         """Detuning (times t_f) held after the antedated switch."""
@@ -280,13 +301,15 @@ def _waveform(pair: SchedulePair) -> _Waveform:
 # public API
 
 def omega_r_at(pair: SchedulePair, s: float) -> float:
-    """Rabi frequency of the design waveform at s, in angular-frequency units."""
+    """Rabi frequency of the design waveform at s, in angular-frequency
+    units; past an antedated switch, the driven formula's continuation."""
     _check_s(s)
     return _waveform(pair).omega(s) / pair.t_f
 
 
 def delta_at(pair: SchedulePair, s: float) -> float:
-    """Detuning of the design waveform at s, in angular-frequency units."""
+    """Detuning of the design waveform at s, in angular-frequency units;
+    past an antedated switch, the driven formula's continuation."""
     _check_s(s)
     return _waveform(pair).delta(s) / pair.t_f
 
@@ -320,18 +343,11 @@ class PulseTable:
 
 
 def synthesize(pair: SchedulePair, n: int) -> PulseTable:
-    """Sample the physical waveforms at n+1 uniform times on [0, t_f]."""
+    """Sample the physical waveforms, switch applied, at n+1 uniform times on [0, t_f]."""
     if n < 2:
         raise ValueError("need n >= 2 grid intervals")
-    wave = _waveform(pair)
     s = np.arange(n + 1) / n
-    omega = wave.omega_many(s)
-    delta = wave.delta_many(s)
-    a = pair.switch_fraction
-    if a is not None:
-        after = s > a
-        omega[after] = 0.0
-        delta[after] = wave.switch_delta()
+    omega, delta = _waveform(pair).drive(s)
     return PulseTable(
         t_f=pair.t_f,
         t=s * pair.t_f,
@@ -345,9 +361,10 @@ def adiabaticity_metric(pair: SchedulePair, s: float | np.ndarray) -> float | np
     """|omega_r * delta_dot - omega_r_dot * delta| / Omega^3 at 0 < s < 1.
 
     s is a float or an array; the result has the same form. Dimensionless
-    and independent of t_f. The rates are complex-step derivatives of the
-    factored evaluators (exact to rounding). Raises DegeneratePoint at a
-    level crossing (Omega * t_f < 1e-12).
+    and independent of t_f; past an antedated switch, the metric of the
+    driven formulas' continuation. The rates are complex-step derivatives
+    of the factored evaluators (exact to rounding). Raises DegeneratePoint
+    at a level crossing (Omega * t_f < 1e-12).
     """
     x = np.atleast_1d(np.asarray(s, dtype=float))
     if not (0.0 < x.min() and x.max() < 1.0):
@@ -377,16 +394,18 @@ def lr_phase(pair: SchedulePair, t: float, branch: int) -> float:
     phases are opposite. The rate (delta + beta_dot) cos(gamma) + beta_dot
     + omega_r sin(gamma) cos(beta) comes from the factored formulas and is
     integrated by gauss_legendre to 1e-9, cut at the stations and at beta's
-    stationary points.
+    stationary points, up to where the drive ends; past it the frozen
+    eigenstate's rate is the held detuning.
     """
     if branch not in (+1, -1):
         raise ValueError("branch must be +1 or -1")
     if not 0.0 <= t <= pair.t_f * (1 + 1e-12):
         raise ValueError("t outside [0, t_f]")
     wave = _waveform(pair)
-    s_end = t / pair.t_f
-    if s_end == 0.0:
+    s = t / pair.t_f
+    if s == 0.0:
         return 0.0
+    s_end = min(s, wave.end)
     wave.check_finite(0.0, s_end, wave.omega_divergent | wave.cot_divergent)
 
     def rate(s, row):
@@ -395,6 +414,8 @@ def lr_phase(pair: SchedulePair, t: float, branch: int) -> float:
                 + wave._each(_omega, s) * np.sin(g) * np.cos(wave.beta(s)))
 
     integral = float(gauss_legendre(rate, wave.edges(s_end), 1e-9)[0])
+    if s > s_end:
+        integral += wave.switch_delta() * (s - s_end)
     return -0.5 * branch * integral
 
 

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NoCrossing, UnphysicalSchedule
-from .poly import Condition, Polynomial, fit, real_roots
+from .poly import Condition, Polynomial, fit, real_roots, value_range
 
 __all__ = [
     "SchedulePair",
@@ -154,7 +154,7 @@ def antedated_pair(
     if not 0.0 < a < 1.0:
         raise ValueError("t_a must lie strictly inside (0, t_f)")
     gamma = _antedated_gamma(a)
-    if enforce_range and _poly_min(gamma, 0.0, 1.0) < -PI - 1e-9:
+    if enforce_range and value_range(gamma, 0.0, 1.0)[0] < -PI - 1e-9:
         raise UnphysicalSchedule(
             f"gamma dips below -pi for t_a = {t_a!r} "
             f"(antedating earlier than {critical_t_a():.6f} t_f)"
@@ -196,11 +196,6 @@ def gamma_dot_zero_crossing(gamma: Polynomial) -> float:
             f"expected exactly one interior sign change of gamma-dot, found {len(crossings)}"
         )
     return crossings[0]
-
-
-def _poly_min(p: Polynomial, lo: float, hi: float) -> float:
-    """Minimum of p on [lo, hi]: at an endpoint or a stationary point."""
-    return float(p(np.array([lo, hi] + real_roots(p.derivative(), lo, hi))).min())
 
 
 @lru_cache(maxsize=1)

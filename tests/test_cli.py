@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -163,6 +164,29 @@ def test_unbuildable_schedule_exits_2(tmp_path, capsys, command):
     code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == EXIT_INFEASIBLE
     assert "schedule infeasible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "check", "evolve"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "family = antedated\nt_a = 0.5\nbeta_dot0 = 1e308\n",
+        "family = antedated\nt_a = 0.5\nbeta_dot0 = 1e-300\n",
+        "family = fourth\ngamma_mid = 1e308\n",
+        "family = antedated\nt_a = 1e-300\n",
+    ],
+    ids=["beta_dot0-1e308", "beta_dot0-1e-300", "gamma_mid-1e308", "t_a-1e-300"],
+)
+def test_extreme_config_exits_with_a_code(tmp_path, command, text):
+    # an exit code and no traceback (nor warning) for every input, and only
+    # finite values in the outputs of a successful run
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "t_f = 1.0\ngrid_n = 100\nrk4_steps = 1000\n" + text)
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL)
+    if code == EXIT_OK:
+        for path in out.iterdir():
+            assert not re.search(r"\b(nan|inf)\b", path.read_text(), re.IGNORECASE), path.name
 
 
 def test_unconverged_cost_exits_3(tmp_path, capsys, monkeypatch):

@@ -185,7 +185,16 @@ def test_invariant_residual_detects_mismatched_invariant(third):
 
 
 def test_invariant_residual_after_switch(ante):
-    assert invariant_residual(ante, np.array([0.6, 0.8, 1.0])).max() < 1e-10
+    s_grid = np.array([0.6, 0.8, 1.0])
+    assert invariant_residual(ante, s_grid).max() < 1e-10
+    # the public invariant and Hamiltonian (t_f = 1) obey the same rule: the
+    # invariant stays frozen at its t_a value under the held detuning
+    h_step = 1e-6
+    for s in s_grid:
+        h = hamiltonian_at(ante, s)
+        inv = invariant_at(ante, s)
+        dinv = (invariant_at(ante, s + h_step) - invariant_at(ante, s - h_step)) / (2.0 * h_step)
+        assert np.linalg.norm(1j * dinv - (h @ inv - inv @ h)) < 1e-8
 
 
 def test_invariant_state_endpoints(third):
@@ -199,15 +208,21 @@ def test_invariant_state_midpoint_bloch(third):
     np.testing.assert_allclose(bloch_vector(rho), expected, atol=1e-12)
 
 
-def test_invariant_state_bloch_norm_and_diagonality(third):
+def test_invariant_state_bloch_norm_and_diagonality(third, ante):
+    # ante switches at s = 0.5: about half the samples lie past t_a, where
+    # the state and the eigenstates are both frozen at their t_a values
     rng = np.random.default_rng(5)
-    for s in rng.uniform(0, 1, 50):
-        rho = invariant_state(third, W, float(s))
-        check_density_matrix(rho)
-        assert np.linalg.norm(bloch_vector(rho)) == pytest.approx(0.6, abs=1e-12)
-        plus = invariant_eigenstate(third, +1, float(s))
-        minus = invariant_eigenstate(third, -1, float(s))
-        assert abs(np.vdot(plus, rho @ minus)) < 1e-12
+    for pair in (third, ante):
+        for s in rng.uniform(0, 1, 50):
+            rho = invariant_state(pair, W, float(s))
+            check_density_matrix(rho)
+            assert np.linalg.norm(bloch_vector(rho)) == pytest.approx(0.6, abs=1e-12)
+            plus = invariant_eigenstate(pair, +1, float(s))
+            minus = invariant_eigenstate(pair, -1, float(s))
+            assert abs(np.vdot(plus, rho @ minus)) < 1e-12
+            mixture = W.p_plus * np.outer(plus, plus.conj())
+            mixture += W.p_minus * np.outer(minus, minus.conj())
+            assert np.abs(mixture - rho).max() < 1e-12
 
 
 def test_adiabatic_state_start(third):
@@ -356,13 +371,17 @@ def test_evolve_pure_stays_on_branch(third):
         assert abs(np.vdot(phi, psi)) > 1.0 - 1e-6
 
 
-def test_evolve_pure_phase_matches_quadrature(third):
-    states = evolve_pure(third, +1, 4000)
-    for t, psi in states[::200]:
-        phi = invariant_eigenstate(third, +1, t)
-        overlap = np.vdot(phi, psi)
-        alpha = lr_phase(third, t, +1)
-        assert abs(np.angle(overlap * np.exp(-1j * alpha))) < 1e-5
+def test_evolve_pure_phase_matches_quadrature(third, ante):
+    # ante switches at s = 0.5 (t_f = 1): the samples past it check the held
+    # detuning's phase on the frozen eigenstate
+    for pair in (third, ante):
+        for branch in (+1, -1):
+            states = evolve_pure(pair, branch, 4000)
+            for t, psi in states[::200]:
+                phi = invariant_eigenstate(pair, branch, t)
+                overlap = np.vdot(phi, psi)
+                alpha = lr_phase(pair, t, branch)
+                assert abs(np.angle(overlap * np.exp(-1j * alpha))) < 1e-5
 
 
 def test_evolve_pure_minus_branch_initial_state(third):
