@@ -4,7 +4,9 @@ The energy cost of a passage is the dimensionless pulse area
 integral of omega_r from 0 to the completion time (t_a for antedated
 schedules, else t_f). A resonant pi-pulse has area pi, the lower bound.
 validate_schedule decides feasibility only; max_adiabaticity_metric
-reports the adiabaticity metric's maximum on the same grid. For a fixed
+reports the adiabaticity metric's maximum on the same grid. Both raise
+DivergentPulse where a waveform diverges on the driven segment, and the
+metric raises DegeneratePoint at a level crossing there. For a fixed
 antedating time the cost is a unimodal function of the initial beta rate;
 sweep_beta_dot0 locates its minimum in the calling process by a grid scan
 followed by golden-section refinement. Every candidate of a sweep shares
@@ -21,7 +23,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .dynamics import Weights, adiabatic_state, bloch_vector, fidelity, invariant_state
-from .errors import DegeneratePoint, DivergentPulse, NoConvergence, NoCrossing, NoFeasiblePoint
+from .errors import DivergentPulse, NoConvergence, NoCrossing, NoFeasiblePoint
 from .errors import SingularSystem
 from .poly import FIT_TOL, Condition, Polynomial, misfit, real_roots, solve, value_range
 from .pulse import _metric, _waveform, gauss_legendre
@@ -94,7 +96,8 @@ def _gamma_check(gamma: Polynomial) -> str | None:
 
 @dataclass
 class ValidationReport:
-    """Grid-check outcome for one schedule; validation never raises."""
+    """Policy checks of one schedule whose waveforms are finite on its
+    driven segment."""
 
     omega_r_nonnegative: bool
     delta_finite: bool
@@ -109,31 +112,25 @@ class ValidationReport:
 def validate_schedule(pair: SchedulePair) -> ValidationReport:
     """Decide whether a schedule's waveforms are physical.
 
-    omega_r must be nonnegative and delta bounded on the validation grid of
-    the driven segment [0, t_end]; gamma must stay within [-pi, pi] over the
-    whole design window [0, t_f] (dips below -pi signal non-compensable
-    singularities), decided exactly from its stationary points.
+    Raises DivergentPulse where omega_r or delta diverges on the driven
+    segment [0, t_end]. Otherwise omega_r must be nonnegative and |delta|
+    within DELTA_FINITE_BOUND on the validation grid of that segment; gamma
+    must stay within [-pi, pi] over the whole design window [0, t_f] (dips
+    below -pi signal non-compensable singularities), decided exactly from
+    its stationary points.
     """
     wave = _waveform(pair)
+    wave.check_finite(0.0, wave.end, wave.omega_divergent | wave.cot_divergent)
     grid = _driven_grid(wave.end)
     messages: list[str] = []
-    omega_ok = delta_ok = True
-    try:
-        omega = wave.omega_many(grid)
-        delta = wave.delta_many(grid)
-    except DivergentPulse as exc:
-        messages.append(str(exc))
-        omega_ok = delta_ok = False
-    else:
-        min_omega = float(omega.min())
-        if min_omega < -1e-9:
-            omega_ok = False
-            messages.append(f"omega_r turns negative (min {min_omega:.3e} * 1/t_f)")
-        max_delta = float(np.abs(delta).max())
-        if not np.isfinite(max_delta) or max_delta > DELTA_FINITE_BOUND:
-            delta_ok = False
-            messages.append(f"delta exceeds the finiteness bound (max {max_delta:.3e} * 1/t_f)")
-
+    min_omega = float(wave.omega_many(grid).min())
+    omega_ok = not min_omega < -1e-9
+    if not omega_ok:
+        messages.append(f"omega_r turns negative (min {min_omega:.3e} * 1/t_f)")
+    max_delta = float(np.abs(wave.delta_many(grid)).max())
+    delta_ok = max_delta <= DELTA_FINITE_BOUND
+    if not delta_ok:
+        messages.append(f"delta exceeds the finiteness bound (max {max_delta:.3e} * 1/t_f)")
     gamma_message = _gamma_check(pair.gamma)
     if gamma_message is not None:
         messages.append(gamma_message)
@@ -146,14 +143,15 @@ def validate_schedule(pair: SchedulePair) -> ValidationReport:
 
 
 def max_adiabaticity_metric(pair: SchedulePair) -> float:
-    """Maximum of pulse.adiabaticity_metric over the driven-segment grid of
-    validate_schedule; NaN where the metric is undefined somewhere on it
-    (a level crossing, or a divergent station)."""
+    """Maximum of pulse.adiabaticity_metric over the validation grid.
+
+    Raises DivergentPulse where a waveform diverges on the driven segment
+    [0, t_end], and DegeneratePoint at a level crossing there: on the grid
+    or at either end of the segment, which the midpoint grid never samples.
+    """
     wave = _waveform(pair)
-    try:
-        return float(_metric(wave, _driven_grid(wave.end)).max())
-    except (DegeneratePoint, DivergentPulse):
-        return math.nan
+    s = np.concatenate(([0.0], _driven_grid(wave.end), [wave.end]))
+    return float(_metric(wave, s)[1:-1].max())
 
 
 @dataclass
@@ -375,7 +373,7 @@ def golden_section(f, lo: float, hi: float, *, tol: float = 1e-6) -> tuple[float
 @dataclass
 class PassageReport:
     """Aligned per-passage tables: states, populations, Bloch trajectories,
-    timing. The adiabatic columns are NaN where the reference is undefined."""
+    timing."""
 
     pair: SchedulePair
     t: np.ndarray
@@ -402,22 +400,19 @@ def compare_passages(
     """Tabulate invariant-basis and adiabatic-reference passages side by side.
 
     For each schedule, on n_grid + 1 uniform samples: the (n_grid + 1, 2, 2)
-    state stacks of the designed passage and of the mixing-angle reference
-    (NaN throughout when the reference meets a level crossing), their
-    diagonal populations and Bloch trajectories, the designed state's
+    state stacks of the designed passage and of the mixing-angle reference,
+    their diagonal populations and Bloch trajectories, the designed state's
     fidelity to its final state, the largest population gap between the two
     passages, and the first time the populations reach their inverted
     targets within population_tol. Each stack is built in one call, so a
-    waveform that diverges on the driven segment raises DivergentPulse.
+    waveform that diverges on the driven segment raises DivergentPulse, and
+    a level crossing of the reference on the samples DegeneratePoint.
     """
     reports = []
     for pair in pairs:
         s_grid = np.arange(n_grid + 1) / n_grid
         rho = invariant_state(pair, w, s_grid)
-        try:
-            ad = adiabatic_state(pair, w, s_grid)
-        except DegeneratePoint:
-            ad = np.full_like(rho, math.nan)
+        ad = adiabatic_state(pair, w, s_grid)
         target = rho[-1]
         rho11, rho22 = rho[:, 0, 0].real, rho[:, 1, 1].real
         ad11 = ad[:, 0, 0].real

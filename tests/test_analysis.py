@@ -17,7 +17,7 @@ from iecpulse.analysis import (
     validate_schedule,
 )
 from iecpulse.dynamics import Weights
-from iecpulse.errors import NoConvergence, NoFeasiblePoint
+from iecpulse.errors import DivergentPulse, NoConvergence, NoFeasiblePoint
 from iecpulse.poly import real_roots
 from iecpulse.schedule import antedated_pair, fourth_order_pair, third_order_pair
 
@@ -125,9 +125,17 @@ def test_validate_flags_early_antedating():
 
 def test_validate_flags_subcritical_fourth_order():
     pair = fourth_order_pair(1.0, 2 * PI / 7, enforce_range=False)
-    report = validate_schedule(pair)
-    assert not report.feasible
-    assert report.messages
+    with pytest.raises(DivergentPulse, match=r"waveform diverges at s = 0\.905455"):
+        validate_schedule(pair)
+
+
+def test_validate_raises_where_the_design_diverges():
+    # beyond the feasible band at t_a = 0.71: the message check and evolve print
+    pair = antedated_pair(1.0, 0.71, 8.17 * 0.5 * PI)
+    with pytest.raises(DivergentPulse, match=r"waveform diverges at s = 0\.195259"):
+        validate_schedule(pair)
+    with pytest.raises(DivergentPulse, match=r"waveform diverges at s = 0\.195259"):
+        max_adiabaticity_metric(pair)
 
 
 def test_sweep_reproduces_half_switch_minimum():

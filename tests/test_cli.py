@@ -1,10 +1,11 @@
+import inspect
 import math
 import re
 
 import numpy as np
 import pytest
 
-from iecpulse import pulse
+from iecpulse import cli, errors, pulse
 from iecpulse.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -189,13 +190,59 @@ def test_extreme_config_exits_with_a_code(tmp_path, command, text):
             assert not re.search(r"\b(nan|inf)\b", path.read_text(), re.IGNORECASE), path.name
 
 
+@pytest.mark.parametrize("command", ["synth", "check", "evolve"])
+def test_level_crossing_at_start_exits_3(tmp_path, capsys, command):
+    # |delta(0)| t_f = 3 beta_dot0 t_f ~ 0 and omega_r(0) = 0: the crossing
+    # sits at s = 0, which no midpoint grid samples
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "t_f = 1.0\nfamily = antedated\nt_a = 0.5\nbeta_dot0 = 1e-300\n")
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
+    assert re.search(r"at s = 0\b(?!\.)", capsys.readouterr().err)
+    assert not any(out.iterdir())
+
+
 def test_unconverged_cost_exits_3(tmp_path, capsys, monkeypatch):
     # the first rule may not double: no piece can settle
     monkeypatch.setattr(pulse, "GAUSS_CAP", pulse.GAUSS_START)
     cfg = _write(tmp_path, THIRD_CFG)
-    code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    code = main(["synth", "--config", str(cfg), "--out", str(out)])
     assert code == EXIT_NUMERICAL
     assert "did not converge" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+#: The documented exit code of every error type the subcommands raise.
+DOCUMENTED_EXIT = {
+    "ConfigError": EXIT_CONFIG,
+    "SingularSystem": EXIT_INFEASIBLE,
+    "UnphysicalSchedule": EXIT_INFEASIBLE,
+    "NoCrossing": EXIT_INFEASIBLE,
+    "NoFeasiblePoint": EXIT_INFEASIBLE,
+    "DivergentPulse": EXIT_NUMERICAL,
+    "DegeneratePoint": EXIT_NUMERICAL,
+    "StepTooCoarse": EXIT_NUMERICAL,
+    "NoConvergence": EXIT_NUMERICAL,
+}
+
+
+@pytest.mark.parametrize(
+    "error",
+    [c for _, c in inspect.getmembers(errors, inspect.isclass) if c.__module__ == errors.__name__]
+    + [ConfigError],
+    ids=lambda c: c.__name__,
+)
+def test_every_error_type_maps_to_its_exit_code(tmp_path, capsys, monkeypatch, error):
+    # a new error type must be given an exit code, not escape as a traceback
+    def fail(cfg, out):
+        raise error("injected failure")
+
+    monkeypatch.setitem(cli._COMMANDS, "synth", fail)
+    cfg = _write(tmp_path, THIRD_CFG)
+    code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == DOCUMENTED_EXIT[error.__name__]
+    err = capsys.readouterr().err
+    assert "injected failure" in err and "Traceback" not in err
 
 
 def test_synth_outputs(tmp_path):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from iecpulse.analysis import max_adiabaticity_metric
+from iecpulse.analysis import compare_passages, max_adiabaticity_metric
+from iecpulse.dynamics import Weights
 from iecpulse.errors import DegeneratePoint, DivergentPulse, NoConvergence
 from iecpulse.poly import Polynomial
 from iecpulse.pulse import (
@@ -202,7 +203,10 @@ def test_adiabaticity_metric_level_crossing():
         adiabaticity_metric(crossing, 0.4)
     with pytest.raises(DegeneratePoint):
         adiabaticity_metric(crossing, np.array([0.2, 0.4]))
-    assert math.isnan(max_adiabaticity_metric(crossing))
+    with pytest.raises(DegeneratePoint):
+        max_adiabaticity_metric(crossing)
+    with pytest.raises(DegeneratePoint, match="level crossing"):
+        compare_passages([crossing], Weights(0.2, 0.8), 100)
 
 
 def test_adiabaticity_metric_scale_invariant():
