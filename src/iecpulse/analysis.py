@@ -54,6 +54,10 @@ GRID_POINTS = 10_000
 #: every piece agree to it.
 COST_TOL = 1e-8
 
+#: A passage has inverted once both populations lie this close to their
+#: final values.
+POPULATION_TOL = 1e-3
+
 #: Sweep candidates evaluated together: 8 rows of the validation grid make
 #: 640 kB per array.
 SWEEP_BLOCK = 8
@@ -70,10 +74,11 @@ def energy_cost(pair: SchedulePair) -> float:
     and the area magnifies the rounding of the fit's coefficients: on the
     narrow-peak schedule of the tests (sin(beta) ~ 5e-5) the stored
     polynomials' area lies 2.7e-8 from that of a 30-digit refit. That gap
-    is a floor of the formulation, not of the quadrature.
+    is a floor of the formulation, not of the quadrature. A schedule whose
+    omega_r diverges on the driven segment raises DivergentPulse when its
+    waveform is built.
     """
     wave = _waveform(pair)
-    wave.check_finite(0.0, wave.end, wave.omega_divergent)
 
     def omega(s, row):
         return wave.dgamma(s) / np.sin(wave.beta(s))
@@ -112,22 +117,26 @@ class ValidationReport:
 def validate_schedule(pair: SchedulePair) -> ValidationReport:
     """Decide whether a schedule's waveforms are physical.
 
-    Raises DivergentPulse where omega_r or delta diverges on the driven
-    segment [0, t_end]. Otherwise omega_r must be nonnegative and |delta|
-    within DELTA_FINITE_BOUND on the validation grid of that segment; gamma
+    Raises DivergentPulse, when the waveform is built, where omega_r or
+    delta diverges on the driven segment [0, t_end]. Otherwise omega_r must
+    be nonnegative there, decided exactly from one sample between
+    consecutive zeros of gamma_dot; |delta| must stay within
+    DELTA_FINITE_BOUND on the validation grid of that segment; and gamma
     must stay within [-pi, pi] over the whole design window [0, t_f] (dips
     below -pi signal non-compensable singularities), decided exactly from
     its stationary points.
     """
     wave = _waveform(pair)
-    wave.check_finite(0.0, wave.end, wave.omega_divergent | wave.cot_divergent)
-    grid = _driven_grid(wave.end)
+    # omega_r = gamma_dot / sin(beta) keeps its sign between consecutive
+    # zeros of gamma_dot on the driven segment: the waveform built, so every
+    # zero of sin(beta) there is one of gamma_dot too.
+    cuts = np.array(sorted({0.0, wave.end, *(r for r in wave.rate_zeros if r < wave.end)}))
     messages: list[str] = []
-    min_omega = float(wave.omega_many(grid).min())
+    min_omega = float(wave.omega_many(0.5 * (cuts[1:] + cuts[:-1])).min())
     omega_ok = not min_omega < -1e-9
     if not omega_ok:
         messages.append(f"omega_r turns negative (min {min_omega:.3e} * 1/t_f)")
-    max_delta = float(np.abs(wave.delta_many(grid)).max())
+    max_delta = float(np.abs(wave.delta_many(_driven_grid(wave.end))).max())
     delta_ok = max_delta <= DELTA_FINITE_BOUND
     if not delta_ok:
         messages.append(f"delta exceeds the finiteness bound (max {max_delta:.3e} * 1/t_f)")
@@ -390,13 +399,7 @@ class PassageReport:
     inversion_time: float | None
 
 
-def compare_passages(
-    pairs: list[SchedulePair],
-    w: Weights,
-    n_grid: int,
-    *,
-    population_tol: float = 1e-3,
-) -> list[PassageReport]:
+def compare_passages(pairs: list[SchedulePair], w: Weights, n_grid: int) -> list[PassageReport]:
     """Tabulate invariant-basis and adiabatic-reference passages side by side.
 
     For each schedule, on n_grid + 1 uniform samples: the (n_grid + 1, 2, 2)
@@ -404,7 +407,7 @@ def compare_passages(
     their diagonal populations and Bloch trajectories, the designed state's
     fidelity to its final state, the largest population gap between the two
     passages, and the first time the populations reach their inverted
-    targets within population_tol. Each stack is built in one call, so a
+    targets within POPULATION_TOL. Each stack is built in one call, so a
     waveform that diverges on the driven segment raises DivergentPulse, and
     a level crossing of the reference on the samples DegeneratePoint.
     """
@@ -417,8 +420,8 @@ def compare_passages(
         rho11, rho22 = rho[:, 0, 0].real, rho[:, 1, 1].real
         ad11 = ad[:, 0, 0].real
         hit = np.nonzero(
-            (np.abs(rho11 - target[0, 0].real) <= population_tol)
-            & (np.abs(rho22 - target[1, 1].real) <= population_tol)
+            (np.abs(rho11 - target[0, 0].real) <= POPULATION_TOL)
+            & (np.abs(rho22 - target[1, 1].real) <= POPULATION_TOL)
         )[0]
         inversion_time = float(s_grid[hit[0]] * pair.t_f) if len(hit) else None
         reports.append(

@@ -19,8 +19,9 @@ Recognized keys:
     p_minus    lower-branch weight (default 0.8)
     grid_n     output grid intervals (default 1000, at least 2)
     rk4_steps  integrator steps (default 10000, at least 100)
-    sweep_lo, sweep_hi, sweep_n   beta_dot0 sweep grid (sweep subcommand;
-               0 < sweep_lo < sweep_hi, sweep_n at least 10)
+    sweep_lo, sweep_hi, sweep_n   beta_dot0 sweep grid (sweep subcommand,
+               family=antedated only; 0 < sweep_lo < sweep_hi, sweep_n at
+               least 10)
 
 Unknown keys and non-finite numbers are an error. Frequencies in emitted
 CSVs are in units of 1/t_f; t_f itself is echoed in summary.txt. Outputs
@@ -287,6 +288,8 @@ def _cmd_evolve(cfg: RunConfig, out: Path) -> None:
 def _cmd_sweep(cfg: RunConfig, out: Path) -> None:
     if cfg.sweep is None:
         raise ConfigError("sweep subcommand requires sweep_lo, sweep_hi, sweep_n")
+    if cfg.family != "antedated":
+        raise ConfigError(f"sweep subcommand requires family = antedated, got {cfg.family!r}")
     if cfg.t_a is None:
         raise ConfigError("sweep subcommand requires t_a")
     lo, hi, n = cfg.sweep

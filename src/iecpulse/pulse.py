@@ -20,7 +20,10 @@ gamma_dot's Taylor series without its first m terms, and for an angle
 Every sample takes the reduced parts of its nearest station, so one
 vectorised formula serves the 0/0 points and all other samples alike. A
 station's order, numerator minus denominator multiplicities, is negative
-exactly where a quotient diverges (DivergentPulse). The adiabaticity
+exactly where a quotient diverges (DivergentPulse). The build walks the
+zeros in s order and rejects a divergence on the driven segment at the
+first divergent station, before it seeks any later zero: a schedule that
+diverges there cannot be probed at any s. The adiabaticity
 metric evaluates the same formulas once at complex s + i h (h = 1e-30):
 the real parts are omega_r and delta and Im / h their rates, exact to
 rounding because nothing is subtracted (complex step).
@@ -39,6 +42,7 @@ so every dimensionless output is exactly independent of t_f.
 
 from __future__ import annotations
 
+import heapq
 import math
 import warnings
 from dataclasses import dataclass
@@ -74,13 +78,30 @@ GAUSS_CAP = 1024
 # ---------------------------------------------------------------------------
 # factored evaluation
 
-def _angle_zeros(p: Polynomial, crit: list[float]) -> list[float]:
-    """Points in [0, 1] where p crosses or touches a multiple of pi; crit
-    holds the stationary points of p in [0, 1]."""
-    values = p(np.array([0.0, 1.0] + crit))
-    k_lo = math.ceil(values.min() / math.pi - 1e-9)
-    k_hi = math.floor(values.max() / math.pi + 1e-9)
-    return [r for k in range(k_lo, k_hi + 1) for r in real_roots(p.shifted(-k * math.pi), 0.0, 1.0)]
+def _angle_zeros(p: Polynomial, crit: list[float]):
+    """The points of [0, 1] where p crosses or touches a multiple of pi, in
+    s order; crit holds the stationary points of p in [0, 1]. Between them p
+    is monotone, so it meets its multiples of pi one after another."""
+    edges = [0.0, *crit, 1.0]
+    values = p(np.array(edges)) / math.pi
+    roots: dict[int, list[float]] = {}
+    for a, b, va, vb in zip(edges, edges[1:], values, values[1:]):
+        lo, hi = math.ceil(min(va, vb) - 1e-9), math.floor(max(va, vb) + 1e-9)
+        for k in range(lo, hi + 1) if va <= vb else range(hi, lo - 1, -1):
+            if k not in roots:
+                roots[k] = real_roots(p.shifted(-k * math.pi), 0.0, 1.0)
+            yield from (r for r in roots[k] if a <= r <= b)
+
+
+def _clusters(points):
+    """The points, in s order, in runs whose neighbours lie within ROOT_TOL."""
+    run: list[float] = []
+    for x in points:
+        if run and x > run[-1] + ROOT_TOL:
+            yield run
+            run = []
+        run.append(x)
+    yield run
 
 
 def _taylor(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -153,23 +174,14 @@ def _cot(st: _Station, u):
     return u ** st.cot_order * num / (sin_b * sin_x)
 
 
-def _stations(gamma: Polynomial, dgamma: Polynomial, beta: Polynomial,
-              dbeta: Polynomial) -> list[_Station]:
-    args = (dgamma, beta, beta.shifted(0.5 * math.pi), gamma)
-    # Candidates: each factor's zeros, and the angles' stationary points,
-    # which locate multiple zeros better than their rounding-split roots.
-    gamma_crit = real_roots(dgamma, 0.0, 1.0)
-    beta_crit = real_roots(dbeta, 0.0, 1.0)
-    x = np.array(sorted({0.0, *gamma_crit, *beta_crit, *_angle_zeros(args[1], beta_crit),
-                         *_angle_zeros(args[2], beta_crit), *_angle_zeros(args[3], gamma_crit)}))
-    # Multiplicity of each factor at each candidate: the number of leading
-    # Taylor coefficients of its argument (less the nearest multiple of pi
-    # for an angle) that lie within the rounding bound of their evaluation.
-    n = max(len(q.coefficients) for q in args)
-    a = np.zeros((n, 4))
-    for f, q in enumerate(args):
-        a[: len(q.coefficients), f] = q.coefficients
-    c, bound = np.split(_taylor(np.hstack([a, np.abs(a)]), x), 2, axis=1)
+def _candidate_stations(a: np.ndarray, x: np.ndarray) -> list[_Station]:
+    """Every candidate of x as a station: each factor's multiplicity there,
+    the number of leading Taylor coefficients of its argument (less the
+    nearest multiple of pi for an angle) that lie within the rounding bound
+    of their evaluation, and its reduced coefficients. a holds the
+    arguments' coefficients and their absolute values, one column each."""
+    n = len(a)
+    c, bound = np.split(_taylor(a, x), 2, axis=1)
     k = np.round(c[0] / math.pi)
     k[0] = 0.0
     c[0] -= k * math.pi
@@ -177,21 +189,52 @@ def _stations(gamma: Polynomial, dgamma: Polynomial, beta: Polynomial,
     small = np.abs(c) <= 4 * n * np.finfo(float).eps * bound
     mult = np.where(small.all(axis=0), n, np.argmin(small, axis=0))
     c[:, 1:3] *= 1.0 - 2.0 * (k[1:3] % 2)
+    out = []
+    for j, m in enumerate(map(tuple, mult.T.tolist())):
+        cf = tuple(c[mf:, f, j].tolist() for f, mf in enumerate(m))
+        out.append(_Station(float(x[j]), m, cf, m[0] - m[1], m[0] + m[2] - m[1] - m[3]))
+    return out
+
+
+def _stations(args: tuple[Polynomial, ...], gamma_crit: list[float], beta_crit: list[float],
+              end: float) -> list[_Station]:
+    """The stations of the factors gamma_dot, sin(beta), cos(beta) and
+    sin(gamma), whose arguments are args, in s order.
+
+    The zeros are walked in s order, and the first station within ROOT_TOL
+    of [0, end] where a quotient diverges raises DivergentPulse before any
+    later zero is sought, however many multiples of pi the angles cross.
+    """
+    # Candidates: each factor's zeros, and the angles' stationary points,
+    # which locate multiple zeros better than their rounding-split roots.
+    candidates = heapq.merge(sorted({0.0, *gamma_crit, *beta_crit}),
+                             _angle_zeros(args[1], beta_crit), _angle_zeros(args[2], beta_crit),
+                             _angle_zeros(args[3], gamma_crit))
+    n = max(len(q.coefficients) for q in args)
+    a = np.zeros((n, 4))
+    for f, q in enumerate(args):
+        a[: len(q.coefficients), f] = q.coefficients
+    a = np.hstack([a, np.abs(a)])
     # A station is a candidate where a denominator factor vanishes (elsewhere
     # the reduced parts of any station are exact). Candidates within ROOT_TOL
-    # of one where more factors vanish are rounding splits of it. Without
-    # any, the candidate s = 0 serves every sample.
-    total = mult.sum(axis=0)
-    kept: list[int] = []
-    for j in sorted(np.nonzero(mult[1] + mult[3])[0], key=lambda j: -total[j]):
-        if all(abs(x[j] - x[i]) > ROOT_TOL for i in kept):
-            kept.append(j)
-    stations = []
-    for j in sorted(kept) or [0]:
-        m = tuple(mult[:, j].tolist())
-        cf = tuple(c[mf:, f, j].tolist() for f, mf in enumerate(m))
-        stations.append(_Station(float(x[j]), m, cf, m[0] - m[1], m[0] + m[2] - m[1] - m[3]))
-    return stations
+    # of one where more factors vanish are rounding splits of it, so each
+    # run of candidates that close is decided on its own. Without any, the
+    # candidate s = 0 serves every sample.
+    stations: list[_Station] = []
+    origin: list[_Station] = []
+    for run in _clusters(candidates):
+        found = _candidate_stations(a, np.array(sorted(set(run))))
+        origin = origin or found[:1]
+        kept: list[_Station] = []
+        for st in sorted((st for st in found if st.mult[1] + st.mult[3]),
+                         key=lambda st: -sum(st.mult)):
+            if all(abs(st.s0 - x.s0) > ROOT_TOL for x in kept):
+                kept.append(st)
+        for st in sorted(kept, key=lambda st: st.s0):
+            if st.s0 <= end + ROOT_TOL and min(st.omega_order, st.cot_order) < 0:
+                raise DivergentPulse(f"waveform diverges at s = {st.s0:.6g}")
+            stations.append(st)
+    return stations or origin
 
 
 class _Waveform:
@@ -204,7 +247,11 @@ class _Waveform:
         self.dbeta = pair.beta.derivative()
         self.switch = pair.switch_fraction
         self.end = self.switch if self.switch is not None else 1.0
-        self.stations = _stations(self.gamma, self.dgamma, self.beta, self.dbeta)
+        #: gamma_dot's zeros in [0, 1]
+        self.rate_zeros = real_roots(self.dgamma, 0.0, 1.0)
+        args = (self.dgamma, self.beta, self.beta.shifted(0.5 * math.pi), self.gamma)
+        self.stations = _stations(args, self.rate_zeros, real_roots(self.dbeta, 0.0, 1.0),
+                                  self.end)
         st = self.stations
         self._cuts = [0.5 * (a.s0 + b.s0) for a, b in zip(st, st[1:])]
         self._s0 = np.array([x.s0 for x in st])
@@ -266,7 +313,8 @@ class _Waveform:
     def drive(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """omega_r and delta times t_f at the samples s, with the switch
         applied: samples past end see no drive and the held detuning. Only
-        the driven samples are evaluated and checked for divergence."""
+        the driven samples are evaluated, and the build has rejected any
+        divergence among them."""
         driven = s <= self.end if self.switch is not None else np.ones(s.shape, dtype=bool)
         om, dl = np.zeros(s.shape), np.zeros(s.shape)
         if driven.any():
@@ -302,14 +350,17 @@ def _waveform(pair: SchedulePair) -> _Waveform:
 
 def omega_r_at(pair: SchedulePair, s: float) -> float:
     """Rabi frequency of the design waveform at s, in angular-frequency
-    units; past an antedated switch, the driven formula's continuation."""
+    units; past an antedated switch, the driven formula's continuation.
+    Raises DivergentPulse, at any s, for a schedule that diverges on its
+    driven segment, and past the switch where the continuation diverges."""
     _check_s(s)
     return _waveform(pair).omega(s) / pair.t_f
 
 
 def delta_at(pair: SchedulePair, s: float) -> float:
     """Detuning of the design waveform at s, in angular-frequency units;
-    past an antedated switch, the driven formula's continuation."""
+    past an antedated switch, the driven formula's continuation. Raises
+    DivergentPulse as omega_r_at does."""
     _check_s(s)
     return _waveform(pair).delta(s) / pair.t_f
 
@@ -395,7 +446,8 @@ def lr_phase(pair: SchedulePair, t: float, branch: int) -> float:
     + omega_r sin(gamma) cos(beta) comes from the factored formulas and is
     integrated by gauss_legendre to 1e-9, cut at the stations and at beta's
     stationary points, up to where the drive ends; past it the frozen
-    eigenstate's rate is the held detuning.
+    eigenstate's rate is the held detuning. Raises DivergentPulse, at any
+    t, for a schedule that diverges on its driven segment.
     """
     if branch not in (+1, -1):
         raise ValueError("branch must be +1 or -1")
@@ -406,7 +458,6 @@ def lr_phase(pair: SchedulePair, t: float, branch: int) -> float:
     if s == 0.0:
         return 0.0
     s_end = min(s, wave.end)
-    wave.check_finite(0.0, s_end, wave.omega_divergent | wave.cot_divergent)
 
     def rate(s, row):
         g = wave.gamma(s)

@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from iecpulse import analysis
+from iecpulse import analysis, pulse
 from iecpulse.analysis import (
     _Sweep,
     _sweep_point,
@@ -18,8 +18,8 @@ from iecpulse.analysis import (
 )
 from iecpulse.dynamics import Weights
 from iecpulse.errors import DivergentPulse, NoConvergence, NoFeasiblePoint
-from iecpulse.poly import real_roots
-from iecpulse.schedule import antedated_pair, fourth_order_pair, third_order_pair
+from iecpulse.poly import Polynomial, real_roots
+from iecpulse.schedule import SchedulePair, antedated_pair, fourth_order_pair, third_order_pair
 
 PI = math.pi
 W = Weights(0.2, 0.8)
@@ -138,6 +138,29 @@ def test_validate_raises_where_the_design_diverges():
         max_adiabaticity_metric(pair)
 
 
+def _cubic_rate_pair(gap):
+    """gamma_dot = -((s - 1/2)^2 - gap) and beta = -0.001: omega_r is about
+    1000 ((s - 1/2)^2 - gap), and gamma stays near pi/2."""
+    gamma = Polynomial([PI / 2, -(0.25 - gap), 0.5, -1.0 / 3.0])
+    return SchedulePair(gamma, Polynomial([-0.001]), 1.0, None, 0.0)
+
+
+def test_omega_r_sign_is_decided_between_rate_zeros(monkeypatch):
+    # omega_r dips to -1e-7 only on |s - 1/2| < 1e-5, between two samples of
+    # a 10 000-point midpoint grid; a double zero of gamma_dot only touches 0
+    dip, touch = _cubic_rate_pair(1e-10), _cubic_rate_pair(0.0)
+    samples = []
+    omega_many = pulse._Waveform.omega_many
+    monkeypatch.setattr(pulse._Waveform, "omega_many",
+                        lambda self, s: samples.append(len(s)) or omega_many(self, s))
+    report = validate_schedule(dip)
+    assert not report.omega_r_nonnegative and not report.feasible
+    assert report.messages == ["omega_r turns negative (min -1.000e-07 * 1/t_f)"]
+    assert validate_schedule(touch).omega_r_nonnegative
+    # one sample between consecutive zeros of gamma_dot: 3 intervals, then 2
+    assert samples == [3, 2]
+
+
 def test_sweep_reproduces_half_switch_minimum():
     result = sweep_beta_dot0(1.0, 0.5, 4.0, 6.5, 26)
     u_star, cost_star = result.minimum
@@ -167,7 +190,7 @@ def test_sweep_counts_unbuildable_schedules_as_infeasible():
 
 
 def test_sweep_decides_and_costs_as_per_schedule_path():
-    for frac in (0.3, 0.45, 0.6, 0.71, 0.85):
+    for frac in (0.2551, 0.3, 0.45, 0.6, 0.71, 0.77, 0.85):
         sweep = _Sweep(1.0, frac)
         units = np.linspace(0.25, 10.0, 40)
         cost, ok = sweep.evaluate(units)

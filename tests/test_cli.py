@@ -1,6 +1,7 @@
 import inspect
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -119,12 +120,13 @@ def test_exit_code_infeasible(tmp_path, capsys):
         ("sweep", ANTE_CFG.replace("sweep_hi = 6.0", "sweep_hi = 3.0")),
         ("sweep", ANTE_CFG.replace("sweep_lo = 4.5", "sweep_lo = 0")),
         ("sweep", ANTE_CFG.replace("sweep_lo = 4.5", "sweep_lo = -1")),
+        ("sweep", ANTE_CFG.replace("family = antedated", "family = third")),
     ],
     ids=[
         "t_f-inf", "t_f-nan", "beta_dot0-inf", "grid_n", "rk4_steps", "sweep_n",
         "t_a-2", "t_a-1", "t_a-0", "t_a-negative", "sweep-t_a-1", "beta_dot0-0",
         "beta_dot0-negative", "sweep_lo-equals-hi", "sweep_lo-above-hi", "sweep_lo-0",
-        "sweep_lo-negative",
+        "sweep_lo-negative", "sweep-family-third",
     ],
 )
 def test_invalid_config_exits_1(tmp_path, capsys, command, text):
@@ -188,6 +190,21 @@ def test_extreme_config_exits_with_a_code(tmp_path, command, text):
     if code == EXIT_OK:
         for path in out.iterdir():
             assert not re.search(r"\b(nan|inf)\b", path.read_text(), re.IGNORECASE), path.name
+
+
+@pytest.mark.parametrize("command", ["synth", "check", "evolve"])
+@pytest.mark.parametrize("t_a", ["0.98", "0.99"])
+def test_switch_near_t_f_fails_fast(tmp_path, capsys, command, t_a):
+    # beta crosses thousands of multiples of pi before t_a; the first
+    # uncompensated crossing ends the waveform build
+    pulse._waveform.cache_clear()
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, f"t_f = 1\nfamily = antedated\nt_a = {t_a}\nbeta_dot0 = 2\n")
+    start = time.perf_counter()
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
+    assert time.perf_counter() - start < 5.0
+    assert "waveform diverges at s = " in capsys.readouterr().err
+    assert pulse._waveform.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("command", ["synth", "check", "evolve"])

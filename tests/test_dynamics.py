@@ -20,7 +20,7 @@ from iecpulse.dynamics import (
     invariant_state,
 )
 from iecpulse import dynamics
-from iecpulse.errors import DegeneratePoint, StepTooCoarse
+from iecpulse.errors import DegeneratePoint, DivergentPulse, StepTooCoarse
 from iecpulse.poly import Polynomial
 from iecpulse.pulse import _waveform, lr_phase
 from iecpulse.schedule import SchedulePair, antedated_pair, fourth_order_pair, third_order_pair
@@ -156,12 +156,18 @@ def test_invariant_residual_array_matches_scalar_formula(build):
 
 def test_invariant_residual_is_self_consistent_for_any_smooth_pair(third):
     # the waveforms are re-derived from whatever angles the pair carries, so
-    # even a shifted beta yields a consistent (if different) passage
+    # even a reshaped beta yields a consistent (if different) passage
     import dataclasses
 
+    s = np.linspace(0.05, 0.95, 200)
+    bump = Polynomial(third.beta.coefficients + np.array([0.0, 0.4, -0.4, 0.0]))
+    reshaped = dataclasses.replace(third, beta=bump)
+    assert invariant_residual(reshaped, s).max() < 1e-8
+    # a uniform shift leaves cos(beta(0)) nonzero, so delta diverges at s = 0
+    # on the driven segment, and the waveform is rejected when it is built
     shifted = dataclasses.replace(third, beta=third.beta.shifted(0.1))
-    worst = invariant_residual(shifted, np.linspace(0.05, 0.95, 200)).max()
-    assert worst < 1e-8
+    with pytest.raises(DivergentPulse, match=r"waveform diverges at s = 0\b(?!\.)"):
+        invariant_residual(shifted, s)
 
 
 def test_invariant_residual_detects_mismatched_invariant(third):
