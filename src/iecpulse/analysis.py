@@ -22,13 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .dynamics import Weights, adiabatic_state, bloch_vector, fidelity, invariant_state
+from .dynamics import Weights, adiabatic_state, invariant_state
 from .errors import DivergentPulse, NoConvergence, NoCrossing, NoFeasiblePoint
 from .errors import SingularSystem
 from .poly import FIT_TOL, Condition, Polynomial, misfit, real_roots, solve, value_range
 from .pulse import _metric, _waveform, gauss_legendre
 from .schedule import SchedulePair, _antedated_beta_conditions, _antedated_gamma, antedated_pair
-from .schedule import gamma_dot_zero_crossing
+from .schedule import beta_dot0_rate, gamma_dot_zero_crossing
 
 __all__ = [
     "SweepResult",
@@ -167,14 +167,16 @@ def max_adiabaticity_metric(pair: SchedulePair) -> float:
 class SweepResult:
     """Energy cost versus initial beta rate for one antedating time.
 
-    beta_dot0 values are in units of pi / (2 t_f). Infeasible grid points
-    carry cost NaN and are listed separately.
+    units is the grid of beta_dot0 values, in units of pi / (2 t_f); cost
+    the pulse area at each, NaN where the boolean array feasible is False;
+    minimum the refined (beta_dot0 in units, cost).
     """
 
     t_a: float
-    grid: list[tuple[float, float]]
+    units: np.ndarray
+    cost: np.ndarray
+    feasible: np.ndarray
     minimum: tuple[float, float]
-    infeasible_points: list[float]
 
 
 def _sweep_point(t_f: float, t_a: float, units: float) -> tuple[float, bool]:
@@ -183,7 +185,7 @@ def _sweep_point(t_f: float, t_a: float, units: float) -> tuple[float, bool]:
     A schedule that cannot be built or costed is an infeasible point.
     """
     try:
-        pair = antedated_pair(t_f, t_a, units * 0.5 * math.pi / t_f, enforce_range=False)
+        pair = antedated_pair(t_f, t_a, beta_dot0_rate(units, t_f), enforce_range=False)
         if not validate_schedule(pair).feasible:
             return math.nan, False
         return energy_cost(pair), True
@@ -229,7 +231,7 @@ class _Sweep:
     def evaluate(self, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(cost, feasible) at each beta_dot0, in units of pi / (2 t_f); cost
         is NaN where infeasible."""
-        b = units * 0.5 * math.pi / self.t_f * self.t_f  # rounded as _sweep_point rounds it
+        b = beta_dot0_rate(units, self.t_f) * self.t_f  # rounded as _sweep_point rounds it
         lo, hi = self.band
         ok = self.gamma_ok & (lo < b) & (b < hi) & self._fit_ok(b)
         cost = np.full(len(b), math.nan)
@@ -330,22 +332,20 @@ def sweep_beta_dot0(t_f: float, t_a: float, lo: float, hi: float, n: int) -> Swe
         sweep = _Sweep(t_f, t_a)
     except (SingularSystem, NoCrossing):
         raise NoFeasiblePoint(f"no feasible beta_dot0 in [{lo}, {hi}] for t_a = {t_a}") from None
-    costs, ok = sweep.evaluate(units)
-    grid = list(zip(units.tolist(), costs.tolist()))
-    infeasible = units[~ok].tolist()
-    feasible = [p for p, keep in zip(grid, ok) if keep]
-    if not feasible:
+    cost, feasible = sweep.evaluate(units)
+    kept = np.flatnonzero(feasible)
+    if not len(kept):
         raise NoFeasiblePoint(f"no feasible beta_dot0 in [{lo}, {hi}] for t_a = {t_a}")
 
-    best_idx = min(range(len(feasible)), key=lambda i: feasible[i][1])
-    bracket_lo = feasible[max(best_idx - 1, 0)][0]
-    bracket_hi = feasible[min(best_idx + 1, len(feasible) - 1)][0]
+    best = int(np.argmin(cost[kept]))
+    bracket_lo = float(units[kept[max(best - 1, 0)]])
+    bracket_hi = float(units[kept[min(best + 1, len(kept) - 1)]])
 
     def cost_at(u: float) -> float:
         value, feasible_u = sweep.evaluate(np.array([u]))
         return float(value[0]) if feasible_u[0] else math.inf
 
-    candidates = [feasible[best_idx]]
+    candidates = [(float(units[kept[best]]), float(cost[kept[best]]))]
     if bracket_hi > bracket_lo:
         u_star, c_star = golden_section(cost_at, bracket_lo, bracket_hi, tol=1e-6)
         if math.isfinite(c_star):
@@ -357,7 +357,7 @@ def sweep_beta_dot0(t_f: float, t_a: float, lo: float, hi: float, n: int) -> Swe
             f"sweep minimum {minimum[1]!r} at beta_dot0 = {minimum[0]!r} disagrees with "
             f"the per-schedule path ({'cost ' + repr(check) if check_ok else 'infeasible'})"
         )
-    return SweepResult(t_a=t_a, grid=grid, minimum=minimum, infeasible_points=infeasible)
+    return SweepResult(t_a=t_a, units=units, cost=cost, feasible=feasible, minimum=minimum)
 
 
 def golden_section(f, lo: float, hi: float, *, tol: float = 1e-6) -> tuple[float, float]:
@@ -381,67 +381,45 @@ def golden_section(f, lo: float, hi: float, *, tol: float = 1e-6) -> tuple[float
 
 @dataclass
 class PassageReport:
-    """Aligned per-passage tables: states, populations, Bloch trajectories,
-    timing."""
+    """The designed passage beside its adiabatic reference on one time grid.
 
-    pair: SchedulePair
+    t holds the sample times; rho and adiabatic_rho the (len(t), 2, 2) state
+    stacks of the two passages. max_population_gap is the largest
+    difference of their upper-level populations, and inversion_time the
+    first sample time at which both populations of rho lie within
+    POPULATION_TOL of their final values (None if none does).
+    """
+
     t: np.ndarray
     rho: np.ndarray
     adiabatic_rho: np.ndarray
-    rho11: np.ndarray
-    rho22: np.ndarray
-    bloch: np.ndarray
-    adiabatic_rho11: np.ndarray
-    adiabatic_rho22: np.ndarray
-    adiabatic_bloch: np.ndarray
-    fidelity_to_target: np.ndarray
     max_population_gap: float
     inversion_time: float | None
 
 
-def compare_passages(pairs: list[SchedulePair], w: Weights, n_grid: int) -> list[PassageReport]:
-    """Tabulate invariant-basis and adiabatic-reference passages side by side.
+def compare_passages(pair: SchedulePair, w: Weights, n_grid: int) -> PassageReport:
+    """Tabulate the invariant-basis and adiabatic-reference passages of one
+    schedule side by side, on n_grid + 1 uniform samples of [0, t_f].
 
-    For each schedule, on n_grid + 1 uniform samples: the (n_grid + 1, 2, 2)
-    state stacks of the designed passage and of the mixing-angle reference,
-    their diagonal populations and Bloch trajectories, the designed state's
-    fidelity to its final state, the largest population gap between the two
-    passages, and the first time the populations reach their inverted
-    targets within POPULATION_TOL. Each stack is built in one call, so a
-    waveform that diverges on the driven segment raises DivergentPulse, and
-    a level crossing of the reference on the samples DegeneratePoint.
+    Each stack is built in one call, so a waveform that diverges on the
+    driven segment raises DivergentPulse, and a level crossing of the
+    reference on the samples DegeneratePoint.
     """
-    reports = []
-    for pair in pairs:
-        s_grid = np.arange(n_grid + 1) / n_grid
-        rho = invariant_state(pair, w, s_grid)
-        ad = adiabatic_state(pair, w, s_grid)
-        target = rho[-1]
-        rho11, rho22 = rho[:, 0, 0].real, rho[:, 1, 1].real
-        ad11 = ad[:, 0, 0].real
-        hit = np.nonzero(
-            (np.abs(rho11 - target[0, 0].real) <= POPULATION_TOL)
-            & (np.abs(rho22 - target[1, 1].real) <= POPULATION_TOL)
-        )[0]
-        inversion_time = float(s_grid[hit[0]] * pair.t_f) if len(hit) else None
-        reports.append(
-            PassageReport(
-                pair=pair,
-                t=s_grid * pair.t_f,
-                rho=rho,
-                adiabatic_rho=ad,
-                rho11=rho11,
-                rho22=rho22,
-                bloch=bloch_vector(rho),
-                adiabatic_rho11=ad11,
-                adiabatic_rho22=ad[:, 1, 1].real,
-                adiabatic_bloch=bloch_vector(ad),
-                fidelity_to_target=fidelity(rho, target),
-                max_population_gap=float(np.abs(rho11 - ad11).max()),
-                inversion_time=inversion_time,
-            )
-        )
-    return reports
+    s_grid = np.arange(n_grid + 1) / n_grid
+    rho = invariant_state(pair, w, s_grid)
+    ad = adiabatic_state(pair, w, s_grid)
+    rho11, rho22 = rho[:, 0, 0].real, rho[:, 1, 1].real
+    hit = np.nonzero(
+        (np.abs(rho11 - rho11[-1]) <= POPULATION_TOL)
+        & (np.abs(rho22 - rho22[-1]) <= POPULATION_TOL)
+    )[0]
+    return PassageReport(
+        t=s_grid * pair.t_f,
+        rho=rho,
+        adiabatic_rho=ad,
+        max_population_gap=float(np.abs(rho11 - ad[:, 0, 0].real).max()),
+        inversion_time=float(s_grid[hit[0]] * pair.t_f) if len(hit) else None,
+    )
 
 
 def default_workers() -> int:

@@ -52,7 +52,8 @@ from .errors import (
     StepTooCoarse,
     UnphysicalSchedule,
 )
-from .schedule import SchedulePair, antedated_pair, fourth_order_pair, third_order_pair
+from .schedule import SchedulePair, antedated_pair, beta_dot0_rate, fourth_order_pair
+from .schedule import third_order_pair
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -94,7 +95,7 @@ class RunConfig:
                 raise ConfigError("family=antedated requires t_a")
             beta_dot0 = None
             if self.beta_dot0 is not None:
-                beta_dot0 = self.beta_dot0 * 0.5 * math.pi / self.t_f
+                beta_dot0 = beta_dot0_rate(self.beta_dot0, self.t_f)
             return antedated_pair(self.t_f, self.t_a, beta_dot0)
         raise ConfigError(f"unknown family {self.family!r}")
 
@@ -186,7 +187,7 @@ def parse_config(path: Path) -> RunConfig:
 
 def _check_rate(key: str, units: float, t_f: float) -> None:
     """A beta_dot0 value, in units of pi / (2 t_f), must give a positive rate."""
-    if not units * 0.5 * math.pi / t_f > 0:
+    if not beta_dot0_rate(units, t_f) > 0:
         raise ConfigError(f"config key {key!r} must be positive, got {units!r}")
 
 
@@ -234,7 +235,10 @@ def _cmd_synth(cfg: RunConfig, out: Path) -> None:
     _write_summary(out / "summary.txt", summary)
 
 
-def _trajectory_columns(t, rho, bloch, fid):
+def _trajectory_columns(t, rho, target) -> list[np.ndarray]:
+    """The columns of a trajectory file: t, populations, the coherence,
+    the Bloch vector and the fidelity to target of each state of rho."""
+    bloch = dynamics.bloch_vector(rho)
     return [
         t,
         rho[:, 0, 0].real,
@@ -244,33 +248,25 @@ def _trajectory_columns(t, rho, bloch, fid):
         bloch[:, 0],
         bloch[:, 1],
         bloch[:, 2],
-        fid,
+        dynamics.fidelity(rho, target),
     ]
 
 
 def _cmd_evolve(cfg: RunConfig, out: Path) -> None:
     pair = cfg.build_pair()
-    report = analysis.compare_passages([pair], cfg.weights, cfg.grid_n)[0]
-    target = report.rho[-1]
-    integrated = dynamics.evolve(pair, report.rho[0], cfg.rk4_steps, target=target)
+    report = analysis.compare_passages(pair, cfg.weights, cfg.grid_n)
+    integrated = dynamics.evolve(pair, report.rho[0], cfg.rk4_steps)
     stride = max(1, cfg.rk4_steps // cfg.grid_n)
     analytic = dynamics.invariant_state(pair, cfg.weights, integrated.t[::stride] / cfg.t_f)
     deviation = float(np.abs(integrated.rho[::stride] - analytic).max())
     header = ["t", "rho11", "rho22", "re_rho12", "im_rho12", "bloch_x", "bloch_y", "bloch_z", "fidelity"]
-    _write_csv(
-        out / "trajectory_iec.csv",
-        header,
-        _trajectory_columns(report.t, report.rho, report.bloch, report.fidelity_to_target),
-    )
+    target = report.rho[-1]
+    iec = _trajectory_columns(report.t, report.rho, target)
+    _write_csv(out / "trajectory_iec.csv", header, iec)
     _write_csv(
         out / "trajectory_adiabatic.csv",
         header,
-        _trajectory_columns(
-            report.t,
-            report.adiabatic_rho,
-            report.adiabatic_bloch,
-            dynamics.fidelity(report.adiabatic_rho, target),
-        ),
+        _trajectory_columns(report.t, report.adiabatic_rho, target),
     )
     _write_summary(
         out / "summary.txt",
@@ -279,7 +275,7 @@ def _cmd_evolve(cfg: RunConfig, out: Path) -> None:
             ("family", cfg.family),
             ("inversion_time", report.inversion_time if report.inversion_time is not None else "none"),
             ("max_population_gap", report.max_population_gap),
-            ("final_fidelity", float(report.fidelity_to_target[-1])),
+            ("final_fidelity", float(iec[-1][-1])),
             ("max_rk4_deviation", deviation),
         ],
     )
@@ -294,15 +290,10 @@ def _cmd_sweep(cfg: RunConfig, out: Path) -> None:
         raise ConfigError("sweep subcommand requires t_a")
     lo, hi, n = cfg.sweep
     result = analysis.sweep_beta_dot0(cfg.t_f, cfg.t_a, lo, hi, n)
-    infeasible = set(result.infeasible_points)
     _write_csv(
         out / "sweep.csv",
         ["beta_dot0_units", "cost", "feasible"],
-        [
-            np.array([u for u, _ in result.grid]),
-            np.array([c for _, c in result.grid]),
-            np.array([0.0 if u in infeasible else 1.0 for u, _ in result.grid]),
-        ],
+        [result.units, result.cost, result.feasible.astype(float)],
     )
     _write_summary(
         out / "summary.txt",
@@ -311,7 +302,7 @@ def _cmd_sweep(cfg: RunConfig, out: Path) -> None:
             ("t_a", float(cfg.t_a)),
             ("min_cost", result.minimum[1]),
             ("argmin_beta_dot0", result.minimum[0]),
-            ("n_infeasible", str(len(result.infeasible_points))),
+            ("n_infeasible", str(int((~result.feasible).sum()))),
         ],
     )
 

@@ -47,8 +47,6 @@ __all__ = [
     "fidelity",
 ]
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
 #: Largest drift of tr(rho^2) from its initial value that evolve accepts:
 #: the RK4 agreement bound.
 PURITY_DRIFT_BOUND = 1e-6
@@ -74,13 +72,11 @@ class Weights:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled evolution: times, states, Bloch vectors, fidelity to target."""
+    """Sampled evolution: the times t of the step grid, t = 0 first, and the
+    (len(t), 2, 2) stack rho of the states there."""
 
     t: np.ndarray
     rho: np.ndarray
-    bloch: np.ndarray
-    fidelity_to_target: np.ndarray
-    target: np.ndarray
 
 
 def bloch_vector(rho: np.ndarray) -> np.ndarray:
@@ -297,27 +293,20 @@ def _rk4(pair: SchedulePair, y0: np.ndarray, n_steps: int, rate):
     return times, states
 
 
-def evolve(
-    pair: SchedulePair,
-    rho0: np.ndarray,
-    n_steps: int,
-    *,
-    target: np.ndarray | None = None,
-) -> Trajectory:
+def evolve(pair: SchedulePair, rho0: np.ndarray, n_steps: int) -> Trajectory:
     """Fixed-step RK4 integration of i drho/dt = [H(t), rho] over [0, t_f].
 
-    The step grid honors the antedated switch exactly (separate legs before
-    and after t_a). Global error is O(n_steps**-4). Raises StepTooCoarse if
-    trace or Hermiticity drift exceeds 1e-8, or if the purity tr(rho^2) of
-    any state drifts from rho0's by more than PURITY_DRIFT_BOUND: trace and
-    Hermiticity survive an unstable run, the spectrum does not.
+    Returns the n_steps + 1 states from rho0 on. The step grid honors the
+    antedated switch exactly (separate legs before and after t_a). Global
+    error is O(n_steps**-4). Raises StepTooCoarse if trace or Hermiticity
+    drift exceeds 1e-8, or if the purity tr(rho^2) of any state drifts from
+    rho0's by more than PURITY_DRIFT_BOUND: trace and Hermiticity survive an
+    unstable run, the spectrum does not.
     """
     if n_steps < 100:
         raise ValueError("need n_steps >= 100")
     rho0 = np.asarray(rho0, dtype=complex)
     check_density_matrix(rho0, herm_tol=1e-9, trace_tol=1e-9)
-    if target is None:
-        target = SIGMA_X @ rho0 @ SIGMA_X
     times, states = _rk4(pair, rho0, n_steps, lambda h, r: -1j * (h @ r - r @ h))
     rho_arr = np.array(states)
     trace_drift = np.abs(np.trace(rho_arr, axis1=1, axis2=2) - 1.0).max()
@@ -333,15 +322,7 @@ def evolve(
             f"integration purity drift {purity_drift:.2e} exceeds {PURITY_DRIFT_BOUND:g}; "
             "increase n_steps"
         )
-    bloch = bloch_vector(rho_arr)
-    fid = fidelity(rho_arr, target)
-    return Trajectory(
-        t=np.array(times) * pair.t_f,
-        rho=rho_arr,
-        bloch=bloch,
-        fidelity_to_target=fid,
-        target=target,
-    )
+    return Trajectory(t=np.array(times) * pair.t_f, rho=rho_arr)
 
 
 def evolve_pure(

@@ -249,9 +249,10 @@ class _Waveform:
         self.end = self.switch if self.switch is not None else 1.0
         #: gamma_dot's zeros in [0, 1]
         self.rate_zeros = real_roots(self.dgamma, 0.0, 1.0)
+        #: beta's stationary points in [0, 1]
+        self.beta_crit = real_roots(self.dbeta, 0.0, 1.0)
         args = (self.dgamma, self.beta, self.beta.shifted(0.5 * math.pi), self.gamma)
-        self.stations = _stations(args, self.rate_zeros, real_roots(self.dbeta, 0.0, 1.0),
-                                  self.end)
+        self.stations = _stations(args, self.rate_zeros, self.beta_crit, self.end)
         st = self.stations
         self._cuts = [0.5 * (a.s0 + b.s0) for a, b in zip(st, st[1:])]
         self._s0 = np.array([x.s0 for x in st])
@@ -277,8 +278,7 @@ class _Waveform:
     def edges(self, s_end: float) -> np.ndarray:
         """0, the stations and beta's stationary points inside (0, s_end), and
         s_end: the piece edges for a quadrature of the waveforms."""
-        inner = {x for x in (*self._s0.tolist(), *real_roots(self.dbeta, 0.0, s_end))
-                 if 0.0 < x < s_end}
+        inner = {x for x in (*self._s0.tolist(), *self.beta_crit) if 0.0 < x < s_end}
         return np.array([0.0, *sorted(inner), s_end])
 
     # -- scalar evaluators: one sample of the vector formulas ---------------
@@ -374,23 +374,14 @@ def _check_s(s: float) -> None:
 class PulseTable:
     """Uniformly sampled waveforms on [0, t_f].
 
-    omega_r and delta are in angular-frequency units (1/t_f scale). For
-    antedated schedules, samples past t_a carry omega_r = 0 and the
-    constant switched detuning.
+    t holds the sample times; omega_r and delta the waveforms there, in
+    angular-frequency units (1/t_f scale). For antedated schedules, samples
+    past t_a carry omega_r = 0 and the constant switched detuning.
     """
 
-    t_f: float
     t: np.ndarray
     omega_r: np.ndarray
     delta: np.ndarray
-    t_a: float | None = None
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    def rows(self):
-        """Iterate (t, omega_r, delta) samples."""
-        return zip(self.t, self.omega_r, self.delta)
 
 
 def synthesize(pair: SchedulePair, n: int) -> PulseTable:
@@ -399,13 +390,7 @@ def synthesize(pair: SchedulePair, n: int) -> PulseTable:
         raise ValueError("need n >= 2 grid intervals")
     s = np.arange(n + 1) / n
     omega, delta = _waveform(pair).drive(s)
-    return PulseTable(
-        t_f=pair.t_f,
-        t=s * pair.t_f,
-        omega_r=omega / pair.t_f,
-        delta=delta / pair.t_f,
-        t_a=pair.t_a,
-    )
+    return PulseTable(t=s * pair.t_f, omega_r=omega / pair.t_f, delta=delta / pair.t_f)
 
 
 def adiabaticity_metric(pair: SchedulePair, s: float | np.ndarray) -> float | np.ndarray:

@@ -33,6 +33,7 @@ __all__ = [
     "third_order_pair",
     "fourth_order_pair",
     "antedated_pair",
+    "beta_dot0_rate",
     "gamma_dot_zero_crossing",
     "critical_gamma_mid",
     "critical_t_a",
@@ -162,6 +163,12 @@ def antedated_pair(
     t_s = gamma_dot_zero_crossing(gamma)
     beta = fit(_antedated_beta_conditions(a, t_s, beta_dot0 * t_f), 5)
     return SchedulePair(gamma, beta, t_f, t_a, beta_dot0)
+
+
+def beta_dot0_rate(units, t_f: float):
+    """beta_dot0 in radians per unit t from units of pi / (2 t_f); units is a
+    float or an array."""
+    return units * 0.5 * PI / t_f
 
 
 def _antedated_gamma(a: float) -> Polynomial:

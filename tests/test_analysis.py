@@ -16,7 +16,7 @@ from iecpulse.analysis import (
     sweep_beta_dot0,
     validate_schedule,
 )
-from iecpulse.dynamics import Weights
+from iecpulse.dynamics import Weights, bloch_vector, fidelity
 from iecpulse.errors import DivergentPulse, NoConvergence, NoFeasiblePoint
 from iecpulse.poly import Polynomial, real_roots
 from iecpulse.schedule import SchedulePair, antedated_pair, fourth_order_pair, third_order_pair
@@ -167,15 +167,14 @@ def test_sweep_reproduces_half_switch_minimum():
     assert u_star == pytest.approx(5.232, abs=0.05)
     assert cost_star == pytest.approx(3.230, abs=0.01)
     assert cost_star >= PI - 1e-6
-    assert result.infeasible_points == []
-    feasible_costs = [c for _, c in result.grid if math.isfinite(c)]
-    assert cost_star <= min(feasible_costs) + 1e-12
+    assert result.feasible.all()
+    assert cost_star <= result.cost[result.feasible].min() + 1e-12
 
 
 def test_sweep_grid_contents():
     result = sweep_beta_dot0(1.0, 0.5, 1.0, 2.0, 11)
-    assert len(result.grid) == 11
-    assert [u for u, _ in result.grid] == pytest.approx(list(np.linspace(1, 2, 11)))
+    assert len(result.units) == len(result.cost) == len(result.feasible) == 11
+    assert list(result.units) == pytest.approx(list(np.linspace(1, 2, 11)))
 
 
 def test_sweep_no_feasible_point():
@@ -247,26 +246,29 @@ def test_golden_section_quadratic():
 
 
 def test_compare_passages_third_order():
-    report = compare_passages([third_order_pair(1.0)], W, 800)[0]
+    report = compare_passages(third_order_pair(1.0), W, 800)
     assert report.max_population_gap < 0.05  # usual passage shadows the adiabatic one
-    assert report.rho11[0] == pytest.approx(0.8, abs=1e-12)
-    assert report.rho11[-1] == pytest.approx(0.2, abs=1e-12)
-    assert np.all(report.adiabatic_bloch[:, 1] == 0.0)
-    assert np.abs(report.bloch[:, 1]).max() > 0.1
+    rho11 = report.rho[:, 0, 0].real
+    assert rho11[0] == pytest.approx(0.8, abs=1e-12)
+    assert rho11[-1] == pytest.approx(0.2, abs=1e-12)
+    assert np.all(bloch_vector(report.adiabatic_rho)[:, 1] == 0.0)
+    assert np.abs(bloch_vector(report.rho)[:, 1]).max() > 0.1
     assert report.inversion_time is not None
 
 
 def test_compare_passages_antedated_inversion_at_switch():
     pair = antedated_pair(1.0, 0.5)
-    report = compare_passages([pair], W, 1000)[0]
+    report = compare_passages(pair, W, 1000)
     idx = np.searchsorted(report.t, 0.5)
-    assert report.rho11[idx] == pytest.approx(0.2, abs=1e-6)
-    assert report.rho22[idx] == pytest.approx(0.8, abs=1e-6)
-    np.testing.assert_allclose(report.rho11[idx:], 0.2, atol=1e-9)
+    rho11, rho22 = report.rho[:, 0, 0].real, report.rho[:, 1, 1].real
+    assert rho11[idx] == pytest.approx(0.2, abs=1e-6)
+    assert rho22[idx] == pytest.approx(0.8, abs=1e-6)
+    np.testing.assert_allclose(rho11[idx:], 0.2, atol=1e-9)
     assert report.inversion_time is not None and report.inversion_time <= 0.5
 
 
 def test_compare_passages_fidelity_column():
-    report = compare_passages([third_order_pair(1.0)], W, 200)[0]
-    assert report.fidelity_to_target[-1] == pytest.approx(1.0, abs=1e-9)
-    assert np.all(report.fidelity_to_target <= 1.0 + 1e-12)
+    report = compare_passages(third_order_pair(1.0), W, 200)
+    fid = fidelity(report.rho, report.rho[-1])
+    assert fid[-1] == pytest.approx(1.0, abs=1e-9)
+    assert np.all(fid <= 1.0 + 1e-12)

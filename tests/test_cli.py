@@ -275,9 +275,17 @@ def test_synth_outputs(tmp_path):
     assert "energy_cost" in summary and "max_adiabaticity_metric" in summary
 
 
-@pytest.mark.parametrize("command", ["synth", "evolve", "check"])
-def test_synth_deterministic(tmp_path, command):
-    cfg = _write(tmp_path, THIRD_CFG)
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        pytest.param("synth", THIRD_CFG, id="synth"),
+        pytest.param("evolve", THIRD_CFG, id="evolve"),
+        pytest.param("check", THIRD_CFG, id="check"),
+        pytest.param("sweep", ANTE_CFG, id="sweep"),
+    ],
+)
+def test_synth_deterministic(tmp_path, command, text):
+    cfg = _write(tmp_path, text)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main([command, "--config", str(cfg), "--out", str(out1)]) == EXIT_OK
     assert main([command, "--config", str(cfg), "--out", str(out2)]) == EXIT_OK
@@ -349,6 +357,24 @@ def test_sweep_subcommand(tmp_path):
     )
     assert float(summary["min_cost"]) == pytest.approx(3.230, abs=0.01)
     assert float(summary["argmin_beta_dot0"]) == pytest.approx(5.232, abs=0.05)
+
+
+def test_sweep_subcommand_marks_infeasible_rows(tmp_path):
+    cfg = _write(
+        tmp_path,
+        "t_f = 1\nfamily = antedated\nt_a = 0.72\nsweep_lo = 0.1\nsweep_hi = 8\nsweep_n = 12\n",
+    )
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    _, data = _read_csv(out / "sweep.csv")
+    cost, feasible = data[:, 1], data[:, 2]
+    assert set(feasible) == {0.0, 1.0}
+    np.testing.assert_array_equal(feasible == 0.0, np.isnan(cost))
+    summary = dict(
+        line.split(" = ") for line in (out / "summary.txt").read_text().strip().splitlines()
+    )
+    assert summary["n_infeasible"] == "7"
+    assert float(summary["min_cost"]) <= np.nanmin(cost)
 
 
 def test_sweep_requires_sweep_keys(tmp_path):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from iecpulse.dynamics import (
-    SIGMA_X,
     Trajectory,
     Weights,
     adiabatic_state,
@@ -27,6 +26,7 @@ from iecpulse.schedule import SchedulePair, antedated_pair, fourth_order_pair, t
 
 PI = math.pi
 W = Weights(0.2, 0.8)
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 @pytest.fixture(scope="module")
@@ -334,8 +334,9 @@ def test_evolve_preserves_purity_and_trace(third):
 def test_evolve_fidelity_reaches_target(third):
     rho0 = invariant_state(third, W, 0.0)
     traj = evolve(third, rho0, 1000)
-    np.testing.assert_allclose(traj.target, np.diag([0.2, 0.8]), atol=1e-12)
-    assert traj.fidelity_to_target[-1] == pytest.approx(1.0, abs=1e-9)
+    target = SIGMA_X @ rho0 @ SIGMA_X
+    np.testing.assert_allclose(target, np.diag([0.2, 0.8]), atol=1e-12)
+    assert fidelity(traj.rho, target)[-1] == pytest.approx(1.0, abs=1e-9)
     assert isinstance(traj, Trajectory)
 
 
@@ -404,8 +405,8 @@ def _fidelity_reference(rho, sigma):
 
 
 def test_fidelity_stack_matches_det_loop(third, ante):
-    # Each target shares its stack's spectrum, as in evolve and
-    # compare_passages. Against a state of another spectrum, a pure state's
+    # Each target shares its stack's spectrum, as in the trajectory files
+    # of the evolve subcommand. Against a state of another spectrum, a pure state's
     # det ~ 1e-17 of round-off in either form becomes ~1e-9 under the sqrt.
     s_grid = np.linspace(0.0, 1.0, 301)
     mixed = np.concatenate(

@@ -43,3 +43,18 @@ def test_benchmark_name_resolves(module, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_benchmark_result_shapes():
+    # The tracer counts len(evolve(...).t) - 1 RK4 steps and len(evolve_pure(...)) - 1
+    # pure steps, reads _sweep_point's (cost, feasible) pair, and the verify checks
+    # take the last (t, psi) sample of evolve_pure as a length-2 state.
+    pair = iecpulse.third_order_pair(1.0)
+    rho0 = iecpulse.invariant_state(pair, iecpulse.Weights(0.2, 0.8), 0.0)
+    assert len(iecpulse.dynamics.evolve(pair, rho0, 100).t) - 1 == 100
+    cost, feasible = iecpulse.analysis._sweep_point(1.0, 0.5, 5.0)
+    assert type(cost) is float and type(feasible) is bool
+    states = iecpulse.dynamics.evolve_pure(pair, +1, 200)
+    assert len(states) - 1 == 200
+    t, psi = states[-1]
+    assert t == pytest.approx(1.0) and psi.shape == (2,)

@@ -206,7 +206,7 @@ def test_adiabaticity_metric_level_crossing():
     with pytest.raises(DegeneratePoint):
         max_adiabaticity_metric(crossing)
     with pytest.raises(DegeneratePoint, match="level crossing"):
-        compare_passages([crossing], Weights(0.2, 0.8), 100)
+        compare_passages(crossing, Weights(0.2, 0.8), 100)
 
 
 def test_adiabaticity_metric_scale_invariant():
