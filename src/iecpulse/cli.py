@@ -224,13 +224,12 @@ def _cmd_synth(cfg: RunConfig, out: Path) -> None:
         ("family", cfg.family),
         ("energy_cost", analysis.energy_cost(pair)),
         ("max_adiabaticity_metric", analysis.max_adiabaticity_metric(pair)),
-        ("omega_r_max", float((table.omega_r * cfg.t_f).max())),
+        ("omega_r_max", float(table.omega_r.max())),
     ]
-    s = table.t / cfg.t_f
     _write_csv(
         out / "pulse.csv",
         ["t", "omega_r", "delta", "gamma", "beta"],
-        [table.t, table.omega_r * cfg.t_f, table.delta * cfg.t_f, pair.gamma(s), pair.beta(s)],
+        [table.t, table.omega_r, table.delta, pair.gamma(table.s), pair.beta(table.s)],
     )
     _write_summary(out / "summary.txt", summary)
 

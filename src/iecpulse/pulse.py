@@ -374,23 +374,26 @@ def _check_s(s: float) -> None:
 class PulseTable:
     """Uniformly sampled waveforms on [0, t_f].
 
-    t holds the sample times; omega_r and delta the waveforms there, in
-    angular-frequency units (1/t_f scale). For antedated schedules, samples
-    past t_a carry omega_r = 0 and the constant switched detuning.
+    s holds the sample points s = t / t_f on [0, 1] and t the sample times;
+    omega_r and delta the waveforms there times t_f, that is in units of
+    1/t_f, so they are exactly independent of t_f (divide by t_f for
+    angular frequencies). For antedated schedules, samples past t_a carry
+    omega_r = 0 and the constant switched detuning.
     """
 
     t: np.ndarray
+    s: np.ndarray
     omega_r: np.ndarray
     delta: np.ndarray
 
 
 def synthesize(pair: SchedulePair, n: int) -> PulseTable:
-    """Sample the physical waveforms, switch applied, at n+1 uniform times on [0, t_f]."""
+    """Sample the waveforms, switch applied, at n+1 uniform times on [0, t_f]."""
     if n < 2:
         raise ValueError("need n >= 2 grid intervals")
     s = np.arange(n + 1) / n
     omega, delta = _waveform(pair).drive(s)
-    return PulseTable(t=s * pair.t_f, omega_r=omega / pair.t_f, delta=delta / pair.t_f)
+    return PulseTable(t=s * pair.t_f, s=s, omega_r=omega, delta=delta)
 
 
 def adiabaticity_metric(pair: SchedulePair, s: float | np.ndarray) -> float | np.ndarray:

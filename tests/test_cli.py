@@ -275,6 +275,22 @@ def test_synth_outputs(tmp_path):
     assert "energy_cost" in summary and "max_adiabaticity_metric" in summary
 
 
+@pytest.mark.parametrize("t_f", [0.37, 3.7, 780.0, 1e-3])
+def test_synth_writes_the_dimensionless_drive(tmp_path, t_f):
+    # the columns come from the one grid s of the drive, with no division
+    # by t_f and multiplication back, so they are exactly independent of t_f
+    cfg = _write(tmp_path, f"t_f = {t_f!r}\nfamily = antedated\nt_a = {t_f / 2!r}\nbeta_dot0 = 5\n")
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    header, data = _read_csv(out / "pulse.csv")
+    pair = parse_config(cfg).build_pair()
+    s = np.arange(1001) / 1000
+    omega, delta = pulse._waveform(pair).drive(s)
+    assert np.array_equal(data[:, 0], s * t_f)
+    assert np.array_equal(data[:, 1], omega) and np.array_equal(data[:, 2], delta)
+    assert np.array_equal(data[:, 3], pair.gamma(s)) and np.array_equal(data[:, 4], pair.beta(s))
+
+
 @pytest.mark.parametrize(
     "command, text",
     [

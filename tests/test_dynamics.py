@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from iecpulse import dynamics
 from iecpulse.errors import DegeneratePoint, DivergentPulse, StepTooCoarse
 from iecpulse.poly import Polynomial
 from iecpulse.pulse import _waveform, lr_phase
-from iecpulse.schedule import SchedulePair, antedated_pair, fourth_order_pair, third_order_pair
+from iecpulse.schedule import SchedulePair, antedated_pair, beta_dot0_rate, fourth_order_pair
+from iecpulse.schedule import third_order_pair
 
 PI = math.pi
 W = Weights(0.2, 0.8)
@@ -364,6 +366,111 @@ def test_drift_checks_reject_nan(third, monkeypatch, run):
             evolve(third, invariant_state(third, W, 0.0), 200)
         else:
             evolve_pure(third, +1, 200)
+
+
+def _rk4_reference(pair, y0, n_steps, rate):
+    """The per-step RK4 loop the batched step maps replaced: four rate
+    calls per step on the state itself, the states appended to a list."""
+    times = [0.0]
+    states = [y0]
+    y = y0
+    for s_lo, s_hi, n in dynamics._legs(pair, n_steps):
+        h_grid = dynamics._h_grid(pair, s_lo, s_hi, n)
+        step = (s_hi - s_lo) / n
+        for k in range(n):
+            h0, hm, h1 = h_grid[2 * k], h_grid[2 * k + 1], h_grid[2 * k + 2]
+            k1 = rate(h0, y)
+            k2 = rate(hm, y + 0.5 * step * k1)
+            k3 = rate(hm, y + 0.5 * step * k2)
+            k4 = rate(h1, y + step * k3)
+            y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            times.append(s_lo + (k + 1) * step)
+            states.append(y)
+    return times, states
+
+
+def _von_neumann(h, rho):
+    return -1j * (h @ rho - rho @ h)
+
+
+def _schroedinger(h, psi):
+    return -1j * (h @ psi)
+
+
+_PARITY_CASES = [
+    pytest.param(lambda: third_order_pair(1.0), 3001, id="third-3001"),
+    pytest.param(lambda: fourth_order_pair(1.0, 1.2), 3001, id="fourth-1.2-3001"),
+] + [
+    pytest.param(
+        lambda a=a, u=u: antedated_pair(1.0, a, beta_dot0_rate(u, 1.0)),
+        n,
+        id=f"antedated-{a}-{u:g}u-{n}",
+    )
+    for a in (0.3, 0.45, 0.6)
+    for u in (1.0, 4.0, 8.0)
+    for n in ((3001, 10_001) if (a, u) == (0.45, 8.0) else (3001,))
+]
+
+
+@pytest.mark.parametrize("build, n_steps", _PARITY_CASES)
+def test_step_maps_match_reference_loop(build, n_steps):
+    # the maps reassociate RK4's sums, so the states agree to rounding, not
+    # bit for bit: rho within 1e-13, psi within 1e-12 (its phase error
+    # builds up over the post-switch leg); the step times are the same
+    pair = build()
+    assert all(n % dynamics._BLOCK for _, _, n in dynamics._legs(pair, n_steps))
+    rho0 = invariant_state(pair, W, 0.0)
+    traj = evolve(pair, rho0, n_steps)
+    times, states = _rk4_reference(pair, rho0, n_steps, _von_neumann)
+    assert traj.t.tolist() == [s * pair.t_f for s in times]
+    assert np.abs(traj.rho - np.array(states)).max() <= 1e-13
+    for branch in (+1, -1):
+        samples = evolve_pure(pair, branch, n_steps)
+        psi0 = invariant_eigenstate(pair, branch, 0.0)
+        times, states = _rk4_reference(pair, psi0, n_steps, _schroedinger)
+        assert [t for t, _ in samples] == [s * pair.t_f for s in times]
+        assert np.abs(np.array([psi for _, psi in samples]) - np.array(states)).max() <= 1e-12
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("run", ["evolve", "evolve_pure"])
+def test_step_maps_use_no_more_memory_than_reference_loop(ante, run):
+    # building the maps in blocks keeps the peak below the loop's: a map
+    # stack for all 1e4 steps would not be
+    n_steps = 10_000
+    if run == "evolve":
+        y0, rate = invariant_state(ante, W, 0.0), _von_neumann
+        integrate = lambda: evolve(ante, y0, n_steps)  # noqa: E731
+    else:
+        y0, rate = invariant_eigenstate(ante, +1, 0.0), _schroedinger
+        integrate = lambda: evolve_pure(ante, +1, n_steps)  # noqa: E731
+    integrate()  # builds the cached waveform outside the traced runs
+    reference = _traced_peak(lambda: np.array(_rk4_reference(ante, y0, n_steps, rate)[1]))
+    assert _traced_peak(integrate) <= reference
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: third_order_pair(1.0),
+        lambda: fourth_order_pair(1.0, 1.2),
+        lambda: antedated_pair(1.0, 0.5),
+    ],
+    ids=["third", "fourth-1.2", "antedated-0.5"],
+)
+def test_evolve_pure_step_floor_is_only_an_argument_check(build):
+    pair = build()
+    with pytest.raises(StepTooCoarse, match="norm"):
+        evolve_pure(pair, +1, 100)
+    assert len(evolve_pure(pair, +1, 150)) == 151
 
 
 def test_evolve_requires_enough_steps(third):
