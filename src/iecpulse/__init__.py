@@ -30,6 +30,7 @@ from .dynamics import (
     invariant_state,
 )
 from .errors import (
+    ConfigError,
     DegeneratePoint,
     DivergentPulse,
     NoConvergence,
@@ -55,6 +56,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Condition",
+    "ConfigError",
     "DegeneratePoint",
     "DivergentPulse",
     "NoConvergence",

@@ -23,12 +23,13 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .dynamics import Weights, adiabatic_state, invariant_state
-from .errors import DivergentPulse, NoConvergence, NoCrossing, NoFeasiblePoint
-from .errors import SingularSystem
-from .poly import FIT_TOL, Condition, Polynomial, misfit, real_roots, solve, value_range
-from .pulse import _metric, _waveform, gauss_legendre
+from .errors import ConfigError, DivergentPulse, NoConvergence, NoCrossing, NoFeasiblePoint
+from .errors import SingularSystem, UnphysicalSchedule
+from .poly import FIT_TOL, Condition, Polynomial, misfit, real_roots, solve
+from .pulse import _metric, _waveform, check_grid, gauss_legendre
 from .schedule import SchedulePair, _antedated_beta_conditions, _antedated_gamma, antedated_pair
-from .schedule import beta_dot0_rate, gamma_dot_zero_crossing
+from .schedule import beta_dot0_rate, check_rate, check_times, gamma_dot_zero_crossing
+from .schedule import gamma_out_of_range
 
 __all__ = [
     "SweepResult",
@@ -38,6 +39,7 @@ __all__ = [
     "validate_schedule",
     "max_adiabaticity_metric",
     "sweep_beta_dot0",
+    "check_sweep",
     "compare_passages",
     "golden_section",
 ]
@@ -91,14 +93,6 @@ def _driven_grid(s_end: float) -> np.ndarray:
     return (np.arange(GRID_POINTS) + 0.5) * (s_end / GRID_POINTS)
 
 
-def _gamma_check(gamma: Polynomial) -> str | None:
-    """Why gamma leaves [-pi, pi] on [0, 1], or None."""
-    lo, hi = value_range(gamma, 0.0, 1.0)
-    if lo >= -math.pi - 1e-9 and hi <= math.pi + 1e-9:
-        return None
-    return f"gamma leaves [-pi, pi] (range [{lo:.4f}, {hi:.4f}] rad)"
-
-
 @dataclass
 class ValidationReport:
     """Policy checks of one schedule whose waveforms are finite on its
@@ -140,13 +134,14 @@ def validate_schedule(pair: SchedulePair) -> ValidationReport:
     delta_ok = max_delta <= DELTA_FINITE_BOUND
     if not delta_ok:
         messages.append(f"delta exceeds the finiteness bound (max {max_delta:.3e} * 1/t_f)")
-    gamma_message = _gamma_check(pair.gamma)
-    if gamma_message is not None:
-        messages.append(gamma_message)
+    gamma_range = gamma_out_of_range(pair.gamma)
+    if gamma_range is not None:
+        lo, hi = gamma_range
+        messages.append(f"gamma leaves [-pi, pi] (range [{lo:.4f}, {hi:.4f}] rad)")
     return ValidationReport(
         omega_r_nonnegative=omega_ok,
         delta_finite=delta_ok,
-        gamma_range_ok=gamma_message is None,
+        gamma_range_ok=gamma_range is None,
         messages=messages,
     )
 
@@ -185,11 +180,11 @@ def _sweep_point(t_f: float, t_a: float, units: float) -> tuple[float, bool]:
     A schedule that cannot be built or costed is an infeasible point.
     """
     try:
-        pair = antedated_pair(t_f, t_a, beta_dot0_rate(units, t_f), enforce_range=False)
+        pair = antedated_pair(t_f, t_a, beta_dot0_rate(units, t_f))
         if not validate_schedule(pair).feasible:
             return math.nan, False
         return energy_cost(pair), True
-    except (SingularSystem, NoCrossing, NoConvergence, DivergentPulse):
+    except (SingularSystem, UnphysicalSchedule, NoCrossing, NoConvergence, DivergentPulse):
         return math.nan, False
 
 
@@ -218,7 +213,7 @@ class _Sweep:
         self.b0, self.b1 = solve(at_zero, 5), solve(slope, 5)
         self._values = np.array([[c.value for c in at_zero], [c.value for c in slope]])
         self._misfit = np.array([misfit(self.b0, at_zero), misfit(self.b1, slope)])
-        self.gamma_ok = _gamma_check(self.gamma) is None
+        self.gamma_ok = gamma_out_of_range(self.gamma) is None
         self.band = _band(self.b0, self.b1, a)
         self.dgamma = self.gamma.derivative()
         self._db0, self._db1 = self.b0.derivative(), self.b1.derivative()
@@ -230,10 +225,11 @@ class _Sweep:
 
     def evaluate(self, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(cost, feasible) at each beta_dot0, in units of pi / (2 t_f); cost
-        is NaN where infeasible."""
-        b = beta_dot0_rate(units, self.t_f) * self.t_f  # rounded as _sweep_point rounds it
+        is NaN where infeasible, as where the rate overflows (b = inf)."""
         lo, hi = self.band
-        ok = self.gamma_ok & (lo < b) & (b < hi) & self._fit_ok(b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = beta_dot0_rate(units, self.t_f) * self.t_f  # rounded as _sweep_point rounds it
+            ok = self.gamma_ok & (lo < b) & (b < hi) & self._fit_ok(b)
         cost = np.full(len(b), math.nan)
         rows = np.flatnonzero(ok)
         for i in range(0, len(rows), SWEEP_BLOCK):
@@ -309,24 +305,29 @@ def _band(b0: Polynomial, b1: Polynomial, s_end: float) -> tuple[float, float]:
     return lo, hi
 
 
+def check_sweep(t_f: float, lo: float, hi: float, n: int) -> None:
+    """Raise ConfigError unless n points on [lo, hi] (units of pi / 2 t_f) make a
+    sweep grid: check_rate holds at lo, lo < hi < inf and n is an integer >= 10."""
+    check_rate(beta_dot0_rate(lo, t_f))
+    if not lo < hi < math.inf:
+        raise ConfigError(f"need lo < hi < inf, got lo = {lo!r}, hi = {hi!r}")
+    if not (isinstance(n, (int, np.integer)) and n >= 10):
+        raise ConfigError(f"need an integer n >= 10 grid points, got {n!r}")
+
+
 def sweep_beta_dot0(t_f: float, t_a: float, lo: float, hi: float, n: int) -> SweepResult:
     """Sweep the initial beta rate over [lo, hi] (units of pi / 2 t_f).
 
-    Decides and costs all n grid points at once from one _Sweep, then
-    refines the best bracket by golden-section search on the same _Sweep
-    (well below the 1e-4 contract). The reported minimum is evaluated once
-    more through _sweep_point, the per-schedule path; raises NoConvergence
-    when the two disagree (feasibility, or cost beyond 1e-7 relative), and
-    NoFeasiblePoint when every grid point is infeasible.
+    check_times and check_sweep apply (ConfigError). Decides and costs all
+    n grid points at once from one _Sweep, then refines the best bracket by
+    golden-section search on the same _Sweep (well below the 1e-4 contract).
+    The reported minimum is evaluated once more through _sweep_point, the
+    per-schedule path; raises NoConvergence when the two disagree
+    (feasibility, or cost beyond 1e-7 relative), and NoFeasiblePoint when
+    every grid point is infeasible.
     """
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    if n < 10:
-        raise ValueError("need n >= 10 grid points")
-    if not lo > 0:
-        raise ValueError("beta_dot0 must be positive")
-    if not 0 < t_a < t_f:
-        raise ValueError("need 0 < t_a < t_f")
+    check_times(t_f, t_a)
+    check_sweep(t_f, lo, hi, n)
     units = np.linspace(lo, hi, n)
     try:
         sweep = _Sweep(t_f, t_a)
@@ -403,8 +404,9 @@ def compare_passages(pair: SchedulePair, w: Weights, n_grid: int) -> PassageRepo
 
     Each stack is built in one call, so a waveform that diverges on the
     driven segment raises DivergentPulse, and a level crossing of the
-    reference on the samples DegeneratePoint.
+    reference on the samples DegeneratePoint. check_grid applies to n_grid.
     """
+    check_grid(n_grid)
     s_grid = np.arange(n_grid + 1) / n_grid
     rho = invariant_state(pair, w, s_grid)
     ad = adiabatic_state(pair, w, s_grid)

@@ -23,7 +23,9 @@ Recognized keys:
                family=antedated only; 0 < sweep_lo < sweep_hi, sweep_n at
                least 10)
 
-Unknown keys and non-finite numbers are an error. Frequencies in emitted
+Unknown keys and non-finite numbers are an error; each other rule above is
+the library's, raised as iecpulse.ConfigError where the value is used and
+applied to every key present before any work. Frequencies in emitted
 CSVs are in units of 1/t_f; t_f itself is echoed in summary.txt. Outputs
 contain no timestamps, so identical configs produce byte-identical files.
 Exit codes: 0 success, 1 config error, 2 infeasible schedule (including
@@ -43,6 +45,7 @@ import numpy as np
 
 from . import analysis, dynamics, pulse
 from .errors import (
+    ConfigError,
     DegeneratePoint,
     DivergentPulse,
     NoConvergence,
@@ -52,18 +55,13 @@ from .errors import (
     StepTooCoarse,
     UnphysicalSchedule,
 )
-from .schedule import SchedulePair, antedated_pair, beta_dot0_rate, fourth_order_pair
-from .schedule import third_order_pair
+from .schedule import SchedulePair, antedated_pair, beta_dot0_rate, check_rate, check_times
+from .schedule import fourth_order_pair, third_order_pair
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
 EXIT_NUMERICAL = 3
-
-
-class ConfigError(ValueError):
-    pass
-
 
 _FLOAT_KEYS = {"t_f", "gamma_mid", "t_a", "beta_dot0", "p_plus", "p_minus", "sweep_lo", "sweep_hi"}
 _INT_KEYS = {"grid_n", "rk4_steps", "sweep_n"}
@@ -90,14 +88,10 @@ class RunConfig:
             if self.gamma_mid is None:
                 raise ConfigError("family=fourth requires gamma_mid")
             return fourth_order_pair(self.t_f, self.gamma_mid)
-        if self.family == "antedated":
-            if self.t_a is None:
-                raise ConfigError("family=antedated requires t_a")
-            beta_dot0 = None
-            if self.beta_dot0 is not None:
-                beta_dot0 = beta_dot0_rate(self.beta_dot0, self.t_f)
-            return antedated_pair(self.t_f, self.t_a, beta_dot0)
-        raise ConfigError(f"unknown family {self.family!r}")
+        if self.t_a is None:
+            raise ConfigError("family=antedated requires t_a")
+        beta_dot0 = None if self.beta_dot0 is None else beta_dot0_rate(self.beta_dot0, self.t_f)
+        return antedated_pair(self.t_f, self.t_a, beta_dot0)
 
 
 def parse_config(path: Path) -> RunConfig:
@@ -131,47 +125,37 @@ def parse_config(path: Path) -> RunConfig:
     def opt_float(key: str, default: float | None = None) -> float | None:
         return need_float(key) if key in raw else default
 
-    def opt_int(key: str, default: int, minimum: int) -> int:
+    def opt_int(key: str, default: int) -> int:
         if key not in raw:
             return default
         try:
-            value = int(raw[key])
+            return int(raw[key])
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: not an integer: {raw[key]!r}") from exc
-        if value < minimum:
-            raise ConfigError(f"config key {key!r} must be >= {minimum}, got {value}")
-        return value
 
     if "t_f" not in raw:
         raise ConfigError("config requires t_f")
     if "family" not in raw:
         raise ConfigError("config requires family")
     t_f = need_float("t_f")
-    if not t_f > 0:
-        raise ConfigError("t_f must be positive")
     family = raw["family"]
     if family not in ("third", "fourth", "antedated"):
         raise ConfigError(f"family must be third|fourth|antedated, got {family!r}")
-    p_plus = opt_float("p_plus", 0.2)
-    p_minus = opt_float("p_minus", 0.8)
-    try:
-        weights = dynamics.Weights(p_plus, p_minus)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     t_a = opt_float("t_a")
-    if t_a is not None and not 0.0 < t_a / t_f < 1.0:
-        raise ConfigError(f"t_a must lie strictly inside (0, t_f), got {t_a!r}")
+    check_times(t_f, t_a)
+    weights = dynamics.Weights(opt_float("p_plus", 0.2), opt_float("p_minus", 0.8))
     beta_dot0 = opt_float("beta_dot0")
     if beta_dot0 is not None:
-        _check_rate("beta_dot0", beta_dot0, t_f)
+        check_rate(beta_dot0_rate(beta_dot0, t_f))
     sweep = None
     if any(k in raw for k in ("sweep_lo", "sweep_hi", "sweep_n")):
         if not all(k in raw for k in ("sweep_lo", "sweep_hi", "sweep_n")):
             raise ConfigError("sweep requires all of sweep_lo, sweep_hi, sweep_n")
-        sweep = (need_float("sweep_lo"), need_float("sweep_hi"), opt_int("sweep_n", 0, 10))
-        _check_rate("sweep_lo", sweep[0], t_f)
-        if not sweep[0] < sweep[1]:
-            raise ConfigError(f"sweep_lo must be below sweep_hi, got {sweep[0]!r} >= {sweep[1]!r}")
+        sweep = (need_float("sweep_lo"), need_float("sweep_hi"), opt_int("sweep_n", 0))
+        analysis.check_sweep(t_f, *sweep)
+    grid_n, rk4_steps = opt_int("grid_n", 1000), opt_int("rk4_steps", 10_000)
+    pulse.check_grid(grid_n)
+    dynamics.check_steps(rk4_steps)
     return RunConfig(
         t_f=t_f,
         family=family,
@@ -179,16 +163,10 @@ def parse_config(path: Path) -> RunConfig:
         gamma_mid=opt_float("gamma_mid"),
         t_a=t_a,
         beta_dot0=beta_dot0,
-        grid_n=opt_int("grid_n", 1000, 2),
-        rk4_steps=opt_int("rk4_steps", 10_000, 100),
+        grid_n=grid_n,
+        rk4_steps=rk4_steps,
         sweep=sweep,
     )
-
-
-def _check_rate(key: str, units: float, t_f: float) -> None:
-    """A beta_dot0 value, in units of pi / (2 t_f), must give a positive rate."""
-    if not beta_dot0_rate(units, t_f) > 0:
-        raise ConfigError(f"config key {key!r} must be positive, got {units!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePoint, StepTooCoarse
+from .errors import ConfigError, DegeneratePoint, StepTooCoarse
 from .pulse import _waveform
 from .schedule import SchedulePair
 
@@ -37,6 +37,7 @@ __all__ = [
     "Trajectory",
     "bloch_vector",
     "check_density_matrix",
+    "check_steps",
     "hamiltonian_at",
     "invariant_at",
     "invariant_eigenstate",
@@ -67,9 +68,9 @@ class Weights:
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.p_plus <= 1.0 and 0.0 <= self.p_minus <= 1.0):
-            raise ValueError("branch weights must lie in [0, 1]")
+            raise ConfigError("branch weights must lie in [0, 1]")
         if abs(self.p_plus + self.p_minus - 1.0) > 1e-12:
-            raise ValueError("branch weights must sum to 1")
+            raise ConfigError("branch weights must sum to 1")
 
     @property
     def difference(self) -> float:
@@ -102,15 +103,15 @@ def bloch_vector(rho: np.ndarray) -> np.ndarray:
 def check_density_matrix(
     rho: np.ndarray, *, herm_tol: float = 1e-12, trace_tol: float = 1e-12, eig_tol: float = 1e-10
 ) -> None:
-    """Raise ValueError unless rho is Hermitian, unit-trace, and PSD."""
+    """Raise ConfigError unless rho is Hermitian, unit-trace, and PSD."""
     if rho.shape != (2, 2):
-        raise ValueError("density matrix must be 2x2")
+        raise ConfigError("density matrix must be 2x2")
     if np.abs(rho - rho.conj().T).max() > herm_tol:
-        raise ValueError("density matrix is not Hermitian")
+        raise ConfigError("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > trace_tol or abs(np.trace(rho).imag) > trace_tol:
-        raise ValueError("density matrix trace is not 1")
+        raise ConfigError("density matrix trace is not 1")
     if np.linalg.eigvalsh(rho).min() < -eig_tol:
-        raise ValueError("density matrix has a negative eigenvalue")
+        raise ConfigError("density matrix has a negative eigenvalue")
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +169,7 @@ def invariant_eigenstate(pair: SchedulePair, branch: int, s: float) -> np.ndarra
             [math.sin(0.5 * g), -math.cos(0.5 * g) * complex(math.cos(b), -math.sin(b))],
             dtype=complex,
         )
-    raise ValueError("branch must be +1 or -1")
+    raise ConfigError("branch must be +1 or -1")
 
 
 def invariant_residual(pair: SchedulePair, s: float | np.ndarray) -> float | np.ndarray:
@@ -256,6 +257,12 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 # numerical integration (independent oracle)
 
+def check_steps(n_steps: int) -> None:
+    """Raise ConfigError unless n_steps, the RK4 step count, is an integer >= 100."""
+    if not (isinstance(n_steps, (int, np.integer)) and n_steps >= 100):
+        raise ConfigError(f"need an integer n_steps >= 100, got {n_steps!r}")
+
+
 def _legs(pair: SchedulePair, n_steps: int) -> list[tuple[float, float, int]]:
     a = pair.switch_fraction
     if a is None:
@@ -303,8 +310,9 @@ def _rk4(pair: SchedulePair, y0: np.ndarray, n_steps: int, generator):
     are built _BLOCK steps at a time in one array pass; only their
     application, one matrix-vector product per step, is sequential.
     Returns the n_steps + 1 s values and the (n_steps + 1, len(y0)) states,
-    y0 first.
+    y0 first. check_steps applies to n_steps.
     """
+    check_steps(n_steps)
     s = np.empty(n_steps + 1)
     y = np.empty((n_steps + 1, len(y0)), dtype=complex)
     s[0], y[0] = 0.0, y0
@@ -338,8 +346,6 @@ def evolve(pair: SchedulePair, rho0: np.ndarray, n_steps: int) -> Trajectory:
     PURITY_DRIFT_BOUND: trace and Hermiticity survive an unstable run, the
     spectrum does not.
     """
-    if n_steps < 100:
-        raise ValueError("need n_steps >= 100")
     rho0 = np.asarray(rho0, dtype=complex)
     check_density_matrix(rho0, herm_tol=1e-9, trace_tol=1e-9)
     (a, b), (c, d) = rho0
@@ -378,8 +384,6 @@ def evolve_pure(
     passage at t_a = t_f / 2 all drift past that bound at 100 steps and
     pass at 150.
     """
-    if n_steps < 100:
-        raise ValueError("need n_steps >= 100")
     psi0 = invariant_eigenstate(pair, branch, 0.0)
     s, states = _rk4(pair, psi0, n_steps, lambda h: -1j * h)
     norm_drift = np.abs(np.linalg.norm(states, axis=1) - 1.0).max()

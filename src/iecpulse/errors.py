@@ -1,6 +1,10 @@
 """Exception types shared across the package."""
 
 
+class ConfigError(ValueError):
+    """An argument lies outside the domain of the function that uses it."""
+
+
 class SingularSystem(ValueError):
     """Constraint matrix of a polynomial fit is rank-deficient."""
 

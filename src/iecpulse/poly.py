@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import SingularSystem
+from .errors import ConfigError, SingularSystem
 
 __all__ = ["Polynomial", "Condition", "fit", "solve", "misfit", "real_roots", "value_range"]
 
@@ -80,9 +80,9 @@ class Condition:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.s <= 1.0:
-            raise ValueError("condition abscissa must lie in [0, 1]")
+            raise ConfigError("condition abscissa must lie in [0, 1]")
         if self.derivative_order < 0:
-            raise ValueError("derivative order must be nonnegative")
+            raise ConfigError("derivative order must be nonnegative")
 
 
 def _condition_row(s: float, order: int, degree: int) -> np.ndarray:
@@ -105,7 +105,7 @@ def solve(conditions: Sequence[Condition], degree: int) -> Polynomial:
     or the solution overflows.
     """
     if len(conditions) != degree + 1:
-        raise ValueError(
+        raise ConfigError(
             f"need exactly {degree + 1} conditions for degree {degree}, got {len(conditions)}"
         )
     a = np.array([_condition_row(c.s, c.derivative_order, degree) for c in conditions])
@@ -161,7 +161,7 @@ def real_roots(p: Polynomial, lo: float, hi: float) -> list[float]:
     roots get one Newton step.
     """
     if not lo < hi:
-        raise ValueError("real_roots requires lo < hi")
+        raise ConfigError("real_roots requires lo < hi")
     nonzero = np.flatnonzero(p.coefficients)
     if len(nonzero) == 0 or nonzero[-1] == 0:
         return []

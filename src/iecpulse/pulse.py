@@ -50,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegeneratePoint, DivergentPulse, NoConvergence
+from .errors import ConfigError, DegeneratePoint, DivergentPulse, NoConvergence
 from .poly import Polynomial, real_roots
 from .schedule import SchedulePair
 
@@ -59,6 +59,7 @@ __all__ = [
     "omega_r_at",
     "delta_at",
     "synthesize",
+    "check_grid",
     "adiabaticity_metric",
     "lr_phase",
     "gauss_legendre",
@@ -327,7 +328,7 @@ class _Waveform:
     def switch_delta(self) -> float:
         """Detuning (times t_f) held after the antedated switch."""
         if self.switch is None:
-            raise ValueError("schedule has no antedated switch")
+            raise ConfigError("schedule has no antedated switch")
         if self._switch_delta is None:
             value = self.delta(self.switch)
             if abs(value) < 1e-9:
@@ -367,7 +368,7 @@ def delta_at(pair: SchedulePair, s: float) -> float:
 
 def _check_s(s: float) -> None:
     if not -1e-12 <= s <= 1.0 + 1e-12:
-        raise ValueError(f"s = {s!r} outside [0, 1]")
+        raise ConfigError(f"s = {s!r} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -389,11 +390,16 @@ class PulseTable:
 
 def synthesize(pair: SchedulePair, n: int) -> PulseTable:
     """Sample the waveforms, switch applied, at n+1 uniform times on [0, t_f]."""
-    if n < 2:
-        raise ValueError("need n >= 2 grid intervals")
+    check_grid(n)
     s = np.arange(n + 1) / n
     omega, delta = _waveform(pair).drive(s)
     return PulseTable(t=s * pair.t_f, s=s, omega_r=omega, delta=delta)
+
+
+def check_grid(n: int) -> None:
+    """Raise ConfigError unless n, a uniform time grid's intervals, is an integer >= 2."""
+    if not (isinstance(n, (int, np.integer)) and n >= 2):
+        raise ConfigError(f"need an integer n >= 2 grid intervals, got {n!r}")
 
 
 def adiabaticity_metric(pair: SchedulePair, s: float | np.ndarray) -> float | np.ndarray:
@@ -407,7 +413,7 @@ def adiabaticity_metric(pair: SchedulePair, s: float | np.ndarray) -> float | np
     """
     x = np.atleast_1d(np.asarray(s, dtype=float))
     if not (0.0 < x.min() and x.max() < 1.0):
-        raise ValueError("adiabaticity metric is defined at interior points")
+        raise ConfigError("adiabaticity metric is defined at interior points")
     metric = _metric(_waveform(pair), x)
     return float(metric[0]) if np.ndim(s) == 0 else metric
 
@@ -438,9 +444,9 @@ def lr_phase(pair: SchedulePair, t: float, branch: int) -> float:
     t, for a schedule that diverges on its driven segment.
     """
     if branch not in (+1, -1):
-        raise ValueError("branch must be +1 or -1")
+        raise ConfigError("branch must be +1 or -1")
     if not 0.0 <= t <= pair.t_f * (1 + 1e-12):
-        raise ValueError("t outside [0, t_f]")
+        raise ConfigError("t outside [0, t_f]")
     wave = _waveform(pair)
     s = t / pair.t_f
     if s == 0.0:

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NoCrossing, UnphysicalSchedule
+from .errors import ConfigError, NoCrossing, UnphysicalSchedule
 from .poly import Condition, Polynomial, fit, real_roots, value_range
 
 __all__ = [
@@ -34,6 +34,9 @@ __all__ = [
     "fourth_order_pair",
     "antedated_pair",
     "beta_dot0_rate",
+    "check_times",
+    "check_rate",
+    "gamma_out_of_range",
     "gamma_dot_zero_crossing",
     "critical_gamma_mid",
     "critical_t_a",
@@ -47,26 +50,36 @@ class SchedulePair:
     """A designed (gamma, beta) schedule with its physical time scale.
 
     gamma, beta are polynomials in s = t / t_f (radians). t_a, when set,
-    is the antedated switch time (same units as t_f). beta_dot0 is the
-    initial beta rate in radians per unit t.
+    is the antedated switch time (same units as t_f); check_times applies.
     """
 
     gamma: Polynomial
     beta: Polynomial
     t_f: float
     t_a: float | None
-    beta_dot0: float
 
     def __post_init__(self) -> None:
-        if not self.t_f > 0:
-            raise ValueError("t_f must be positive")
-        if self.t_a is not None and not 0 < self.t_a < self.t_f:
-            raise ValueError("t_a must lie strictly inside (0, t_f)")
+        check_times(self.t_f, self.t_a)
 
     @property
     def switch_fraction(self) -> float | None:
         """t_a / t_f, or None for passages that run to t_f."""
         return None if self.t_a is None else self.t_a / self.t_f
+
+
+def check_times(t_f: float, t_a: float | None = None) -> None:
+    """Raise ConfigError unless 0 < t_f < inf and, for a given t_a, the switch
+    fraction t_a / t_f that the fits and the switch rule use lies in (0, 1)."""
+    if not 0.0 < t_f < math.inf:
+        raise ConfigError(f"t_f must be positive and finite, got {t_f!r}")
+    if t_a is not None and not 0.0 < t_a / t_f < 1.0:
+        raise ConfigError(f"t_a must lie strictly inside (0, t_f), got {t_a!r}")
+
+
+def check_rate(beta_dot0: float) -> None:
+    """Raise ConfigError unless the initial beta rate (rad per unit t) is positive."""
+    if not beta_dot0 > 0:
+        raise ConfigError(f"beta_dot0 must be a positive rate, got {beta_dot0!r} rad per unit t")
 
 
 def _gamma_conditions() -> list[Condition]:
@@ -96,39 +109,28 @@ def _cubic_beta(beta_dot0_s: float) -> Polynomial:
 
 def third_order_pair(t_f: float) -> SchedulePair:
     """Cubic gamma/beta passage completing the inversion at t_f."""
-    gamma = fit(_gamma_conditions(), 3)
-    beta_dot0 = 1.5 * PI / t_f
-    beta = _cubic_beta(1.5 * PI)
-    return SchedulePair(gamma, beta, t_f, None, beta_dot0)
+    return SchedulePair(fit(_gamma_conditions(), 3), _cubic_beta(1.5 * PI), t_f, None)
 
 
-def fourth_order_pair(
-    t_f: float, gamma_mid: float, *, enforce_range: bool = True
-) -> SchedulePair:
+def fourth_order_pair(t_f: float, gamma_mid: float) -> SchedulePair:
     """Quartic gamma with gamma(t_f/2) = gamma_mid; beta as in the cubic family.
 
-    gamma_mid below critical_gamma_mid() makes gamma dip negative near t_f,
-    which no beta can compensate; such requests raise UnphysicalSchedule
-    unless enforce_range=False (diagnostic construction for validation).
+    gamma_mid must be finite (ConfigError). Below critical_gamma_mid() it
+    makes gamma dip negative near t_f, which no beta can compensate; such
+    requests raise UnphysicalSchedule.
     """
-    if enforce_range and gamma_mid < critical_gamma_mid() - 1e-6:
+    if not math.isfinite(gamma_mid):
+        raise ConfigError(f"gamma_mid must be finite, got {gamma_mid!r}")
+    if gamma_mid < critical_gamma_mid() - 1e-6:
         raise UnphysicalSchedule(
             f"gamma_mid={gamma_mid:.6f} is below the nonnegativity limit "
             f"{critical_gamma_mid():.6f}"
         )
     gamma = fit(_gamma_conditions() + [Condition(0.5, 0, gamma_mid)], 4)
-    beta_dot0 = 1.5 * PI / t_f
-    beta = _cubic_beta(1.5 * PI)
-    return SchedulePair(gamma, beta, t_f, None, beta_dot0)
+    return SchedulePair(gamma, _cubic_beta(1.5 * PI), t_f, None)
 
 
-def antedated_pair(
-    t_f: float,
-    t_a: float,
-    beta_dot0: float | None = None,
-    *,
-    enforce_range: bool = True,
-) -> SchedulePair:
+def antedated_pair(t_f: float, t_a: float, beta_dot0: float | None = None) -> SchedulePair:
     """Passage whose gamma reaches 0 at t_a < t_f; the drive is cut there.
 
     gamma is the quartic through the usual endpoint conditions plus
@@ -140,29 +142,35 @@ def antedated_pair(
 
     so that both the detuning at gamma = 0 and the Rabi frequency at the
     rate reversal stay finite and nonnegative. beta_dot0 defaults to
-    pi / (2 t_f) and is tunable (it controls the energy cost).
+    pi / (2 t_f) and is tunable (it controls the energy cost); a given one
+    must be finite, and check_times and check_rate apply (ConfigError).
 
-    With enforce_range=True (default) schedules whose gamma leaves
-    [-pi, pi] raise UnphysicalSchedule; t_a below critical_t_a() * t_f
-    trips this. Pass enforce_range=False to construct such a pair anyway
-    for diagnostic validation.
+    Schedules whose gamma leaves [-pi, pi] raise UnphysicalSchedule; t_a
+    below critical_t_a() * t_f trips this.
     """
+    check_times(t_f, t_a)
     if beta_dot0 is None:
         beta_dot0 = 0.5 * PI / t_f
-    if not beta_dot0 > 0:
-        raise ValueError("beta_dot0 must be positive")
+    elif not math.isfinite(beta_dot0):
+        raise ConfigError(f"beta_dot0 must be a finite rate, got {beta_dot0!r} rad per unit t")
+    check_rate(beta_dot0)
     a = t_a / t_f
-    if not 0.0 < a < 1.0:
-        raise ValueError("t_a must lie strictly inside (0, t_f)")
     gamma = _antedated_gamma(a)
-    if enforce_range and value_range(gamma, 0.0, 1.0)[0] < -PI - 1e-9:
+    if gamma_out_of_range(gamma) is not None:
         raise UnphysicalSchedule(
             f"gamma dips below -pi for t_a = {t_a!r} "
             f"(antedating earlier than {critical_t_a():.6f} t_f)"
         )
     t_s = gamma_dot_zero_crossing(gamma)
     beta = fit(_antedated_beta_conditions(a, t_s, beta_dot0 * t_f), 5)
-    return SchedulePair(gamma, beta, t_f, t_a, beta_dot0)
+    return SchedulePair(gamma, beta, t_f, t_a)
+
+
+def gamma_out_of_range(gamma: Polynomial) -> tuple[float, float] | None:
+    """gamma's range on [0, 1] (exact, from its stationary points) if it leaves
+    [-pi, pi], else None; a dip below -pi is a singularity no beta compensates."""
+    lo, hi = value_range(gamma, 0.0, 1.0)
+    return None if lo >= -PI - 1e-9 and hi <= PI + 1e-9 else (lo, hi)
 
 
 def beta_dot0_rate(units, t_f: float):

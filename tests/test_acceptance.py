@@ -157,7 +157,7 @@ def test_criterion_6_usual_passage_cost():
         ],
         3,
     )
-    slow = dataclasses.replace(ip.third_order_pair(1.0), beta=slow_beta, beta_dot0=PI / 10)
+    slow = dataclasses.replace(ip.third_order_pair(1.0), beta=slow_beta)
     print(
         f"ACCEPTANCE  6 finding: reported 3.1482 ~ cubic-family area {ip.energy_cost(slow):.6f} at "
         f"beta_dot0 = pi/(10 t_f), whose delta(0) * t_f = {ip.delta_at(slow, 0.0):.6f} "

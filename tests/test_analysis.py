@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from iecpulse import analysis, pulse
+from iecpulse import analysis, pulse, schedule
 from iecpulse.analysis import (
     _Sweep,
     _sweep_point,
@@ -18,8 +18,9 @@ from iecpulse.analysis import (
 )
 from iecpulse.dynamics import Weights, bloch_vector, fidelity
 from iecpulse.errors import DivergentPulse, NoConvergence, NoFeasiblePoint
-from iecpulse.poly import Polynomial, real_roots
+from iecpulse.poly import Condition, Polynomial, fit, real_roots
 from iecpulse.schedule import SchedulePair, antedated_pair, fourth_order_pair, third_order_pair
+from iecpulse.schedule import gamma_dot_zero_crossing
 
 PI = math.pi
 W = Weights(0.2, 0.8)
@@ -117,14 +118,20 @@ def test_validate_third_order_all_clear():
 
 
 def test_validate_flags_early_antedating():
-    pair = antedated_pair(1.0, 0.25, enforce_range=False)
+    # antedated_pair(1.0, 0.25) built from its fits, past the range rule
+    gamma = schedule._antedated_gamma(0.25)
+    t_s = gamma_dot_zero_crossing(gamma)
+    beta = fit(schedule._antedated_beta_conditions(0.25, t_s, 0.5 * PI), 5)
+    pair = SchedulePair(gamma, beta, 1.0, 0.25)
     report = validate_schedule(pair)
     assert not report.gamma_range_ok
     assert not report.feasible
 
 
 def test_validate_flags_subcritical_fourth_order():
-    pair = fourth_order_pair(1.0, 2 * PI / 7, enforce_range=False)
+    # fourth_order_pair(1.0, 2 pi / 7) built from its fits, past the range rule
+    gamma = fit(schedule._gamma_conditions() + [Condition(0.5, 0, 2 * PI / 7)], 4)
+    pair = SchedulePair(gamma, schedule._cubic_beta(1.5 * PI), 1.0, None)
     with pytest.raises(DivergentPulse, match=r"waveform diverges at s = 0\.905455"):
         validate_schedule(pair)
 
@@ -142,7 +149,7 @@ def _cubic_rate_pair(gap):
     """gamma_dot = -((s - 1/2)^2 - gap) and beta = -0.001: omega_r is about
     1000 ((s - 1/2)^2 - gap), and gamma stays near pi/2."""
     gamma = Polynomial([PI / 2, -(0.25 - gap), 0.5, -1.0 / 3.0])
-    return SchedulePair(gamma, Polynomial([-0.001]), 1.0, None, 0.0)
+    return SchedulePair(gamma, Polynomial([-0.001]), 1.0, None)
 
 
 def test_omega_r_sign_is_decided_between_rate_zeros(monkeypatch):
@@ -189,7 +196,7 @@ def test_sweep_counts_unbuildable_schedules_as_infeasible():
 
 
 def test_sweep_decides_and_costs_as_per_schedule_path():
-    for frac in (0.2551, 0.3, 0.45, 0.6, 0.71, 0.77, 0.85):
+    for frac in (0.25, 0.2551, 0.3, 0.45, 0.6, 0.71, 0.77, 0.85):  # 0.25: gamma below -pi
         sweep = _Sweep(1.0, frac)
         units = np.linspace(0.25, 10.0, 40)
         cost, ok = sweep.evaluate(units)

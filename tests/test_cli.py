@@ -106,6 +106,8 @@ def test_exit_code_infeasible(tmp_path, capsys):
         ("synth", "t_f = inf\nfamily = third\n"),
         ("synth", "t_f = nan\nfamily = third\n"),
         ("synth", "t_f = 1\nfamily = antedated\nt_a = 0.5\nbeta_dot0 = -inf\n"),
+        # 1e308 units of pi / (2 t_f) overflow to an infinite rate
+        ("synth", "t_f = 0.5\nfamily = antedated\nt_a = 0.25\nbeta_dot0 = 1e308\n"),
         ("synth", "t_f = 1\nfamily = third\ngrid_n = 1\n"),
         ("evolve", "t_f = 1\nfamily = third\nrk4_steps = 99\n"),
         ("sweep", ANTE_CFG.replace("sweep_n = 12", "sweep_n = 9")),
@@ -121,12 +123,20 @@ def test_exit_code_infeasible(tmp_path, capsys):
         ("sweep", ANTE_CFG.replace("sweep_lo = 4.5", "sweep_lo = 0")),
         ("sweep", ANTE_CFG.replace("sweep_lo = 4.5", "sweep_lo = -1")),
         ("sweep", ANTE_CFG.replace("family = antedated", "family = third")),
+        # a subcommand that does not read a key still rejects its bad value
+        ("check", "t_f = 1\nfamily = third\nt_a = 5\n"),
+        ("synth", THIRD_CFG + "beta_dot0 = 0\n"),
+        ("check", THIRD_CFG.replace("grid_n = 400", "grid_n = 1")),
+        ("sweep", ANTE_CFG.replace("rk4_steps = 1000", "rk4_steps = 99")),
+        ("synth", ANTE_CFG.replace("sweep_n = 12", "sweep_n = 9")),
     ],
     ids=[
-        "t_f-inf", "t_f-nan", "beta_dot0-inf", "grid_n", "rk4_steps", "sweep_n",
+        "t_f-inf", "t_f-nan", "beta_dot0-inf", "beta_dot0-rate-overflow", "grid_n", "rk4_steps",
+        "sweep_n",
         "t_a-2", "t_a-1", "t_a-0", "t_a-negative", "sweep-t_a-1", "beta_dot0-0",
         "beta_dot0-negative", "sweep_lo-equals-hi", "sweep_lo-above-hi", "sweep_lo-0",
-        "sweep_lo-negative", "sweep-family-third",
+        "sweep_lo-negative", "sweep-family-third", "unread-t_a", "unread-beta_dot0",
+        "unread-grid_n", "unread-rk4_steps", "unread-sweep_n",
     ],
 )
 def test_invalid_config_exits_1(tmp_path, capsys, command, text):
@@ -245,8 +255,8 @@ DOCUMENTED_EXIT = {
 
 @pytest.mark.parametrize(
     "error",
-    [c for _, c in inspect.getmembers(errors, inspect.isclass) if c.__module__ == errors.__name__]
-    + [ConfigError],
+    [c for _, c in inspect.getmembers(errors, inspect.isclass)
+     if c.__module__ == errors.__name__],
     ids=lambda c: c.__name__,
 )
 def test_every_error_type_maps_to_its_exit_code(tmp_path, capsys, monkeypatch, error):
@@ -318,7 +328,7 @@ def _assert_no_nan_csv(out):
 
 def test_evolve_level_crossing_exits_3(tmp_path, capsys, monkeypatch):
     # constant angles: omega_r = delta = 0, so the adiabatic reference is undefined
-    crossing = SchedulePair(Polynomial([1.0]), Polynomial([-1.2]), 1.0, None, 0.3)
+    crossing = SchedulePair(Polynomial([1.0]), Polynomial([-1.2]), 1.0, None)
     monkeypatch.setattr(RunConfig, "build_pair", lambda self: crossing)
     out = tmp_path / "out"
     code = main(["evolve", "--config", str(_write(tmp_path, THIRD_CFG)), "--out", str(out)])

@@ -271,7 +271,7 @@ def test_state_arrays_match_scalar_calls(request, name, state):
 
 def test_adiabatic_state_array_at_level_crossing():
     # constant angles: omega_r = delta = 0 everywhere
-    crossing = SchedulePair(Polynomial([1.0]), Polynomial([-1.2]), 1.0, None, 0.3)
+    crossing = SchedulePair(Polynomial([1.0]), Polynomial([-1.2]), 1.0, None)
     with pytest.raises(DegeneratePoint):
         adiabatic_state(crossing, W, np.linspace(0.0, 1.0, 11))
 

@@ -127,7 +127,7 @@ def test_synthesize_rejects_tiny_grid(third):
 def test_divergent_pulse_on_uncompensated_schedule():
     # beta crosses zero at s = 0.3 where the gamma rate does not vanish
     broken = SchedulePair(
-        Polynomial([PI, 0, -3 * PI, 2 * PI]), Polynomial([-0.3, 1.0]), 1.0, None, 1.0
+        Polynomial([PI, 0, -3 * PI, 2 * PI]), Polynomial([-0.3, 1.0]), 1.0, None
     )
     with pytest.raises(DivergentPulse):
         omega_r_at(broken, 0.3)
@@ -137,14 +137,14 @@ def test_degenerate_switch_warns():
     # linear gamma through zero at t_a with beta pinned at -pi/2 gives an
     # identically zero detuning, so the switched Hamiltonian is degenerate
     degenerate = SchedulePair(
-        Polynomial([PI, -2 * PI]), Polynomial([-PI / 2]), 1.0, 0.5, 0.1
+        Polynomial([PI, -2 * PI]), Polynomial([-PI / 2]), 1.0, 0.5
     )
     with pytest.warns(UserWarning, match="degenerate"):
         synthesize(degenerate, 100)
 
 
 def test_adiabaticity_metric_static_pulse():
-    static = SchedulePair(Polynomial([2.0]), Polynomial([-1.2, 0.3]), 1.0, None, 0.3)
+    static = SchedulePair(Polynomial([2.0]), Polynomial([-1.2, 0.3]), 1.0, None)
     assert adiabaticity_metric(static, 0.4) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -198,7 +198,7 @@ def test_adiabaticity_metric_domain(third):
 
 def test_adiabaticity_metric_level_crossing():
     # constant angles: omega_r = delta = 0 everywhere, so Omega vanishes
-    crossing = SchedulePair(Polynomial([1.0]), Polynomial([-1.2]), 1.0, None, 0.3)
+    crossing = SchedulePair(Polynomial([1.0]), Polynomial([-1.2]), 1.0, None)
     with pytest.raises(DegeneratePoint):
         adiabaticity_metric(crossing, 0.4)
     with pytest.raises(DegeneratePoint):

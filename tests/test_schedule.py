@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+from iecpulse import schedule
 from iecpulse.errors import NoCrossing, UnphysicalSchedule
-from iecpulse.poly import Polynomial
+from iecpulse.poly import Condition, Polynomial, fit
 from iecpulse.schedule import (
+    SchedulePair,
     antedated_pair,
     critical_gamma_mid,
     critical_t_a,
@@ -16,6 +18,20 @@ from iecpulse.schedule import (
 )
 
 PI = math.pi
+
+
+def _fourth_unchecked(gamma_mid):
+    """fourth_order_pair(1.0, gamma_mid) built from its fits, past the range rule."""
+    gamma = fit(schedule._gamma_conditions() + [Condition(0.5, 0, gamma_mid)], 4)
+    return SchedulePair(gamma, schedule._cubic_beta(1.5 * PI), 1.0, None)
+
+
+def _antedated_unchecked(t_a):
+    """antedated_pair(1.0, t_a) built from its fits, past the range rule."""
+    gamma = schedule._antedated_gamma(t_a)
+    t_s = gamma_dot_zero_crossing(gamma)
+    beta = fit(schedule._antedated_beta_conditions(t_a, t_s, 0.5 * PI), 5)
+    return SchedulePair(gamma, beta, 1.0, t_a)
 
 
 def _assert_endpoint_conditions(pair):
@@ -88,7 +104,7 @@ def test_fourth_order_below_limit_rejected():
 
 
 def test_fourth_order_diagnostic_construction():
-    pair = fourth_order_pair(1.0, 2 * PI / 7, enforce_range=False)
+    pair = _fourth_unchecked(2 * PI / 7)
     assert pair.gamma(0.5) == pytest.approx(2 * PI / 7, abs=1e-12)
 
 
@@ -149,7 +165,8 @@ def test_gamma_dot_zero_crossing_skips_tangency():
 
 def test_antedated_default_beta_dot0():
     pair = antedated_pair(2.0, 1.0)
-    assert pair.beta_dot0 == pytest.approx(PI / 4)  # pi / (2 t_f) with t_f = 2
+    # pi / (2 t_f) per unit t, with t_f = 2: pi / 2 per unit s
+    assert pair.beta.derivative()(0.0) == pytest.approx(PI / 2)
 
 
 def test_antedated_too_early_rejected():
@@ -158,7 +175,7 @@ def test_antedated_too_early_rejected():
 
 
 def test_antedated_too_early_diagnostic_construction():
-    pair = antedated_pair(1.0, 0.25, enforce_range=False)
+    pair = _antedated_unchecked(0.25)
     s = np.linspace(0, 1, 4001)
     assert pair.gamma(s).min() < -PI  # the pathology the range check guards
 
@@ -202,7 +219,7 @@ def test_critical_gamma_mid_is_positivity_threshold():
     s = np.linspace(0.0, 1.0, 20001)
     above = fourth_order_pair(1.0, critical_gamma_mid() + 0.01)
     assert above.gamma(s).min() >= -1e-12
-    below = fourth_order_pair(1.0, critical_gamma_mid() - 0.01, enforce_range=False)
+    below = _fourth_unchecked(critical_gamma_mid() - 0.01)
     assert below.gamma(s).min() < 0.0
 
 
