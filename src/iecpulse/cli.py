@@ -23,8 +23,9 @@ Recognized keys:
                family=antedated only; 0 < sweep_lo < sweep_hi, sweep_n at
                least 10)
 
-Unknown keys and non-finite numbers are an error; each other rule above is
-the library's, raised as iecpulse.ConfigError where the value is used and
+Unknown keys, values not of their key's type (_KEYS) and non-finite numbers
+are an error; every value is converted first. Each other rule above is the
+library's, raised as iecpulse.ConfigError where the value is used and
 applied to every key present before any work. Frequencies in emitted
 CSVs are in units of 1/t_f; t_f itself is echoed in summary.txt. Outputs
 contain no timestamps, so identical configs produce byte-identical files.
@@ -63,10 +64,12 @@ EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
 EXIT_NUMERICAL = 3
 
-_FLOAT_KEYS = {"t_f", "gamma_mid", "t_a", "beta_dot0", "p_plus", "p_minus", "sweep_lo", "sweep_hi"}
-_INT_KEYS = {"grid_n", "rk4_steps", "sweep_n"}
-_STR_KEYS = {"family"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
+#: Each config key and the type of its value; values are converted in this order.
+_KEYS = {
+    "t_f": float, "family": str, "t_a": float, "p_plus": float, "p_minus": float,
+    "beta_dot0": float, "sweep_lo": float, "sweep_hi": float, "sweep_n": int,
+    "grid_n": int, "rk4_steps": int, "gamma_mid": float,
+}
 
 
 @dataclass
@@ -94,6 +97,20 @@ class RunConfig:
         return antedated_pair(self.t_f, self.t_a, beta_dot0)
 
 
+def _value(key: str, text: str):
+    """key's value: text converted to its type in _KEYS. ConfigError unless a
+    float key's text is a finite number and an int key's an integer."""
+    kind = _KEYS[key]
+    try:
+        value = kind(text)
+    except ValueError as exc:
+        noun = "a number" if kind is float else "an integer"
+        raise ConfigError(f"config key {key!r}: not {noun}: {text!r}") from exc
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"config key {key!r}: not finite: {text!r}")
+    return value
+
+
 def parse_config(path: Path) -> RunConfig:
     raw: dict[str, str] = {}
     try:
@@ -107,66 +124,39 @@ def parse_config(path: Path) -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         raw[key] = value
 
-    def need_float(key: str) -> float:
-        try:
-            value = float(raw[key])
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: not a number: {raw[key]!r}") from exc
-        if not math.isfinite(value):
-            raise ConfigError(f"config key {key!r}: not finite: {raw[key]!r}")
-        return value
-
-    def opt_float(key: str, default: float | None = None) -> float | None:
-        return need_float(key) if key in raw else default
-
-    def opt_int(key: str, default: int) -> int:
+    for key in ("t_f", "family"):
         if key not in raw:
-            return default
-        try:
-            return int(raw[key])
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: not an integer: {raw[key]!r}") from exc
-
-    if "t_f" not in raw:
-        raise ConfigError("config requires t_f")
-    if "family" not in raw:
-        raise ConfigError("config requires family")
-    t_f = need_float("t_f")
-    family = raw["family"]
-    if family not in ("third", "fourth", "antedated"):
-        raise ConfigError(f"family must be third|fourth|antedated, got {family!r}")
-    t_a = opt_float("t_a")
-    check_times(t_f, t_a)
-    weights = dynamics.Weights(opt_float("p_plus", 0.2), opt_float("p_minus", 0.8))
-    beta_dot0 = opt_float("beta_dot0")
-    if beta_dot0 is not None:
-        check_rate(beta_dot0_rate(beta_dot0, t_f))
-    sweep = None
-    if any(k in raw for k in ("sweep_lo", "sweep_hi", "sweep_n")):
-        if not all(k in raw for k in ("sweep_lo", "sweep_hi", "sweep_n")):
-            raise ConfigError("sweep requires all of sweep_lo, sweep_hi, sweep_n")
-        sweep = (need_float("sweep_lo"), need_float("sweep_hi"), opt_int("sweep_n", 0))
-        analysis.check_sweep(t_f, *sweep)
-    grid_n, rk4_steps = opt_int("grid_n", 1000), opt_int("rk4_steps", 10_000)
-    pulse.check_grid(grid_n)
-    dynamics.check_steps(rk4_steps)
-    return RunConfig(
-        t_f=t_f,
-        family=family,
-        weights=weights,
-        gamma_mid=opt_float("gamma_mid"),
-        t_a=t_a,
-        beta_dot0=beta_dot0,
-        grid_n=grid_n,
-        rk4_steps=rk4_steps,
-        sweep=sweep,
+            raise ConfigError(f"config requires {key}")
+    values = {key: _value(key, raw[key]) for key in _KEYS if key in raw}
+    if values["family"] not in ("third", "fourth", "antedated"):
+        raise ConfigError(f"family must be third|fourth|antedated, got {values['family']!r}")
+    check_times(values["t_f"], values.get("t_a"))
+    cfg = RunConfig(
+        t_f=values["t_f"],
+        family=values["family"],
+        weights=dynamics.Weights(values.get("p_plus", 0.2), values.get("p_minus", 0.8)),
+        gamma_mid=values.get("gamma_mid"),
+        t_a=values.get("t_a"),
+        beta_dot0=values.get("beta_dot0"),
+        grid_n=values.get("grid_n", 1000),
+        rk4_steps=values.get("rk4_steps", 10_000),
+        sweep=tuple(values[k] for k in ("sweep_lo", "sweep_hi", "sweep_n") if k in values) or None,
     )
+    if cfg.beta_dot0 is not None:
+        check_rate(beta_dot0_rate(cfg.beta_dot0, cfg.t_f))
+    if cfg.sweep is not None:
+        if len(cfg.sweep) < 3:
+            raise ConfigError("sweep requires all of sweep_lo, sweep_hi, sweep_n")
+        analysis.check_sweep(cfg.t_f, *cfg.sweep)
+    pulse.check_grid(cfg.grid_n)
+    dynamics.check_steps(cfg.rk4_steps)
+    return cfg
 
 
 # ---------------------------------------------------------------------------

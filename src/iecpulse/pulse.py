@@ -297,16 +297,16 @@ class _Waveform:
         """Detuning times t_f."""
         return self.cot_term(s) - float(self.dbeta(s))
 
-    # -- vectorized grid evaluators ---------------------------------------
+    # -- vectorized evaluators: s real, or complex s + i h (complex step) --
 
     def omega_many(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        self.check_finite(s.min(), s.max(), self.omega_divergent)
+        s = np.asarray(s, dtype=complex if np.iscomplexobj(s) else float)
+        self.check_finite(s.real.min(), s.real.max(), self.omega_divergent)
         return self._each(_omega, s)
 
     def delta_many(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        self.check_finite(s.min(), s.max(), self.cot_divergent)
+        s = np.asarray(s, dtype=complex if np.iscomplexobj(s) else float)
+        self.check_finite(s.real.min(), s.real.max(), self.cot_divergent)
         return self._each(_cot, s) - self.dbeta(s)
 
     # -- the antedated switch ----------------------------------------------
@@ -421,11 +421,11 @@ def adiabaticity_metric(pair: SchedulePair, s: float | np.ndarray) -> float | np
 def _metric(wave: _Waveform, s: np.ndarray) -> np.ndarray:
     """The adiabaticity metric at every sample of s. omega_r and delta are
     evaluated once, at s + i h: the real parts are their values and Im / h
-    their rates, with no difference to cancel (complex step)."""
-    wave.check_finite(s.min(), s.max(), wave.omega_divergent | wave.cot_divergent)
+    their rates, with no difference to cancel (complex step). delta goes
+    first: it diverges wherever omega_r does, so it names the first station."""
     h = 1e-30
-    om = wave._each(_omega, s + 1j * h)
-    dl = wave._each(_cot, s + 1j * h) - wave.dbeta(s + 1j * h)
+    dl = wave.delta_many(s + 1j * h)
+    om = wave.omega_many(s + 1j * h)
     gen = np.hypot(om.real, dl.real)
     if gen.min() < 1e-12:
         raise DegeneratePoint(f"generalized Rabi frequency vanishes at s = {s[gen.argmin()]:.6g}")

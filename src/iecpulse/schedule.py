@@ -115,10 +115,11 @@ def third_order_pair(t_f: float) -> SchedulePair:
 def fourth_order_pair(t_f: float, gamma_mid: float) -> SchedulePair:
     """Quartic gamma with gamma(t_f/2) = gamma_mid; beta as in the cubic family.
 
-    gamma_mid must be finite (ConfigError). Below critical_gamma_mid() it
-    makes gamma dip negative near t_f, which no beta can compensate; such
-    requests raise UnphysicalSchedule.
+    check_times applies to t_f and gamma_mid must be finite (ConfigError).
+    Below critical_gamma_mid() gamma_mid makes gamma dip negative near t_f,
+    which no beta can compensate; such requests raise UnphysicalSchedule.
     """
+    check_times(t_f)
     if not math.isfinite(gamma_mid):
         raise ConfigError(f"gamma_mid must be finite, got {gamma_mid!r}")
     if gamma_mid < critical_gamma_mid() - 1e-6:
@@ -213,23 +214,15 @@ def gamma_dot_zero_crossing(gamma: Polynomial) -> float:
     return crossings[0]
 
 
-@lru_cache(maxsize=1)
 def critical_gamma_mid() -> float:
     """Smallest midpoint value keeping the quartic gamma nonnegative on [0, t_f].
 
     Below this threshold the quartic develops a negative dip just before
     t_f; the dip hugs the structural double root at t_f, so right at the
     threshold it degenerates into a triple root there, where the terminal
-    curvature vanishes. The curvature is affine in gamma_mid, because
-    gamma_mid enters the fit only through its right-hand side, so two fits
-    give the threshold exactly (5 pi / 16).
+    curvature vanishes: gamma = pi (1 - s)^3 (1 + 3 s), 5 pi / 16 at s = 1/2.
     """
-    def curvature_end(mid: float) -> float:
-        g = fit(_gamma_conditions() + [Condition(0.5, 0, mid)], 4)
-        return float(g.derivative().derivative()(1.0))
-
-    at_zero = curvature_end(0.0)
-    return at_zero / (at_zero - curvature_end(1.0))
+    return 5 * PI / 16
 
 
 @lru_cache(maxsize=1)

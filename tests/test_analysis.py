@@ -4,8 +4,10 @@ import time
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from iecpulse import analysis, pulse, schedule
+from iecpulse import analysis, errors, pulse, schedule
 from iecpulse.analysis import (
     _Sweep,
     _sweep_point,
@@ -17,7 +19,8 @@ from iecpulse.analysis import (
     validate_schedule,
 )
 from iecpulse.dynamics import Weights, bloch_vector, fidelity
-from iecpulse.errors import DivergentPulse, NoConvergence, NoFeasiblePoint
+from iecpulse.errors import DivergentPulse, NoConvergence, NoCrossing, NoFeasiblePoint
+from iecpulse.errors import SingularSystem
 from iecpulse.poly import Condition, Polynomial, fit, real_roots
 from iecpulse.schedule import SchedulePair, antedated_pair, fourth_order_pair, third_order_pair
 from iecpulse.schedule import gamma_dot_zero_crossing
@@ -207,6 +210,46 @@ def test_sweep_decides_and_costs_as_per_schedule_path():
                 assert c == pytest.approx(ref, rel=1e-7)
             else:
                 assert math.isnan(c)
+
+
+def _sweep_decision(t_f, t_a, units):
+    """(cost, feasible) of one beta_dot0 by _Sweep; a _Sweep that cannot be
+    built makes every candidate infeasible, as in sweep_beta_dot0."""
+    try:
+        sweep = _Sweep(t_f, t_a)
+    except (SingularSystem, NoCrossing):
+        return math.nan, False
+    cost, ok = sweep.evaluate(np.array([units]))
+    return float(cost[0]), bool(ok[0])
+
+
+def _evenly(lo, hi):
+    """A float on [lo, hi] whose 256th part is drawn evenly (Hypothesis's
+    floats and long ranges favour their ends; sampled_from draws a short
+    list's index evenly), and its place in that part by st.floats."""
+    return st.tuples(st.sampled_from(range(256)), st.floats(0.0, 1.0)).map(
+        lambda kx: lo + (hi - lo) * (kx[0] + kx[1]) / 256)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(frac=_evenly(0.2, 0.99), units=_evenly(0.05, 10.0),
+       t_f=_evenly(-3.0, 3.0).map(lambda e: 10.0**e))
+@example(frac=schedule.critical_t_a() * (1 + 1e-9), units=4.0, t_f=1.0)  # a*
+@example(frac=0.77376, units=5.0, t_f=37.0)  # where the band empties
+def test_sweep_agrees_with_per_schedule_path_over_the_design_space(frac, units, t_f):
+    try:
+        cost, ok = _sweep_decision(t_f, frac * t_f, units)
+        ref, ref_ok = _sweep_point(t_f, frac * t_f, units)
+        unit_cost, unit_ok = _sweep_decision(1.0, frac, units)
+    except Exception as exc:  # only the package's typed errors may escape
+        assert type(exc).__module__ == errors.__name__, repr(exc)
+        return
+    assert ok == ref_ok == unit_ok
+    if ok:
+        assert cost == pytest.approx(ref, rel=1e-7)
+        assert cost == pytest.approx(unit_cost, rel=1e-9)  # dimensionless: no t_f
+    else:
+        assert math.isnan(cost)
 
 
 def test_detuning_policy_decides_pinned_point():

@@ -39,6 +39,8 @@ def _third_pair_at(t_f, t_a):
         (lambda: third_order_pair(math.inf), "t_f"),
         (lambda: fourth_order_pair(1.0, math.nan), "gamma_mid"),
         (lambda: fourth_order_pair(1.0, math.inf), "gamma_mid"),
+        # t_f is checked before gamma_mid's range rule
+        (lambda: fourth_order_pair(-1.0, 0.1), "t_f"),
         (lambda: antedated_pair(1.0, 0.5, math.inf), "beta_dot0"),
         (lambda: antedated_pair(math.inf, 1.0), "t_f"),
         (lambda: synthesize(third_order_pair(1.0), 2.5), "grid intervals"),
@@ -51,9 +53,10 @@ def _third_pair_at(t_f, t_a):
         (lambda: sweep_beta_dot0(1e308, 1e-20, 4.5, 6.0, 10), "t_a"),
     ],
     ids=[
-        "third-t_f-inf", "fourth-gamma_mid-nan", "fourth-gamma_mid-inf", "antedated-beta_dot0-inf",
-        "antedated-t_f-inf", "synthesize-n-2.5", "compare-n-0", "compare-n-1", "sweep-hi-inf",
-        "pair-t_a-underflow", "antedated-t_a-underflow", "sweep-t_a-underflow",
+        "third-t_f-inf", "fourth-gamma_mid-nan", "fourth-gamma_mid-inf", "fourth-t_f-negative",
+        "antedated-beta_dot0-inf", "antedated-t_f-inf", "synthesize-n-2.5", "compare-n-0",
+        "compare-n-1", "sweep-hi-inf", "pair-t_a-underflow", "antedated-t_a-underflow",
+        "sweep-t_a-underflow",
     ],
 )
 def test_bad_argument_raises_config_error(call, names):
@@ -150,3 +153,23 @@ def test_cli_config_fuzz(command, text):
         else:
             assert err.getvalue().startswith("iecpulse: ")
             assert not out.exists() or not any(out.iterdir())
+
+
+def _parsed(text: str):
+    """parse_config's RunConfig for a config text, or its ConfigError message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text(text)
+        try:
+            return cli.parse_config(path)
+        except ConfigError as exc:
+            return str(exc)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(text=_configs(), data=st.data())
+def test_parse_config_does_not_depend_on_line_order(text, data):
+    # every value is converted, and every rule applied, in one fixed order
+    lines = text.splitlines()
+    shuffled = "\n".join(data.draw(st.permutations(lines))) + "\n"
+    assert _parsed(shuffled) == _parsed(text)

@@ -186,10 +186,17 @@ def test_antedated_invalid_t_a():
 
 
 def test_critical_gamma_mid_value():
-    # reported as 2 pi / 6.40175; the exact threshold is 5 pi / 16
+    # reported as 2 pi / 6.40175. The threshold is where the quartic's
+    # curvature at t_f vanishes; it is affine in gamma_mid (which enters the
+    # fit only on the right-hand side), so two fits locate its zero.
+    def curvature_end(mid):
+        gamma = fit(schedule._gamma_conditions() + [Condition(0.5, 0, mid)], 4)
+        return gamma.derivative().derivative()(1.0)
+
+    at_zero, at_one = curvature_end(0.0), curvature_end(1.0)
     value = critical_gamma_mid()
     assert value == pytest.approx(2 * PI / 6.40175, rel=1e-3)
-    assert value == pytest.approx(5 * PI / 16, abs=1e-14)
+    assert value == pytest.approx(at_zero / (at_zero - at_one), abs=1e-14)
 
 
 def test_critical_t_a_matches_mpmath():
