@@ -23,8 +23,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .dynamics import Weights, adiabatic_state, invariant_state
-from .errors import ConfigError, DivergentPulse, NoConvergence, NoCrossing, NoFeasiblePoint
-from .errors import SingularSystem, UnphysicalSchedule
+from .errors import ConfigError, DivergentPulse, Infeasible, NoConvergence, NoFeasiblePoint
 from .poly import FIT_TOL, Condition, Polynomial, misfit, real_roots, solve
 from .pulse import _metric, _waveform, check_grid, gauss_legendre
 from .schedule import SchedulePair, _antedated_beta_conditions, _antedated_gamma, antedated_pair
@@ -184,7 +183,7 @@ def _sweep_point(t_f: float, t_a: float, units: float) -> tuple[float, bool]:
         if not validate_schedule(pair).feasible:
             return math.nan, False
         return energy_cost(pair), True
-    except (SingularSystem, UnphysicalSchedule, NoCrossing, NoConvergence, DivergentPulse):
+    except (Infeasible, DivergentPulse, NoConvergence):
         return math.nan, False
 
 
@@ -284,6 +283,13 @@ def _band(b0: Polynomial, b1: Polynomial, s_end: float) -> tuple[float, float]:
     piece of b1 that ratio runs off to the infinity that bounds nothing, so
     its binding values lie at its stationary points, the roots of
     b0' b1 - (b0 - c) b1'.
+
+    The band is the waveform build's verdict. With a = s_end the antedated
+    gamma is pi (1-s)^2 (1 + 2s + k s^2), k = -(1+2a)/a^2, of rate
+    pi s (1-s) (2k (1-2s) - 6) < 0 on (0, t_s), t_s = 1/2 - 3/(2k), and
+    t_s - a = (1-a^2)/(2+4a) > 0. So the build rejects a zero of sin(beta) on
+    (0, a] as divergent; as beta(0) = beta(a) = -pi/2, a schedule (gamma in
+    range) builds exactly for b in the band, where omega_r > 0.
     """
     for s in real_roots(b1, 0.0, s_end):
         if 0.0 < s < s_end and not -math.pi < b0(s) < 0.0:
@@ -331,7 +337,7 @@ def sweep_beta_dot0(t_f: float, t_a: float, lo: float, hi: float, n: int) -> Swe
     units = np.linspace(lo, hi, n)
     try:
         sweep = _Sweep(t_f, t_a)
-    except (SingularSystem, NoCrossing):
+    except Infeasible:
         raise NoFeasiblePoint(f"no feasible beta_dot0 in [{lo}, {hi}] for t_a = {t_a}") from None
     cost, feasible = sweep.evaluate(units)
     kept = np.flatnonzero(feasible)

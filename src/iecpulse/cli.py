@@ -17,8 +17,8 @@ Recognized keys:
     beta_dot0  initial beta rate in units of pi / (2 t_f), > 0 (antedated only)
     p_plus     upper-branch weight (default 0.2)
     p_minus    lower-branch weight (default 0.8)
-    grid_n     output grid intervals (default 1000, at least 2)
-    rk4_steps  integrator steps (default 10000, at least 100)
+    grid_n     output grid intervals (default 1000, 2 to 10**6)
+    rk4_steps  integrator steps (default 10000, 100 to 10**6)
     sweep_lo, sweep_hi, sweep_n   beta_dot0 sweep grid (sweep subcommand,
                family=antedated only; 0 < sweep_lo < sweep_hi, sweep_n at
                least 10)
@@ -29,9 +29,10 @@ library's, raised as iecpulse.ConfigError where the value is used and
 applied to every key present before any work. Frequencies in emitted
 CSVs are in units of 1/t_f; t_f itself is echoed in summary.txt. Outputs
 contain no timestamps, so identical configs produce byte-identical files.
-Exit codes: 0 success, 1 config error, 2 infeasible schedule (including
-one whose fit is singular), 3 numerical failure (including a level
-crossing on the driven segment). A failed subcommand writes no files.
+Exit codes: 0 success, else the code of the error's category in iecpulse.errors:
+1 ConfigError (also a usage error or an --out that cannot be written),
+2 Infeasible, 3 NumericalFailure. main returns the code for every failure,
+and a failed subcommand writes no files.
 """
 
 from __future__ import annotations
@@ -45,17 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, dynamics, pulse
-from .errors import (
-    ConfigError,
-    DegeneratePoint,
-    DivergentPulse,
-    NoConvergence,
-    NoCrossing,
-    NoFeasiblePoint,
-    SingularSystem,
-    StepTooCoarse,
-    UnphysicalSchedule,
-)
+from .errors import ConfigError, Infeasible, NumericalFailure
 from .schedule import SchedulePair, antedated_pair, beta_dot0_rate, check_rate, check_times
 from .schedule import fourth_order_pair, third_order_pair
 
@@ -162,22 +153,15 @@ def parse_config(path: Path) -> RunConfig:
 # ---------------------------------------------------------------------------
 # output helpers (full round-trip precision, no timestamps)
 
-def _fmt(x: float) -> str:
-    value = float(x)
-    if value == 0.0:
-        value = 0.0
-    return repr(value)
-
-
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
+    # + 0.0 folds -0.0; tolist() gives Python floats (numpy 2 reprs "np.float64(...)")
+    rows = (np.column_stack(columns) + 0.0).tolist()
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
 def _write_summary(path: Path, entries: list[tuple[str, object]]) -> None:
-    lines = [f"{key} = {_fmt(v) if isinstance(v, float) else v}" for key, v in entries]
+    lines = [f"{key} = {repr(float(v) + 0.0) if isinstance(v, float) else v}" for key, v in entries]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -308,25 +292,35 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ConfigErrors, not exits."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
+_PARSER = _Parser(prog="iecpulse", description=__doc__.splitlines()[0])
+_PARSER.add_argument("command", choices=_COMMANDS)
+_PARSER.add_argument("--config", required=True, type=Path)
+_PARSER.add_argument("--out", required=True, type=Path)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="iecpulse", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, type=Path)
-        p.add_argument("--out", required=True, type=Path)
-    args = parser.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         cfg = parse_config(args.config)
-        args.out.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](cfg, args.out)
+        try:  # past the config, the only file a subcommand touches is in --out
+            args.out.mkdir(parents=True, exist_ok=True)
+            _COMMANDS[args.command](cfg, args.out)
+        except OSError as exc:
+            raise ConfigError(f"cannot write to --out {args.out}: {exc}") from exc
     except ConfigError as exc:
         print(f"iecpulse: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (UnphysicalSchedule, NoCrossing, NoFeasiblePoint, SingularSystem) as exc:
+    except Infeasible as exc:
         print(f"iecpulse: schedule infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (DivergentPulse, DegeneratePoint, NoConvergence, StepTooCoarse) as exc:
+    except NumericalFailure as exc:
         print(f"iecpulse: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

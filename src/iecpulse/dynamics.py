@@ -258,9 +258,9 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
 # numerical integration (independent oracle)
 
 def check_steps(n_steps: int) -> None:
-    """Raise ConfigError unless n_steps, the RK4 step count, is an integer >= 100."""
-    if not (isinstance(n_steps, (int, np.integer)) and n_steps >= 100):
-        raise ConfigError(f"need an integer n_steps >= 100, got {n_steps!r}")
+    """Raise ConfigError unless n_steps, the RK4 step count, is an integer in [100, 10**6]."""
+    if not (isinstance(n_steps, (int, np.integer)) and 100 <= n_steps <= 10**6):
+        raise ConfigError(f"need an integer 100 <= n_steps <= 10**6, got {n_steps!r}")
 
 
 def _legs(pair: SchedulePair, n_steps: int) -> list[tuple[float, float, int]]:

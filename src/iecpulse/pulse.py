@@ -397,9 +397,9 @@ def synthesize(pair: SchedulePair, n: int) -> PulseTable:
 
 
 def check_grid(n: int) -> None:
-    """Raise ConfigError unless n, a uniform time grid's intervals, is an integer >= 2."""
-    if not (isinstance(n, (int, np.integer)) and n >= 2):
-        raise ConfigError(f"need an integer n >= 2 grid intervals, got {n!r}")
+    """Raise ConfigError unless n, a uniform time grid's intervals, is an integer in [2, 10**6]."""
+    if not (isinstance(n, (int, np.integer)) and 2 <= n <= 10**6):
+        raise ConfigError(f"need an integer 2 <= n <= 10**6 grid intervals, got {n!r}")
 
 
 def adiabaticity_metric(pair: SchedulePair, s: float | np.ndarray) -> float | np.ndarray:

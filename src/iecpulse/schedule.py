@@ -21,9 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
 
 from .errors import ConfigError, NoCrossing, UnphysicalSchedule
 from .poly import Condition, Polynomial, fit, real_roots, value_range
@@ -92,16 +89,16 @@ def _gamma_conditions() -> list[Condition]:
     ]
 
 
-def _cubic_beta(beta_dot0_s: float) -> Polynomial:
+def _cubic_beta() -> Polynomial:
     # beta(0) = beta(1) = -pi/2 keeps the detuning finite at both ends and
-    # the Rabi frequency nonnegative; the rate conditions fix the detuning
-    # endpoint values.
+    # the Rabi frequency nonnegative; the rates -/+ 1.5 pi fix the detuning
+    # endpoint values -/+ 9 pi / (2 t_f).
     return fit(
         [
             Condition(0.0, 0, -PI / 2),
             Condition(1.0, 0, -PI / 2),
-            Condition(0.0, 1, beta_dot0_s),
-            Condition(1.0, 1, -beta_dot0_s),
+            Condition(0.0, 1, 1.5 * PI),
+            Condition(1.0, 1, -1.5 * PI),
         ],
         3,
     )
@@ -109,7 +106,7 @@ def _cubic_beta(beta_dot0_s: float) -> Polynomial:
 
 def third_order_pair(t_f: float) -> SchedulePair:
     """Cubic gamma/beta passage completing the inversion at t_f."""
-    return SchedulePair(fit(_gamma_conditions(), 3), _cubic_beta(1.5 * PI), t_f, None)
+    return SchedulePair(fit(_gamma_conditions(), 3), _cubic_beta(), t_f, None)
 
 
 def fourth_order_pair(t_f: float, gamma_mid: float) -> SchedulePair:
@@ -128,7 +125,7 @@ def fourth_order_pair(t_f: float, gamma_mid: float) -> SchedulePair:
             f"{critical_gamma_mid():.6f}"
         )
     gamma = fit(_gamma_conditions() + [Condition(0.5, 0, gamma_mid)], 4)
-    return SchedulePair(gamma, _cubic_beta(1.5 * PI), t_f, None)
+    return SchedulePair(gamma, _cubic_beta(), t_f, None)
 
 
 def antedated_pair(t_f: float, t_a: float, beta_dot0: float | None = None) -> SchedulePair:
@@ -225,23 +222,16 @@ def critical_gamma_mid() -> float:
     return 5 * PI / 16
 
 
-@lru_cache(maxsize=1)
 def critical_t_a() -> float:
     """Earliest antedating time, as a fraction of t_f, keeping gamma >= -pi.
 
     With gamma(a) = 0 the antedated quartic is gamma = pi g(s), where
-    g = (1 - s)^2 (1 + 2 s + k s^2) = 1 + (k - 3) s^2 + (2 - 2k) s^3 + k s^4
-    and k = -(1 + 2a) / a^2. At the limit the interior minimum of gamma
-    touches -pi: g(s) = -1 and g'(s) = 0, solved for (s, k) by Newton from
-    a = 1/4. Then a is the root in (0, 1) of k a^2 + 2a + 1 = 0.
+    g = (1 - s)^2 (1 + 2 s + k s^2), k = -(1 + 2a) / a^2, and
+    g' = 2 s (1 - s) (k (1 - 2s) - 3). At the limit gamma's interior minimum
+    touches -pi: g' = 0 gives k = 3 / (1 - 2s), and g = -1 then reads
+    u^4 - 2u^3 - 2u + 1 = 0 in u = 1 - s, palindromic: u + 1/u = 1 + sqrt(3).
+    So r = 2s - 1 = sqrt(2 sqrt(3)) - sqrt(3) (s = 0.5645794553), k = -3 / r,
+    and a = (1 + sqrt(1 - k)) / -k, the root in (0, 1) of k a^2 + 2a + 1 = 0.
     """
-    k = -24.0
-    s = (k - 3.0) / (2.0 * k)
-    dg_dk = Polynomial([0.0, 0.0, 1.0, -2.0, 1.0])
-    for _ in range(8):  # quadratic convergence: four steps reach rounding
-        g = Polynomial([1.0, 0.0, k - 3.0, 2.0 - 2.0 * k, k])
-        dg = g.derivative()
-        jac = [[dg(s), dg_dk(s)], [dg.derivative()(s), dg_dk.derivative()(s)]]
-        ds, dk = np.linalg.solve(jac, [g(s) + 1.0, dg(s)])
-        s, k = s - ds, k - dk
-    return 1.0 / (math.sqrt(1.0 - k) - 1.0)
+    r = math.sqrt(2.0 * math.sqrt(3.0)) - math.sqrt(3.0)
+    return (1.0 + math.sqrt(1.0 + 3.0 / r)) * r / 3.0

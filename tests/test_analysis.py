@@ -134,7 +134,7 @@ def test_validate_flags_early_antedating():
 def test_validate_flags_subcritical_fourth_order():
     # fourth_order_pair(1.0, 2 pi / 7) built from its fits, past the range rule
     gamma = fit(schedule._gamma_conditions() + [Condition(0.5, 0, 2 * PI / 7)], 4)
-    pair = SchedulePair(gamma, schedule._cubic_beta(1.5 * PI), 1.0, None)
+    pair = SchedulePair(gamma, schedule._cubic_beta(), 1.0, None)
     with pytest.raises(DivergentPulse, match=r"waveform diverges at s = 0\.905455"):
         validate_schedule(pair)
 
@@ -250,6 +250,26 @@ def test_sweep_agrees_with_per_schedule_path_over_the_design_space(frac, units, 
         assert cost == pytest.approx(unit_cost, rel=1e-9)  # dimensionless: no t_f
     else:
         assert math.isnan(cost)
+    # the waveform builds exactly in the band, and omega_r > 0 there (_band)
+    in_band, omega_r = _band_and_drive(t_f, frac * t_f, units)
+    assert in_band == (omega_r is not None)
+    assert omega_r is None or (omega_r > 0).all()
+
+
+def _band_and_drive(t_f, t_a, units):
+    """Whether beta_dot0 lies in _Sweep's band with gamma in range, and
+    omega_r on the driven grid if the waveform builds, else None."""
+    b = schedule.beta_dot0_rate(units, t_f) * t_f
+    try:
+        sweep = _Sweep(t_f, t_a)
+        in_band = sweep.gamma_ok and sweep.band[0] < b < sweep.band[1]
+    except (SingularSystem, NoCrossing):
+        in_band = False
+    try:
+        wave = pulse._waveform(antedated_pair(t_f, t_a, schedule.beta_dot0_rate(units, t_f)))
+    except (errors.Infeasible, DivergentPulse):
+        return in_band, None
+    return in_band, wave.omega_many(analysis._driven_grid(wave.end))
 
 
 def test_detuning_policy_decides_pinned_point():

@@ -1,7 +1,11 @@
 import inspect
 import math
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +133,11 @@ def test_exit_code_infeasible(tmp_path, capsys):
         ("check", THIRD_CFG.replace("grid_n = 400", "grid_n = 1")),
         ("sweep", ANTE_CFG.replace("rk4_steps = 1000", "rk4_steps = 99")),
         ("synth", ANTE_CFG.replace("sweep_n = 12", "sweep_n = 9")),
+        # sizes above the 10**6 cap are rejected before anything is allocated
+        ("synth", THIRD_CFG.replace("grid_n = 400", "grid_n = 1000001")),
+        ("check", THIRD_CFG.replace("grid_n = 400", "grid_n = 1000000000000000")),
+        ("evolve", THIRD_CFG.replace("rk4_steps = 1000", "rk4_steps = 1000001")),
+        ("synth", THIRD_CFG.replace("rk4_steps = 1000", "rk4_steps = 1000000000000000")),
     ],
     ids=[
         "t_f-inf", "t_f-nan", "beta_dot0-inf", "beta_dot0-rate-overflow", "grid_n", "rk4_steps",
@@ -136,7 +145,8 @@ def test_exit_code_infeasible(tmp_path, capsys):
         "t_a-2", "t_a-1", "t_a-0", "t_a-negative", "sweep-t_a-1", "beta_dot0-0",
         "beta_dot0-negative", "sweep_lo-equals-hi", "sweep_lo-above-hi", "sweep_lo-0",
         "sweep_lo-negative", "sweep-family-third", "unread-t_a", "unread-beta_dot0",
-        "unread-grid_n", "unread-rk4_steps", "unread-sweep_n",
+        "unread-grid_n", "unread-rk4_steps", "unread-sweep_n", "grid_n-cap", "grid_n-1e15",
+        "rk4_steps-cap", "rk4_steps-1e15",
     ],
 )
 def test_invalid_config_exits_1(tmp_path, capsys, command, text):
@@ -242,6 +252,8 @@ def test_unconverged_cost_exits_3(tmp_path, capsys, monkeypatch):
 #: The documented exit code of every error type the subcommands raise.
 DOCUMENTED_EXIT = {
     "ConfigError": EXIT_CONFIG,
+    "Infeasible": EXIT_INFEASIBLE,
+    "NumericalFailure": EXIT_NUMERICAL,
     "SingularSystem": EXIT_INFEASIBLE,
     "UnphysicalSchedule": EXIT_INFEASIBLE,
     "NoCrossing": EXIT_INFEASIBLE,
@@ -260,7 +272,12 @@ DOCUMENTED_EXIT = {
     ids=lambda c: c.__name__,
 )
 def test_every_error_type_maps_to_its_exit_code(tmp_path, capsys, monkeypatch, error):
-    # a new error type must be given an exit code, not escape as a traceback
+    # a new error type must be given an exit code, not escape as a traceback:
+    # it falls under exactly one category, which the CLI catches in its place
+    categories = (errors.ConfigError, errors.Infeasible, errors.NumericalFailure)
+    assert sum(issubclass(error, c) for c in categories) == 1
+    assert error in categories or not hasattr(cli, error.__name__)
+
     def fail(cfg, out):
         raise error("injected failure")
 
@@ -270,6 +287,50 @@ def test_every_error_type_maps_to_its_exit_code(tmp_path, capsys, monkeypatch, e
     assert code == DOCUMENTED_EXIT[error.__name__]
     err = capsys.readouterr().err
     assert "injected failure" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        "synth --out {out}",
+        "plot --config {cfg} --out {out}",
+        "synth --config {cfg} --out {cfg}",
+        "synth --config {cfg} --out {cfg}/out",
+        "synth --config {cfg} --out {busy}",
+    ],
+    ids=["missing-config", "unknown-command", "out-is-a-file", "out-under-a-file",
+         "out-file-is-a-directory"],
+)
+def test_usage_and_output_errors_return_1(tmp_path, capsys, args):
+    cfg = _write(tmp_path, THIRD_CFG)
+    busy = tmp_path / "busy"
+    (busy / "pulse.csv").mkdir(parents=True)
+    argv = args.format(cfg=cfg, out=tmp_path / "out", busy=busy).split()
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("iecpulse: config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["synth", "--out", "out"], EXIT_CONFIG),
+        (["synth", "--config", "run.cfg", "--out", "run.cfg"], EXIT_CONFIG),
+        (["synth", "--config", "run.cfg", "--out", "out"], EXIT_OK),
+    ],
+    ids=["usage-error", "out-is-a-file", "good-config"],
+)
+def test_console_exit_code(tmp_path, args, code):
+    # the process's own exit status, through SystemExit(main())
+    _write(tmp_path, THIRD_CFG)
+    src = Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "iecpulse.cli", *args], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+    assert (tmp_path / "out" / "pulse.csv").exists() == (code == EXIT_OK)
 
 
 def test_synth_outputs(tmp_path):

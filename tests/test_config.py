@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from iecpulse import ConfigError, cli
 from iecpulse.analysis import compare_passages, sweep_beta_dot0
-from iecpulse.dynamics import Weights
-from iecpulse.pulse import synthesize
+from iecpulse.dynamics import Weights, check_steps
+from iecpulse.pulse import check_grid, synthesize
 from iecpulse.schedule import SchedulePair, antedated_pair, fourth_order_pair, third_order_pair
 
 PI = math.pi
@@ -51,17 +51,31 @@ def _third_pair_at(t_f, t_a):
         (lambda: _third_pair_at(1e308, 1e-20), "t_a"),
         (lambda: antedated_pair(1e308, 1e-20), "t_a"),
         (lambda: sweep_beta_dot0(1e308, 1e-20, 4.5, 6.0, 10), "t_a"),
+        # sizes are capped at 10**6: the verdict comes before any allocation
+        (lambda: check_grid(10**6 + 1), "grid intervals"),
+        (lambda: check_grid(10**15), "grid intervals"),
+        (lambda: check_steps(10**6 + 1), "n_steps"),
+        (lambda: check_steps(10**15), "n_steps"),
     ],
     ids=[
         "third-t_f-inf", "fourth-gamma_mid-nan", "fourth-gamma_mid-inf", "fourth-t_f-negative",
         "antedated-beta_dot0-inf", "antedated-t_f-inf", "synthesize-n-2.5", "compare-n-0",
         "compare-n-1", "sweep-hi-inf", "pair-t_a-underflow", "antedated-t_a-underflow",
-        "sweep-t_a-underflow",
+        "sweep-t_a-underflow", "grid-cap", "grid-1e15", "steps-cap", "steps-1e15",
     ],
 )
 def test_bad_argument_raises_config_error(call, names):
     with pytest.raises(ConfigError, match=names):
         call()
+
+
+def test_sizes_at_the_cap_are_accepted(tmp_path):
+    check_grid(10**6)
+    check_steps(10**6)
+    path = tmp_path / "run.cfg"
+    path.write_text("t_f = 1\nfamily = third\ngrid_n = 1000000\nrk4_steps = 1000000\n")
+    cfg = cli.parse_config(path)
+    assert (cfg.grid_n, cfg.rk4_steps) == (10**6, 10**6)
 
 
 # ---------------------------------------------------------------------------

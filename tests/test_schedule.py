@@ -23,7 +23,7 @@ PI = math.pi
 def _fourth_unchecked(gamma_mid):
     """fourth_order_pair(1.0, gamma_mid) built from its fits, past the range rule."""
     gamma = fit(schedule._gamma_conditions() + [Condition(0.5, 0, gamma_mid)], 4)
-    return SchedulePair(gamma, schedule._cubic_beta(1.5 * PI), 1.0, None)
+    return SchedulePair(gamma, schedule._cubic_beta(), 1.0, None)
 
 
 def _antedated_unchecked(t_a):
