@@ -313,12 +313,12 @@ def _band(b0: Polynomial, b1: Polynomial, s_end: float) -> tuple[float, float]:
 
 def check_sweep(t_f: float, lo: float, hi: float, n: int) -> None:
     """Raise ConfigError unless n points on [lo, hi] (units of pi / 2 t_f) make a
-    sweep grid: check_rate holds at lo, lo < hi < inf and n is an integer >= 10."""
+    sweep grid: check_rate holds at lo, lo < hi < inf and n is an integer in [10, 10**6]."""
     check_rate(beta_dot0_rate(lo, t_f))
     if not lo < hi < math.inf:
         raise ConfigError(f"need lo < hi < inf, got lo = {lo!r}, hi = {hi!r}")
-    if not (isinstance(n, (int, np.integer)) and n >= 10):
-        raise ConfigError(f"need an integer n >= 10 grid points, got {n!r}")
+    if not (isinstance(n, (int, np.integer)) and 10 <= n <= 10**6):
+        raise ConfigError(f"need an integer 10 <= n <= 10**6 grid points, got {n!r}")
 
 
 def sweep_beta_dot0(t_f: float, t_a: float, lo: float, hi: float, n: int) -> SweepResult:

@@ -20,8 +20,8 @@ Recognized keys:
     grid_n     output grid intervals (default 1000, 2 to 10**6)
     rk4_steps  integrator steps (default 10000, 100 to 10**6)
     sweep_lo, sweep_hi, sweep_n   beta_dot0 sweep grid (sweep subcommand,
-               family=antedated only; 0 < sweep_lo < sweep_hi, sweep_n at
-               least 10)
+               family=antedated only; 0 < sweep_lo < sweep_hi, sweep_n
+               10 to 10**6)
 
 Unknown keys, values not of their key's type (_KEYS) and non-finite numbers
 are an error; every value is converted first. Each other rule above is the
@@ -31,14 +31,19 @@ CSVs are in units of 1/t_f; t_f itself is echoed in summary.txt. Outputs
 contain no timestamps, so identical configs produce byte-identical files.
 Exit codes: 0 success, else the code of the error's category in iecpulse.errors:
 1 ConfigError (also a usage error or an --out that cannot be written),
-2 Infeasible, 3 NumericalFailure. main returns the code for every failure,
-and a failed subcommand writes no files.
+2 Infeasible, 3 NumericalFailure. main returns the code for every failure.
+A subcommand computes all its outputs before it creates --out, so an error
+leaves no file. If a write into --out fails, the run removes the files and
+folders it created but no file that existed before, which keeps its new
+text if already rewritten or may be left truncated if its own write failed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -153,22 +158,41 @@ def parse_config(path: Path) -> RunConfig:
 # ---------------------------------------------------------------------------
 # output helpers (full round-trip precision, no timestamps)
 
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+def _csv(header: list[str], columns: list[np.ndarray]) -> str:
     # + 0.0 folds -0.0; tolist() gives Python floats (numpy 2 reprs "np.float64(...)")
     rows = (np.column_stack(columns) + 0.0).tolist()
     lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_summary(path: Path, entries: list[tuple[str, object]]) -> None:
+def _summary(entries: list[tuple[str, object]]) -> str:
     lines = [f"{key} = {repr(float(v) + 0.0) if isinstance(v, float) else v}" for key, v in entries]
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _write(out: Path, files: dict[str, str]) -> None:
+    """Create out and write each file of files into it. On an OSError, remove
+    every file and folder this call created (none that existed before) and
+    raise ConfigError."""
+    made: list[Path] = []
+    new: list[Path] = []
+    try:
+        made = [p for p in (out, *out.parents) if not os.path.lexists(p)]
+        out.mkdir(parents=True, exist_ok=True)
+        new = [out / name for name in files if not os.path.lexists(out / name)]
+        for name, text in files.items():
+            (out / name).write_text(text)
+    except OSError as exc:
+        for undo in [path.unlink for path in new] + [folder.rmdir for folder in made]:
+            with contextlib.suppress(OSError):
+                undo()
+        raise ConfigError(f"cannot write to --out {out}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its output files' names and text
 
-def _cmd_synth(cfg: RunConfig, out: Path) -> None:
+def _cmd_synth(cfg: RunConfig) -> dict[str, str]:
     pair = cfg.build_pair()
     table = pulse.synthesize(pair, cfg.grid_n)
     summary = [
@@ -178,32 +202,21 @@ def _cmd_synth(cfg: RunConfig, out: Path) -> None:
         ("max_adiabaticity_metric", analysis.max_adiabaticity_metric(pair)),
         ("omega_r_max", float(table.omega_r.max())),
     ]
-    _write_csv(
-        out / "pulse.csv",
-        ["t", "omega_r", "delta", "gamma", "beta"],
-        [table.t, table.omega_r, table.delta, pair.gamma(table.s), pair.beta(table.s)],
-    )
-    _write_summary(out / "summary.txt", summary)
+    columns = [table.t, table.omega_r, table.delta, pair.gamma(table.s), pair.beta(table.s)]
+    return {
+        "pulse.csv": _csv(["t", "omega_r", "delta", "gamma", "beta"], columns),
+        "summary.txt": _summary(summary),
+    }
 
 
 def _trajectory_columns(t, rho, target) -> list[np.ndarray]:
     """The columns of a trajectory file: t, populations, the coherence,
     the Bloch vector and the fidelity to target of each state of rho."""
-    bloch = dynamics.bloch_vector(rho)
-    return [
-        t,
-        rho[:, 0, 0].real,
-        rho[:, 1, 1].real,
-        rho[:, 0, 1].real,
-        rho[:, 0, 1].imag,
-        bloch[:, 0],
-        bloch[:, 1],
-        bloch[:, 2],
-        dynamics.fidelity(rho, target),
-    ]
+    return [t, rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1].real, rho[:, 0, 1].imag,
+            *dynamics.bloch_vector(rho).T, dynamics.fidelity(rho, target)]
 
 
-def _cmd_evolve(cfg: RunConfig, out: Path) -> None:
+def _cmd_evolve(cfg: RunConfig) -> dict[str, str]:
     pair = cfg.build_pair()
     report = analysis.compare_passages(pair, cfg.weights, cfg.grid_n)
     integrated = dynamics.evolve(pair, report.rho[0], cfg.rk4_steps)
@@ -213,26 +226,23 @@ def _cmd_evolve(cfg: RunConfig, out: Path) -> None:
     header = ["t", "rho11", "rho22", "re_rho12", "im_rho12", "bloch_x", "bloch_y", "bloch_z", "fidelity"]
     target = report.rho[-1]
     iec = _trajectory_columns(report.t, report.rho, target)
-    _write_csv(out / "trajectory_iec.csv", header, iec)
-    _write_csv(
-        out / "trajectory_adiabatic.csv",
-        header,
-        _trajectory_columns(report.t, report.adiabatic_rho, target),
-    )
-    _write_summary(
-        out / "summary.txt",
-        [
+    return {
+        "trajectory_iec.csv": _csv(header, iec),
+        "trajectory_adiabatic.csv": _csv(
+            header, _trajectory_columns(report.t, report.adiabatic_rho, target)
+        ),
+        "summary.txt": _summary([
             ("t_f", float(cfg.t_f)),
             ("family", cfg.family),
             ("inversion_time", report.inversion_time if report.inversion_time is not None else "none"),
             ("max_population_gap", report.max_population_gap),
             ("final_fidelity", float(iec[-1][-1])),
             ("max_rk4_deviation", deviation),
-        ],
-    )
+        ]),
+    }
 
 
-def _cmd_sweep(cfg: RunConfig, out: Path) -> None:
+def _cmd_sweep(cfg: RunConfig) -> dict[str, str]:
     if cfg.sweep is None:
         raise ConfigError("sweep subcommand requires sweep_lo, sweep_hi, sweep_n")
     if cfg.family != "antedated":
@@ -241,24 +251,22 @@ def _cmd_sweep(cfg: RunConfig, out: Path) -> None:
         raise ConfigError("sweep subcommand requires t_a")
     lo, hi, n = cfg.sweep
     result = analysis.sweep_beta_dot0(cfg.t_f, cfg.t_a, lo, hi, n)
-    _write_csv(
-        out / "sweep.csv",
-        ["beta_dot0_units", "cost", "feasible"],
-        [result.units, result.cost, result.feasible.astype(float)],
-    )
-    _write_summary(
-        out / "summary.txt",
-        [
+    return {
+        "sweep.csv": _csv(
+            ["beta_dot0_units", "cost", "feasible"],
+            [result.units, result.cost, result.feasible.astype(float)],
+        ),
+        "summary.txt": _summary([
             ("t_f", float(cfg.t_f)),
             ("t_a", float(cfg.t_a)),
             ("min_cost", result.minimum[1]),
             ("argmin_beta_dot0", result.minimum[0]),
             ("n_infeasible", str(int((~result.feasible).sum()))),
-        ],
-    )
+        ]),
+    }
 
 
-def _cmd_check(cfg: RunConfig, out: Path) -> None:
+def _cmd_check(cfg: RunConfig) -> dict[str, str]:
     pair = cfg.build_pair()
     report = analysis.validate_schedule(pair)
     grid = np.linspace(0.0, 1.0, 1000)
@@ -271,17 +279,16 @@ def _cmd_check(cfg: RunConfig, out: Path) -> None:
         f"max_adiabaticity_metric: {metric!r}",
         f"max_invariant_residual: {residual!r}",
     ] + [f"message: {m}" for m in report.messages]
-    (out / "check_report.txt").write_text("\n".join(lines) + "\n")
-    _write_summary(
-        out / "summary.txt",
-        [
+    return {
+        "check_report.txt": "\n".join(lines) + "\n",
+        "summary.txt": _summary([
             ("t_f", float(cfg.t_f)),
             ("family", cfg.family),
             ("max_residual", residual),
             ("max_adiabaticity_metric", metric),
             ("schedule_feasible", str(report.feasible).lower()),
-        ],
-    )
+        ]),
+    }
 
 
 _COMMANDS = {
@@ -309,11 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         cfg = parse_config(args.config)
-        try:  # past the config, the only file a subcommand touches is in --out
-            args.out.mkdir(parents=True, exist_ok=True)
-            _COMMANDS[args.command](cfg, args.out)
-        except OSError as exc:
-            raise ConfigError(f"cannot write to --out {args.out}: {exc}") from exc
+        _write(args.out, _COMMANDS[args.command](cfg))
     except ConfigError as exc:
         print(f"iecpulse: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -282,7 +282,7 @@ def _h_grid(pair: SchedulePair, s_lo: float, s_hi: float, n: int) -> np.ndarray:
     if s_lo > 0.0:
         return _hamiltonian(*wave.drive(np.full(2 * n + 1, s_hi)))
     s = s_lo + (s_hi - s_lo) * np.arange(2 * n + 1) / (2 * n)
-    return _hamiltonian(wave.omega_many(s), wave.delta_many(s))
+    return _hamiltonian(*wave.fields(s))
 
 
 def _bloch_generator(h: np.ndarray) -> np.ndarray:

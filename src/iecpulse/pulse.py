@@ -18,15 +18,16 @@ gamma_dot's Taylor series without its first m terms, and for an angle
     sin(p) = u^m (-1)^k r(s) sinc((p - k pi) / pi),   p - k pi = u^m r(s).
 
 Every sample takes the reduced parts of its nearest station, so one
-vectorised formula serves the 0/0 points and all other samples alike. A
-station's order, numerator minus denominator multiplicities, is negative
-exactly where a quotient diverges (DivergentPulse). The build walks the
-zeros in s order and rejects a divergence on the driven segment at the
-first divergent station, before it seeks any later zero: a schedule that
-diverges there cannot be probed at any s. The adiabaticity
-metric evaluates the same formulas once at complex s + i h (h = 1e-30):
-the real parts are omega_r and delta and Im / h their rates, exact to
-rounding because nothing is subtracted (complex step).
+vectorised pass (_Waveform.quotients) gives both quotients over one
+sin(beta) factor at the 0/0 points and all other samples alike. A
+quotient's order, numerator minus denominator multiplicities, is negative
+exactly where it diverges (DivergentPulse); the cot term's is the one flag.
+The build walks the zeros in s order and rejects a divergence on the
+driven segment at the first divergent station, before it seeks any later
+zero: a schedule that diverges there cannot be probed at any s. The
+adiabaticity metric makes the same pass once at complex s + i h
+(h = 1e-30): the real parts are omega_r and delta and Im / h their rates,
+exact to rounding because nothing is subtracted (complex step).
 
 An antedated passage switches the drive off at t_a: past _Waveform.end
 (t_a / t_f, else 1) omega_r = 0, delta holds its t_a value and the
@@ -151,6 +152,8 @@ class _Station:
     mult: tuple[int, ...]
     coef: tuple[list[float], ...]
     omega_order: int
+    #: the divergence flag too: negative wherever omega_order is, because
+    #: sin(beta) and cos(beta) never vanish together
     cot_order: int
 
 
@@ -161,18 +164,15 @@ def _angle(st: _Station, f: int, u):
     return r * _sinc(x), x
 
 
-def _omega(st: _Station, u):
-    sin_b, _ = _angle(st, 1, u)
-    return u ** st.omega_order * _horner(st.coef[0], u) / sin_b
-
-
-def _cot(st: _Station, u):
+def _quotients(st: _Station, u):
+    """omega_r and the cot term (delta + beta_dot) at s0 + u, over one sin(beta) factor."""
+    rate = _horner(st.coef[0], u)
     sin_b, _ = _angle(st, 1, u)
     cos_b, _ = _angle(st, 2, u)
     # cot(gamma) = cos(x) / sin(x) for x = gamma - k pi, whatever the parity of k
     sin_x, x = _angle(st, 3, u)
-    num = _horner(st.coef[0], u) * np.cos(x) * cos_b
-    return u ** st.cot_order * num / (sin_b * sin_x)
+    cot = u ** st.cot_order * (rate * np.cos(x) * cos_b) / (sin_b * sin_x)
+    return u ** st.omega_order * rate / sin_b, cot
 
 
 def _candidate_stations(a: np.ndarray, x: np.ndarray) -> list[_Station]:
@@ -232,7 +232,7 @@ def _stations(args: tuple[Polynomial, ...], gamma_crit: list[float], beta_crit: 
             if all(abs(st.s0 - x.s0) > ROOT_TOL for x in kept):
                 kept.append(st)
         for st in sorted(kept, key=lambda st: st.s0):
-            if st.s0 <= end + ROOT_TOL and min(st.omega_order, st.cot_order) < 0:
+            if st.s0 <= end + ROOT_TOL and st.cot_order < 0:
                 raise DivergentPulse(f"waveform diverges at s = {st.s0:.6g}")
             stations.append(st)
     return stations or origin
@@ -257,24 +257,29 @@ class _Waveform:
         st = self.stations
         self._cuts = [0.5 * (a.s0 + b.s0) for a, b in zip(st, st[1:])]
         self._s0 = np.array([x.s0 for x in st])
-        self.omega_divergent = np.array([x.omega_order < 0 for x in st])
-        self.cot_divergent = np.array([x.cot_order < 0 for x in st])
+        self._divergent = np.array([x.cot_order < 0 for x in st])
         self._switch_delta: float | None = None
 
-    def _each(self, formula, s: np.ndarray) -> np.ndarray:
-        """formula(station, s - s0) at every sample, from the station nearest s.real."""
-        j = np.searchsorted(self._cuts, s.real, side="right")
-        out = np.empty_like(s)
-        for i, st in enumerate(self.stations):
-            at = j == i
-            out[at] = formula(st, s[at] - st.s0)
-        return out
-
-    def check_finite(self, lo: float, hi: float, divergent: np.ndarray) -> None:
-        """Raise DivergentPulse at the first station in [lo, hi] flagged in divergent."""
-        hit = divergent & (self._s0 >= lo - ROOT_TOL) & (self._s0 <= hi + ROOT_TOL)
+    def quotients(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """omega_r and the cot term (delta + beta_dot) times t_f at the samples s,
+        real or complex s + i h, each from the station nearest s.real. Raises
+        DivergentPulse at the first divergent station near the samples' span."""
+        s = np.asarray(s, dtype=complex if np.iscomplexobj(s) else float)
+        lo, hi = s.real.min(), s.real.max()
+        hit = self._divergent & (self._s0 >= lo - ROOT_TOL) & (self._s0 <= hi + ROOT_TOL)
         if hit.any():
             raise DivergentPulse(f"waveform diverges at s = {self._s0[hit][0]:.6g}")
+        j = np.searchsorted(self._cuts, s.real, side="right")
+        om, cot = np.empty_like(s), np.empty_like(s)
+        for i, st in enumerate(self.stations):
+            at = j == i
+            om[at], cot[at] = _quotients(st, s[at] - st.s0)
+        return om, cot
+
+    def fields(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """omega_r and delta (the cot term less beta_dot) times t_f at the samples s."""
+        om, cot = self.quotients(s)
+        return om, cot - self.dbeta(s)
 
     def edges(self, s_end: float) -> np.ndarray:
         """0, the stations and beta's stationary points inside (0, s_end), and
@@ -290,24 +295,19 @@ class _Waveform:
 
     def cot_term(self, s: float) -> float:
         """omega_r * cot(gamma) * cos(beta) times t_f (= delta + beta_dot)."""
-        self.check_finite(s, s, self.cot_divergent)
-        return float(self._each(_cot, np.array([s], dtype=float))[0])
+        return float(self.quotients(np.array([s], dtype=float))[1][0])
 
     def delta(self, s: float) -> float:
         """Detuning times t_f."""
-        return self.cot_term(s) - float(self.dbeta(s))
+        return float(self.fields(np.array([s], dtype=float))[1][0])
 
     # -- vectorized evaluators: s real, or complex s + i h (complex step) --
 
     def omega_many(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=complex if np.iscomplexobj(s) else float)
-        self.check_finite(s.real.min(), s.real.max(), self.omega_divergent)
-        return self._each(_omega, s)
+        return self.quotients(s)[0]
 
     def delta_many(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=complex if np.iscomplexobj(s) else float)
-        self.check_finite(s.real.min(), s.real.max(), self.cot_divergent)
-        return self._each(_cot, s) - self.dbeta(s)
+        return self.fields(s)[1]
 
     # -- the antedated switch ----------------------------------------------
 
@@ -319,8 +319,7 @@ class _Waveform:
         driven = s <= self.end if self.switch is not None else np.ones(s.shape, dtype=bool)
         om, dl = np.zeros(s.shape), np.zeros(s.shape)
         if driven.any():
-            om[driven] = self.omega_many(s[driven])
-            dl[driven] = self.delta_many(s[driven])
+            om[driven], dl[driven] = self.fields(s[driven])
         if not driven.all():
             dl[~driven] = self.switch_delta()
         return om, dl
@@ -352,8 +351,8 @@ def _waveform(pair: SchedulePair) -> _Waveform:
 def omega_r_at(pair: SchedulePair, s: float) -> float:
     """Rabi frequency of the design waveform at s, in angular-frequency
     units; past an antedated switch, the driven formula's continuation.
-    Raises DivergentPulse, at any s, for a schedule that diverges on its
-    driven segment, and past the switch where the continuation diverges."""
+    Raises DivergentPulse at any s if the schedule diverges on its driven
+    segment, and past the switch near where omega_r or delta diverges."""
     _check_s(s)
     return _waveform(pair).omega(s) / pair.t_f
 
@@ -421,11 +420,9 @@ def adiabaticity_metric(pair: SchedulePair, s: float | np.ndarray) -> float | np
 def _metric(wave: _Waveform, s: np.ndarray) -> np.ndarray:
     """The adiabaticity metric at every sample of s. omega_r and delta are
     evaluated once, at s + i h: the real parts are their values and Im / h
-    their rates, with no difference to cancel (complex step). delta goes
-    first: it diverges wherever omega_r does, so it names the first station."""
+    their rates, with no difference to cancel (complex step)."""
     h = 1e-30
-    dl = wave.delta_many(s + 1j * h)
-    om = wave.omega_many(s + 1j * h)
+    om, dl = wave.fields(s + 1j * h)
     gen = np.hypot(om.real, dl.real)
     if gen.min() < 1e-12:
         raise DegeneratePoint(f"generalized Rabi frequency vanishes at s = {s[gen.argmin()]:.6g}")
@@ -455,8 +452,8 @@ def lr_phase(pair: SchedulePair, t: float, branch: int) -> float:
 
     def rate(s, row):
         g = wave.gamma(s)
-        return (wave._each(_cot, s) * np.cos(g) + wave.dbeta(s)
-                + wave._each(_omega, s) * np.sin(g) * np.cos(wave.beta(s)))
+        om, cot = wave.quotients(s)
+        return cot * np.cos(g) + wave.dbeta(s) + om * np.sin(g) * np.cos(wave.beta(s))
 
     integral = float(gauss_legendre(rate, wave.edges(s_end), 1e-9)[0])
     if s > s_end:

@@ -138,6 +138,8 @@ def test_exit_code_infeasible(tmp_path, capsys):
         ("check", THIRD_CFG.replace("grid_n = 400", "grid_n = 1000000000000000")),
         ("evolve", THIRD_CFG.replace("rk4_steps = 1000", "rk4_steps = 1000001")),
         ("synth", THIRD_CFG.replace("rk4_steps = 1000", "rk4_steps = 1000000000000000")),
+        ("sweep", ANTE_CFG.replace("sweep_n = 12", "sweep_n = 1000001")),
+        ("sweep", ANTE_CFG.replace("sweep_n = 12", "sweep_n = 1000000000000000")),
     ],
     ids=[
         "t_f-inf", "t_f-nan", "beta_dot0-inf", "beta_dot0-rate-overflow", "grid_n", "rk4_steps",
@@ -146,7 +148,7 @@ def test_exit_code_infeasible(tmp_path, capsys):
         "beta_dot0-negative", "sweep_lo-equals-hi", "sweep_lo-above-hi", "sweep_lo-0",
         "sweep_lo-negative", "sweep-family-third", "unread-t_a", "unread-beta_dot0",
         "unread-grid_n", "unread-rk4_steps", "unread-sweep_n", "grid_n-cap", "grid_n-1e15",
-        "rk4_steps-cap", "rk4_steps-1e15",
+        "rk4_steps-cap", "rk4_steps-1e15", "sweep_n-cap", "sweep_n-1e15",
     ],
 )
 def test_invalid_config_exits_1(tmp_path, capsys, command, text):
@@ -154,7 +156,7 @@ def test_invalid_config_exits_1(tmp_path, capsys, command, text):
     code = main([command, "--config", str(_write(tmp_path, text)), "--out", str(out)])
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", [THIRD_CFG, ANTE_CFG], ids=["third", "antedated"])
@@ -235,7 +237,7 @@ def test_level_crossing_at_start_exits_3(tmp_path, capsys, command):
     cfg = _write(tmp_path, "t_f = 1.0\nfamily = antedated\nt_a = 0.5\nbeta_dot0 = 1e-300\n")
     assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
     assert re.search(r"at s = 0\b(?!\.)", capsys.readouterr().err)
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_unconverged_cost_exits_3(tmp_path, capsys, monkeypatch):
@@ -246,7 +248,7 @@ def test_unconverged_cost_exits_3(tmp_path, capsys, monkeypatch):
     code = main(["synth", "--config", str(cfg), "--out", str(out)])
     assert code == EXIT_NUMERICAL
     assert "did not converge" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 #: The documented exit code of every error type the subcommands raise.
@@ -278,7 +280,7 @@ def test_every_error_type_maps_to_its_exit_code(tmp_path, capsys, monkeypatch, e
     assert sum(issubclass(error, c) for c in categories) == 1
     assert error in categories or not hasattr(cli, error.__name__)
 
-    def fail(cfg, out):
+    def fail(cfg):
         raise error("injected failure")
 
     monkeypatch.setitem(cli._COMMANDS, "synth", fail)
@@ -297,18 +299,57 @@ def test_every_error_type_maps_to_its_exit_code(tmp_path, capsys, monkeypatch, e
         "synth --config {cfg} --out {cfg}",
         "synth --config {cfg} --out {cfg}/out",
         "synth --config {cfg} --out {busy}",
+        "synth --config {cfg} --out {long}/out",
     ],
     ids=["missing-config", "unknown-command", "out-is-a-file", "out-under-a-file",
-         "out-file-is-a-directory"],
+         "out-file-is-a-directory", "out-name-too-long"],
 )
 def test_usage_and_output_errors_return_1(tmp_path, capsys, args):
     cfg = _write(tmp_path, THIRD_CFG)
     busy = tmp_path / "busy"
     (busy / "pulse.csv").mkdir(parents=True)
-    argv = args.format(cfg=cfg, out=tmp_path / "out", busy=busy).split()
+    argv = args.format(cfg=cfg, out=tmp_path / "out", busy=busy, long=tmp_path / ("x" * 300)).split()
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("iecpulse: config error: ") and err.count("\n") == 1
+
+
+def test_failed_write_removes_the_files_it_created(tmp_path, capsys):
+    # trajectory_iec.csv is written before the name trajectory_adiabatic.csv,
+    # taken by a folder, fails; files that were there before stay
+    cfg = _write(tmp_path, THIRD_CFG)
+    out = tmp_path / "out"
+    (out / "trajectory_adiabatic.csv").mkdir(parents=True)
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "cannot write to --out" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["trajectory_adiabatic.csv"]
+    (out / "trajectory_iec.csv").write_text("old\n")
+    (out / "notes.txt").write_text("mine\n")
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["notes.txt", "trajectory_adiabatic.csv", "trajectory_iec.csv"]
+    assert (out / "notes.txt").read_text() == "mine\n"
+
+
+def test_failed_write_keeps_a_dangling_link(tmp_path, capsys):
+    # a symlink to a missing file existed before the run, so it stays
+    cfg = _write(tmp_path, THIRD_CFG)
+    out = tmp_path / "out"
+    (out / "trajectory_adiabatic.csv").mkdir(parents=True)
+    (out / "summary.txt").symlink_to(tmp_path / "missing")
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "cannot write to --out" in capsys.readouterr().err
+    assert (out / "summary.txt").is_symlink()
+
+
+def test_failed_write_removes_the_folders_it_created(tmp_path, monkeypatch):
+    # the second file's folder does not exist: its write fails after the
+    # first file and --out with its parent were made
+    monkeypatch.setitem(cli._COMMANDS, "synth", lambda cfg: {"a.txt": "a\n", "no/b.txt": "b\n"})
+    cfg = _write(tmp_path, THIRD_CFG)
+    out = tmp_path / "new" / "out"
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 @pytest.mark.parametrize(
@@ -316,9 +357,10 @@ def test_usage_and_output_errors_return_1(tmp_path, capsys, args):
     [
         (["synth", "--out", "out"], EXIT_CONFIG),
         (["synth", "--config", "run.cfg", "--out", "run.cfg"], EXIT_CONFIG),
+        (["synth", "--config", "run.cfg", "--out", "x" * 300], EXIT_CONFIG),
         (["synth", "--config", "run.cfg", "--out", "out"], EXIT_OK),
     ],
-    ids=["usage-error", "out-is-a-file", "good-config"],
+    ids=["usage-error", "out-is-a-file", "out-name-too-long", "good-config"],
 )
 def test_console_exit_code(tmp_path, args, code):
     # the process's own exit status, through SystemExit(main())

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iecpulse import ConfigError, cli
-from iecpulse.analysis import compare_passages, sweep_beta_dot0
+from iecpulse.analysis import check_sweep, compare_passages, sweep_beta_dot0
 from iecpulse.dynamics import Weights, check_steps
 from iecpulse.pulse import check_grid, synthesize
 from iecpulse.schedule import SchedulePair, antedated_pair, fourth_order_pair, third_order_pair
@@ -56,12 +56,15 @@ def _third_pair_at(t_f, t_a):
         (lambda: check_grid(10**15), "grid intervals"),
         (lambda: check_steps(10**6 + 1), "n_steps"),
         (lambda: check_steps(10**15), "n_steps"),
+        (lambda: check_sweep(1.0, 0.1, 8.0, 10**6 + 1), "grid points"),
+        (lambda: check_sweep(1.0, 0.1, 8.0, 10**15), "grid points"),
     ],
     ids=[
         "third-t_f-inf", "fourth-gamma_mid-nan", "fourth-gamma_mid-inf", "fourth-t_f-negative",
         "antedated-beta_dot0-inf", "antedated-t_f-inf", "synthesize-n-2.5", "compare-n-0",
         "compare-n-1", "sweep-hi-inf", "pair-t_a-underflow", "antedated-t_a-underflow",
         "sweep-t_a-underflow", "grid-cap", "grid-1e15", "steps-cap", "steps-1e15",
+        "sweep-cap", "sweep-1e15",
     ],
 )
 def test_bad_argument_raises_config_error(call, names):
@@ -72,6 +75,7 @@ def test_bad_argument_raises_config_error(call, names):
 def test_sizes_at_the_cap_are_accepted(tmp_path):
     check_grid(10**6)
     check_steps(10**6)
+    check_sweep(1.0, 0.1, 8.0, 10**6)
     path = tmp_path / "run.cfg"
     path.write_text("t_f = 1\nfamily = third\ngrid_n = 1000000\nrk4_steps = 1000000\n")
     cfg = cli.parse_config(path)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from iecpulse.analysis import compare_passages, max_adiabaticity_metric
-from iecpulse.dynamics import Weights
+from iecpulse.dynamics import Weights, hamiltonian_at
 from iecpulse.errors import DegeneratePoint, DivergentPulse, NoConvergence
 from iecpulse.poly import Polynomial
 from iecpulse.pulse import (
-    _cot,
+    _angle,
+    _horner,
     _waveform,
     adiabaticity_metric,
     delta_at,
@@ -17,7 +18,8 @@ from iecpulse.pulse import (
     omega_r_at,
     synthesize,
 )
-from iecpulse.schedule import SchedulePair, antedated_pair, fourth_order_pair, third_order_pair
+from iecpulse.schedule import SchedulePair, antedated_pair, beta_dot0_rate, fourth_order_pair
+from iecpulse.schedule import third_order_pair
 
 PI = math.pi
 
@@ -81,8 +83,51 @@ def test_scalar_evaluators_are_vector_elements(third, ante):
     for pair in (third, ante):
         wave = _waveform(pair)
         assert [wave.omega(x) for x in s.tolist()] == wave.omega_many(s).tolist()
-        assert [wave.cot_term(x) for x in s.tolist()] == wave._each(_cot, s).tolist()
+        assert [wave.cot_term(x) for x in s.tolist()] == wave.quotients(s)[1].tolist()
         assert [wave.delta(x) for x in s.tolist()] == wave.delta_many(s).tolist()
+
+
+def _reference_omega(st, u):
+    """omega_r at s0 + u: the station formula that _quotients replaced."""
+    sin_b, _ = _angle(st, 1, u)
+    return u ** st.omega_order * _horner(st.coef[0], u) / sin_b
+
+
+def _reference_cot(st, u):
+    """The cot term at s0 + u: the station formula that _quotients replaced."""
+    sin_b, _ = _angle(st, 1, u)
+    cos_b, _ = _angle(st, 2, u)
+    sin_x, x = _angle(st, 3, u)
+    num = _horner(st.coef[0], u) * np.cos(x) * cos_b
+    return u ** st.cot_order * num / (sin_b * sin_x)
+
+
+def _reference_rows(wave, s):
+    """Both reference formulas at every sample, from the station nearest s.real."""
+    s0 = np.array([st.s0 for st in wave.stations])
+    j = np.searchsorted(0.5 * (s0[1:] + s0[:-1]), s.real, side="right")
+    om, cot = np.empty_like(s), np.empty_like(s)
+    for i, st in enumerate(wave.stations):
+        at = j == i
+        om[at], cot[at] = _reference_omega(st, s[at] - st.s0), _reference_cot(st, s[at] - st.s0)
+    return om, cot
+
+
+@pytest.mark.parametrize("pair", [
+    third_order_pair(1.0),
+    fourth_order_pair(1.0, 1.2),
+    antedated_pair(1.0, 0.5),
+    antedated_pair(1.0, 0.77, beta_dot0_rate(5.62, 1.0)),  # near the band edge 0.77376
+], ids=["third", "fourth", "antedated", "antedated-edge"])
+def test_quotients_match_the_two_station_formulas_bit_for_bit(pair):
+    wave = _waveform(pair)
+    s0 = np.array([st.s0 for st in wave.stations])
+    near = (s0[:, None] + np.array([-1e-3, -1e-6, -1e-9, 1e-9, 1e-6, 1e-3])).ravel()
+    s = np.concatenate([np.linspace(0.0, 1.0, 1001), near[(near >= 0.0) & (near <= 1.0)]])
+    for x in (s, s + 1e-30j):
+        rows, reference = wave.quotients(x), _reference_rows(wave, x)
+        for row, ref in zip(rows, reference):
+            assert row.dtype == ref.dtype and row.tobytes() == ref.tobytes()
 
 
 def test_frequencies_scale_as_inverse_t_f():
@@ -131,6 +176,32 @@ def test_divergent_pulse_on_uncompensated_schedule():
     )
     with pytest.raises(DivergentPulse):
         omega_r_at(broken, 0.3)
+
+
+def test_runtime_divergence_check_names_the_station():
+    # the antedated angles with beta bent by 2 s^2 (s - 1/2)^2, past the
+    # switch: sin(beta) vanishes at 0.683992, where gamma_dot does not, and
+    # at s = 1 (a double zero of gamma, a simple one of gamma_dot) beta no
+    # longer sits at pi/2, so there the cot term diverges but omega_r does not
+    ante = antedated_pair(1.0, 0.5)
+    bend = np.zeros(len(ante.beta.coefficients))
+    bend[2:5] = [0.5, -2.0, 2.0]
+    pair = SchedulePair(ante.gamma, Polynomial(ante.beta.coefficients + bend), 1.0, 0.5)
+    wave = _waveform(pair)
+    assert [round(st.s0, 6) for st in wave.stations] == [0.0, 0.5, 0.683992, 1.0]
+    assert [st.omega_order < 0 for st in wave.stations] == [False, False, True, False]
+    assert [st.cot_order < 0 for st in wave.stations] == [False, False, True, True]
+    s_div = wave.stations[2].s0
+    for probe in (lambda: adiabaticity_metric(pair, np.array([0.6, 0.7])),
+                  lambda: omega_r_at(pair, s_div), lambda: delta_at(pair, s_div)):
+        with pytest.raises(DivergentPulse, match="diverges at s = 0.683992"):
+            probe()
+    # the driven segment [0, 1/2] is finite, so the switched drive is too
+    assert np.all(np.isfinite(synthesize(pair, 1000).omega_r))
+    assert np.all(np.isfinite(hamiltonian_at(pair, np.linspace(0.0, 1.0, 101))))
+    # one flag: omega_r's continuation raises where only delta's diverges
+    with pytest.raises(DivergentPulse, match="diverges at s = 1"):
+        omega_r_at(pair, 1.0)
 
 
 def test_degenerate_switch_warns():
