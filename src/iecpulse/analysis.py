@@ -20,11 +20,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .dynamics import Weights, adiabatic_state, invariant_state
 from .errors import ConfigError, DivergentPulse, Infeasible, NoConvergence, NoFeasiblePoint
-from .poly import FIT_TOL, Condition, Polynomial, misfit, real_roots, solve
+from .poly import FIT_TOL, Condition, Polynomial, misfit, real_roots, solve, stacked_real_roots
 from .pulse import _metric, _waveform, check_grid, gauss_legendre
 from .schedule import SchedulePair, _antedated_beta_conditions, _antedated_gamma, antedated_pair
 from .schedule import beta_dot0_rate, check_rate, check_times, gamma_dot_zero_crossing
@@ -60,7 +59,9 @@ COST_TOL = 1e-8
 POPULATION_TOL = 1e-3
 
 #: Sweep candidates evaluated together: 8 rows of the validation grid make
-#: 640 kB per array.
+#: 640 kB per array. Costs are summed per block too, and gauss_legendre's
+#: sums move in the last ulp with its row count, so sweep.csv's bytes
+#: depend on this size.
 SWEEP_BLOCK = 8
 
 
@@ -197,7 +198,9 @@ class _Sweep:
     residual check on B0 + b B1, the band of b where -pi < beta < 0 on the
     driven segment (omega_r is then finite and positive, a plain quotient
     with no station), and the detuning policy on the validation grid. The
-    feasible candidates are costed together by gauss_legendre.
+    feasible candidates are costed together, SWEEP_BLOCK at a time: one
+    stacked_real_roots call finds the cut points of a block, and one
+    gauss_legendre call integrates it.
     Raises SingularSystem or NoCrossing when no candidate can be built.
     """
 
@@ -261,11 +264,12 @@ class _Sweep:
         return np.isfinite(peak) & (peak <= DELTA_FINITE_BOUND)
 
     def _cost(self, b: np.ndarray) -> np.ndarray:
-        """Pulse areas, each on [0, t_a / t_f] cut at its beta's stationary points."""
-        d0, d1 = self._db0.coefficients, self._db1.coefficients
-        cuts = [real_roots(Polynomial(d0 + x * d1), 0.0, self.s_end) for x in b]
-        width = max(map(len, cuts)) + 1
-        edges = [[0.0, *c] + [self.s_end] * (width - len(c)) for c in cuts]
+        """Pulse areas, each on [0, t_a / t_f] cut at its beta's stationary
+        points: the roots of B0' + b B1', all found by one stacked call."""
+        d = self._db0.coefficients + b[:, None] * self._db1.coefficients
+        edges = np.column_stack((np.zeros(len(b)), stacked_real_roots(d, 0.0, self.s_end),
+                                 np.full(len(b), self.s_end)))
+        edges[np.isnan(edges)] = self.s_end  # a row's padding: empty pieces
 
         def omega(s, row):
             return self.dgamma(s) / np.sin(self.b0(s) + b[row, None] * self.b1(s))
@@ -296,10 +300,11 @@ def _band(b0: Polynomial, b1: Polynomial, s_end: float) -> tuple[float, float]:
             return 0.0, 0.0
     lo, hi = -math.inf, math.inf
     d0, d1 = b0.derivative().coefficients, b1.derivative().coefficients
-    for c in (0.0, -math.pi):
-        q = npoly.polysub(npoly.polymul(d0, b1.coefficients),
-                          npoly.polymul(b0.shifted(-c).coefficients, d1))
-        for s in real_roots(Polynomial(q), 0.0, s_end):
+    levels = (0.0, -math.pi)
+    q = [np.convolve(d0, b1.coefficients) - np.convolve(b0.shifted(-c).coefficients, d1)
+         for c in levels]
+    for c, roots in zip(levels, stacked_real_roots(np.array(q), 0.0, s_end)):
+        for s in roots[~np.isnan(roots)].tolist():
             w = float(b1(s))
             if w == 0.0:
                 continue

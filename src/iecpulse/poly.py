@@ -3,7 +3,8 @@
 All schedules in this package are real polynomials in the normalized time
 s = t / t_f on [0, 1]. Fitting solves a dense Vandermonde-with-derivatives
 system; real roots, with their multiplicities, come from the eigenvalues of
-the companion matrix.
+the companion matrix. The roots of a stack of polynomials come from one
+eigvals call per degree (stacked_real_roots); real_roots is its one-row case.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import ConfigError, SingularSystem
 
-__all__ = ["Polynomial", "Condition", "fit", "solve", "misfit", "real_roots", "value_range"]
+__all__ = ["Polynomial", "Condition", "fit", "solve", "misfit", "real_roots",
+           "stacked_real_roots", "value_range"]
 
 
 class Polynomial:
@@ -152,32 +154,78 @@ def value_range(p: Polynomial, lo: float, hi: float) -> tuple[float, float]:
 
 
 def real_roots(p: Polynomial, lo: float, hi: float) -> list[float]:
-    """All real roots of p in [lo, hi], sorted ascending, each repeated by its multiplicity.
+    """All real roots of p in [lo, hi], sorted ascending, each repeated by its
+    multiplicity: stacked_real_roots of the one row p."""
+    return stacked_real_roots(p.coefficients[None], lo, hi)[0].tolist()
 
-    Candidates are the companion-matrix eigenvalues. Rounding splits a root of
-    multiplicity m into m nearby, possibly complex, values, between which p
-    cannot be told from zero: an eigenvalue counts as real, and neighbours as
-    one root at their mean, where |p| is within its rounding bound. Simple
-    roots get one Newton step.
+
+def stacked_real_roots(coefficients: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The real roots in [lo, hi] of each row of an (n, d + 1) stack of
+    coefficients (ascending power), sorted, each repeated by its multiplicity,
+    NaN-padded to the most roots of any row.
+
+    Candidates are the companion-matrix eigenvalues, one eigvals call per
+    degree (trailing zeros trimmed). Rounding splits a root of multiplicity m
+    into m nearby, possibly complex, values, between which p cannot be told
+    from zero: an eigenvalue counts as real, and neighbours as one root at
+    their mean, where |p| is within its rounding bound. Simple roots get one
+    Newton step. A root within 1e-12 of [lo, hi] is clipped into it.
     """
     if not lo < hi:
         raise ConfigError("real_roots requires lo < hi")
-    nonzero = np.flatnonzero(p.coefficients)
-    if len(nonzero) == 0 or nonzero[-1] == 0:
-        return []
-    c = p.coefficients[: nonzero[-1] + 1]
+    c = np.asarray(coefficients, dtype=float)
+    degree = ((c != 0) * np.arange(c.shape[1])).max(axis=1, initial=0)
+    roots = np.full((len(c), max(c.shape[1] - 1, 0)), math.nan)
+    for d in set(degree.tolist()) - {0}:
+        roots[degree == d, :d] = _roots_of_degree(c[degree == d, : d + 1], lo, hi)
+    roots.sort(axis=1)
+    return roots[:, : (roots == roots).sum(axis=1).max(initial=0)]  # x == x: not NaN
 
-    def negligible(x: np.ndarray) -> np.ndarray:
-        bound = 8 * len(c) * np.finfo(float).eps * npoly.polyval(np.abs(x), np.abs(c))
-        return np.abs(npoly.polyval(x, c)) <= bound
 
-    z = npoly.polyroots(c)
-    x = np.sort(z.real[(z.imag == 0) | negligible(z.real)])
-    roots: list[float] = []
-    for group in np.split(x, np.nonzero(~negligible(0.5 * (x[1:] + x[:-1])))[0] + 1):
-        r = float(group.sum()) / len(group) if len(group) else math.nan
-        if len(group) == 1:
-            r -= float(npoly.polyval(r, c) / npoly.polyval(r, c[1:] * np.arange(1, len(c))))
-        if lo - 1e-12 <= r <= hi + 1e-12:
-            roots += [min(max(r, lo), hi)] * len(group)
-    return roots
+def _roots_of_degree(c: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """stacked_real_roots of rows c of one degree d >= 1, one column per
+    eigenvalue: (m, d), NaN where an eigenvalue gives no root in range. Each
+    value takes the same operations in the same order whatever the stack
+    (Horner's rule, runs summed left to right), so a row's roots do not
+    depend on the rows beside it."""
+    m, d = c.shape[0], c.shape[1] - 1
+    # |p|, p, p and p' (with a zero leading coefficient), highest power first,
+    # each coefficient spread over the d columns of the points in `at`
+    planes = np.zeros((d + 1, 4, m, d))
+    planes[:, 1:3] = c.T[::-1, None, :, None]
+    np.abs(planes[:, 1], out=planes[:, 0])
+    np.multiply(planes[:-1, 1], np.arange(d, 0, -1)[:, None, None], out=planes[1:, 3])
+    planes, tol = planes.reshape(d + 1, -1), 8 * (d + 1) * np.finfo(float).eps
+
+    def horner(at):  # at[0] = |at[1]|, then npoly.polyval's order of operations
+        np.abs(at[1], out=at[0])
+        x, rows = at.reshape(-1), planes[:, : at.size]
+        v = rows[0] + x * 0
+        for p in rows[1:]:
+            v = p + v * x
+        return v.reshape(at.shape)
+
+    companion = np.zeros((m, d, d))
+    companion.reshape(m, -1)[:, d :: d + 1] = 1.0
+    companion[:, :, -1] -= c[:, :-1] / c[:, -1:]
+    z = np.linalg.eigvals(companion)
+    at = np.empty((4, m, d))
+    at[1] = z.real
+    bound, value = horner(at[:2])
+    x = np.sort(np.where((z.imag == 0) | (np.abs(value) <= tol * bound), z.real, math.nan), 1)
+    at[1, :, :-1], at[1, :, -1], at[2], at[3] = 0.5 * (x[:, 1:] + x[:, :-1]), math.nan, x, x
+    bound, value, at_x, slope = horner(at)
+    joined = np.abs(value) <= tol * bound  # x[:, j] and x[:, j + 1] are one root
+    with np.errstate(divide="ignore", invalid="ignore"):  # p' may vanish at a multiple root
+        r = x - at_x / slope  # one Newton step, kept for simple roots
+    if joined.any():
+        acc = np.empty((d, 2, m))  # each run's running sum and count, then its mean
+        acc[:, 0], acc[:, 1], joined = x.T, 1.0, joined.T
+        for j in range(1, d):
+            acc[j] += np.where(joined[j - 1], acc[j - 1], 0.0)
+        acc[:, 0] /= acc[:, 1]
+        for j in range(d - 2, -1, -1):  # back from each run's end
+            acc[j] = np.where(joined[j], acc[j + 1], acc[j])
+        r = np.where(acc[:, 1].T > 1, acc[:, 0].T, r)
+    inside = (lo - 1e-12 <= r) & (r <= hi + 1e-12)
+    return np.where(inside, np.minimum(np.maximum(r, lo), hi), math.nan)

@@ -149,7 +149,7 @@ def _assert_finite_outputs(out: Path) -> None:
 _OVERFLOWING_SWEEP = "t_f = 0.5\nfamily = antedated\nt_a = 0.25\nsweep_n = 10\nsweep_hi = 1e308\n"
 
 
-@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@settings(max_examples=400)
 @given(command=st.sampled_from(sorted(cli._COMMANDS)), text=_configs())
 # rates of 1e308 units overflow at t_f = 0.5: infeasible points, quietly
 @example(command="sweep", text=_OVERFLOWING_SWEEP + "sweep_lo = 4.5\n")
@@ -184,7 +184,7 @@ def _parsed(text: str):
             return str(exc)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@settings(max_examples=200)
 @given(text=_configs(), data=st.data())
 def test_parse_config_does_not_depend_on_line_order(text, data):
     # every value is converted, and every rule applied, in one fixed order

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from iecpulse.errors import SingularSystem
-from iecpulse.poly import Condition, Polynomial, fit, real_roots
+from iecpulse.poly import Condition, Polynomial, fit, real_roots, stacked_real_roots
 
 PI = math.pi
 
@@ -186,3 +189,96 @@ def test_polynomial_hash_and_eq():
     assert Polynomial([1.0, 2.0]) == Polynomial([1.0, 2.0])
     assert hash(Polynomial([1.0, 2.0])) == hash(Polynomial([1.0, 2.0]))
     assert Polynomial([1.0, 2.0]) != Polynomial([1.0, 2.5])
+
+
+def reference_real_roots(c, lo, hi):
+    """The roots that stacked_real_roots gives for the coefficient row c, one
+    polynomial at a time: npoly.polyroots, then a Python loop over the runs
+    of candidates that are one root (the per-row root finder that the
+    stacked one replaced)."""
+    nonzero = np.flatnonzero(c)
+    if len(nonzero) == 0 or nonzero[-1] == 0:
+        return []
+    c = np.asarray(c, dtype=float)[: nonzero[-1] + 1]
+
+    def negligible(x):
+        bound = 8 * len(c) * np.finfo(float).eps * npoly.polyval(np.abs(x), np.abs(c))
+        return np.abs(npoly.polyval(x, c)) <= bound
+
+    z = npoly.polyroots(c)
+    x = np.sort(z.real[(z.imag == 0) | negligible(z.real)])
+    roots = []
+    for group in np.split(x, np.nonzero(~negligible(0.5 * (x[1:] + x[:-1])))[0] + 1):
+        r = float(group.sum()) / len(group) if len(group) else math.nan
+        if len(group) == 1:
+            r -= float(npoly.polyval(r, c) / npoly.polyval(r, c[1:] * np.arange(1, len(c))))
+        if lo - 1e-12 <= r <= hi + 1e-12:
+            roots += [min(max(r, lo), hi)] * len(group)
+    return roots
+
+
+#: Coefficients of the random rows: 0, or 1e-6 to 3 in size (a leading
+#: coefficient near the smallest normal float overflows the companion matrix).
+_COEFFICIENTS = st.just(0.0) | st.floats(1e-6, 3.0) | st.floats(-3.0, -1e-6)
+
+
+@st.composite
+def _factors(draw, lo, hi):
+    """Ascending coefficients of one factor: a simple root (anywhere, or
+    exactly at lo or hi), a double or triple root, or a complex pair a +- i e
+    near the real axis."""
+    a = draw(st.sampled_from([lo, hi]) | st.floats(lo - 0.5, hi + 0.5))
+    kind = draw(st.sampled_from(["simple", "double", "triple", "pair"]))
+    if kind == "pair":
+        e = 10.0 ** draw(st.floats(-12.0, -1.0))
+        return np.array([a * a + e * e, -2.0 * a, 1.0])
+    return npoly.polyfromroots([a] * {"simple": 1, "double": 2, "triple": 3}[kind])
+
+
+@st.composite
+def _row(draw, width, lo, hi):
+    """A coefficient row of width entries: random, from planted factors, all
+    zero or constant; its top entries may be zero, so it has a lower degree."""
+    kind = draw(st.sampled_from(["random", "planted", "planted", "zero", "constant"]))
+    if kind == "zero":
+        return np.zeros(width)
+    if kind == "constant":
+        return np.array([draw(_COEFFICIENTS)] + [0.0] * (width - 1))
+    if kind == "random":
+        c = np.array(draw(st.lists(_COEFFICIENTS, min_size=width, max_size=width)))
+    else:
+        c = np.array([draw(st.floats(0.5, 3.0) | st.floats(-3.0, -0.5))])
+        while len(c) < width:
+            f = draw(_factors(lo, hi))
+            if len(c) + len(f) - 1 > width:
+                break
+            c = npoly.polymul(c, f)
+        c = np.concatenate([c, np.zeros(width - len(c))])
+    c[width - draw(st.just(0) | st.integers(0, width - 1)):] = 0.0
+    return c
+
+
+@st.composite
+def _stacks(draw):
+    """(stack, lo, hi): 1-8 rows of one width (degree 0-6), rows of lower
+    degree among them."""
+    lo = draw(st.sampled_from([0.0, -0.25]) | st.floats(-1.0, 1.0))
+    hi = lo + draw(st.sampled_from([1.0, 0.5]) | st.floats(1e-3, 2.0))
+    width = draw(st.integers(1, 7))
+    rows = draw(st.lists(_row(width, lo, hi), min_size=1, max_size=8))
+    return np.array(rows), lo, hi
+
+
+@settings(max_examples=300)
+@given(case=_stacks())
+@example(case=(np.array([QUARTIC, [-1.0, 3.0, -3.0, 1.0, 0.0], [0.0] * 5]), 0.0, 1.0))
+@example(case=(np.array([[0.0, 1.0], [1.0, 0.0], [-1.0, 1.0]]), 0.0, 1.0))  # roots at lo, hi
+def test_stacked_real_roots_match_one_polynomial_at_a_time(case):
+    stack, lo, hi = case
+    roots = stacked_real_roots(stack, lo, hi)
+    expected = [reference_real_roots(c, lo, hi) for c in stack]
+    assert roots.shape == (len(stack), max(map(len, expected)))
+    for row, reference in zip(roots, expected):
+        found = row[~np.isnan(row)]
+        assert found.tolist() == reference
+        assert np.isnan(row[len(found):]).all()  # NaN only as padding
