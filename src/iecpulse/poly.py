@@ -170,6 +170,10 @@ def stacked_real_roots(coefficients: np.ndarray, lo: float, hi: float) -> np.nda
     from zero: an eigenvalue counts as real, and neighbours as one root at
     their mean, where |p| is within its rounding bound. Simple roots get one
     Newton step. A root within 1e-12 of [lo, hi] is clipped into it.
+    The domain is rows of finite coefficients whose companion matrix is
+    finite. A row of degree d >= 1 outside it raises ConfigError: a NaN or
+    infinite coefficient, or a leading one so small that a ratio to it
+    overflows.
     """
     if not lo < hi:
         raise ConfigError("real_roots requires lo < hi")
@@ -205,9 +209,13 @@ def _roots_of_degree(c: np.ndarray, lo: float, hi: float) -> np.ndarray:
             v = p + v * x
         return v.reshape(at.shape)
 
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = c / c[:, -1:]  # last column 1, or NaN for a leading inf or NaN
+    if not np.isfinite(ratio).all():
+        raise ConfigError("real_roots needs finite coefficients and a finite companion matrix")
     companion = np.zeros((m, d, d))
     companion.reshape(m, -1)[:, d :: d + 1] = 1.0
-    companion[:, :, -1] -= c[:, :-1] / c[:, -1:]
+    companion[:, :, -1] -= ratio[:, :-1]
     z = np.linalg.eigvals(companion)
     at = np.empty((4, m, d))
     at[1] = z.real

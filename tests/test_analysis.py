@@ -317,6 +317,56 @@ def test_detuning_policy_decides_pinned_point():
     assert "delta exceeds" in validate_schedule(antedated_pair(1.0, 0.71, b)).messages[0]
 
 
+def reference_detuning_peak(sweep, b):
+    """The peak behind _Sweep._detuning_ok's verdict by the formula it
+    replaced, cot(gamma) and cot(beta) each from cos, sin and a divide:
+    max |delta| t_f on the validation grid, where
+    delta = gamma_dot cot(gamma) cot(beta) - beta_dot."""
+    s = analysis._driven_grid(sweep.s_end)
+    g = sweep.gamma(s)
+    grid_cot = sweep.dgamma(s) * np.cos(g) / np.sin(g)
+    beta = np.multiply.outer(b, sweep._grid_beta[1])
+    beta += sweep._grid_beta[0]
+    delta = np.cos(beta)
+    delta /= np.sin(beta, out=beta)
+    delta *= grid_cot
+    rate = np.multiply.outer(b, sweep._grid_rate[1], out=beta)
+    rate += sweep._grid_rate[0]
+    delta -= rate
+    return np.abs(delta, out=delta).max(axis=1)
+
+
+@settings(max_examples=150)
+@given(frac=_evenly(schedule.critical_t_a() + 1e-6, 0.7737), where=_evenly(0.0, 1.0),
+       edge=st.floats(6.0, 12.0).map(lambda e: 10.0**-e))
+def test_detuning_verdict_matches_the_cos_sin_formula(frac, where, edge):
+    """The tan verdict is the cos/sin one outside a tie zone at the bound.
+
+    Three candidates per draw: one across the band (lo, hi) and one within
+    edge of each end, where beta nears 0 or -pi and |delta| grows large.
+    Inside the band beta stays in (-pi, 0), so both peaks are finite. The
+    verdict's own peak is read through the verdict, with the bound set per
+    candidate just above and just below the reference peak: it agrees with
+    the reference to 1e-14 relative. Both verdicts compare their peak with
+    the same bound, so they can differ only where the reference peak lies
+    within 1e-14 relative of it, inside the 1e-12 tie zone.
+    """
+    sweep = _Sweep(1.0, frac)
+    lo, hi = sweep.band
+    b = np.array([lo + (hi - lo) * where, lo + edge, hi - edge])
+    b = b[(lo < b) & (b < hi)]  # where = 0 or 1 puts the first on an edge
+    ref = reference_detuning_peak(sweep, b)
+    assert len(b) >= 2 and np.isfinite(ref).all()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "DELTA_FINITE_BOUND", ref * (1 + 1e-14))
+        assert sweep._detuning_ok(b).all()
+        patch.setattr(analysis, "DELTA_FINITE_BOUND", ref * (1 - 1e-14))
+        assert not sweep._detuning_ok(b).any()
+    bound = analysis.DELTA_FINITE_BOUND
+    outside = np.abs(ref - bound) > 1e-12 * bound
+    assert np.array_equal(sweep._detuning_ok(b)[outside], (ref <= bound)[outside])
+
+
 @pytest.mark.parametrize("frac", [0.27, 0.5, 0.71, 0.8])
 def test_band_edges_are_where_beta_touches_its_bounds(frac):
     # each finite edge puts an extremum of beta on the driven segment at 0 or -pi

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
+from iecpulse import errors
 from iecpulse.errors import SingularSystem
 from iecpulse.poly import Condition, Polynomial, fit, real_roots, stacked_real_roots
 
@@ -282,3 +283,17 @@ def test_stacked_real_roots_match_one_polynomial_at_a_time(case):
         found = row[~np.isnan(row)]
         assert found.tolist() == reference
         assert np.isnan(row[len(found):]).all()  # NaN only as padding
+
+
+@pytest.mark.parametrize("row", [[1.0, 2.2e-309], [-0.5, 1.0, 1e-309], [1.0, math.nan],
+                                 [math.inf, 1.0]])
+def test_roots_outside_the_finite_companion_domain_raise_a_typed_error(row):
+    # the companion matrix overflows (2.2e-309, 1e-309) or holds a NaN or an
+    # inf; the suite's filterwarnings = error turns any warning into a failure
+    stack = np.array([[1.0, -0.5, 0.0], row + [0.0] * (3 - len(row))])  # beside a good row
+    for call in (lambda: real_roots(Polynomial(row), 0.0, 1.0),
+                 lambda: stacked_real_roots(stack, 0.0, 1.0)):
+        with pytest.raises(Exception) as info:
+            call()
+        assert type(info.value).__module__ == errors.__name__, repr(info.value)
+        assert isinstance(info.value, errors.ConfigError)
