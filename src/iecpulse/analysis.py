@@ -168,7 +168,6 @@ class SweepResult:
     minimum the refined (beta_dot0 in units, cost).
     """
 
-    t_a: float
     units: np.ndarray
     cost: np.ndarray
     feasible: np.ndarray
@@ -369,7 +368,7 @@ def sweep_beta_dot0(t_f: float, t_a: float, lo: float, hi: float, n: int) -> Swe
             f"sweep minimum {minimum[1]!r} at beta_dot0 = {minimum[0]!r} disagrees with "
             f"the per-schedule path ({'cost ' + repr(check) if check_ok else 'infeasible'})"
         )
-    return SweepResult(t_a=t_a, units=units, cost=cost, feasible=feasible, minimum=minimum)
+    return SweepResult(units=units, cost=cost, feasible=feasible, minimum=minimum)
 
 
 def golden_section(f, lo: float, hi: float, *, tol: float = 1e-6) -> tuple[float, float]:

@@ -171,9 +171,10 @@ def stacked_real_roots(coefficients: np.ndarray, lo: float, hi: float) -> np.nda
     their mean, where |p| is within its rounding bound. Simple roots get one
     Newton step. A root within 1e-12 of [lo, hi] is clipped into it.
     The domain is rows of finite coefficients whose companion matrix is
-    finite. A row of degree d >= 1 outside it raises ConfigError: a NaN or
-    infinite coefficient, or a leading one so small that a ratio to it
-    overflows.
+    finite and whose Horner sums, of |p| and of p', are finite at every
+    eigenvalue. A row of degree d >= 1 outside it raises ConfigError: a NaN
+    or infinite coefficient, a leading one so small that a ratio to it
+    overflows, or a root so large that |x|^d overflows (as for [1, 1e300, 1]).
     """
     if not lo < hi:
         raise ConfigError("real_roots requires lo < hi")
@@ -198,7 +199,8 @@ def _roots_of_degree(c: np.ndarray, lo: float, hi: float) -> np.ndarray:
     planes = np.zeros((d + 1, 4, m, d))
     planes[:, 1:3] = c.T[::-1, None, :, None]
     np.abs(planes[:, 1], out=planes[:, 0])
-    np.multiply(planes[:-1, 1], np.arange(d, 0, -1)[:, None, None], out=planes[1:, 3])
+    with np.errstate(over="ignore"):  # an infinite p' coefficient fails the first pass
+        np.multiply(planes[:-1, 1], np.arange(d, 0, -1)[:, None, None], out=planes[1:, 3])
     planes, tol = planes.reshape(d + 1, -1), 8 * (d + 1) * np.finfo(float).eps
 
     def horner(at):  # at[0] = |at[1]|, then npoly.polyval's order of operations
@@ -218,8 +220,14 @@ def _roots_of_degree(c: np.ndarray, lo: float, hi: float) -> np.ndarray:
     companion[:, :, -1] -= ratio[:, :-1]
     z = np.linalg.eigvals(companion)
     at = np.empty((4, m, d))
-    at[1] = z.real
-    bound, value = horner(at[:2])
+    at[1:] = z.real
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = horner(at)
+    # Finite here, every later sum is: it is |p| at a point no farther out, or
+    # p or p' at an eigenvalue.
+    if not np.isfinite(first).all():
+        raise ConfigError("real_roots needs Horner sums that stay finite at every eigenvalue")
+    bound, value = first[:2]
     x = np.sort(np.where((z.imag == 0) | (np.abs(value) <= tol * bound), z.real, math.nan), 1)
     at[1, :, :-1], at[1, :, -1], at[2], at[3] = 0.5 * (x[:, 1:] + x[:, :-1]), math.nan, x, x
     bound, value, at_x, slope = horner(at)

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -258,7 +259,11 @@ class _Waveform:
         self._cuts = [0.5 * (a.s0 + b.s0) for a, b in zip(st, st[1:])]
         self._s0 = np.array([x.s0 for x in st])
         self._divergent = np.array([x.cot_order < 0 for x in st])
-        self._switch_delta: float | None = None
+        #: detuning (times t_f) held after the antedated switch, None without one
+        self.switch_delta = None if self.switch is None else self.delta(self.switch)
+        if self.switch_delta is not None and abs(self.switch_delta) < 1e-9:
+            warnings.warn("switched detuning is ~0: the post-switch Hamiltonian is degenerate "
+                          "and the population inversion is not well defined", stacklevel=3)
 
     def quotients(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """omega_r and the cot term (delta + beta_dot) times t_f at the samples s,
@@ -271,8 +276,8 @@ class _Waveform:
             raise DivergentPulse(f"waveform diverges at s = {self._s0[hit][0]:.6g}")
         j = np.searchsorted(self._cuts, s.real, side="right")
         om, cot = np.empty_like(s), np.empty_like(s)
-        for i, st in enumerate(self.stations):
-            at = j == i
+        for i in np.flatnonzero(np.bincount(j.ravel())):  # the stations owning samples, in O(n)
+            st, at = self.stations[i], j == i
             om[at], cot[at] = _quotients(st, s[at] - st.s0)
         return om, cot
 
@@ -321,23 +326,8 @@ class _Waveform:
         if driven.any():
             om[driven], dl[driven] = self.fields(s[driven])
         if not driven.all():
-            dl[~driven] = self.switch_delta()
+            dl[~driven] = self.switch_delta
         return om, dl
-
-    def switch_delta(self) -> float:
-        """Detuning (times t_f) held after the antedated switch."""
-        if self.switch is None:
-            raise ConfigError("schedule has no antedated switch")
-        if self._switch_delta is None:
-            value = self.delta(self.switch)
-            if abs(value) < 1e-9:
-                warnings.warn(
-                    "switched detuning is ~0: the post-switch Hamiltonian is degenerate "
-                    "and the population inversion is not well defined",
-                    stacklevel=3,
-                )
-            self._switch_delta = value
-        return self._switch_delta
 
 
 @lru_cache(maxsize=128)
@@ -366,8 +356,9 @@ def delta_at(pair: SchedulePair, s: float) -> float:
 
 
 def _check_s(s: float) -> None:
-    if not -1e-12 <= s <= 1.0 + 1e-12:
-        raise ConfigError(f"s = {s!r} outside [0, 1]")
+    x = s[()] if isinstance(s, np.ndarray) else s  # a 0-d array is a scalar
+    if not (isinstance(x, numbers.Real) and -1e-12 <= x <= 1.0 + 1e-12):
+        raise ConfigError(f"s = {s!r} is not a real number in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -445,7 +436,7 @@ def lr_phase(pair: SchedulePair, t: float, branch: int) -> float:
     if not 0.0 <= t <= pair.t_f * (1 + 1e-12):
         raise ConfigError("t outside [0, t_f]")
     wave = _waveform(pair)
-    s = t / pair.t_f
+    s = min(t / pair.t_f, 1.0)
     if s == 0.0:
         return 0.0
     s_end = min(s, wave.end)
@@ -457,7 +448,7 @@ def lr_phase(pair: SchedulePair, t: float, branch: int) -> float:
 
     integral = float(gauss_legendre(rate, wave.edges(s_end), 1e-9)[0])
     if s > s_end:
-        integral += wave.switch_delta() * (s - s_end)
+        integral += wave.switch_delta * (s - s_end)
     return -0.5 * branch * integral
 
 

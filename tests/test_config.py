@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from iecpulse import ConfigError, cli
 from iecpulse.analysis import check_sweep, compare_passages, sweep_beta_dot0
 from iecpulse.dynamics import Weights, check_steps
-from iecpulse.pulse import check_grid, synthesize
+from iecpulse.pulse import check_grid, delta_at, omega_r_at, synthesize
 from iecpulse.schedule import SchedulePair, antedated_pair, fourth_order_pair, third_order_pair
 
 PI = math.pi
@@ -58,13 +58,17 @@ def _third_pair_at(t_f, t_a):
         (lambda: check_steps(10**15), "n_steps"),
         (lambda: check_sweep(1.0, 0.1, 8.0, 10**6 + 1), "grid points"),
         (lambda: check_sweep(1.0, 0.1, 8.0, 10**15), "grid points"),
+        # the waveform probes take one real s
+        (lambda: omega_r_at(third_order_pair(1.0), np.array([0.2, 0.4])), "not a real number"),
+        (lambda: delta_at(third_order_pair(1.0), [0.5]), "not a real number"),
+        (lambda: omega_r_at(third_order_pair(1.0), math.nan), "not a real number"),
     ],
     ids=[
         "third-t_f-inf", "fourth-gamma_mid-nan", "fourth-gamma_mid-inf", "fourth-t_f-negative",
         "antedated-beta_dot0-inf", "antedated-t_f-inf", "synthesize-n-2.5", "compare-n-0",
         "compare-n-1", "sweep-hi-inf", "pair-t_a-underflow", "antedated-t_a-underflow",
         "sweep-t_a-underflow", "grid-cap", "grid-1e15", "steps-cap", "steps-1e15",
-        "sweep-cap", "sweep-1e15",
+        "sweep-cap", "sweep-1e15", "omega_r_at-array", "delta_at-list", "omega_r_at-nan",
     ],
 )
 def test_bad_argument_raises_config_error(call, names):

@@ -119,7 +119,7 @@ def _residual_reference(pair, s):
 
     a = pair.switch_fraction
     if a is not None and s > a:
-        d = wave.switch_delta()
+        d = wave.switch_delta
         h = np.array([[0.5 * d, 0.0], [0.0, -0.5 * d]], dtype=complex)
         inv = invariant(a)
         return float(np.linalg.norm(h @ inv - inv @ h))

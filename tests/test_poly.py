@@ -286,10 +286,11 @@ def test_stacked_real_roots_match_one_polynomial_at_a_time(case):
 
 
 @pytest.mark.parametrize("row", [[1.0, 2.2e-309], [-0.5, 1.0, 1e-309], [1.0, math.nan],
-                                 [math.inf, 1.0]])
+                                 [math.inf, 1.0], [1.0, 1e300, 1.0], [1.0, -1e300, 1.0]])
 def test_roots_outside_the_finite_companion_domain_raise_a_typed_error(row):
-    # the companion matrix overflows (2.2e-309, 1e-309) or holds a NaN or an
-    # inf; the suite's filterwarnings = error turns any warning into a failure
+    # the companion matrix overflows (2.2e-309, 1e-309), holds a NaN or an
+    # inf, or has an eigenvalue near -/+1e300 where |x|^2 overflows; the
+    # suite's filterwarnings = error turns any warning into a failure
     stack = np.array([[1.0, -0.5, 0.0], row + [0.0] * (3 - len(row))])  # beside a good row
     for call in (lambda: real_roots(Polynomial(row), 0.0, 1.0),
                  lambda: stacked_real_roots(stack, 0.0, 1.0)):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from iecpulse import pulse
 from iecpulse.analysis import compare_passages, max_adiabaticity_metric
 from iecpulse.dynamics import Weights, hamiltonian_at
 from iecpulse.errors import DegeneratePoint, DivergentPulse, NoConvergence
@@ -43,6 +44,7 @@ def test_omega_r_midpoint(third):
     # gamma'(1/2) = -3pi/2 per unit s, beta(1/2) = -pi/8
     expected = 1.5 * PI / math.sin(PI / 8)
     assert omega_r_at(third, 0.5) == pytest.approx(expected, rel=1e-12)
+    assert omega_r_at(third, np.array(0.5)) == omega_r_at(third, 0.5)  # a 0-d array is a scalar
 
 
 def test_omega_r_compensated_limit(ante):
@@ -128,6 +130,24 @@ def test_quotients_match_the_two_station_formulas_bit_for_bit(pair):
         rows, reference = wave.quotients(x), _reference_rows(wave, x)
         for row, ref in zip(rows, reference):
             assert row.dtype == ref.dtype and row.tobytes() == ref.tobytes()
+
+
+def test_quotients_visit_only_the_stations_that_own_samples(monkeypatch, ante):
+    wave = _waveform(ante)
+    visited = []
+    station_formula = pulse._quotients
+    monkeypatch.setattr(pulse, "_quotients",
+                        lambda st, u: visited.append(st.s0) or station_formula(st, u))
+    wave.quotients(np.array([0.3]))
+    assert len(visited) == 1
+    # a driven-segment call skips the stations past the switch
+    visited.clear()
+    s = np.linspace(0.0, wave.end, 1001)
+    wave.quotients(s)
+    s0 = np.array([st.s0 for st in wave.stations])
+    owners = set(s0[np.abs(s[:, None] - s0).argmin(axis=1)].tolist())
+    assert sorted(visited) == sorted(owners) and len(visited) == 2
+    assert sorted(set(s0.tolist()) - owners) == pytest.approx([0.6875, 1.0])
 
 
 def test_frequencies_scale_as_inverse_t_f():
@@ -306,6 +326,11 @@ def test_lr_phase_finite_total(third):
 def test_lr_phase_dimensionless(third):
     large = third_order_pair(1000.0)
     assert lr_phase(third, 0.7, +1) == pytest.approx(lr_phase(large, 700.0, +1), abs=1e-9)
+
+
+def test_lr_phase_just_past_t_f_is_the_total(third):
+    # accepted up to t_f (1 + 1e-12), and read at t_f: an unswitched pair has no held detuning
+    assert lr_phase(third, 1.0 + 1e-13, +1) == lr_phase(third, 1.0, +1)
 
 
 def test_lr_phase_invalid_branch(third):
