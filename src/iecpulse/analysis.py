@@ -11,7 +11,9 @@ antedating time the cost is a unimodal function of the initial beta rate;
 sweep_beta_dot0 locates its minimum in the calling process by a grid scan
 followed by golden-section refinement. Every candidate of a sweep shares
 one gamma fit and one pair of beta solves, because beta is affine in the
-rate (_Sweep).
+rate (_Sweep). The same affinity lets the detuning grid of the candidates
+nearest the band's ends bound the detuning of every candidate between
+them, and the feasible candidates are costed in one quadrature call.
 """
 
 from __future__ import annotations
@@ -59,10 +61,9 @@ COST_TOL = 1e-8
 #: final values.
 POPULATION_TOL = 1e-3
 
-#: Sweep candidates evaluated together: 8 rows of the validation grid make
-#: 640 kB per array. Costs are summed per block too, and gauss_legendre's
-#: sums move in the last ulp with its row count, so sweep.csv's bytes
-#: depend on this size.
+#: Sweep candidates whose detuning is evaluated on the validation grid
+#: together: 8 rows of it make 640 kB per array. It bounds only that memory;
+#: no output depends on it.
 SWEEP_BLOCK = 8
 
 
@@ -198,10 +199,12 @@ class _Sweep:
     residual check on B0 + b B1, the band of b where -pi < beta < 0 on the
     driven segment (omega_r is then finite and positive, a plain quotient
     with no station), and the detuning policy on the validation grid with
-    cot(beta) = 1 / tan(beta) (_detuning_ok). The feasible candidates are
-    costed together, SWEEP_BLOCK at a time: one stacked_real_roots call
-    finds the cut points of a block, one gauss_legendre call integrates it.
-    Raises SingularSystem or NoCrossing when no candidate can be built.
+    cot(beta) = 1 / tan(beta) (_detuning_ok), evaluated only near the band's
+    ends and proved for the candidates between (_detuning_in_band). The
+    feasible candidates are costed in one call: one stacked_real_roots call
+    finds every cut point, one gauss_legendre call integrates them all, and
+    no cost depends on that grouping. Raises SingularSystem or NoCrossing
+    when no candidate can be built.
     """
 
     def __init__(self, t_f: float, t_a: float):
@@ -231,14 +234,12 @@ class _Sweep:
         with np.errstate(over="ignore", invalid="ignore"):
             b = beta_dot0_rate(units, self.t_f) * self.t_f  # rounded as _sweep_point rounds it
             ok = self.gamma_ok & (lo < b) & (b < hi) & self._fit_ok(b)
-        cost = np.full(len(b), math.nan)
         rows = np.flatnonzero(ok)
-        for i in range(0, len(rows), SWEEP_BLOCK):
-            block = rows[i : i + SWEEP_BLOCK]
-            ok[block] = self._detuning_ok(b[block])
-            block = block[ok[block]]
-            if len(block):
-                cost[block] = self._cost(b[block])
+        rows = rows[np.argsort(b[rows])]
+        ok[rows] = self._detuning_in_band(b[rows])
+        rows = rows[ok[rows]]
+        cost = np.full(len(b), math.nan)
+        cost[rows] = self._cost(b[rows])
         return cost, ok
 
     def _fit_ok(self, b: np.ndarray) -> np.ndarray:
@@ -261,6 +262,53 @@ class _Sweep:
         delta -= rate
         peak = np.abs(delta, out=delta).max(axis=1)
         return np.isfinite(peak) & (peak <= DELTA_FINITE_BOUND)
+
+    def _detuning_in_band(self, b: np.ndarray) -> np.ndarray:
+        """_detuning_ok's verdicts on b, ascending and inside the band, with
+        the grid evaluated only near the ends: SWEEP_BLOCK rows from each end
+        at a time, moving inward, until _proved_between shows that every row
+        strictly between the innermost evaluated ones passes. At worst every
+        row reaches the grid."""
+        ok = np.empty(len(b), dtype=bool)
+        i, j = 0, len(b)  # rows i .. j - 1 are undecided
+        while i < j:
+            k = min(i + SWEEP_BLOCK, j)
+            ok[i:k] = self._detuning_ok(b[i:k])
+            i = k
+            if i == j:
+                break
+            k = max(j - SWEEP_BLOCK, i)
+            ok[k:j] = self._detuning_ok(b[k:j])
+            j = k
+            if i < j and self._proved_between(b[i - 1], b[j]):
+                ok[i:j] = True
+                break
+        return ok
+
+    def _proved_between(self, a: float, c: float) -> bool:
+        """Whether every b in [a, c] passes _detuning_ok, proved from the
+        grid at a and c alone.
+
+        beta = B0 + b B1 is rounded monotonically in b at each sample, so a
+        b between a and c gets a beta between theirs. Where both lie in
+        (-pi, 0), |cot| is quasi-convex there: its maximum over the interval
+        lies at an end. beta_dot = B0' + b B1' is likewise rounded between
+        the ends' values. So each sample's |delta| is at most the larger
+        |gamma_dot cot(gamma) / tan(beta)| of the ends plus their larger
+        |beta_dot|, up to a few ulps of rounding in tan, the divide and the
+        sums, which the 1e-9 relative margin below DELTA_FINITE_BOUND covers.
+        """
+        ends = np.array([a, c])
+        beta = np.multiply.outer(ends, self._grid_beta[1])
+        beta += self._grid_beta[0]
+        if not ((-math.pi < beta) & (beta < 0.0)).all():
+            return False
+        cot = np.divide(self._grid_cot, np.tan(beta, out=beta), out=beta)
+        rate = np.multiply.outer(ends, self._grid_rate[1])
+        rate += self._grid_rate[0]
+        bound = np.abs(cot, out=cot).max(axis=0)
+        bound += np.abs(rate, out=rate).max(axis=0)
+        return bool(bound.max() <= DELTA_FINITE_BOUND * (1 - 1e-9))
 
     def _cost(self, b: np.ndarray) -> np.ndarray:
         """Pulse areas, each on [0, t_a / t_f] cut at its beta's stationary

@@ -2,7 +2,8 @@
 
 States are plain 2x2 complex numpy arrays (density matrices) or length-2
 complex vectors. The operator and state builders take a float s or an
-array of s and return a 2x2 matrix or an (n, 2, 2) stack, and
+array of s, each real and in [0, 1] (else ConfigError, pulse._check_s),
+and return a 2x2 matrix or an (n, 2, 2) stack, and
 invariant_residual a float or an array, from one pass over the samples;
 bloch_vector and fidelity take a state or a stack. The invariant-basis
 mixed state
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegeneratePoint, StepTooCoarse
-from .pulse import _waveform
+from .pulse import _check_s, _waveform
 from .schedule import SchedulePair
 
 __all__ = [
@@ -144,12 +145,14 @@ def _angles(pair: SchedulePair, s):
 
 def hamiltonian_at(pair: SchedulePair, s: float | np.ndarray) -> np.ndarray:
     """The control Hamiltonian at s, in angular-frequency units (a stack for an s array)."""
+    _check_s(s, scalar=False)
     return _hamiltonian(*_waveform(pair).drive(np.asarray(s, dtype=float))) / pair.t_f
 
 
 def invariant_at(pair: SchedulePair, s: float | np.ndarray) -> np.ndarray:
     """The dynamical invariant (unit scale constant) of the design at s (a
     stack for an s array), frozen at its t_a value past an antedated switch."""
+    _check_s(s, scalar=False)
     g, b, _, _ = _angles(pair, s)
     off = 0.5 * np.sin(g) * (np.cos(b) + 1j * np.sin(b))
     return _states(0.5 * np.cos(g), -0.5 * np.cos(g), off)
@@ -158,6 +161,7 @@ def invariant_at(pair: SchedulePair, s: float | np.ndarray) -> np.ndarray:
 def invariant_eigenstate(pair: SchedulePair, branch: int, s: float) -> np.ndarray:
     """Instantaneous eigenstate of the invariant, branch = +1 or -1, frozen
     at its t_a value past an antedated switch."""
+    _check_s(s)
     g, b, _, _ = map(float, _angles(pair, s))
     if branch == +1:
         return np.array(
@@ -181,6 +185,7 @@ def invariant_residual(pair: SchedulePair, s: float | np.ndarray) -> float | np.
     result) or an array (an array of the same shape). Past the antedated
     switch the frozen invariant is checked against the held Hamiltonian.
     """
+    _check_s(s, scalar=False)
     x = np.atleast_1d(np.asarray(s, dtype=float))
     g, b, dg, db = _angles(pair, x)
     sin_g, cos_g, phase = np.sin(g), np.cos(g), np.cos(b) + 1j * np.sin(b)
@@ -201,6 +206,7 @@ def invariant_state(pair: SchedulePair, w: Weights, s: float | np.ndarray) -> np
     s is a float (a 2x2 state) or an array (a stack of states, shape
     s.shape + (2, 2)). Frozen from t_a on, like the invariant.
     """
+    _check_s(s, scalar=False)
     g, b, _, _ = _angles(pair, s)
     dp = w.difference
     off = 0.5 * dp * np.sin(g) * (np.cos(b) + 1j * np.sin(b))
@@ -215,6 +221,7 @@ def adiabatic_state(pair: SchedulePair, w: Weights, s: float | np.ndarray) -> np
     stays in the xz-plane. Raises DegeneratePoint at a level crossing, and
     DivergentPulse when a waveform diverges within the driven samples' span.
     """
+    _check_s(s, scalar=False)
     s = np.asarray(s, dtype=float)
     om, dl = _waveform(pair).drive(s)
     crossing = np.hypot(om, dl) < 1e-12

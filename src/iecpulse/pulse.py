@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -355,10 +354,22 @@ def delta_at(pair: SchedulePair, s: float) -> float:
     return _waveform(pair).delta(s) / pair.t_f
 
 
-def _check_s(s: float) -> None:
-    x = s[()] if isinstance(s, np.ndarray) else s  # a 0-d array is a scalar
-    if not (isinstance(x, numbers.Real) and -1e-12 <= x <= 1.0 + 1e-12):
-        raise ConfigError(f"s = {s!r} is not a real number in [0, 1]")
+def _is_real_in(x, lo: float, hi: float, scalar: bool) -> bool:
+    """Whether x is a real number (a 0-d array is one) or, unless scalar,
+    an array of them, with every value in [lo, hi]."""
+    try:
+        v = np.asarray(x)
+    except ValueError:  # a ragged nest of sequences
+        return False
+    return v.dtype.kind in "iuf" and not (scalar and v.ndim) and bool(((lo <= v) & (v <= hi)).all())
+
+
+def _check_s(s, scalar: bool = True) -> None:
+    """Raise ConfigError unless s is a real number in [0, 1] (or, unless
+    scalar, an array of them), give or take 1e-12."""
+    if not _is_real_in(s, -1e-12, 1.0 + 1e-12, scalar):
+        what = "a real number" if scalar else "a real number or array of them"
+        raise ConfigError(f"s = {s!r} is not {what} in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -428,13 +439,14 @@ def lr_phase(pair: SchedulePair, t: float, branch: int) -> float:
     + omega_r sin(gamma) cos(beta) comes from the factored formulas and is
     integrated by gauss_legendre to 1e-9, cut at the stations and at beta's
     stationary points, up to where the drive ends; past it the frozen
-    eigenstate's rate is the held detuning. Raises DivergentPulse, at any
-    t, for a schedule that diverges on its driven segment.
+    eigenstate's rate is the held detuning. Raises ConfigError unless t is
+    a real number in [0, t_f (1 + 1e-12)], and DivergentPulse, at any t,
+    for a schedule that diverges on its driven segment.
     """
     if branch not in (+1, -1):
         raise ConfigError("branch must be +1 or -1")
-    if not 0.0 <= t <= pair.t_f * (1 + 1e-12):
-        raise ConfigError("t outside [0, t_f]")
+    if not _is_real_in(t, 0.0, pair.t_f * (1 + 1e-12), scalar=True):
+        raise ConfigError(f"t = {t!r} is not a real number in [0, t_f]")
     wave = _waveform(pair)
     s = min(t / pair.t_f, 1.0)
     if s == 0.0:
@@ -465,7 +477,10 @@ def gauss_legendre(f, edges, tol: float) -> np.ndarray:
     piece). f(s, row) returns the integrand at the nodes s, an array with
     one line of nodes per piece, whose pieces belong to the rows row. Each
     piece starts with GAUSS_START nodes, and the count doubles until
-    successive sums agree to tol (absolute); the finer sum is kept. Raises
+    successive sums agree to tol (absolute); the finer sum is kept. Each
+    piece's sum depends only on its own line of f, so where f evaluates
+    each node on its own, a row's integral is the same to the bit however
+    rows are grouped into calls. Raises
     NoConvergence naming the first piece still unsettled beyond GAUSS_CAP
     nodes.
     """
@@ -476,7 +491,8 @@ def gauss_legendre(f, edges, tol: float) -> np.ndarray:
 
     def rule(n: int, idx: np.ndarray) -> np.ndarray:
         x, w = _gauss_rule(n)
-        return half[idx] * (f(mid[idx, None] + half[idx, None] * x, row[idx]) @ w)
+        values = f(mid[idx, None] + half[idx, None] * x, row[idx])
+        return half[idx] * np.einsum("ij,j->i", values, w)
 
     total = np.zeros(len(lo))
     todo = np.flatnonzero(hi > lo)

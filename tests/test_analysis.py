@@ -305,6 +305,75 @@ def _band_and_drive(t_f, t_a, units):
     return in_band, wave.omega_many(analysis._driven_grid(wave.end))
 
 
+@pytest.mark.parametrize("frac", [0.3, 0.5, 0.77])
+def test_sweep_costs_do_not_depend_on_how_rows_are_grouped(frac):
+    # gauss_legendre sums each piece from its own nodes only, so evaluate can
+    # cost every feasible row in one call
+    sweep = _Sweep(1.0, frac)
+    lo, hi = sweep.band
+    units = np.linspace(lo, hi, 202)[1:-1] * 2.0 / PI
+    cost, ok = sweep.evaluate(units)
+    b = schedule.beta_dot0_rate(units[ok], 1.0)
+    assert len(b) >= 150
+    whole = sweep._cost(b)
+    assert np.array_equal(cost[ok], whole)
+    for block in (1, 8):
+        parts = [sweep._cost(b[i : i + block]) for i in range(0, len(b), block)]
+        assert np.array_equal(np.concatenate(parts), whole), block
+
+
+def _grid_verdicts(sweep, b):
+    """_detuning_ok on every candidate that passes the gamma-range, band and
+    fit checks, SWEEP_BLOCK rows at a time; False elsewhere."""
+    lo, hi = sweep.band
+    rows = np.flatnonzero(sweep.gamma_ok & (lo < b) & (b < hi) & sweep._fit_ok(b))
+    ok = np.zeros(len(b), dtype=bool)
+    for i in range(0, len(rows), analysis.SWEEP_BLOCK):
+        block = rows[i : i + analysis.SWEEP_BLOCK]
+        ok[block] = sweep._detuning_ok(b[block])
+    return ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(frac=_evenly(schedule.critical_t_a() * (1 + 1e-9), 0.7737),
+       t_f=_evenly(-3.0, 3.0).map(lambda e: 10.0**e),
+       ends=st.tuples(_evenly(-0.3, 0.6), _evenly(-0.3, 0.6)),
+       n=st.integers(10, 400), shuffle=st.randoms(use_true_random=False))
+@example(frac=0.77, t_f=1.0, ends=(0.0, 0.0), n=400, shuffle=None)  # ~35 fail at each end
+@example(frac=0.71, t_f=1.0, ends=(-0.99, 0.0), n=400, shuffle=None)  # 8.154 units fails
+def test_sweep_verdicts_are_the_grid_verdicts(frac, t_f, ends, n, shuffle):
+    """evaluate proves most band rows from the grid rows near the band's
+    ends; its verdicts are _detuning_ok's on every band row. The candidates
+    run from ends[0] band widths below the band's low edge to ends[1] above
+    its high edge (negative: inside), in order or shuffled."""
+    sweep = _Sweep(t_f, frac * t_f)
+    lo, hi = sweep.band
+    units = np.linspace(lo - ends[0] * (hi - lo), hi + ends[1] * (hi - lo), n) * 2.0 / PI
+    if shuffle is not None:
+        shuffle.shuffle(units)
+    cost, ok = sweep.evaluate(units)
+    b = schedule.beta_dot0_rate(units, t_f) * t_f
+    assert np.array_equal(ok, _grid_verdicts(sweep, b))
+    assert np.array_equal(np.isnan(cost), ~ok)
+
+
+def test_sweep_grid_rows_stay_near_the_band_ends(monkeypatch):
+    # the README sweep: two blocks reach the grid and the bound proves the
+    # other 184 candidates
+    rows = []
+    grid = _Sweep._detuning_ok
+
+    def counted(self, b):
+        rows.append(len(b))
+        return grid(self, b)
+
+    sweep = _Sweep(1.0, 0.5)
+    monkeypatch.setattr(_Sweep, "_detuning_ok", counted)
+    cost, ok = sweep.evaluate(np.linspace(0.1, 8.0, 200))
+    assert ok.all()
+    assert sum(rows) <= 2 * analysis.SWEEP_BLOCK
+
+
 def test_detuning_policy_decides_pinned_point():
     # beta stays inside (-pi, 0) (max -0.0045), but |delta| t_f reaches 1502
     sweep = _Sweep(1.0, 0.71)

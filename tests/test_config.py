@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from iecpulse import ConfigError, cli
 from iecpulse.analysis import check_sweep, compare_passages, sweep_beta_dot0
+from iecpulse import dynamics
 from iecpulse.dynamics import Weights, check_steps
-from iecpulse.pulse import check_grid, delta_at, omega_r_at, synthesize
+from iecpulse.pulse import check_grid, delta_at, lr_phase, omega_r_at, synthesize
 from iecpulse.schedule import SchedulePair, antedated_pair, fourth_order_pair, third_order_pair
 
 PI = math.pi
@@ -62,6 +63,13 @@ def _third_pair_at(t_f, t_a):
         (lambda: omega_r_at(third_order_pair(1.0), np.array([0.2, 0.4])), "not a real number"),
         (lambda: delta_at(third_order_pair(1.0), [0.5]), "not a real number"),
         (lambda: omega_r_at(third_order_pair(1.0), math.nan), "not a real number"),
+        # lr_phase takes one real t in [0, t_f]
+        (lambda: lr_phase(third_order_pair(1.0), np.array([0.2, 0.3]), 1), "not a real number"),
+        (lambda: lr_phase(third_order_pair(1.0), [0.5], 1), "not a real number"),
+        (lambda: lr_phase(third_order_pair(1.0), "0.5", 1), "not a real number"),
+        (lambda: lr_phase(third_order_pair(1.0), math.nan, 1), "not a real number"),
+        (lambda: lr_phase(third_order_pair(1.0), -1e-300, 1), "not a real number"),
+        (lambda: lr_phase(third_order_pair(2.0), 2.0 * (1 + 1e-11), 1), "not a real number"),
     ],
     ids=[
         "third-t_f-inf", "fourth-gamma_mid-nan", "fourth-gamma_mid-inf", "fourth-t_f-negative",
@@ -69,11 +77,44 @@ def _third_pair_at(t_f, t_a):
         "compare-n-1", "sweep-hi-inf", "pair-t_a-underflow", "antedated-t_a-underflow",
         "sweep-t_a-underflow", "grid-cap", "grid-1e15", "steps-cap", "steps-1e15",
         "sweep-cap", "sweep-1e15", "omega_r_at-array", "delta_at-list", "omega_r_at-nan",
+        "lr_phase-array", "lr_phase-list", "lr_phase-str", "lr_phase-nan", "lr_phase-negative",
+        "lr_phase-past-t_f",
     ],
 )
 def test_bad_argument_raises_config_error(call, names):
     with pytest.raises(ConfigError, match=names):
         call()
+
+
+_PROBES = {
+    "hamiltonian_at": lambda pair, s: dynamics.hamiltonian_at(pair, s),
+    "invariant_at": lambda pair, s: dynamics.invariant_at(pair, s),
+    "invariant_state": lambda pair, s: dynamics.invariant_state(pair, W, s),
+    "adiabatic_state": lambda pair, s: dynamics.adiabatic_state(pair, W, s),
+    "invariant_residual": lambda pair, s: dynamics.invariant_residual(pair, s),
+    "invariant_eigenstate": lambda pair, s: dynamics.invariant_eigenstate(pair, 1, s),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(_PROBES))
+@pytest.mark.parametrize("s", [
+    math.nan, math.inf, -math.inf, 2.0, -0.1, 1.0 + 1e-11, 0.5j, "0.5", None,
+    np.array([0.2, math.nan]), np.array([0.2, 1.5]), [[0.1], [0.2, 0.3]],
+], ids=["nan", "inf", "-inf", "2", "-0.1", "past-1", "complex", "str", "none",
+        "array-nan", "array-past-1", "ragged"])
+def test_dynamics_probes_take_s_in_the_unit_interval(probe, s):
+    with pytest.raises(ConfigError, match="not a real number"):
+        _PROBES[probe](third_order_pair(1.0), s)
+
+
+@pytest.mark.parametrize("probe", sorted(_PROBES))
+def test_dynamics_probes_accept_the_unit_interval_and_its_rounding(probe):
+    pair = antedated_pair(1.0, 0.5, 5.0)
+    for s in (0, 0.0, 1, 1.0 + 1e-13, -1e-13, np.float64(0.7), np.array(0.3)):
+        assert np.isfinite(_PROBES[probe](pair, s)).all()
+    if probe != "invariant_eigenstate":  # the one probe that takes one s only
+        out = _PROBES[probe](pair, [0.0, 0.25, 0.75, 1.0])
+        assert len(out) == 4 and np.isfinite(out).all()
 
 
 def test_sizes_at_the_cap_are_accepted(tmp_path):
