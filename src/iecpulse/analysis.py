@@ -7,13 +7,15 @@ validate_schedule decides feasibility only; max_adiabaticity_metric
 reports the adiabaticity metric's maximum on the same grid. Both raise
 DivergentPulse where a waveform diverges on the driven segment, and the
 metric raises DegeneratePoint at a level crossing there. For a fixed
-antedating time the cost is a unimodal function of the initial beta rate;
-sweep_beta_dot0 locates its minimum in the calling process by a grid scan
-followed by golden-section refinement. Every candidate of a sweep shares
-one gamma fit and one pair of beta solves, because beta is affine in the
-rate (_Sweep). The same affinity lets the detuning grid of the candidates
-nearest the band's ends bound the detuning of every candidate between
-them, and the feasible candidates are costed in one quadrature call.
+antedating time the cost is a convex function of the initial beta rate
+where the waveform builds; sweep_beta_dot0 locates its minimum in the
+calling process by a grid scan followed by safeguarded Newton steps on the
+cost's derivatives. Every candidate of a sweep shares one gamma fit and one
+pair of beta solves, because beta is affine in the rate (_Sweep). The same
+affinity gives the cost's derivatives in closed form under the integral and
+lets the detuning grid of the candidates nearest the band's ends bound the
+detuning of every candidate between them; the feasible candidates are
+costed in one quadrature call.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ __all__ = [
     "sweep_beta_dot0",
     "check_sweep",
     "compare_passages",
-    "golden_section",
 ]
 
 #: Frequencies are "finite" when |delta| * t_f stays below this bound on the
@@ -310,18 +311,61 @@ class _Sweep:
         bound += np.abs(rate, out=rate).max(axis=0)
         return bool(bound.max() <= DELTA_FINITE_BOUND * (1 - 1e-9))
 
-    def _cost(self, b: np.ndarray) -> np.ndarray:
-        """Pulse areas, each on [0, t_a / t_f] cut at its beta's stationary
+    def _edges(self, b: np.ndarray) -> np.ndarray:
+        """Each b's pieces of [0, t_a / t_f], cut at its beta's stationary
         points: the roots of B0' + b B1', all found by one stacked call."""
         d = self._db0.coefficients + b[:, None] * self._db1.coefficients
         edges = np.column_stack((np.zeros(len(b)), stacked_real_roots(d, 0.0, self.s_end),
                                  np.full(len(b), self.s_end)))
         edges[np.isnan(edges)] = self.s_end  # a row's padding: empty pieces
+        return edges
+
+    def _cost(self, b: np.ndarray) -> np.ndarray:
+        """Pulse areas C(b) = integral of gamma' / sin(beta) on _edges(b)."""
 
         def omega(s, row):
             return self.dgamma(s) / np.sin(self.b0(s) + b[row, None] * self.b1(s))
 
-        return gauss_legendre(omega, edges, COST_TOL)
+        return gauss_legendre(omega, self._edges(b), COST_TOL)
+
+    def _slopes(self, b: float) -> tuple[float, float]:
+        """C'(b) and C''(b), the integrals of -gamma' cos(beta) B1 / sin^2(beta)
+        and gamma' B1^2 (1 + cos^2(beta)) / sin^3(beta) on _cost's pieces: rows
+        0 and 1 of one gauss_legendre call."""
+
+        def slope(s, row):
+            b1 = self.b1(s)
+            beta = self.b0(s) + b * b1
+            sin, cos = np.sin(beta), np.cos(beta)
+            first = self.dgamma(s) * b1 / (sin * sin)
+            return np.where(row[:, None] == 0, -cos * first, first * b1 * (1.0 + cos * cos) / sin)
+
+        d1, d2 = gauss_legendre(slope, np.repeat(self._edges(np.array([b])), 2, axis=0), COST_TOL)
+        return float(d1), float(d2)
+
+    def argmin(self, b: float, lo: float, hi: float) -> float:
+        """Where C is least on [lo, hi], from the grid's best b in it: b itself
+        unless C' changes sign between b and the end it falls towards. C'' > 0
+        in the band, where gamma' < 0 (_band) and sin(beta) < 0. Safeguarded
+        Newton on C' (rtsafe): each C' sign shrinks the bracket, and a Newton
+        point outside it, C'' <= 0 or a step over half the one before last
+        bisects it instead. Stops at a step of 1e-12 relative in b."""
+        g, h = self._slopes(b)
+        end = hi if g < 0 else lo
+        if end == b or (self._slopes(end)[0] < 0) == (g < 0):
+            return b
+        lo, hi = min(b, end), max(b, end)
+        x, step, prior = b, hi - lo, hi - lo
+        while True:
+            if h > 0 and lo <= x - g / h <= hi and 2 * abs(g) <= abs(prior * h):
+                prior, step = step, -g / h
+            else:
+                prior, step = step, 0.5 * (lo + hi) - x
+            x += step
+            if abs(step) <= 1e-12 * max(abs(lo), abs(hi)):
+                return x
+            g, h = self._slopes(x)
+            lo, hi = (x, hi) if g < 0 else (lo, x)
 
 
 def _band(b0: Polynomial, b1: Polynomial, s_end: float) -> tuple[float, float]:
@@ -377,8 +421,10 @@ def sweep_beta_dot0(t_f: float, t_a: float, lo: float, hi: float, n: int) -> Swe
     """Sweep the initial beta rate over [lo, hi] (units of pi / 2 t_f).
 
     check_times and check_sweep apply (ConfigError). Decides and costs all
-    n grid points at once from one _Sweep, then refines the best bracket by
-    golden-section search on the same _Sweep (well below the 1e-4 contract).
+    n grid points at once from one _Sweep, then refines the best row between
+    its feasible neighbours by _Sweep.argmin (to 1e-12 relative in the rate,
+    well below the 1e-4 contract) and decides and costs the result by one
+    more evaluate; it replaces the best row only if feasible and no costlier.
     The reported minimum is evaluated once more through _sweep_point, the
     per-schedule path; raises NoConvergence when the two disagree
     (feasibility, or cost beyond 1e-7 relative), and NoFeasiblePoint when
@@ -397,19 +443,15 @@ def sweep_beta_dot0(t_f: float, t_a: float, lo: float, hi: float, n: int) -> Swe
         raise NoFeasiblePoint(f"no feasible beta_dot0 in [{lo}, {hi}] for t_a = {t_a}")
 
     best = int(np.argmin(cost[kept]))
-    bracket_lo = float(units[kept[max(best - 1, 0)]])
-    bracket_hi = float(units[kept[min(best + 1, len(kept) - 1)]])
-
-    def cost_at(u: float) -> float:
-        value, feasible_u = sweep.evaluate(np.array([u]))
-        return float(value[0]) if feasible_u[0] else math.inf
-
-    candidates = [(float(units[kept[best]]), float(cost[kept[best]]))]
-    if bracket_hi > bracket_lo:
-        u_star, c_star = golden_section(cost_at, bracket_lo, bracket_hi, tol=1e-6)
-        if math.isfinite(c_star):
-            candidates.append((u_star, c_star))
-    minimum = min(candidates, key=lambda p: p[1])
+    near = units[kept[[best, max(best - 1, 0), min(best + 1, len(kept) - 1)]]]
+    minimum = float(near[0]), float(cost[kept[best]])
+    b = (beta_dot0_rate(near, t_f) * t_f).tolist()
+    b_star = sweep.argmin(*b)
+    if b_star != b[0]:
+        u_star = b_star / (0.5 * math.pi)
+        value, ok = sweep.evaluate(np.array([u_star]))
+        if ok[0] and value[0] <= minimum[1]:
+            minimum = u_star, float(value[0])
     check, check_ok = _sweep_point(t_f, t_a, minimum[0])
     if not (check_ok and abs(check - minimum[1]) <= 1e-7 * abs(check)):
         raise NoConvergence(
@@ -417,25 +459,6 @@ def sweep_beta_dot0(t_f: float, t_a: float, lo: float, hi: float, n: int) -> Swe
             f"the per-schedule path ({'cost ' + repr(check) if check_ok else 'infeasible'})"
         )
     return SweepResult(units=units, cost=cost, feasible=feasible, minimum=minimum)
-
-
-def golden_section(f, lo: float, hi: float, *, tol: float = 1e-6) -> tuple[float, float]:
-    """Minimize a unimodal f on [lo, hi]; returns (argmin, min)."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - inv_phi * (hi - lo)
-    d = lo + inv_phi * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - inv_phi * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + inv_phi * (hi - lo)
-            fd = f(d)
-    u = 0.5 * (lo + hi)
-    return u, f(u)
 
 
 @dataclass

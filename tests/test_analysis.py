@@ -13,7 +13,6 @@ from iecpulse.analysis import (
     _sweep_point,
     compare_passages,
     energy_cost,
-    golden_section,
     max_adiabaticity_metric,
     sweep_beta_dot0,
     validate_schedule,
@@ -374,6 +373,130 @@ def test_sweep_grid_rows_stay_near_the_band_ends(monkeypatch):
     assert sum(rows) <= 2 * analysis.SWEEP_BLOCK
 
 
+@pytest.mark.parametrize("frac", [0.3, 0.5, 0.7])
+def test_cost_slopes_are_the_cost_derivatives(frac):
+    # C' and C'' by quadrature against five-point central differences of _cost
+    sweep = _Sweep(1.0, frac)
+    lo, hi = sweep.band
+    h = 1e-3 * (hi - lo)
+    for where in (0.2, 0.5, 0.8):
+        b = lo + (hi - lo) * where
+        c = sweep._cost(b + h * np.arange(-2, 3))
+        d1 = (c[0] - 8 * c[1] + 8 * c[3] - c[4]) / (12 * h)
+        d2 = (-c[0] + 16 * c[1] - 30 * c[2] + 16 * c[3] - c[4]) / (12 * h * h)
+        assert sweep._slopes(b) == pytest.approx((d1, d2), rel=1e-6), where
+
+
+def _grid_bracket(result):
+    """The feasible grid rows next to the best one (the best one itself where
+    it has no feasible neighbour on that side), in units."""
+    kept = np.flatnonzero(result.feasible)
+    best = int(np.argmin(result.cost[kept]))
+    return result.units[kept[max(best - 1, 0)]], result.units[kept[min(best + 1, len(kept) - 1)]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(frac=_evenly(schedule.critical_t_a() + 1e-3, 0.7737),
+       t_f=_evenly(-3.0, 3.0).map(lambda e: 10.0**e),
+       ends=st.tuples(_evenly(-0.3, 0.6), _evenly(-0.3, 0.6)), n=st.integers(10, 400))
+@example(frac=0.5, t_f=1.0, ends=(0.0, 0.0), n=200)
+@example(frac=0.7736, t_f=1.0, ends=(0.0, 0.0), n=10)  # the band nearly empty
+def test_sweep_minimum_is_a_feasible_local_minimum(frac, t_f, ends, n):
+    """The grid runs from ends[0] band widths below the band's low edge
+    (from 0.05 units at least) to ends[1] above its high edge."""
+    sweep = _Sweep(t_f, frac * t_f)
+    lo, hi = np.array(sweep.band) * 2.0 / PI
+    lo, hi = max(lo - ends[0] * (hi - lo), 0.05), hi + ends[1] * (hi - lo)
+    try:
+        result = sweep_beta_dot0(t_f, frac * t_f, lo, hi, n)
+    except NoFeasiblePoint:
+        assert not sweep.evaluate(np.linspace(lo, hi, n))[1].any()
+        return
+    u_star, c_star = result.minimum
+    assert type(u_star) is float and type(c_star) is float
+    check, ok = _sweep_point(t_f, frac * t_f, u_star)
+    assert ok and check == pytest.approx(c_star, rel=1e-7)
+    assert c_star >= PI
+    assert c_star <= result.cost[result.feasible].min()
+    # local minimality, inside the grid bracket the minimum was sought in
+    left, right = _grid_bracket(result)
+    near = np.array([u for u in (u_star - 1e-5, u_star + 1e-5) if left <= u <= right])
+    if len(near):
+        cost, ok = sweep.evaluate(near)
+        assert (c_star <= cost[ok] * (1 + 1e-12)).all()
+
+
+def _evaluate_calls(monkeypatch):
+    """Wrap _Sweep.evaluate to record each call's candidate count."""
+    calls = []
+    evaluate = _Sweep.evaluate
+
+    def counted(self, units):
+        calls.append(len(units))
+        return evaluate(self, units)
+
+    monkeypatch.setattr(_Sweep, "evaluate", counted)
+    return calls
+
+
+def test_sweep_minimum_takes_one_evaluation_past_the_grid(monkeypatch):
+    # the README sweep: the grid, then the verdict and cost at the minimum;
+    # Newton settles in a few slope calls where bisection alone takes ~35
+    calls = _evaluate_calls(monkeypatch)
+    slopes = []
+    slope = _Sweep._slopes
+    monkeypatch.setattr(_Sweep, "_slopes", lambda self, b: slopes.append(b) or slope(self, b))
+    result = sweep_beta_dot0(1.0, 0.5, 0.1, 8.0, 200)
+    assert calls == [200, 1]
+    assert len(slopes) <= 6
+    assert result.minimum[1] < result.cost.min()
+
+
+def test_sweep_minimum_past_the_grid_end_is_the_end_row(monkeypatch):
+    # C' < 0 over all of 4..5 units (the minimum lies near 5.23)
+    calls = _evaluate_calls(monkeypatch)
+    result = sweep_beta_dot0(1.0, 0.5, 4.0, 5.0, 20)
+    sweep = _Sweep(1.0, 0.5)
+    assert sweep._slopes(schedule.beta_dot0_rate(5.0, 1.0))[0] < 0
+    assert result.feasible.all()
+    assert result.minimum == (5.0, result.cost[-1])
+    assert calls == [20]
+
+
+def test_sweep_minimum_of_a_grid_with_one_feasible_row():
+    # the band at t_a = 0.7649 t_f spans 5.43 to 5.96 units: one row of ten
+    result = sweep_beta_dot0(1.0, 0.7649, 0.05, 10.0, 10)
+    assert result.feasible.sum() == 1
+    row = int(np.flatnonzero(result.feasible)[0])
+    assert result.minimum == (result.units[row], result.cost[row])
+
+
+@pytest.mark.parametrize("pocket, refined", [
+    ((5.15, 5.35), False),  # the minimum, near 5.23, is infeasible: the grid row stays
+    ((5.25, 5.45), True),  # rows past the best (5.2) are infeasible; the minimum is not
+])
+def test_sweep_minimum_when_the_bracket_straddles_infeasible_rows(monkeypatch, pocket, refined):
+    """Rows with beta_dot0 in pocket (units) fail the detuning verdict, so
+    the best grid row's feasible neighbour lies across them."""
+    verdict = _Sweep._detuning_in_band
+    lo, hi = schedule.beta_dot0_rate(np.array(pocket), 1.0)
+
+    def holed(self, b):
+        return verdict(self, b) & ~((lo < b) & (b < hi))
+
+    monkeypatch.setattr(_Sweep, "_detuning_in_band", holed)
+    result = sweep_beta_dot0(1.0, 0.5, 4.0, 6.5, 26)
+    units = result.units[result.feasible]
+    assert not ((pocket[0] < units) & (units < pocket[1])).any()
+    left, right = _grid_bracket(result)
+    assert left < pocket[0] < pocket[1] < right
+    u_star, c_star = result.minimum
+    assert c_star <= result.cost[result.feasible].min()
+    assert _sweep_point(1.0, 0.5, u_star)[1]
+    assert (u_star not in result.units) == refined
+    assert (u_star == pytest.approx(5.2318, abs=1e-4)) == refined
+
+
 def test_detuning_policy_decides_pinned_point():
     # beta stays inside (-pi, 0) (max -0.0045), but |delta| t_f reaches 1502
     sweep = _Sweep(1.0, 0.71)
@@ -459,12 +582,6 @@ def test_sweep_input_validation():
         sweep_beta_dot0(1.0, 0.5, 2.0, 1.0, 20)
     with pytest.raises(ValueError):
         sweep_beta_dot0(1.0, 0.5, 1.0, 2.0, 5)
-
-
-def test_golden_section_quadratic():
-    u, val = golden_section(lambda x: (x - 1.3) ** 2 + 0.25, 0.0, 3.0, tol=1e-8)
-    assert u == pytest.approx(1.3, abs=1e-6)
-    assert val == pytest.approx(0.25, abs=1e-9)
 
 
 def test_compare_passages_third_order():
