@@ -413,24 +413,56 @@ _PARITY_CASES = [
 ]
 
 
-@pytest.mark.parametrize("build, n_steps", _PARITY_CASES)
-def test_step_maps_match_reference_loop(build, n_steps):
-    # the maps reassociate RK4's sums, so the states agree to rounding, not
-    # bit for bit: rho within 1e-13, psi within 1e-12 (its phase error
-    # builds up over the post-switch leg); the step times are the same
-    pair = build()
-    assert all(n % dynamics._BLOCK for _, _, n in dynamics._legs(pair, n_steps))
-    rho0 = invariant_state(pair, W, 0.0)
+def _assert_matches_reference_loop(pair, rho0, n_steps, branches=(+1, -1)):
+    # the maps and their prefix products reassociate RK4's sums, so the
+    # states agree to rounding, not bit for bit: rho within 1e-13, psi
+    # within 1e-12 (its phase error builds up over the post-switch leg);
+    # the step times are the same
     traj = evolve(pair, rho0, n_steps)
     times, states = _rk4_reference(pair, rho0, n_steps, _von_neumann)
     assert traj.t.tolist() == [s * pair.t_f for s in times]
     assert np.abs(traj.rho - np.array(states)).max() <= 1e-13
-    for branch in (+1, -1):
+    for branch in branches:
         samples = evolve_pure(pair, branch, n_steps)
         psi0 = invariant_eigenstate(pair, branch, 0.0)
         times, states = _rk4_reference(pair, psi0, n_steps, _schroedinger)
         assert [t for t, _ in samples] == [s * pair.t_f for s in times]
         assert np.abs(np.array([psi for _, psi in samples]) - np.array(states)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("build, n_steps", _PARITY_CASES)
+def test_step_maps_match_reference_loop(build, n_steps):
+    pair = build()
+    assert all(n % dynamics._BLOCK for _, _, n in dynamics._legs(pair, n_steps))
+    _assert_matches_reference_loop(pair, invariant_state(pair, W, 0.0), n_steps)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 4096])
+def test_prefix_products_match_reference_loop_at_any_block(monkeypatch, block):
+    # blocks of one step (no doubling pass), of sizes that are not powers
+    # of two, and one block per leg (the legs have 1350 and 1651 steps);
+    # also a rho0 with an anti-Hermitian part, whose Pauli coordinates are
+    # complex
+    monkeypatch.setattr(dynamics, "_BLOCK", block)
+    pair = antedated_pair(1.0, 0.45, beta_dot0_rate(8.0, 1.0))
+    rho0 = invariant_state(pair, W, 0.0)
+    _assert_matches_reference_loop(pair, rho0, 3001)
+    _assert_matches_reference_loop(pair, rho0 + 3e-10j * SIGMA_X, 3001, branches=())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: third_order_pair(1.0), lambda: antedated_pair(1.0, 0.5)],
+    ids=["third", "antedated-0.5"],
+)
+def test_evolve_keeps_trace_and_hermiticity_exactly(build):
+    # every step map fixes the trace coordinate exactly (row 0 is e0), so
+    # every prefix product does too; real maps on real coordinates keep
+    # the off-diagonal entries exact conjugates
+    pair = build()
+    rho = evolve(pair, invariant_state(pair, W, 0.0), 10_000).rho
+    assert np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0).max() == 0.0
+    assert np.abs(rho - rho.conj().transpose(0, 2, 1)).max() == 0.0
 
 
 def _traced_peak(run) -> int:

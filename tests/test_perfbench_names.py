@@ -48,7 +48,8 @@ def test_benchmark_name_resolves(module, attr):
 def test_benchmark_result_shapes():
     # The tracer counts len(evolve(...).t) - 1 RK4 steps and len(evolve_pure(...)) - 1
     # pure steps, reads _sweep_point's (cost, feasible) pair, and the verify checks
-    # take the last (t, psi) sample of evolve_pure as a length-2 state.
+    # take the last (t, psi) sample of evolve_pure as a float time and a length-2
+    # complex state, whose np.vdot overlap they read.
     pair = iecpulse.third_order_pair(1.0)
     rho0 = iecpulse.invariant_state(pair, iecpulse.Weights(0.2, 0.8), 0.0)
     assert len(iecpulse.dynamics.evolve(pair, rho0, 100).t) - 1 == 100
@@ -58,3 +59,4 @@ def test_benchmark_result_shapes():
     assert len(states) - 1 == 200
     t, psi = states[-1]
     assert t == pytest.approx(1.0) and psi.shape == (2,)
+    assert type(t) is float and psi.dtype == complex
