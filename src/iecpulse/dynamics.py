@@ -13,8 +13,9 @@ mixed state
 is the exact solution of the von Neumann equation under the engineered
 Hamiltonian, so a fixed-step RK4 integration of i drho/dt = [H, rho]
 serves as an independent oracle for the whole construction. It runs as
-per-step linear maps, applied to the initial state through their prefix
-products (_rk4). RK4 on that equation
+per-step linear maps built from the real samples of omega_r and delta,
+applied to the initial state through their prefix products, which a scan
+over lanes of consecutive steps forms (_rk4). RK4 on that equation
 keeps trace and Hermiticity even when it is unstable, so evolve also
 checks the purity tr(rho^2), which fixes a qubit state's spectrum.
 The mixing-angle (instantaneous-eigenbasis) state provides the adiabatic
@@ -55,11 +56,13 @@ __all__ = [
 #: the RK4 agreement bound.
 PURITY_DRIFT_BOUND = 1e-6
 
-#: Steps whose RK4 maps _rk4 builds and multiplies out in one array pass.
-#: Smaller blocks pay a pass's fixed numpy calls more often, larger ones more
-#: of its log2(_BLOCK) matrix products per step: at 1e4 steps, blocks of 256
-#: took ~5% longer than 512, and blocks of 2048 ~25% longer.
-_BLOCK = 512
+#: Steps whose RK4 maps _rk4 builds and scans in one array pass, and the
+#: steps of one lane of that scan. At 1e4 steps, blocks of 512-2048 and
+#: lanes of 8-32 ran within noise of one another, blocks of 256 or 4096
+#: ~20% slower. Larger blocks hold more maps at once: at 2048, evolve_pure's
+#: peak allocation (3.24 MB) passed the per-step loop's (2.68 MB).
+_BLOCK = 1024
+_LANE = 16
 
 
 @dataclass(frozen=True)
@@ -280,80 +283,103 @@ def _legs(pair: SchedulePair, n_steps: int) -> list[tuple[float, float, int]]:
     return [(0.0, a, n1), (a, 1.0, n_steps - n1)]
 
 
-def _h_grid(pair: SchedulePair, s_lo: float, s_hi: float, n: int) -> np.ndarray:
-    """H * t_f at the 2n+1 half-step grid points of the leg [s_lo, s_hi].
+def _h_grid(pair: SchedulePair, s_lo: float, s_hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """omega_r and delta times t_f at the 2n+1 half-step grid points of the
+    leg [s_lo, s_hi]: the real samples of H * t_f = [[delta, omega_r],
+    [omega_r, -delta]] / 2 (_hamiltonian), which the generators read.
 
     The leg picks the side of the switch: the leg after it (s_lo > 0) holds
-    the switched Hamiltonian from t_a on, the driven leg takes the driven
+    the switched drive from t_a on, the driven leg takes the driven
     formulas at every point, also one that rounds an ulp past t_a.
     """
     wave = _waveform(pair)
     if s_lo > 0.0:
-        return _hamiltonian(*wave.drive(np.full(2 * n + 1, s_hi)))
-    s = s_lo + (s_hi - s_lo) * np.arange(2 * n + 1) / (2 * n)
-    return _hamiltonian(*wave.fields(s))
+        return wave.drive(np.full(2 * n + 1, s_hi))
+    return wave.fields(s_lo + (s_hi - s_lo) * np.arange(2 * n + 1) / (2 * n))
 
 
-def _bloch_generator(h: np.ndarray) -> np.ndarray:
-    """-i [H, .] in the Pauli basis, for an (n, 2, 2) stack of Hermitian H:
-    the (n, 4, 4) real matrices acting on r = (r0, x, y, z), where
-    rho = (r0 I + x sx + y sy + z sz) / 2. They leave r0 = tr rho fixed and
-    turn (x, y, z) about H's Bloch vector b: d(x, y, z)/ds = b x (x, y, z).
-    """
-    bx, by, bz = bloch_vector(h).T
-    gen = np.zeros((len(h), 4, 4))
-    gen[:, 1, 2], gen[:, 1, 3] = -bz, by
-    gen[:, 2, 1], gen[:, 2, 3] = bz, -bx
-    gen[:, 3, 1], gen[:, 3, 2] = -by, bx
+def _bloch_generator(om: np.ndarray, dl: np.ndarray) -> np.ndarray:
+    """-i [H, .] on rho's Bloch coordinates (x, y, z), from the samples of
+    H * t_f: the (n, 3, 3) real matrices of d(x, y, z)/ds = b x (x, y, z),
+    b = (omega_r, 0, delta) being H's Bloch vector. The trace, which
+    -i [H, .] keeps, is not among the coordinates."""
+    gen = np.zeros((len(om), 3, 3))
+    gen[:, 0, 1], gen[:, 1, 0] = -dl, dl
+    gen[:, 1, 2], gen[:, 2, 1] = -om, om
     return gen
 
 
-def _schroedinger_generator(h: np.ndarray) -> np.ndarray:
-    """-i H for an (n, 2, 2) stack of Hermitian H, as (n, 4, 4) real matrices on
-    psi.view(float): each entry becomes the block [[Im H, Re H], [-Re H, Im H]]."""
-    gen = np.empty((len(h), 2, 2, 2, 2))
-    gen[:, :, 0, :, 0] = gen[:, :, 1, :, 1] = h.imag
-    gen[:, :, 0, :, 1], gen[:, :, 1, :, 0] = h.real, -h.real
-    return gen.reshape(len(h), 4, 4)
+def _schroedinger_generator(om: np.ndarray, dl: np.ndarray) -> np.ndarray:
+    """-i H as (n, 4, 4) real matrices on psi.view(float), from the samples
+    of H * t_f: H is real, so each entry H_jk becomes the block
+    [[0, H_jk], [-H_jk, 0]]."""
+    gen = np.zeros((len(om), 4, 4))
+    gen[:, 0, 1] = gen[:, 3, 2] = 0.5 * dl
+    gen[:, 1, 0] = gen[:, 2, 3] = -0.5 * dl
+    gen[:, 0, 3] = gen[:, 2, 1] = 0.5 * om
+    gen[:, 1, 2] = gen[:, 3, 0] = -0.5 * om
+    return gen
 
 
 def _rk4(pair: SchedulePair, y0: np.ndarray, n_steps: int, generator):
     """Fixed-step RK4 of dy/ds = L y from y0 over the legs of the step grid,
-    where generator maps a stack of H * t_f to the stack of L.
+    where generator maps the samples (omega_r, delta) times t_f to the
+    stack of L.
 
     RK4 on a linear equation is one linear map per step of size h,
     S = E + h/6 (L0 + 2 K2 + 2 K3 + K4) with K2 = Lm (E + h/2 L0),
     K3 = Lm (E + h/2 K2) and K4 = L1 (E + h K3), from L at the step's
     start, middle and end. The maps are built _BLOCK steps at a time in one
-    array pass, then multiplied out to the block's prefix products
-    P_j = S_j ... S_0 by doubling, P[o:] = P[o:] @ P[:-o] for o = 1, 2, 4, ...
-    One batched P @ y, y the state before the block, gives its states.
-    Returns the n_steps + 1 s values and the (n_steps + 1, len(y0)) states
-    of y0's dtype, y0 first. check_steps applies to n_steps.
+    array pass and scanned in lanes of _LANE consecutive steps, the last
+    padded with E. _LANE - 1 batched products P[:, j] = S[:, j] P[:, j-1]
+    give the prefix products inside each lane; doubling over the lane totals
+    alone (T[o:] = T[o:] @ T[:-o], o = 1, 2, 4, ...) the products up to each
+    lane's end; one batched product each lane's start state z from y, the
+    state before the block; and one more, P @ z, the block's states: about
+    two matrix products per step. Returns the n_steps + 1 s values and the
+    (n_steps + 1, len(y0)) states of y0's dtype, y0 first. check_steps
+    applies to n_steps.
     """
     check_steps(n_steps)
+    dim = len(y0)
     s = np.empty(n_steps + 1)
-    y = np.empty((n_steps + 1, len(y0)), dtype=y0.dtype)
+    y = np.empty((n_steps + 1, dim), dtype=y0.dtype)
     s[0], y[0] = 0.0, y0
-    eye = np.eye(len(y0))
+    eyes = np.tile(np.eye(dim), (_BLOCK, 1, 1))
     done = 0
     for s_lo, s_hi, n in _legs(pair, n_steps):
-        h_grid = _h_grid(pair, s_lo, s_hi, n)
+        om, dl = _h_grid(pair, s_lo, s_hi, n)
         step = (s_hi - s_lo) / n
         s[done + 1 : done + n + 1] = s_lo + np.arange(1, n + 1) * step
         for k in range(0, n, _BLOCK):
-            gen = generator(h_grid[2 * k : 2 * min(k + _BLOCK, n) + 1])
-            l0, lm, l1 = gen[:-1:2], gen[1::2], gen[2::2]
-            k2 = lm @ (eye + (0.5 * step) * l0)
-            k3 = lm @ (eye + (0.5 * step) * k2)
-            k4 = l1 @ (eye + step * k3)
-            maps = eye + (step / 6.0) * (l0 + 2.0 * k2 + 2.0 * k3 + k4)
-            o = 1
-            while o < len(maps):
-                maps[o:] = maps[o:] @ maps[:-o]
+            m = min(_BLOCK, n - k)
+            gen = generator(om[2 * k : 2 * (k + m) + 1], dl[2 * k : 2 * (k + m) + 1])
+            l0, lm, l1, eye = gen[:-1:2], gen[1::2], gen[2::2], eyes[:m]
+            # S by its formula, each sum and product in its order, made in place on
+            # a contiguous E: fresh or broadcast operands cost as much as the products
+            a = np.multiply(l0, 0.5 * step)
+            k2 = lm @ np.add(a, eye, out=a)
+            k3 = lm @ np.add(np.multiply(k2, 0.5 * step, out=a), eye, out=a)
+            k4 = l1 @ np.add(np.multiply(k3, step, out=a), eye, out=a)
+            k2 = np.add(l0, np.multiply(k2, 2.0, out=k2), out=k2)
+            k2 += np.multiply(k3, 2.0, out=k3)
+            k2 += k4
+            k2 *= step / 6.0
+            lanes = -(-m // _LANE)
+            p = np.empty((lanes * _LANE, dim, dim))
+            np.add(eye, k2, out=p[:m])
+            p[m:] = eyes[0]
+            p = p.reshape(lanes, _LANE, dim, dim)
+            for j in range(1, _LANE):
+                p[:, j] = p[:, j] @ p[:, j - 1]
+            tot, o = p[:, -1].copy(), 1
+            while o < lanes:
+                tot[o:] = tot[o:] @ tot[:-o]
                 o *= 2
-            np.matmul(maps, y[done], out=y[done + 1 : done + len(maps) + 1])
-            done += len(maps)
+            z = np.empty((lanes, dim), dtype=y.dtype)
+            z[0], z[1:] = y[done], tot[:-1] @ y[done]
+            y[done + 1 : done + m + 1] = np.einsum("lsij,lj->lsi", p, z).reshape(-1, dim)[:m]
+            done += m
     return s, y
 
 
@@ -362,8 +388,9 @@ def evolve(pair: SchedulePair, rho0: np.ndarray, n_steps: int) -> Trajectory:
 
     Returns the n_steps + 1 states from rho0 on. The step grid honors the
     antedated switch exactly (separate legs before and after t_a). Global
-    error is O(n_steps**-4). The steps act on rho's Pauli coordinates
-    (_bloch_generator; complex where rho0 is not Hermitian). Raises
+    error is O(n_steps**-4). The steps act on rho's three Bloch coordinates
+    (_bloch_generator; complex where rho0 is not Hermitian), and the trace,
+    which every step keeps, is carried beside them exactly. Raises
     StepTooCoarse if trace or Hermiticity drift exceeds 1e-8, or if
     the purity tr(rho^2) of any state drifts from rho0's by more than
     PURITY_DRIFT_BOUND: trace and Hermiticity survive an unstable run, the
@@ -372,8 +399,9 @@ def evolve(pair: SchedulePair, rho0: np.ndarray, n_steps: int) -> Trajectory:
     rho0 = np.asarray(rho0, dtype=complex)
     check_density_matrix(rho0, herm_tol=1e-9, trace_tol=1e-9)
     (a, b), (c, d) = rho0
-    s, states = _rk4(pair, np.array([a + d, b + c, 1j * (b - c), a - d]), n_steps, _bloch_generator)
-    tr, x, y, z = states.T
+    tr = a + d
+    s, states = _rk4(pair, np.array([b + c, 1j * (b - c), a - d]), n_steps, _bloch_generator)
+    x, y, z = states.T
     rho_arr = np.empty((len(s), 2, 2), dtype=complex)
     rho_arr[:, 0, 0], rho_arr[:, 1, 1] = 0.5 * (tr + z), 0.5 * (tr - z)
     rho_arr[:, 0, 1], rho_arr[:, 1, 0] = 0.5 * (x - 1j * y), 0.5 * (x + 1j * y)

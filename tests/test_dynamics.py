@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from iecpulse.dynamics import (
     Trajectory,
@@ -357,9 +359,9 @@ def test_drift_checks_reject_nan(third, monkeypatch, run):
     real_h_grid = dynamics._h_grid
 
     def poisoned(*args):
-        h = real_h_grid(*args)
-        h[len(h) // 2] = np.nan
-        return h
+        om, dl = real_h_grid(*args)
+        om[len(om) // 2] = dl[len(dl) // 2] = np.nan
+        return om, dl
 
     monkeypatch.setattr(dynamics, "_h_grid", poisoned)
     with pytest.raises(StepTooCoarse):
@@ -376,7 +378,7 @@ def _rk4_reference(pair, y0, n_steps, rate):
     states = [y0]
     y = y0
     for s_lo, s_hi, n in dynamics._legs(pair, n_steps):
-        h_grid = dynamics._h_grid(pair, s_lo, s_hi, n)
+        h_grid = dynamics._hamiltonian(*dynamics._h_grid(pair, s_lo, s_hi, n))
         step = (s_hi - s_lo) / n
         for k in range(n):
             h0, hm, h1 = h_grid[2 * k], h_grid[2 * k + 1], h_grid[2 * k + 2]
@@ -413,19 +415,21 @@ _PARITY_CASES = [
 ]
 
 
-def _assert_matches_reference_loop(pair, rho0, n_steps, branches=(+1, -1)):
-    # the maps and their prefix products reassociate RK4's sums, so the
+def _assert_matches_reference_loop(
+    pair, rho0, n_steps, branches=(+1, -1), reference=_rk4_reference
+):
+    # the maps and their lane scan reassociate RK4's sums, so the
     # states agree to rounding, not bit for bit: rho within 1e-13, psi
     # within 1e-12 (its phase error builds up over the post-switch leg);
     # the step times are the same
     traj = evolve(pair, rho0, n_steps)
-    times, states = _rk4_reference(pair, rho0, n_steps, _von_neumann)
+    times, states = reference(pair, rho0, n_steps, _von_neumann)
     assert traj.t.tolist() == [s * pair.t_f for s in times]
     assert np.abs(traj.rho - np.array(states)).max() <= 1e-13
     for branch in branches:
         samples = evolve_pure(pair, branch, n_steps)
         psi0 = invariant_eigenstate(pair, branch, 0.0)
-        times, states = _rk4_reference(pair, psi0, n_steps, _schroedinger)
+        times, states = reference(pair, psi0, n_steps, _schroedinger)
         assert [t for t, _ in samples] == [s * pair.t_f for s in times]
         assert np.abs(np.array([psi for _, psi in samples]) - np.array(states)).max() <= 1e-12
 
@@ -437,17 +441,44 @@ def test_step_maps_match_reference_loop(build, n_steps):
     _assert_matches_reference_loop(pair, invariant_state(pair, W, 0.0), n_steps)
 
 
+@pytest.fixture(scope="module")
+def ante_8u():
+    return antedated_pair(1.0, 0.45, beta_dot0_rate(8.0, 1.0))
+
+
+@pytest.fixture(scope="module")
+def reference_once():
+    """_rk4_reference, run once per input for the whole module: its states
+    depend on no constant of _rk4, so the cases that vary those share it."""
+    runs = {}
+
+    def reference(pair, y0, n_steps, rate):
+        key = (pair, y0.tobytes(), n_steps, rate)
+        if key not in runs:
+            runs[key] = _rk4_reference(pair, y0, n_steps, rate)
+        return runs[key]
+
+    return reference
+
+
 @pytest.mark.parametrize("block", [1, 2, 3, 5, 4096])
-def test_prefix_products_match_reference_loop_at_any_block(monkeypatch, block):
-    # blocks of one step (no doubling pass), of sizes that are not powers
-    # of two, and one block per leg (the legs have 1350 and 1651 steps);
-    # also a rho0 with an anti-Hermitian part, whose Pauli coordinates are
-    # complex
+def test_prefix_products_match_reference_loop_at_any_block(
+    monkeypatch, ante_8u, reference_once, block
+):
+    # each block with lanes of one step (the scan is all doubling), 2, 3
+    # and 16: blocks of one step (no scan), blocks shorter than a lane (one
+    # padded lane), blocks that are not multiples of the lane, and one block
+    # per leg (the legs have 1350 and 1651 steps, neither a multiple of 16
+    # or 3); also a rho0 with an anti-Hermitian part, whose Bloch
+    # coordinates are complex
     monkeypatch.setattr(dynamics, "_BLOCK", block)
-    pair = antedated_pair(1.0, 0.45, beta_dot0_rate(8.0, 1.0))
-    rho0 = invariant_state(pair, W, 0.0)
-    _assert_matches_reference_loop(pair, rho0, 3001)
-    _assert_matches_reference_loop(pair, rho0 + 3e-10j * SIGMA_X, 3001, branches=())
+    rho0 = invariant_state(ante_8u, W, 0.0)
+    for lane in (1, 2, 3, 16):
+        monkeypatch.setattr(dynamics, "_LANE", lane)
+        _assert_matches_reference_loop(ante_8u, rho0, 3001, reference=reference_once)
+        _assert_matches_reference_loop(
+            ante_8u, rho0 + 3e-10j * SIGMA_X, 3001, branches=(), reference=reference_once
+        )
 
 
 @pytest.mark.parametrize(
@@ -456,13 +487,46 @@ def test_prefix_products_match_reference_loop_at_any_block(monkeypatch, block):
     ids=["third", "antedated-0.5"],
 )
 def test_evolve_keeps_trace_and_hermiticity_exactly(build):
-    # every step map fixes the trace coordinate exactly (row 0 is e0), so
-    # every prefix product does too; real maps on real coordinates keep
-    # the off-diagonal entries exact conjugates
+    # every step keeps the trace, so evolve carries it beside the Bloch
+    # coordinates, exactly; real maps on real coordinates keep the
+    # off-diagonal entries exact conjugates
     pair = build()
     rho = evolve(pair, invariant_state(pair, W, 0.0), 10_000).rho
     assert np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0).max() == 0.0
     assert np.abs(rho - rho.conj().transpose(0, 2, 1)).max() == 0.0
+
+
+def _family_pair(family, t_f, frac, units):
+    if family == "third":
+        return third_order_pair(t_f)
+    if family == "fourth":
+        return fourth_order_pair(t_f, 1.2)
+    return antedated_pair(t_f, frac * t_f, beta_dot0_rate(units, t_f))
+
+
+@settings(max_examples=13)
+@given(
+    t_f=st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+    family=st.sampled_from(["third", "fourth", "antedated"]),
+    frac=st.floats(0.3, 0.6),
+    units=st.floats(1.0, 8.0),
+)
+@example(t_f=1e-6, family="antedated", frac=0.3, units=8.0)
+@example(t_f=1e6, family="antedated", frac=0.6, units=8.0)
+def test_dynamics_do_not_depend_on_t_f(t_f, family, frac, units):
+    # the oracles integrate in s = t / t_f on the waveforms times t_f, so
+    # their states are those of t_f = 1: exactly for the polynomial
+    # families, and to rounding for the antedated one, whose beta_dot0
+    # round-trips through t_f
+    pair, unit = _family_pair(family, t_f, frac, units), _family_pair(family, 1.0, frac, units)
+    tol = 1e-12 if family == "antedated" else 0.0
+    traj, unit_traj = (evolve(p, invariant_state(p, W, 0.0), 2000) for p in (pair, unit))
+    assert np.abs(traj.rho - unit_traj.rho).max() <= tol
+    psi, unit_psi = (np.array([x for _, x in evolve_pure(p, +1, 2000)]) for p in (pair, unit))
+    assert np.abs(psi - unit_psi).max() <= tol
+    traj = evolve(pair, invariant_state(pair, W, 0.0), 10_000)
+    exact = invariant_state(pair, W, traj.t / pair.t_f)
+    assert np.abs(traj.rho - exact).max() <= 1e-6
 
 
 def _traced_peak(run) -> int:
