@@ -1,37 +1,33 @@
 """Energy cost, schedule validation, and optimization of antedated passages.
 
-The energy cost of a passage is the dimensionless pulse area
-integral of omega_r from 0 to the completion time (t_a for antedated
-schedules, else t_f). A resonant pi-pulse has area pi, the lower bound.
-validate_schedule decides feasibility only; max_adiabaticity_metric
-reports the adiabaticity metric's maximum on the same grid. Both raise
-DivergentPulse where a waveform diverges on the driven segment, and the
-metric raises DegeneratePoint at a level crossing there. For a fixed
-antedating time the cost is a convex function of the initial beta rate
-where the waveform builds; sweep_beta_dot0 locates its minimum in the
-calling process by a grid scan followed by safeguarded Newton steps on the
-cost's derivatives. Every candidate of a sweep shares one gamma fit and one
-pair of beta solves, because beta is affine in the rate (_Sweep). The same
-affinity gives the cost's derivatives in closed form under the integral and
-lets the detuning grid of the candidates nearest the band's ends bound the
-detuning of every candidate between them; the feasible candidates are
-costed in one quadrature call.
+The energy cost of a passage is the dimensionless pulse area integral of
+omega_r from 0 to the completion time (t_a for antedated schedules, else
+t_f); a resonant pi-pulse has area pi, the lower bound. validate_schedule
+decides feasibility only; max_adiabaticity_metric reports the adiabaticity
+metric's maximum on the same grid. Both raise DivergentPulse where a
+waveform diverges on the driven segment, and the metric raises
+DegeneratePoint at a level crossing there. sweep_beta_dot0 minimises the
+cost over the initial beta rate, in which it is convex where the waveform
+builds: beta is affine in that rate (AntedatedBasis), so _Sweep decides and
+costs every candidate from shared parts. An antedated_pair carries its
+basis, and validate_schedule and energy_cost read the sweep's verdict and
+cost at its rate: one definition, so a sweep needs no re-check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .dynamics import Weights, adiabatic_state, invariant_state
 from .errors import ConfigError, DivergentPulse, Infeasible, NoConvergence, NoFeasiblePoint
-from .poly import FIT_TOL, Condition, Polynomial, misfit, real_roots, solve, stacked_real_roots
+from .poly import Polynomial, real_roots, stacked_real_roots
 from .pulse import _metric, _waveform, check_grid, gauss_legendre
-from .schedule import SchedulePair, _antedated_beta_conditions, _antedated_gamma, antedated_pair
-from .schedule import beta_dot0_rate, check_rate, check_times, gamma_dot_zero_crossing
-from .schedule import gamma_out_of_range
+from .schedule import AntedatedBasis, SchedulePair, antedated_pair, beta_dot0_rate, check_rate
+from .schedule import check_times, gamma_out_of_range
 
 __all__ = [
     "SweepResult",
@@ -46,8 +42,8 @@ __all__ = [
 ]
 
 #: Frequencies are "finite" when |delta| * t_f stays below this bound on the
-#: validation grid; genuine divergences blow past any fixed threshold. The
-#: sweep applies it to delta = gamma_dot cot(gamma) / tan(beta) - beta_dot.
+#: validation grid; genuine divergences blow past any fixed threshold. An
+#: antedated_pair's delta is _Sweep._detuning_ok's, the factored one else.
 DELTA_FINITE_BOUND = 1e3
 
 #: Samples of the validation grid: midpoints of the driven segment for the
@@ -71,19 +67,21 @@ SWEEP_BLOCK = 8
 def energy_cost(pair: SchedulePair) -> float:
     """Pulse area of omega_r up to the completion time (dimensionless).
 
-    The area of the stored double-precision polynomials, by gauss_legendre
-    to COST_TOL on [0, t_end] cut at the stations and at beta's stationary
-    points. The nodes lie inside the pieces, so no node meets a 0/0 point
-    and omega_r is the plain quotient gamma_dot / sin(beta) there. Where
-    beta nearly touches a multiple of pi, omega_r peaks as 1 / sin(beta),
-    and the area magnifies the rounding of the fit's coefficients: on the
-    narrow-peak schedule of the tests (sin(beta) ~ 5e-5) the stored
-    polynomials' area lies 2.7e-8 from that of a 30-digit refit. That gap
-    is a floor of the formulation, not of the quadrature. A schedule whose
-    omega_r diverges on the driven segment raises DivergentPulse when its
-    waveform is built.
+    By gauss_legendre to COST_TOL on [0, t_end] cut at beta's stationary
+    points, and at the stations unless the pair is an antedated_pair, which
+    is costed as the sweep costs its rate (_Sweep._cost). The nodes lie
+    inside the pieces, so omega_r is the plain quotient gamma_dot / sin(beta)
+    there. Where beta nearly touches a multiple of pi, omega_r peaks as
+    1 / sin(beta), and the area magnifies the rounding of the coefficients:
+    on the narrow-peak schedule of the tests (sin(beta) ~ 5e-5) it lies
+    2.8e-8 from that of a 30-digit refit. That gap is a floor of the
+    formulation, not of the quadrature. A schedule whose omega_r diverges
+    on the driven segment raises DivergentPulse when its waveform is built.
     """
     wave = _waveform(pair)
+    if pair.antedated is not None:
+        basis, b = pair.antedated
+        return float(_Sweep(pair.t_f, pair.t_a, basis)._cost(np.array([b]))[0])
 
     def omega(s, row):
         return wave.dgamma(s) / np.sin(wave.beta(s))
@@ -118,10 +116,10 @@ def validate_schedule(pair: SchedulePair) -> ValidationReport:
     delta diverges on the driven segment [0, t_end]. Otherwise omega_r must
     be nonnegative there, decided exactly from one sample between
     consecutive zeros of gamma_dot; |delta| must stay within
-    DELTA_FINITE_BOUND on the validation grid of that segment; and gamma
-    must stay within [-pi, pi] over the whole design window [0, t_f] (dips
-    below -pi signal non-compensable singularities), decided exactly from
-    its stationary points.
+    DELTA_FINITE_BOUND on the validation grid of that segment (the sweep's
+    verdict for an antedated_pair); and gamma must stay within [-pi, pi] over
+    the whole design window [0, t_f] (dips below -pi signal non-compensable
+    singularities), decided exactly from its stationary points.
     """
     wave = _waveform(pair)
     # omega_r = gamma_dot / sin(beta) keeps its sign between consecutive
@@ -133,7 +131,11 @@ def validate_schedule(pair: SchedulePair) -> ValidationReport:
     omega_ok = not min_omega < -1e-9
     if not omega_ok:
         messages.append(f"omega_r turns negative (min {min_omega:.3e} * 1/t_f)")
-    max_delta = float(np.abs(wave.delta_many(_driven_grid(wave.end))).max())
+    if pair.antedated is None:
+        max_delta = float(np.abs(wave.delta_many(_driven_grid(wave.end))).max())
+    else:  # _detuning_ok's peak, and below the comparison behind its verdict
+        basis, b = pair.antedated
+        max_delta = float(_Sweep(pair.t_f, pair.t_a, basis)._detuning_ok(np.array([b]))[1][0])
     delta_ok = max_delta <= DELTA_FINITE_BOUND
     if not delta_ok:
         messages.append(f"delta exceeds the finiteness bound (max {max_delta:.3e} * 1/t_f)")
@@ -141,12 +143,8 @@ def validate_schedule(pair: SchedulePair) -> ValidationReport:
     if gamma_range is not None:
         lo, hi = gamma_range
         messages.append(f"gamma leaves [-pi, pi] (range [{lo:.4f}, {hi:.4f}] rad)")
-    return ValidationReport(
-        omega_r_nonnegative=omega_ok,
-        delta_finite=delta_ok,
-        gamma_range_ok=gamma_range is None,
-        messages=messages,
-    )
+    return ValidationReport(omega_r_nonnegative=omega_ok, delta_finite=delta_ok,
+                            gamma_range_ok=gamma_range is None, messages=messages)
 
 
 def max_adiabaticity_metric(pair: SchedulePair) -> float:
@@ -179,7 +177,8 @@ class SweepResult:
 def _sweep_point(t_f: float, t_a: float, units: float) -> tuple[float, bool]:
     """Cost and feasibility at one grid point, beta_dot0 in units of pi / 2 t_f.
 
-    A schedule that cannot be built or costed is an infeasible point.
+    A schedule that cannot be built or costed is an infeasible point. Kept for
+    the benchmark and tests; equals a one-row _Sweep.evaluate where the build agrees with _band.
     """
     try:
         pair = antedated_pair(t_f, t_a, beta_dot0_rate(units, t_f))
@@ -191,42 +190,35 @@ def _sweep_point(t_f: float, t_a: float, units: float) -> tuple[float, bool]:
 
 
 class _Sweep:
-    """What every beta_dot0 candidate at one (t_f, t_a) shares.
+    """What every beta_dot0 candidate at one (t_f, t_a) shares: its
+    AntedatedBasis beta = B0 + b B1, b = beta_dot0 t_f, given or built.
 
-    b = beta_dot0 t_f enters the antedated beta fit only through its
-    right-hand side, so beta = B0 + b B1: one gamma fit, t_s and two beta
-    solves serve every candidate. evaluate decides each candidate as
-    _sweep_point does, from shared parts: the gamma-range verdict, the fit's
-    residual check on B0 + b B1, the band of b where -pi < beta < 0 on the
-    driven segment (omega_r is then finite and positive, a plain quotient
-    with no station), and the detuning policy on the validation grid with
-    cot(beta) = 1 / tan(beta) (_detuning_ok), evaluated only near the band's
-    ends and proved for the candidates between (_detuning_in_band). The
-    feasible candidates are costed in one call: one stacked_real_roots call
-    finds every cut point, one gauss_legendre call integrates them all, and
-    no cost depends on that grouping. Raises SingularSystem or NoCrossing
-    when no candidate can be built.
+    evaluate decides each candidate by the basis's fit check, the band of b
+    where -pi < beta < 0 on the driven segment (omega_r is then finite and
+    positive, a plain quotient with no station) and the detuning policy on
+    the validation grid (_detuning_in_band), and costs the feasible ones in
+    one call (_cost), whose sums do not depend on that grouping. The band
+    and the grid are computed on first use.
     """
 
-    def __init__(self, t_f: float, t_a: float):
+    def __init__(self, t_f: float, t_a: float, basis: AntedatedBasis | None = None):
         self.t_f = t_f
-        self.s_end = a = t_a / t_f
-        self.gamma = _antedated_gamma(a)
-        t_s = gamma_dot_zero_crossing(self.gamma)
-        at_zero, at_one = (_antedated_beta_conditions(a, t_s, b) for b in (0.0, 1.0))
-        slope = [Condition(c.s, c.derivative_order, u.value - c.value)
-                 for c, u in zip(at_zero, at_one)]
-        self.b0, self.b1 = solve(at_zero, 5), solve(slope, 5)
-        self._values = np.array([[c.value for c in at_zero], [c.value for c in slope]])
-        self._misfit = np.array([misfit(self.b0, at_zero), misfit(self.b1, slope)])
-        self.gamma_ok = gamma_out_of_range(self.gamma) is None
-        self.band = _band(self.b0, self.b1, a)
+        basis = self.basis = AntedatedBasis(t_f, t_a) if basis is None else basis
+        self.s_end, self.gamma, self.b0, self.b1 = basis.s_end, basis.gamma, basis.b0, basis.b1
         self.dgamma = self.gamma.derivative()
         self._db0, self._db1 = self.b0.derivative(), self.b1.derivative()
-        s = _driven_grid(a)
-        self._grid_cot = self.dgamma(s) / np.tan(self.gamma(s))
-        self._grid_beta = self.b0(s), self.b1(s)
-        self._grid_rate = self._db0(s), self._db1(s)
+
+    @cached_property
+    def band(self) -> tuple[float, float]:
+        return _band(self.b0, self.b1, self.s_end)
+
+    @cached_property
+    def _grid(self) -> tuple[np.ndarray, ...]:
+        """gamma_dot cot(gamma), B0, B1, B0' and B1' on the validation grid, with
+        tan(gamma) as tan(s^2 q(s)), gamma = pi + s^2 q(s): no cancellation at 0."""
+        s = _driven_grid(self.s_end)
+        cot = self.dgamma(s) / np.tan(s * s * Polynomial(self.gamma.coefficients[2:])(s))
+        return cot, self.b0(s), self.b1(s), self._db0(s), self._db1(s)
 
     def evaluate(self, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(cost, feasible) at each beta_dot0, in units of pi / (2 t_f); cost
@@ -234,7 +226,7 @@ class _Sweep:
         lo, hi = self.band
         with np.errstate(over="ignore", invalid="ignore"):
             b = beta_dot0_rate(units, self.t_f) * self.t_f  # rounded as _sweep_point rounds it
-            ok = self.gamma_ok & (lo < b) & (b < hi) & self._fit_ok(b)
+            ok = (lo < b) & (b < hi) & self.basis.fit(b)[1]
         rows = np.flatnonzero(ok)
         rows = rows[np.argsort(b[rows])]
         ok[rows] = self._detuning_in_band(b[rows])
@@ -243,26 +235,23 @@ class _Sweep:
         cost[rows] = self._cost(b[rows])
         return cost, ok
 
-    def _fit_ok(self, b: np.ndarray) -> np.ndarray:
-        """fit's residual check on B0 + b B1 against the conditions at b."""
-        values = self._values[0] + b[:, None] * self._values[1]
-        miss = self._misfit[0] + b[:, None] * self._misfit[1]
-        scale = np.maximum(1.0, np.abs(values).max(axis=1))
-        return (np.abs(miss) <= FIT_TOL * scale[:, None]).all(axis=1)
+    def _lines(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """beta = B0 + b B1 and beta_dot = B0' + b B1' on the grid, a row per b."""
+        _, b0, b1, db0, db1 = self._grid
+        beta, rate = np.multiply.outer(b, b1), np.multiply.outer(b, db1)
+        return np.add(beta, b0, out=beta), np.add(rate, db0, out=rate)
 
-    def _detuning_ok(self, b: np.ndarray) -> np.ndarray:
-        """|delta| t_f <= DELTA_FINITE_BOUND on the validation grid, where
+    def _detuning_ok(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(verdict, peak): whether the peak max |delta| t_f on the validation
+        grid is at most DELTA_FINITE_BOUND, where
         delta = gamma_dot cot(gamma) / tan(beta) - beta_dot: one tan per
         sample, vectorised on numpy 2.4 with AVX-512, where sin and cos are
         not. Where tan(beta) is 0, as where sin(beta) is, the check fails."""
-        beta = np.multiply.outer(b, self._grid_beta[1])
-        beta += self._grid_beta[0]
-        delta = np.divide(self._grid_cot, np.tan(beta, out=beta), out=beta)
-        rate = np.multiply.outer(b, self._grid_rate[1])
-        rate += self._grid_rate[0]
+        beta, rate = self._lines(b)
+        delta = np.divide(self._grid[0], np.tan(beta, out=beta), out=beta)
         delta -= rate
         peak = np.abs(delta, out=delta).max(axis=1)
-        return np.isfinite(peak) & (peak <= DELTA_FINITE_BOUND)
+        return peak <= DELTA_FINITE_BOUND, peak
 
     def _detuning_in_band(self, b: np.ndarray) -> np.ndarray:
         """_detuning_ok's verdicts on b, ascending and inside the band, with
@@ -274,12 +263,12 @@ class _Sweep:
         i, j = 0, len(b)  # rows i .. j - 1 are undecided
         while i < j:
             k = min(i + SWEEP_BLOCK, j)
-            ok[i:k] = self._detuning_ok(b[i:k])
+            ok[i:k] = self._detuning_ok(b[i:k])[0]
             i = k
             if i == j:
                 break
             k = max(j - SWEEP_BLOCK, i)
-            ok[k:j] = self._detuning_ok(b[k:j])
+            ok[k:j] = self._detuning_ok(b[k:j])[0]
             j = k
             if i < j and self._proved_between(b[i - 1], b[j]):
                 ok[i:j] = True
@@ -299,14 +288,10 @@ class _Sweep:
         |beta_dot|, up to a few ulps of rounding in tan, the divide and the
         sums, which the 1e-9 relative margin below DELTA_FINITE_BOUND covers.
         """
-        ends = np.array([a, c])
-        beta = np.multiply.outer(ends, self._grid_beta[1])
-        beta += self._grid_beta[0]
+        beta, rate = self._lines(np.array([a, c]))
         if not ((-math.pi < beta) & (beta < 0.0)).all():
             return False
-        cot = np.divide(self._grid_cot, np.tan(beta, out=beta), out=beta)
-        rate = np.multiply.outer(ends, self._grid_rate[1])
-        rate += self._grid_rate[0]
+        cot = np.divide(self._grid[0], np.tan(beta, out=beta), out=beta)
         bound = np.abs(cot, out=cot).max(axis=0)
         bound += np.abs(rate, out=rate).max(axis=0)
         return bool(bound.max() <= DELTA_FINITE_BOUND * (1 - 1e-9))
@@ -425,10 +410,7 @@ def sweep_beta_dot0(t_f: float, t_a: float, lo: float, hi: float, n: int) -> Swe
     its feasible neighbours by _Sweep.argmin (to 1e-12 relative in the rate,
     well below the 1e-4 contract) and decides and costs the result by one
     more evaluate; it replaces the best row only if feasible and no costlier.
-    The reported minimum is evaluated once more through _sweep_point, the
-    per-schedule path; raises NoConvergence when the two disagree
-    (feasibility, or cost beyond 1e-7 relative), and NoFeasiblePoint when
-    every grid point is infeasible.
+    Raises NoFeasiblePoint when every grid point is infeasible.
     """
     check_times(t_f, t_a)
     check_sweep(t_f, lo, hi, n)
@@ -452,12 +434,6 @@ def sweep_beta_dot0(t_f: float, t_a: float, lo: float, hi: float, n: int) -> Swe
         value, ok = sweep.evaluate(np.array([u_star]))
         if ok[0] and value[0] <= minimum[1]:
             minimum = u_star, float(value[0])
-    check, check_ok = _sweep_point(t_f, t_a, minimum[0])
-    if not (check_ok and abs(check - minimum[1]) <= 1e-7 * abs(check)):
-        raise NoConvergence(
-            f"sweep minimum {minimum[1]!r} at beta_dot0 = {minimum[0]!r} disagrees with "
-            f"the per-schedule path ({'cost ' + repr(check) if check_ok else 'infeasible'})"
-        )
     return SweepResult(units=units, cost=cost, feasible=feasible, minimum=minimum)
 
 

@@ -20,10 +20,13 @@ All boundary conditions are stated per unit t and converted to per unit s
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import ConfigError, NoCrossing, UnphysicalSchedule
-from .poly import Condition, Polynomial, fit, real_roots, value_range
+import numpy as np
+from numpy.polynomial import polynomial as npoly
+
+from .errors import ConfigError, NoCrossing, SingularSystem, UnphysicalSchedule
+from .poly import FIT_TOL, Condition, Polynomial, fit, real_roots, solve, value_range
 
 __all__ = [
     "SchedulePair",
@@ -48,12 +51,14 @@ class SchedulePair:
 
     gamma, beta are polynomials in s = t / t_f (radians). t_a, when set,
     is the antedated switch time (same units as t_f); check_times applies.
+    antedated_pair alone sets antedated = (AntedatedBasis, b): beta = B0 + b B1.
     """
 
     gamma: Polynomial
     beta: Polynomial
     t_f: float
     t_a: float | None
+    antedated: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         check_times(self.t_f, self.t_a)
@@ -142,6 +147,7 @@ def antedated_pair(t_f: float, t_a: float, beta_dot0: float | None = None) -> Sc
     rate reversal stay finite and nonnegative. beta_dot0 defaults to
     pi / (2 t_f) and is tunable (it controls the energy cost); a given one
     must be finite, and check_times and check_rate apply (ConfigError).
+    beta is B0 + b B1 of the AntedatedBasis at t_a, which the pair carries.
 
     Schedules whose gamma leaves [-pi, pi] raise UnphysicalSchedule; t_a
     below critical_t_a() * t_f trips this.
@@ -152,16 +158,40 @@ def antedated_pair(t_f: float, t_a: float, beta_dot0: float | None = None) -> Sc
     elif not math.isfinite(beta_dot0):
         raise ConfigError(f"beta_dot0 must be a finite rate, got {beta_dot0!r} rad per unit t")
     check_rate(beta_dot0)
-    a = t_a / t_f
-    gamma = _antedated_gamma(a)
-    if gamma_out_of_range(gamma) is not None:
-        raise UnphysicalSchedule(
-            f"gamma dips below -pi for t_a = {t_a!r} "
-            f"(antedating earlier than {critical_t_a():.6f} t_f)"
-        )
-    t_s = gamma_dot_zero_crossing(gamma)
-    beta = fit(_antedated_beta_conditions(a, t_s, beta_dot0 * t_f), 5)
-    return SchedulePair(gamma, beta, t_f, t_a)
+    basis, b = AntedatedBasis(t_f, t_a), beta_dot0 * t_f
+    beta, ok = basis.fit(np.array([b]))
+    if not ok[0]:
+        raise SingularSystem("ill-conditioned interpolation system (residual check failed)")
+    pair = SchedulePair(basis.gamma, Polynomial(beta[:, 0]), t_f, t_a)
+    object.__setattr__(pair, "antedated", (basis, b))
+    return pair
+
+
+class AntedatedBasis:
+    """beta = B0 + b B1 of every antedated pair at s_end = t_a / t_f: b =
+    beta_dot0 t_f enters beta's conditions only on their right-hand side, so
+    one gamma fit and two unchecked solves serve every b; raises as antedated_pair does."""
+
+    def __init__(self, t_f: float, t_a: float):
+        self.s_end = a = t_a / t_f
+        self.gamma = _antedated_gamma(a)
+        if gamma_out_of_range(self.gamma) is not None:
+            raise UnphysicalSchedule(f"gamma dips below -pi for t_a = {t_a!r} (antedating "
+                                     f"earlier than {critical_t_a():.6f} t_f)")
+        t_s = gamma_dot_zero_crossing(self.gamma)
+        at_zero = _antedated_beta_conditions(a, t_s, 0.0)  # b: beta'(0) = b, beta'(1) = -b
+        slope = [Condition(c.s, c.derivative_order, v) for c, v in zip(at_zero, (0, 0, 0, 0, 1, -1))]
+        self.b0, self.b1 = solve(at_zero, 5), solve(slope, 5)
+        self._t_s = t_s
+
+    def fit(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """B0 + b B1 for each b (a column of coefficients), and whether it passes
+        fit's residual check at b: misses within FIT_TOL max(pi / 2, |b|)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = self.b0.coefficients[:, None] + self.b1.coefficients[:, None] * b
+            miss = [npoly.polyval(x.s, npoly.polyder(c, x.derivative_order)) - x.value
+                    for x in _antedated_beta_conditions(self.s_end, self._t_s, b)]
+        return c, (np.abs(miss) <= FIT_TOL * np.maximum(PI / 2, np.abs(b))).all(axis=0)
 
 
 def gamma_out_of_range(gamma: Polynomial) -> tuple[float, float] | None:
@@ -182,17 +212,11 @@ def _antedated_gamma(a: float) -> Polynomial:
     return fit(_gamma_conditions() + [Condition(a, 0, 0.0)], 4)
 
 
-def _antedated_beta_conditions(a: float, t_s: float, b: float) -> list[Condition]:
-    """The antedated quintic beta's conditions; b = beta_dot0 * t_f enters
-    only their right-hand side."""
-    return [
-        Condition(0.0, 0, -PI / 2),
-        Condition(1.0, 0, PI / 2),
-        Condition(a, 0, -PI / 2),
-        Condition(t_s, 0, 0.0),
-        Condition(0.0, 1, b),
-        Condition(1.0, 1, -b),
-    ]
+def _antedated_beta_conditions(a: float, t_s: float, b) -> list[Condition]:
+    """The antedated quintic beta's conditions; b = beta_dot0 * t_f (a float,
+    or an array of them for AntedatedBasis.fit) enters only their values."""
+    return [Condition(0.0, 0, -PI / 2), Condition(1.0, 0, PI / 2), Condition(a, 0, -PI / 2),
+            Condition(t_s, 0, 0.0), Condition(0.0, 1, b), Condition(1.0, 1, -b)]
 
 
 def gamma_dot_zero_crossing(gamma: Polynomial) -> float:

@@ -18,8 +18,7 @@ from iecpulse.analysis import (
     validate_schedule,
 )
 from iecpulse.dynamics import Weights, bloch_vector, fidelity
-from iecpulse.errors import DivergentPulse, NoConvergence, NoCrossing, NoFeasiblePoint
-from iecpulse.errors import SingularSystem
+from iecpulse.errors import DivergentPulse, NoFeasiblePoint
 from iecpulse.poly import Condition, Polynomial, fit, real_roots
 from iecpulse.schedule import SchedulePair, antedated_pair, fourth_order_pair, third_order_pair
 from iecpulse.schedule import gamma_dot_zero_crossing
@@ -200,16 +199,15 @@ def test_sweep_counts_unbuildable_schedules_as_infeasible():
 
 def test_sweep_decides_and_costs_as_per_schedule_path():
     for frac in (0.25, 0.2551, 0.3, 0.45, 0.6, 0.71, 0.77, 0.85):  # 0.25: gamma below -pi
-        sweep = _Sweep(1.0, frac)
         units = np.linspace(0.25, 10.0, 40)
-        cost, ok = sweep.evaluate(units)
+        try:
+            cost, ok = _Sweep(1.0, frac).evaluate(units)
+        except errors.Infeasible:
+            cost, ok = np.full(len(units), math.nan), np.zeros(len(units), dtype=bool)
         for u, c, f in zip(units, cost, ok):
             ref, ref_ok = _sweep_point(1.0, frac, float(u))
             assert f == ref_ok, (frac, u)
-            if f:
-                assert c == pytest.approx(ref, rel=1e-7)
-            else:
-                assert math.isnan(c)
+            assert c == ref or math.isnan(c) and math.isnan(ref) and not f
 
 
 def _per_candidate_cost(self, b):
@@ -249,7 +247,7 @@ def _sweep_decision(t_f, t_a, units):
     built makes every candidate infeasible, as in sweep_beta_dot0."""
     try:
         sweep = _Sweep(t_f, t_a)
-    except (SingularSystem, NoCrossing):
+    except errors.Infeasible:
         return math.nan, False
     cost, ok = sweep.evaluate(np.array([units]))
     return float(cost[0]), bool(ok[0])
@@ -278,7 +276,7 @@ def test_sweep_agrees_with_per_schedule_path_over_the_design_space(frac, units, 
         return
     assert ok == ref_ok == unit_ok
     if ok:
-        assert cost == pytest.approx(ref, rel=1e-7)
+        assert cost == ref  # one definition: the pair is costed by the sweep's _cost
         assert cost == pytest.approx(unit_cost, rel=1e-9)  # dimensionless: no t_f
     else:
         assert math.isnan(cost)
@@ -288,14 +286,52 @@ def test_sweep_agrees_with_per_schedule_path_over_the_design_space(frac, units, 
     assert omega_r is None or (omega_r > 0).all()
 
 
+def _assert_as_its_factored_waveform(pair):
+    """A pair built by antedated_pair is decided and costed by the sweep on
+    its basis; the factored waveform of the same polynomials, which a plain
+    SchedulePair takes, is the independent reference. The grid's delta
+    lies within 1e-9 of the reference's peak at every sample, and so does
+    the peak (measured <= 5.5e-11; tan(gamma) in place of tan(s^2 q(s))
+    misses by 1.6e-8, at the first sample). The costs agree to 1e-11
+    relative (measured <= 5.6e-13 on drawn pairs, 7.6e-12 on the
+    narrow-peak pair)."""
+    basis, b = pair.antedated
+    sweep, b = _Sweep(pair.t_f, pair.t_a, basis), np.array([b])
+    wave = pulse._waveform(pair)
+    reference = wave.delta_many(analysis._driven_grid(wave.end))
+    cot, b0, b1, db0, db1 = sweep._grid
+    delta = cot / np.tan(b0 + b * b1) - (db0 + b * db1)
+    peak = np.abs(reference).max()
+    assert np.abs(delta - reference).max() <= 1e-9 * peak
+    assert sweep._detuning_ok(b)[1][0] == pytest.approx(peak, rel=1e-9)
+    plain = SchedulePair(pair.gamma, pair.beta, pair.t_f, pair.t_a)
+    assert energy_cost(pair) == pytest.approx(energy_cost(plain), rel=1e-11)
+
+
+@settings(max_examples=60, deadline=None)
+@given(frac=_evenly(schedule.critical_t_a() * (1 + 1e-9), 0.7737),
+       where=_evenly(1e-3, 1.0 - 1e-3), t_f=_evenly(-3.0, 3.0).map(lambda e: 10.0**e))
+def test_antedated_pair_is_decided_and_costed_as_its_factored_waveform(frac, where, t_f):
+    """where places beta_dot0 t_f across the positive part of the band."""
+    lo, hi = _Sweep(t_f, frac * t_f).band
+    lo = max(lo, 0.0)
+    _assert_as_its_factored_waveform(antedated_pair(t_f, frac * t_f, (lo + (hi - lo) * where) / t_f))
+
+
+def test_narrow_peak_is_costed_as_its_factored_waveform():
+    t_f = 158.03918506664547
+    _assert_as_its_factored_waveform(
+        antedated_pair(t_f, 99.11881451794792, 0.8179669548296351 * 0.5 * PI / t_f))
+
+
 def _band_and_drive(t_f, t_a, units):
     """Whether beta_dot0 lies in _Sweep's band with gamma in range, and
     omega_r on the driven grid if the waveform builds, else None."""
     b = schedule.beta_dot0_rate(units, t_f) * t_f
     try:
         sweep = _Sweep(t_f, t_a)
-        in_band = sweep.gamma_ok and sweep.band[0] < b < sweep.band[1]
-    except (SingularSystem, NoCrossing):
+        in_band = sweep.band[0] < b < sweep.band[1]
+    except errors.Infeasible:
         in_band = False
     try:
         wave = pulse._waveform(antedated_pair(t_f, t_a, schedule.beta_dot0_rate(units, t_f)))
@@ -322,14 +358,14 @@ def test_sweep_costs_do_not_depend_on_how_rows_are_grouped(frac):
 
 
 def _grid_verdicts(sweep, b):
-    """_detuning_ok on every candidate that passes the gamma-range, band and
-    fit checks, SWEEP_BLOCK rows at a time; False elsewhere."""
+    """_detuning_ok on every candidate that passes the band and fit checks,
+    SWEEP_BLOCK rows at a time; False elsewhere."""
     lo, hi = sweep.band
-    rows = np.flatnonzero(sweep.gamma_ok & (lo < b) & (b < hi) & sweep._fit_ok(b))
+    rows = np.flatnonzero((lo < b) & (b < hi) & sweep.basis.fit(b)[1])
     ok = np.zeros(len(b), dtype=bool)
     for i in range(0, len(rows), analysis.SWEEP_BLOCK):
         block = rows[i : i + analysis.SWEEP_BLOCK]
-        ok[block] = sweep._detuning_ok(b[block])
+        ok[block] = sweep._detuning_ok(b[block])[0]
     return ok
 
 
@@ -415,7 +451,7 @@ def test_sweep_minimum_is_a_feasible_local_minimum(frac, t_f, ends, n):
     u_star, c_star = result.minimum
     assert type(u_star) is float and type(c_star) is float
     check, ok = _sweep_point(t_f, frac * t_f, u_star)
-    assert ok and check == pytest.approx(c_star, rel=1e-7)
+    assert ok and check == c_star
     assert c_star >= PI
     assert c_star <= result.cost[result.feasible].min()
     # local minimality, inside the grid bracket the minimum was sought in
@@ -502,8 +538,8 @@ def test_detuning_policy_decides_pinned_point():
     sweep = _Sweep(1.0, 0.71)
     b = 8.154 * 0.5 * PI
     assert sweep.band[0] < b < sweep.band[1]
-    assert sweep.gamma_ok and sweep._fit_ok(np.array([b]))[0]
-    assert not sweep._detuning_ok(np.array([b]))[0]
+    assert sweep.basis.fit(np.array([b]))[1][0]
+    assert not sweep._detuning_ok(np.array([b]))[0][0]
     assert not sweep.evaluate(np.array([8.154]))[1][0]
     assert _sweep_point(1.0, 0.71, 8.154) == (pytest.approx(math.nan, nan_ok=True), False)
     assert "delta exceeds" in validate_schedule(antedated_pair(1.0, 0.71, b)).messages[0]
@@ -513,17 +549,19 @@ def reference_detuning_peak(sweep, b):
     """The peak behind _Sweep._detuning_ok's verdict by the formula it
     replaced, cot(gamma) and cot(beta) each from cos, sin and a divide:
     max |delta| t_f on the validation grid, where
-    delta = gamma_dot cot(gamma) cot(beta) - beta_dot."""
+    delta = gamma_dot cot(gamma) cot(beta) - beta_dot, and cot(gamma) is
+    taken at gamma - pi = s^2 q(s), as the grid takes it."""
     s = analysis._driven_grid(sweep.s_end)
-    g = sweep.gamma(s)
+    g = s * s * Polynomial(sweep.gamma.coefficients[2:])(s)
+    _, b0, b1, db0, db1 = sweep._grid
     grid_cot = sweep.dgamma(s) * np.cos(g) / np.sin(g)
-    beta = np.multiply.outer(b, sweep._grid_beta[1])
-    beta += sweep._grid_beta[0]
+    beta = np.multiply.outer(b, b1)
+    beta += b0
     delta = np.cos(beta)
     delta /= np.sin(beta, out=beta)
     delta *= grid_cot
-    rate = np.multiply.outer(b, sweep._grid_rate[1], out=beta)
-    rate += sweep._grid_rate[0]
+    rate = np.multiply.outer(b, db1, out=beta)
+    rate += db0
     delta -= rate
     return np.abs(delta, out=delta).max(axis=1)
 
@@ -551,12 +589,12 @@ def test_detuning_verdict_matches_the_cos_sin_formula(frac, where, edge):
     assert len(b) >= 2 and np.isfinite(ref).all()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(analysis, "DELTA_FINITE_BOUND", ref * (1 + 1e-14))
-        assert sweep._detuning_ok(b).all()
+        assert sweep._detuning_ok(b)[0].all()
         patch.setattr(analysis, "DELTA_FINITE_BOUND", ref * (1 - 1e-14))
-        assert not sweep._detuning_ok(b).any()
+        assert not sweep._detuning_ok(b)[0].any()
     bound = analysis.DELTA_FINITE_BOUND
     outside = np.abs(ref - bound) > 1e-12 * bound
-    assert np.array_equal(sweep._detuning_ok(b)[outside], (ref <= bound)[outside])
+    assert np.array_equal(sweep._detuning_ok(b)[0][outside], (ref <= bound)[outside])
 
 
 @pytest.mark.parametrize("frac", [0.27, 0.5, 0.71, 0.8])
@@ -569,12 +607,6 @@ def test_band_edges_are_where_beta_touches_its_bounds(frac):
         crit = crit.real[(np.abs(crit.imag) < 1e-9) & (crit.real > 0) & (crit.real < frac)]
         values = np.polynomial.polynomial.polyval(crit, beta)
         assert min(abs(values.max()), abs(values.min() + PI)) < 1e-9
-
-
-def test_sweep_rejects_a_minimum_the_per_schedule_path_disagrees_with(monkeypatch):
-    monkeypatch.setattr(analysis, "_sweep_point", lambda t_f, t_a, u: (3.3, True))
-    with pytest.raises(NoConvergence, match="disagrees with the per-schedule path"):
-        sweep_beta_dot0(1.0, 0.5, 4.0, 6.5, 26)
 
 
 def test_sweep_input_validation():

@@ -506,6 +506,40 @@ def test_sweep_subcommand_marks_infeasible_rows(tmp_path):
     assert float(summary["min_cost"]) <= np.nanmin(cost)
 
 
+#: The README's example config.
+README_CFG = """
+t_f = 1.0
+family = antedated    # third | fourth | antedated
+t_a = 0.5             # switch time (antedated)
+beta_dot0 = 5.232     # initial beta rate, units of pi/(2 t_f); optional
+p_plus = 0.2
+p_minus = 0.8
+grid_n = 1000
+rk4_steps = 10000
+sweep_lo = 0.1        # sweep subcommand only
+sweep_hi = 8.0
+sweep_n = 200
+"""
+
+
+def _summary_values(path):
+    return dict(line.split(" = ") for line in path.read_text().strip().splitlines())
+
+
+def test_synth_and_check_at_the_sweep_minimum_report_what_the_sweep_did(tmp_path):
+    # a pair carries the basis the sweep decides and costs on, so the
+    # minimum's cost is the same float, and check finds it feasible
+    assert main(["sweep", "--config", str(_write(tmp_path, README_CFG)),
+                 "--out", str(tmp_path / "sweep")]) == EXIT_OK
+    sweep = _summary_values(tmp_path / "sweep" / "summary.txt")
+    text = README_CFG.replace("beta_dot0 = 5.232", f"beta_dot0 = {sweep['argmin_beta_dot0']}")
+    cfg = _write(tmp_path, text, name="minimum.cfg")
+    for command in ("synth", "check"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == EXIT_OK
+    assert _summary_values(tmp_path / "check" / "summary.txt")["schedule_feasible"] == "true"
+    assert _summary_values(tmp_path / "synth" / "summary.txt")["energy_cost"] == sweep["min_cost"]
+
+
 def test_sweep_requires_sweep_keys(tmp_path):
     cfg = _write(tmp_path, THIRD_CFG)
     code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from iecpulse import schedule
-from iecpulse.errors import NoCrossing, UnphysicalSchedule
-from iecpulse.poly import Condition, Polynomial, fit
+from iecpulse.errors import Infeasible, NoCrossing, UnphysicalSchedule
+from iecpulse.poly import FIT_TOL, Condition, Polynomial, fit, misfit
 from iecpulse.schedule import (
     SchedulePair,
     antedated_pair,
@@ -244,3 +246,26 @@ def test_coefficients_independent_of_t_f(factory, kwargs):
     small, large = build(1.0), build(1000.0)
     np.testing.assert_allclose(small.gamma.coefficients, large.gamma.coefficients, atol=1e-12)
     np.testing.assert_allclose(small.beta.coefficients, large.beta.coefficients, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(frac=st.floats(0.2, 0.999), units=st.floats(0.01, 20.0),
+       t_f=st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
+def test_antedated_beta_meets_its_conditions(frac, units, t_f):
+    """Wherever antedated_pair builds, its beta = B0 + b B1 misses none of its
+    six conditions by more than fit's bound: FIT_TOL times the largest
+    condition value (at least 1). The basis it carries takes no part in
+    comparing or hashing pairs."""
+    try:
+        pair = antedated_pair(t_f, frac * t_f, units * 0.5 * PI / t_f)
+    except Infeasible:
+        return
+    basis, b = pair.antedated
+    assert pair.gamma is basis.gamma
+    t_s = gamma_dot_zero_crossing(pair.gamma)
+    conditions = schedule._antedated_beta_conditions(pair.switch_fraction, t_s, b)
+    scale = max(1.0, max(abs(c.value) for c in conditions))
+    assert np.abs(misfit(pair.beta, conditions)).max() <= FIT_TOL * scale
+    plain = SchedulePair(pair.gamma, pair.beta, pair.t_f, pair.t_a)
+    assert plain.antedated is None
+    assert plain == pair and hash(plain) == hash(pair)
