@@ -83,8 +83,10 @@ class Condition:
     def __post_init__(self) -> None:
         if not 0.0 <= self.s <= 1.0:
             raise ConfigError("condition abscissa must lie in [0, 1]")
-        if self.derivative_order < 0:
-            raise ConfigError("derivative order must be nonnegative")
+        if not isinstance(self.derivative_order, (int, np.integer)) or self.derivative_order < 0:
+            raise ConfigError("derivative order must be a nonnegative integer")
+        if not np.isfinite(self.value).all():
+            raise ConfigError("condition value must be finite")
 
 
 def _condition_row(s: float, order: int, degree: int) -> np.ndarray:

@@ -412,8 +412,9 @@ def adiabaticity_metric(pair: SchedulePair, s: float | np.ndarray) -> float | np
     of the factored evaluators (exact to rounding). Raises DegeneratePoint
     at a level crossing (Omega * t_f < 1e-12).
     """
+    _check_s(s, scalar=False)
     x = np.atleast_1d(np.asarray(s, dtype=float))
-    if not (0.0 < x.min() and x.max() < 1.0):
+    if not (x.size and 0.0 < x.min() and x.max() < 1.0):
         raise ConfigError("adiabaticity metric is defined at interior points")
     metric = _metric(_waveform(pair), x)
     return float(metric[0]) if np.ndim(s) == 0 else metric

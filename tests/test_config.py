@@ -18,7 +18,9 @@ from iecpulse import ConfigError, cli
 from iecpulse.analysis import check_sweep, compare_passages, sweep_beta_dot0
 from iecpulse import dynamics
 from iecpulse.dynamics import Weights, check_steps
-from iecpulse.pulse import check_grid, delta_at, lr_phase, omega_r_at, synthesize
+from iecpulse.pulse import (
+    adiabaticity_metric, check_grid, delta_at, lr_phase, omega_r_at, synthesize,
+)
 from iecpulse.schedule import SchedulePair, antedated_pair, fourth_order_pair, third_order_pair
 
 PI = math.pi
@@ -96,15 +98,27 @@ _PROBES = {
 }
 
 
+_BAD_S = {
+    "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "2": 2.0, "-0.1": -0.1,
+    "past-1": 1.0 + 1e-11, "complex": 0.5j, "str": "0.5", "none": None,
+    "array-nan": np.array([0.2, math.nan]), "array-past-1": np.array([0.2, 1.5]),
+    "ragged": [[0.1], [0.2, 0.3]],
+}
+
+
 @pytest.mark.parametrize("probe", sorted(_PROBES))
-@pytest.mark.parametrize("s", [
-    math.nan, math.inf, -math.inf, 2.0, -0.1, 1.0 + 1e-11, 0.5j, "0.5", None,
-    np.array([0.2, math.nan]), np.array([0.2, 1.5]), [[0.1], [0.2, 0.3]],
-], ids=["nan", "inf", "-inf", "2", "-0.1", "past-1", "complex", "str", "none",
-        "array-nan", "array-past-1", "ragged"])
+@pytest.mark.parametrize("s", _BAD_S.values(), ids=_BAD_S.keys())
 def test_dynamics_probes_take_s_in_the_unit_interval(probe, s):
     with pytest.raises(ConfigError, match="not a real number"):
         _PROBES[probe](third_order_pair(1.0), s)
+
+
+@pytest.mark.parametrize(
+    "s", [*_BAD_S.values(), 0.5 + 0j, []], ids=[*_BAD_S, "complex-0j", "empty"]
+)
+def test_adiabaticity_metric_takes_s_in_the_unit_interval(s):
+    with pytest.raises(ConfigError):
+        adiabaticity_metric(third_order_pair(1.0), s)
 
 
 @pytest.mark.parametrize("probe", sorted(_PROBES))

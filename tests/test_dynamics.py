@@ -22,7 +22,7 @@ from iecpulse.dynamics import (
     invariant_state,
 )
 from iecpulse import dynamics
-from iecpulse.errors import DegeneratePoint, DivergentPulse, StepTooCoarse
+from iecpulse.errors import ConfigError, DegeneratePoint, DivergentPulse, StepTooCoarse
 from iecpulse.poly import Polynomial
 from iecpulse.pulse import _waveform, lr_phase
 from iecpulse.schedule import SchedulePair, antedated_pair, beta_dot0_rate, fourth_order_pair
@@ -469,16 +469,16 @@ def test_prefix_products_match_reference_loop_at_any_block(
     # and 16: blocks of one step (no scan), blocks shorter than a lane (one
     # padded lane), blocks that are not multiples of the lane, and one block
     # per leg (the legs have 1350 and 1651 steps, neither a multiple of 16
-    # or 3); also a rho0 with an anti-Hermitian part, whose Bloch
-    # coordinates are complex
+    # or 3); a rho0 with an anti-Hermitian part is integrated as its
+    # Hermitian part
     monkeypatch.setattr(dynamics, "_BLOCK", block)
     rho0 = invariant_state(ante_8u, W, 0.0)
     for lane in (1, 2, 3, 16):
         monkeypatch.setattr(dynamics, "_LANE", lane)
         _assert_matches_reference_loop(ante_8u, rho0, 3001, reference=reference_once)
-        _assert_matches_reference_loop(
-            ante_8u, rho0 + 3e-10j * SIGMA_X, 3001, branches=(), reference=reference_once
-        )
+        rho = evolve(ante_8u, rho0 + 3e-10j * SIGMA_X, 3001).rho
+        assert np.abs(rho - rho.conj().transpose(0, 2, 1)).max() == 0.0
+        assert np.abs(rho - evolve(ante_8u, rho0, 3001).rho).max() <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -655,10 +655,19 @@ def test_bloch_vector_roundtrip():
     np.testing.assert_allclose(bloch_vector(rho), [x, y, z], atol=1e-14)
 
 
-def test_check_density_matrix_rejects_bad_inputs():
+def test_check_density_matrix_rejects_bad_inputs(third):
     with pytest.raises(ValueError):
         check_density_matrix(np.diag([0.9, 0.2]).astype(complex))
     with pytest.raises(ValueError):
         check_density_matrix(np.array([[0.5, 0.4], [0.1, 0.5]], dtype=complex))
     with pytest.raises(ValueError):
         check_density_matrix(np.diag([1.5, -0.5]).astype(complex))
+    # non-finite entries, which no tolerance test may let through or warn on
+    for bad in (np.nan, np.inf, -np.inf, complex(0.5, np.nan)):
+        for at in ((0, 0), (0, 1)):
+            rho = np.diag([0.5, 0.5]).astype(complex)
+            rho[at] = bad
+            with pytest.raises(ConfigError, match="non-finite"):
+                check_density_matrix(rho)
+    with pytest.raises(ConfigError, match="non-finite"):
+        evolve(third, np.full((2, 2), np.nan, dtype=complex), 100)

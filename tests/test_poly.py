@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from iecpulse import errors
-from iecpulse.errors import SingularSystem
+from iecpulse.errors import ConfigError, SingularSystem
 from iecpulse.poly import Condition, Polynomial, fit, real_roots, stacked_real_roots
 
 PI = math.pi
@@ -105,6 +105,12 @@ def test_condition_validation():
         Condition(1.5, 0, 0.0)
     with pytest.raises(ValueError):
         Condition(0.5, -1, 0.0)
+    for order in (1.0, 0.5, "1", None):
+        with pytest.raises(ConfigError, match="integer"):
+            Condition(0.5, order, 0.0)
+    for value in (math.nan, math.inf, -math.inf, np.array([0.0, math.nan])):
+        with pytest.raises(ConfigError, match="finite"):
+            Condition(0.5, 0, value)
 
 
 def test_fit_duplicate_conditions_raises():
