@@ -185,13 +185,15 @@ class AntedatedBasis:
         self._t_s = t_s
 
     def fit(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """B0 + b B1 for each b (a column of coefficients), and whether it passes
-        fit's residual check at b: misses within FIT_TOL max(pi / 2, |b|)."""
+        """B0 + b B1 for each b (a column of coefficients), and whether it passes fit's
+        residual check, misses within FIT_TOL max(pi / 2, |b|); a non-finite b fails."""
+        ok = np.isfinite(b)
         with np.errstate(over="ignore", invalid="ignore"):
             c = self.b0.coefficients[:, None] + self.b1.coefficients[:, None] * b
-            miss = [npoly.polyval(x.s, npoly.polyder(c, x.derivative_order)) - x.value
-                    for x in _antedated_beta_conditions(self.s_end, self._t_s, b)]
-        return c, (np.abs(miss) <= FIT_TOL * np.maximum(PI / 2, np.abs(b))).all(axis=0)
+            miss = [npoly.polyval(x.s, npoly.polyder(c[:, ok], x.derivative_order)) - x.value
+                    for x in _antedated_beta_conditions(self.s_end, self._t_s, b[ok])]
+        ok[ok] = (np.abs(miss) <= FIT_TOL * np.maximum(PI / 2, np.abs(b[ok]))).all(axis=0)
+        return c, ok
 
 
 def gamma_out_of_range(gamma: Polynomial) -> tuple[float, float] | None:

@@ -208,6 +208,20 @@ def _assert_finite_outputs(out: Path) -> None:
 _OVERFLOWING_SWEEP = "t_f = 0.5\nfamily = antedated\nt_a = 0.25\nsweep_n = 10\nsweep_hi = 1e308\n"
 
 
+@pytest.mark.parametrize("sweep_lo, code", [("4.5", cli.EXIT_OK), ("1e307", cli.EXIT_INFEASIBLE)])
+def test_overflowing_sweep_rates_are_infeasible_points(tmp_path, capsys, sweep_lo, code):
+    # rates of 1e308 units overflow at t_f = 0.5 (b = inf): those grid points
+    # are infeasible, so the sweep still finds the minimum below them or
+    # reports that no point is feasible, and no config error is raised
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    cfg.write_text(_OVERFLOWING_SWEEP + f"sweep_lo = {sweep_lo}\n")
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == code
+    if code == cli.EXIT_OK:
+        _assert_finite_outputs(out)
+    else:
+        assert "no feasible beta_dot0" in capsys.readouterr().err
+
+
 @settings(max_examples=400)
 @given(command=st.sampled_from(sorted(cli._COMMANDS)), text=_configs())
 # rates of 1e308 units overflow at t_f = 0.5: infeasible points, quietly

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from iecpulse import schedule
-from iecpulse.errors import Infeasible, NoCrossing, UnphysicalSchedule
+from iecpulse.errors import Infeasible, NoCrossing, SingularSystem, UnphysicalSchedule
 from iecpulse.poly import FIT_TOL, Condition, Polynomial, fit, misfit
 from iecpulse.schedule import (
     SchedulePair,
@@ -185,6 +185,16 @@ def test_antedated_too_early_diagnostic_construction():
 def test_antedated_invalid_t_a():
     with pytest.raises(ValueError):
         antedated_pair(1.0, 1.5)
+
+
+def test_antedated_overflowing_rate_fails_the_fit_check():
+    # b = beta_dot0 t_f overflows to inf: the basis's residual check fails
+    # there, as it does for any b the fit cannot meet
+    with pytest.raises(SingularSystem, match="residual check"):
+        antedated_pair(2.0, 1.0, 1.7e308)
+    basis = schedule.AntedatedBasis(2.0, 1.0)
+    assert basis.fit(np.array([math.inf, -math.inf, math.nan, 1.0]))[1].tolist() == [
+        False, False, False, True]
 
 
 def test_critical_gamma_mid_value():
