@@ -85,7 +85,7 @@ class Condition:
             raise ConfigError("condition abscissa must lie in [0, 1]")
         if not isinstance(self.derivative_order, (int, np.integer)) or self.derivative_order < 0:
             raise ConfigError("derivative order must be a nonnegative integer")
-        if not np.isfinite(self.value).all():
+        if not math.isfinite(self.value):
             raise ConfigError("condition value must be finite")
 
 

@@ -182,18 +182,16 @@ class AntedatedBasis:
         at_zero = _antedated_beta_conditions(a, t_s, 0.0)  # b: beta'(0) = b, beta'(1) = -b
         slope = [Condition(c.s, c.derivative_order, v) for c, v in zip(at_zero, (0, 0, 0, 0, 1, -1))]
         self.b0, self.b1 = solve(at_zero, 5), solve(slope, 5)
-        self._t_s = t_s
+        self._conditions = list(zip(at_zero, slope))
 
     def fit(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """B0 + b B1 for each b (a column of coefficients), and whether it passes fit's
-        residual check, misses within FIT_TOL max(pi / 2, |b|); a non-finite b fails."""
-        ok = np.isfinite(b)
+        """B0 + b B1 for each b (a column of coefficients), and whether it passes
+        fit's residual check at b: misses within FIT_TOL max(pi / 2, |b|)."""
         with np.errstate(over="ignore", invalid="ignore"):
             c = self.b0.coefficients[:, None] + self.b1.coefficients[:, None] * b
-            miss = [npoly.polyval(x.s, npoly.polyder(c[:, ok], x.derivative_order)) - x.value
-                    for x in _antedated_beta_conditions(self.s_end, self._t_s, b[ok])]
-        ok[ok] = (np.abs(miss) <= FIT_TOL * np.maximum(PI / 2, np.abs(b[ok]))).all(axis=0)
-        return c, ok
+            miss = [npoly.polyval(x.s, npoly.polyder(c, x.derivative_order))
+                    - (x.value + y.value * b) for x, y in self._conditions]
+        return c, (np.abs(miss) <= FIT_TOL * np.maximum(PI / 2, np.abs(b))).all(axis=0)
 
 
 def gamma_out_of_range(gamma: Polynomial) -> tuple[float, float] | None:
@@ -214,9 +212,9 @@ def _antedated_gamma(a: float) -> Polynomial:
     return fit(_gamma_conditions() + [Condition(a, 0, 0.0)], 4)
 
 
-def _antedated_beta_conditions(a: float, t_s: float, b) -> list[Condition]:
-    """The antedated quintic beta's conditions; b = beta_dot0 * t_f (a float,
-    or an array of them for AntedatedBasis.fit) enters only their values."""
+def _antedated_beta_conditions(a: float, t_s: float, b: float) -> list[Condition]:
+    """The antedated quintic beta's conditions; b = beta_dot0 * t_f enters
+    only their values."""
     return [Condition(0.0, 0, -PI / 2), Condition(1.0, 0, PI / 2), Condition(a, 0, -PI / 2),
             Condition(t_s, 0, 0.0), Condition(0.0, 1, b), Condition(1.0, 1, -b)]
 
