@@ -16,6 +16,7 @@ from .analysis import (
     validate_schedule,
 )
 from .dynamics import (
+    PureTrajectory,
     Trajectory,
     Weights,
     adiabatic_state,
@@ -65,6 +66,7 @@ __all__ = [
     "PassageReport",
     "Polynomial",
     "PulseTable",
+    "PureTrajectory",
     "SchedulePair",
     "SingularSystem",
     "StepTooCoarse",

@@ -28,7 +28,10 @@ t_a the drive is off (_Waveform.drive) and the invariant frozen (_angles).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
@@ -39,6 +42,7 @@ from .schedule import SchedulePair
 __all__ = [
     "Weights",
     "Trajectory",
+    "PureTrajectory",
     "bloch_vector",
     "check_density_matrix",
     "check_steps",
@@ -60,8 +64,10 @@ PURITY_DRIFT_BOUND = 1e-6
 #: Steps whose RK4 maps _rk4 builds and scans in one array pass, and the
 #: steps of one lane of that scan. At 1e4 steps, blocks of 512-2048 and
 #: lanes of 8-32 ran within noise of one another, blocks of 256 or 4096
-#: ~20% slower. Larger blocks hold more maps at once: at 2048, evolve_pure's
-#: peak allocation (3.24 MB) passed the per-step loop's (2.68 MB).
+#: ~20% slower. Larger blocks hold more maps at once: at 1e4 steps on the
+#: antedated t_a = t_f / 2 passage, evolve_pure's scan of both branches
+#: peaks at 1.76 MB of allocations with blocks of 512, 2.22 MB at 1024 and
+#: 3.56 MB at 2048, past the one-branch per-step loop's 2.68 MB.
 _BLOCK = 1024
 _LANE = 16
 
@@ -74,7 +80,7 @@ class Weights:
     p_minus: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.p_plus <= 1.0 and 0.0 <= self.p_minus <= 1.0):
+        if not all(isinstance(p, Real) and 0.0 <= p <= 1.0 for p in (self.p_plus, self.p_minus)):
             raise ConfigError("branch weights must lie in [0, 1]")
         if abs(self.p_plus + self.p_minus - 1.0) > 1e-12:
             raise ConfigError("branch weights must sum to 1")
@@ -91,6 +97,25 @@ class Trajectory:
 
     t: np.ndarray
     rho: np.ndarray
+
+
+@dataclass(frozen=True)
+class PureTrajectory(Sequence):
+    """Pure-state evolution: the times t of the step grid, t = 0 first, and
+    the (len(t), 2) states psi there, both read-only. It is also the
+    sequence of its (t, psi) samples: item i is (float(t[i]), psi[i]), and
+    a slice is the PureTrajectory of those samples."""
+
+    t: np.ndarray
+    psi: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i: int | slice) -> tuple[float, np.ndarray] | PureTrajectory:
+        if isinstance(i, slice):
+            return PureTrajectory(self.t[i], self.psi[i])
+        return float(self.t[i]), self.psi[i]
 
 
 def bloch_vector(rho: np.ndarray) -> np.ndarray:
@@ -110,7 +135,15 @@ def bloch_vector(rho: np.ndarray) -> np.ndarray:
 def check_density_matrix(
     rho: np.ndarray, *, herm_tol: float = 1e-12, trace_tol: float = 1e-12, eig_tol: float = 1e-10
 ) -> None:
-    """Raise ConfigError unless rho is finite, Hermitian, unit-trace, and PSD."""
+    """Raise ConfigError unless rho (an array or nested sequence) is a 2x2
+    matrix that is finite, Hermitian, unit-trace, and PSD."""
+    try:
+        numeric = np.asarray(rho).dtype.kind in "iufc"
+    except ValueError:  # a ragged nest of sequences
+        numeric = False
+    if not numeric:
+        raise ConfigError("density matrix must be a 2x2 array of numbers")
+    rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ConfigError("density matrix must be 2x2")
     if not np.isfinite(rho).all():
@@ -339,15 +372,19 @@ def _rk4(pair: SchedulePair, y0: np.ndarray, n_steps: int, generator):
     alone (T[o:] = T[o:] @ T[:-o], o = 1, 2, 4, ...) the products up to each
     lane's end; one batched product each lane's start state z from y, the
     state before the block; and one more, P @ z, the block's states: about
-    two matrix products per step. Returns the n_steps + 1 s values and the
-    (n_steps + 1, len(y0)) real states, y0 first. check_steps applies to
-    n_steps.
+    two matrix products per step. y0 is one real state, or a (k, dim) stack
+    of them as rows: the rows share the maps and their products, and only
+    the last two products run per row, so each row's states are bit for bit
+    those of a scan from that row alone (one batched product over the rows
+    would round differently). Returns the n_steps + 1 s values and the
+    (n_steps + 1, *y0.shape) real states, y0 first: step, then row, then
+    coordinate. check_steps applies to n_steps.
     """
     check_steps(n_steps)
-    dim = len(y0)
-    s = np.empty(n_steps + 1)
-    y = np.empty((n_steps + 1, dim))
+    rows, dim = np.atleast_2d(y0).shape
+    s, y = np.empty(n_steps + 1), np.empty((n_steps + 1, *y0.shape))
     s[0], y[0] = 0.0, y0
+    y_rows = y.reshape(n_steps + 1, rows, dim)
     eyes = np.tile(np.eye(dim), (_BLOCK, 1, 1))
     done = 0
     for s_lo, s_hi, n in _legs(pair, n_steps):
@@ -379,9 +416,10 @@ def _rk4(pair: SchedulePair, y0: np.ndarray, n_steps: int, generator):
             while o < lanes:
                 tot[o:] = tot[o:] @ tot[:-o]
                 o *= 2
-            z = np.empty((lanes, dim))
-            z[0], z[1:] = y[done], tot[:-1] @ y[done]
-            y[done + 1 : done + m + 1] = np.einsum("lsij,lj->lsi", p, z).reshape(-1, dim)[:m]
+            z, block = np.empty((lanes, dim)), y_rows[done + 1 : done + m + 1]
+            for row in range(rows):
+                z[0], z[1:] = y_rows[done, row], tot[:-1] @ y_rows[done, row]
+                block[:, row] = np.einsum("lsij,lj->lsi", p, z).reshape(-1, dim)[:m]
             done += m
     return s, y
 
@@ -399,9 +437,8 @@ def evolve(pair: SchedulePair, rho0: np.ndarray, n_steps: int) -> Trajectory:
     PURITY_DRIFT_BOUND: trace and Hermiticity survive an unstable run, the
     spectrum does not, and NaN or inf fail the bound too.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
     check_density_matrix(rho0, herm_tol=1e-9, trace_tol=1e-9)
-    (a, b), (c, d) = rho0
+    (a, b), (c, d) = rho0 = np.asarray(rho0, dtype=complex)
     s, states = _rk4(pair, np.real([b + c, 1j * (b - c), a - d]), n_steps, _bloch_generator)
     x, y, z = states.T
     tr = (a + d).real
@@ -415,25 +452,40 @@ def evolve(pair: SchedulePair, rho0: np.ndarray, n_steps: int) -> Trajectory:
     return Trajectory(t=s * pair.t_f, rho=rho_arr)
 
 
-def evolve_pure(
-    pair: SchedulePair, branch: int, n_steps: int
-) -> list[tuple[float, np.ndarray]]:
+@lru_cache(maxsize=1)
+def _pure_scan(pair: SchedulePair, n_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both invariant branches from one RK4 scan: the read-only step times,
+    the read-only (n_steps + 1, 2, 2) states (axis 1: branch +1, then -1)
+    and each branch's largest norm drift from 1."""
+    psi0 = np.stack([invariant_eigenstate(pair, branch, 0.0) for branch in (+1, -1)])
+    s, y = _rk4(pair, psi0.view(float), n_steps, _schroedinger_generator)
+    drift = np.abs(np.linalg.norm(y, axis=2) - 1.0).max(axis=0)
+    t = s * pair.t_f
+    t.flags.writeable = y.flags.writeable = False  # and no view of them can be made writeable
+    return t[:], y.view(complex), drift
+
+
+def evolve_pure(pair: SchedulePair, branch: int, n_steps: int) -> PureTrajectory:
     """RK4 integration of the Schroedinger equation from an invariant eigenstate.
 
-    Returns the n_steps + 1 (t, state vector) samples, on the step grid of
-    evolve. Along the exact dynamics the state stays on its invariant
+    Returns the PureTrajectory of the n_steps + 1 samples on the step grid
+    of evolve. Along the exact dynamics the state stays on its invariant
     branch up to the accumulated phase, which is what the phase oracle
     tests verify. The steps act on psi's real coordinates through the real
-    form of -i H (_schroedinger_generator). Raises StepTooCoarse if the
-    norm of any state drifts from 1 by more than 1e-8. n_steps >= 100 is
-    an argument check, not a guarantee: the cubic, the quartic at
-    gamma_mid = 1.2 and the antedated passage at t_a = t_f / 2 all drift
-    past that bound at 100 steps and pass at 150.
+    form of -i H (_schroedinger_generator). Both branches evolve under the
+    same H, so they share every step map: a call scans both eigenstates at
+    once (_pure_scan), and a call for the other branch of the same
+    (pair, n_steps) reads that scan; only the last scan is kept. Raises
+    StepTooCoarse if the norm of any state of this branch drifts from 1 by
+    more than 1e-8. n_steps >= 100 is an argument check, not a guarantee:
+    the cubic, the quartic at gamma_mid = 1.2 and the antedated passage at
+    t_a = t_f / 2 all drift past that bound at 100 steps and pass at 150.
     """
-    psi0 = invariant_eigenstate(pair, branch, 0.0)
-    s, y = _rk4(pair, psi0.view(float), n_steps, _schroedinger_generator)
-    states = y.view(complex)
-    norm_drift = np.abs(np.linalg.norm(states, axis=1) - 1.0).max()
-    if not norm_drift <= 1e-8:
-        raise StepTooCoarse(f"state norm drift {norm_drift:.2e} exceeds 1e-8; increase n_steps")
-    return list(zip((s * pair.t_f).tolist(), states))
+    if branch not in (+1, -1):
+        raise ConfigError("branch must be +1 or -1")
+    check_steps(n_steps)
+    t, psi, drift = _pure_scan(pair, n_steps)
+    j = 0 if branch == +1 else 1
+    if not drift[j] <= 1e-8:
+        raise StepTooCoarse(f"state norm drift {drift[j]:.2e} exceeds 1e-8; increase n_steps")
+    return PureTrajectory(t, psi[:, j])

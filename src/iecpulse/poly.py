@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -81,11 +82,11 @@ class Condition:
     value: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.s <= 1.0:
+        if not (isinstance(self.s, Real) and 0.0 <= self.s <= 1.0):
             raise ConfigError("condition abscissa must lie in [0, 1]")
         if not isinstance(self.derivative_order, (int, np.integer)) or self.derivative_order < 0:
             raise ConfigError("derivative order must be a nonnegative integer")
-        if not math.isfinite(self.value):
+        if not (isinstance(self.value, Real) and math.isfinite(self.value)):
             raise ConfigError("condition value must be finite")
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iecpulse.dynamics import (
+    PureTrajectory,
     Trajectory,
     Weights,
     adiabatic_state,
@@ -43,11 +45,24 @@ def ante():
     return antedated_pair(1.0, 0.5)
 
 
+@pytest.fixture
+def cold_scan():
+    """evolve_pure's shared scan, cleared before and after the test: a test
+    that patches the integrator must run it cold, and must leave no scan made
+    under its patch for a later test to read."""
+    dynamics._pure_scan.cache_clear()
+    yield
+    dynamics._pure_scan.cache_clear()
+
+
 def test_weights_validation():
     with pytest.raises(ValueError):
         Weights(0.3, 0.8)
     with pytest.raises(ValueError):
         Weights(-0.1, 1.1)
+    for args in (("0.2", 0.8), (0.2, "0.8"), (0.2 + 0j, 0.8), (None, 1.0)):
+        with pytest.raises(ConfigError, match="weights"):
+            Weights(*args)
     assert Weights(0.2, 0.8).difference == pytest.approx(-0.6)
 
 
@@ -355,7 +370,7 @@ def test_evolve_rejects_blown_up_run():
 
 
 @pytest.mark.parametrize("run", ["evolve", "evolve_pure"])
-def test_drift_checks_reject_nan(third, monkeypatch, run):
+def test_drift_checks_reject_nan(third, monkeypatch, cold_scan, run):
     real_h_grid = dynamics._h_grid
 
     def poisoned(*args):
@@ -463,7 +478,7 @@ def reference_once():
 
 @pytest.mark.parametrize("block", [1, 2, 3, 5, 4096])
 def test_prefix_products_match_reference_loop_at_any_block(
-    monkeypatch, ante_8u, reference_once, block
+    monkeypatch, ante_8u, reference_once, cold_scan, block
 ):
     # each block with lanes of one step (the scan is all doubling), 2, 3
     # and 16: blocks of one step (no scan), blocks shorter than a lane (one
@@ -475,6 +490,7 @@ def test_prefix_products_match_reference_loop_at_any_block(
     rho0 = invariant_state(ante_8u, W, 0.0)
     for lane in (1, 2, 3, 16):
         monkeypatch.setattr(dynamics, "_LANE", lane)
+        dynamics._pure_scan.cache_clear()
         _assert_matches_reference_loop(ante_8u, rho0, 3001, reference=reference_once)
         rho = evolve(ante_8u, rho0 + 3e-10j * SIGMA_X, 3001).rho
         assert np.abs(rho - rho.conj().transpose(0, 2, 1)).max() == 0.0
@@ -539,16 +555,21 @@ def _traced_peak(run) -> int:
 
 
 @pytest.mark.parametrize("run", ["evolve", "evolve_pure"])
-def test_step_maps_use_no_more_memory_than_reference_loop(ante, run):
+def test_step_maps_use_no_more_memory_than_reference_loop(ante, cold_scan, run):
     # building the maps in blocks keeps the peak below the loop's: a map
-    # stack for all 1e4 steps would not be
+    # stack for all 1e4 steps would not be; evolve_pure's traced run is a
+    # cold scan of both branches, set against the loop over one
     n_steps = 10_000
     if run == "evolve":
         y0, rate = invariant_state(ante, W, 0.0), _von_neumann
         integrate = lambda: evolve(ante, y0, n_steps)  # noqa: E731
     else:
         y0, rate = invariant_eigenstate(ante, +1, 0.0), _schroedinger
-        integrate = lambda: evolve_pure(ante, +1, n_steps)  # noqa: E731
+
+        def integrate():
+            dynamics._pure_scan.cache_clear()
+            evolve_pure(ante, +1, n_steps)
+
     integrate()  # builds the cached waveform outside the traced runs
     reference = _traced_peak(lambda: np.array(_rk4_reference(ante, y0, n_steps, rate)[1]))
     assert _traced_peak(integrate) <= reference
@@ -598,6 +619,77 @@ def test_evolve_pure_phase_matches_quadrature(third, ante):
 def test_evolve_pure_minus_branch_initial_state(third):
     states = evolve_pure(third, -1, 200)
     np.testing.assert_allclose(states[0][1], [1.0, 0.0], atol=1e-12)
+
+
+def test_evolve_pure_checks_its_arguments_before_the_scan(third):
+    before = dynamics._pure_scan.cache_info()
+    for branch, n_steps, message in [
+        (+1, [100], "n_steps"),  # unhashable: the checks run before any cache lookup
+        (+1, 100.0, "n_steps"),
+        (-1, 99, "n_steps"),
+        (2, 100, "branch"),
+        (2, [100], "branch"),
+        ("+1", 100, "branch"),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            evolve_pure(third, branch, n_steps)
+    assert dynamics._pure_scan.cache_info() == before
+
+
+@pytest.mark.parametrize(
+    "build, n_steps",
+    [
+        pytest.param(lambda: third_order_pair(1.0), 3001, id="third-3001"),
+        pytest.param(lambda: fourth_order_pair(1.0, 1.2), 20_000, id="fourth-1.2-20000"),
+        pytest.param(lambda: antedated_pair(1.0, 0.45, beta_dot0_rate(8.0, 1.0)), 10_001,
+                     id="antedated-0.45-8u-10001"),
+    ],
+)
+def test_evolve_pure_branches_share_one_scan(cold_scan, build, n_steps):
+    # each branch equals, bit for bit, a scan from its own eigenstate alone and
+    # a cold call, whichever branch is asked for first; the second is served
+    # from the first's scan, the one entry the cache holds
+    pair = build()
+    cold = {}
+    for branch in (+1, -1):
+        dynamics._pure_scan.cache_clear()
+        cold[branch] = evolve_pure(pair, branch, n_steps)
+        psi0 = invariant_eigenstate(pair, branch, 0.0)
+        s, y = dynamics._rk4(pair, psi0.view(float), n_steps, dynamics._schroedinger_generator)
+        assert cold[branch].t.tobytes() == (s * pair.t_f).tobytes()
+        assert cold[branch].psi.tobytes() == y.view(complex).tobytes()
+    for order in ((+1, -1), (-1, +1)):
+        dynamics._pure_scan.cache_clear()
+        for branch in order:
+            record = evolve_pure(pair, branch, n_steps)
+            assert record.t.tobytes() == cold[branch].t.tobytes()
+            assert record.psi.tobytes() == cold[branch].psi.tobytes()
+        info = dynamics._pure_scan.cache_info()
+        assert (info.hits, info.misses, info.currsize, info.maxsize) == (1, 1, 1, 1)
+    evolve_pure(pair, +1, n_steps + 1)
+    assert dynamics._pure_scan.cache_info().currsize == 1
+
+
+def test_evolve_pure_record_is_a_read_only_sequence_of_samples(third, cold_scan):
+    record = evolve_pure(third, -1, 200)
+    assert isinstance(record, PureTrajectory) and isinstance(record, Sequence)
+    assert record.t.shape == (201,) and record.psi.shape == (201, 2)
+    assert record.t.dtype == float and record.psi.dtype == complex
+    assert len(record) == 201
+    t, psi = record[-1]
+    assert type(t) is float and t == record.t[-1] and psi.tobytes() == record.psi[-1].tobytes()
+    assert [t for t, _ in record] == record.t.tolist()
+    part = record[10:50:7]
+    assert isinstance(part, PureTrajectory) and part.t.tolist() == record.t[10:50:7].tolist()
+    assert len(part) == 6 and part[0][1].tobytes() == record.psi[10].tobytes()
+    # the arrays are views of the shared scan: nothing written through them reaches it
+    kept = record.psi.copy()
+    for a in (record.t, record.psi, part.psi, record[3][1]):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+        with pytest.raises(ValueError):
+            a.setflags(write=True)
+    assert evolve_pure(third, -1, 200).psi.tobytes() == kept.tobytes()
 
 
 def _fidelity_reference(rho, sigma):
@@ -653,6 +745,25 @@ def test_bloch_vector_roundtrip():
     x, y, z = rng.uniform(-0.5, 0.5, 3)
     rho = 0.5 * (np.eye(2) + x * SIGMA_X + y * np.array([[0, -1j], [1j, 0]]) + z * np.diag([1, -1]))
     np.testing.assert_allclose(bloch_vector(rho), [x, y, z], atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "rho0",
+    ["x", [[1], [0, 0]], [[1, 0], [0, "0"]], np.eye(3) / 3, [0.5, 0.5], np.zeros((1, 2, 2)), None],
+    ids=["string", "ragged", "string-entry", "3x3", "vector", "stack", "none"],
+)
+def test_malformed_density_matrix_is_a_config_error(third, rho0):
+    with pytest.raises(ConfigError, match="density matrix must be"):
+        check_density_matrix(rho0)
+    with pytest.raises(ConfigError, match="density matrix must be"):
+        evolve(third, rho0, 100)
+
+
+def test_density_matrix_may_be_a_nested_list(third):
+    check_density_matrix([[0.5, 0], [0, 0.5]])
+    rho0 = [[0.8, 0.0], [0.0, 0.2]]
+    traj = evolve(third, rho0, 100)
+    assert traj.rho.tobytes() == evolve(third, np.array(rho0, dtype=complex), 100).rho.tobytes()
 
 
 def test_check_density_matrix_rejects_bad_inputs(third):

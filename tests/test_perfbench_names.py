@@ -8,6 +8,7 @@ name dropped from the package would first show up as a broken benchmark.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import iecpulse
@@ -47,16 +48,20 @@ def test_benchmark_name_resolves(module, attr):
 
 def test_benchmark_result_shapes():
     # The tracer counts len(evolve(...).t) - 1 RK4 steps and len(evolve_pure(...)) - 1
-    # pure steps, reads _sweep_point's (cost, feasible) pair, and the verify checks
-    # take the last (t, psi) sample of evolve_pure as a float time and a length-2
-    # complex state, whose np.vdot overlap they read.
+    # pure steps, and reads _sweep_point's (cost, feasible) pair. The verify jobs
+    # call evolve_pure on both branches of one pair in a row, take each record's
+    # last (t, psi) sample as a float time and a length-2 complex state, and read
+    # its np.vdot overlap with the invariant eigenstate at the end.
     pair = iecpulse.third_order_pair(1.0)
     rho0 = iecpulse.invariant_state(pair, iecpulse.Weights(0.2, 0.8), 0.0)
     assert len(iecpulse.dynamics.evolve(pair, rho0, 100).t) - 1 == 100
     cost, feasible = iecpulse.analysis._sweep_point(1.0, 0.5, 5.0)
     assert type(cost) is float and type(feasible) is bool
-    states = iecpulse.dynamics.evolve_pure(pair, +1, 200)
-    assert len(states) - 1 == 200
-    t, psi = states[-1]
-    assert t == pytest.approx(1.0) and psi.shape == (2,)
-    assert type(t) is float and psi.dtype == complex
+    for branch in (+1, -1):
+        states = iecpulse.dynamics.evolve_pure(pair, branch, 200)
+        assert len(states) - 1 == 200
+        t, psi = states[-1]
+        assert t == pytest.approx(1.0) and psi.shape == (2,)
+        assert type(t) is float and psi.dtype == complex
+        phi = iecpulse.dynamics.invariant_eigenstate(pair, branch, 1.0)
+        assert abs(abs(np.vdot(phi, psi)) - 1.0) <= 1e-6

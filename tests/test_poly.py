@@ -108,9 +108,12 @@ def test_condition_validation():
     for order in (1.0, 0.5, "1", None):
         with pytest.raises(ConfigError, match="integer"):
             Condition(0.5, order, 0.0)
-    for value in (math.nan, math.inf, -math.inf):
+    for value in (math.nan, math.inf, -math.inf, "1", None, 1j):
         with pytest.raises(ConfigError, match="finite"):
             Condition(0.5, 0, value)
+    for s in ("0.5", None, 0.5 + 0j):
+        with pytest.raises(ConfigError, match="abscissa"):
+            Condition(s, 0, 0.0)
 
 
 def test_fit_duplicate_conditions_raises():
