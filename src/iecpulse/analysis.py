@@ -4,7 +4,8 @@ The energy cost of a passage is the dimensionless pulse area integral of
 omega_r from 0 to the completion time (t_a for antedated schedules, else
 t_f); a resonant pi-pulse has area pi, the lower bound. validate_schedule
 decides feasibility only; max_adiabaticity_metric reports the adiabaticity
-metric's maximum on the same grid. Both raise DivergentPulse where a
+metric's maximum on the same grid: both read one complex-step pass over
+it per waveform (pulse._Waveform.grid). Both raise DivergentPulse where a
 waveform diverges on the driven segment, and the metric raises
 DegeneratePoint at a level crossing there. sweep_beta_dot0 minimises the
 cost over the initial beta rate, in which it is convex where the waveform
@@ -25,7 +26,7 @@ import numpy as np
 from .dynamics import Weights, adiabatic_state, invariant_state
 from .errors import ConfigError, DivergentPulse, Infeasible, NoConvergence, NoFeasiblePoint
 from .poly import Polynomial, real_roots, stacked_real_roots
-from .pulse import _metric, _waveform, check_grid, gauss_legendre
+from .pulse import GRID_POINTS, _check_gap, _driven_grid, _waveform, check_grid, gauss_legendre
 from .schedule import AntedatedBasis, SchedulePair, antedated_pair, beta_dot0_rate, check_rate
 from .schedule import check_times, gamma_out_of_range
 
@@ -43,12 +44,8 @@ __all__ = [
 
 #: Frequencies are "finite" when |delta| * t_f stays below this bound on the
 #: validation grid; genuine divergences blow past any fixed threshold. An
-#: antedated_pair's delta is _Sweep._detuning_ok's, the factored one else.
+#: antedated_pair's delta is _Sweep._detuning_ok's, the waveform's grid pass else.
 DELTA_FINITE_BOUND = 1e3
-
-#: Samples of the validation grid: midpoints of the driven segment for the
-#: waveforms and the adiabaticity metric.
-GRID_POINTS = 10_000
 
 #: Absolute tolerance of the pulse area: successive Gauss-Legendre sums of
 #: every piece agree to it.
@@ -89,11 +86,6 @@ def energy_cost(pair: SchedulePair) -> float:
     return float(gauss_legendre(omega, wave.edges(wave.end), COST_TOL)[0])
 
 
-def _driven_grid(s_end: float) -> np.ndarray:
-    """GRID_POINTS midpoints of the driven segment [0, s_end]."""
-    return (np.arange(GRID_POINTS) + 0.5) * (s_end / GRID_POINTS)
-
-
 @dataclass
 class ValidationReport:
     """Policy checks of one schedule whose waveforms are finite on its
@@ -116,8 +108,8 @@ def validate_schedule(pair: SchedulePair) -> ValidationReport:
     delta diverges on the driven segment [0, t_end]. Otherwise omega_r must
     be nonnegative there, decided exactly from one sample between
     consecutive zeros of gamma_dot; |delta| must stay within
-    DELTA_FINITE_BOUND on the validation grid of that segment (the sweep's
-    verdict for an antedated_pair); and gamma must stay within [-pi, pi] over
+    DELTA_FINITE_BOUND on the validation grid of that segment (its grid
+    pass, or the sweep's verdict for an antedated_pair); and gamma must stay within [-pi, pi] over
     the whole design window [0, t_f] (dips below -pi signal non-compensable
     singularities), decided exactly from its stationary points.
     """
@@ -132,7 +124,7 @@ def validate_schedule(pair: SchedulePair) -> ValidationReport:
     if not omega_ok:
         messages.append(f"omega_r turns negative (min {min_omega:.3e} * 1/t_f)")
     if pair.antedated is None:
-        max_delta = float(np.abs(wave.delta_many(_driven_grid(wave.end))).max())
+        max_delta = wave.grid.delta_peak
     else:  # _detuning_ok's peak, and below the comparison behind its verdict
         basis, b = pair.antedated
         max_delta = float(_Sweep(pair.t_f, pair.t_a, basis)._detuning_ok(np.array([b]))[1][0])
@@ -148,15 +140,16 @@ def validate_schedule(pair: SchedulePair) -> ValidationReport:
 
 
 def max_adiabaticity_metric(pair: SchedulePair) -> float:
-    """Maximum of pulse.adiabaticity_metric over the validation grid.
+    """Maximum of pulse.adiabaticity_metric over the validation grid, from
+    the grid pass that validate_schedule shares.
 
     Raises DivergentPulse where a waveform diverges on the driven segment
-    [0, t_end], and DegeneratePoint at a level crossing there: on the grid
-    or at either end of the segment, which the midpoint grid never samples.
+    [0, t_end], and DegeneratePoint, on every call, at a level crossing
+    there: on the grid or at either end of the segment, which the midpoint grid never samples.
     """
-    wave = _waveform(pair)
-    s = np.concatenate(([0.0], _driven_grid(wave.end), [wave.end]))
-    return float(_metric(wave, s)[1:-1].max())
+    grid = _waveform(pair).grid
+    _check_gap(grid.gen_min, grid.gen_min_at)
+    return grid.metric_peak
 
 
 @dataclass

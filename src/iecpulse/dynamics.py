@@ -36,7 +36,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import ConfigError, DegeneratePoint, StepTooCoarse
-from .pulse import _check_s, _waveform
+from .pulse import _check_branch, _check_s, _waveform
 from .schedule import SchedulePair
 
 __all__ = [
@@ -203,18 +203,17 @@ def invariant_eigenstate(pair: SchedulePair, branch: int, s: float) -> np.ndarra
     """Instantaneous eigenstate of the invariant, branch = +1 or -1, frozen
     at its t_a value past an antedated switch."""
     _check_s(s)
+    _check_branch(branch)
     g, b, _, _ = map(float, _angles(pair, s))
     if branch == +1:
         return np.array(
             [math.cos(0.5 * g) * complex(math.cos(b), math.sin(b)), math.sin(0.5 * g)],
             dtype=complex,
         )
-    if branch == -1:
-        return np.array(
-            [math.sin(0.5 * g), -math.cos(0.5 * g) * complex(math.cos(b), -math.sin(b))],
-            dtype=complex,
-        )
-    raise ConfigError("branch must be +1 or -1")
+    return np.array(
+        [math.sin(0.5 * g), -math.cos(0.5 * g) * complex(math.cos(b), -math.sin(b))],
+        dtype=complex,
+    )
 
 
 def invariant_residual(pair: SchedulePair, s: float | np.ndarray) -> float | np.ndarray:
@@ -481,8 +480,7 @@ def evolve_pure(pair: SchedulePair, branch: int, n_steps: int) -> PureTrajectory
     the cubic, the quartic at gamma_mid = 1.2 and the antedated passage at
     t_a = t_f / 2 all drift past that bound at 100 steps and pass at 150.
     """
-    if branch not in (+1, -1):
-        raise ConfigError("branch must be +1 or -1")
+    _check_branch(branch)
     check_steps(n_steps)
     t, psi, drift = _pure_scan(pair, n_steps)
     j = 0 if branch == +1 else 1

@@ -27,7 +27,9 @@ driven segment at the first divergent station, before it seeks any later
 zero: a schedule that diverges there cannot be probed at any s. The
 adiabaticity metric makes the same pass once at complex s + i h
 (h = 1e-30): the real parts are omega_r and delta and Im / h their rates,
-exact to rounding because nothing is subtracted (complex step).
+exact to rounding because nothing is subtracted (complex step). Each
+waveform makes it once on its validation grid (_Waveform.grid), and its
+scalar results serve both the detuning bound and the metric's maximum.
 
 An antedated passage switches the drive off at t_a: past _Waveform.end
 (t_a / t_f, else 1) omega_r = 0, delta holds its t_a value and the
@@ -47,7 +49,8 @@ import heapq
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from numbers import Number
 
 import numpy as np
 
@@ -75,6 +78,10 @@ ROOT_TOL = 1e-6
 #: doubling may reach before the quadrature gives up.
 GAUSS_START = 16
 GAUSS_CAP = 1024
+
+#: Samples of the validation grid: midpoints of the driven segment for the
+#: waveforms and the adiabaticity metric.
+GRID_POINTS = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +245,21 @@ def _stations(args: tuple[Polynomial, ...], gamma_crit: list[float], beta_crit: 
     return stations or origin
 
 
+def _driven_grid(s_end: float) -> np.ndarray:
+    """GRID_POINTS midpoints of the driven segment [0, s_end]."""
+    return (np.arange(GRID_POINTS) + 0.5) * (s_end / GRID_POINTS)
+
+
+@dataclass(frozen=True)
+class _GridPass:
+    """_Waveform.grid's floats: peaks on the midpoints, Omega's least value and its s."""
+
+    delta_peak: float
+    gen_min: float
+    gen_min_at: float
+    metric_peak: float
+
+
 class _Waveform:
     """Dimensionless waveform evaluators for one schedule pair."""
 
@@ -290,6 +312,14 @@ class _Waveform:
         s_end: the piece edges for a quadrature of the waveforms."""
         inner = {x for x in (*self._s0.tolist(), *self.beta_crit) if 0.0 < x < s_end}
         return np.array([0.0, *sorted(inner), s_end])
+
+    @cached_property
+    def grid(self) -> _GridPass:
+        """One _metric pass over [0, _driven_grid(end), end], made on first use."""
+        s = np.concatenate(([0.0], _driven_grid(self.end), [self.end]))
+        metric, gen, delta = _metric(self, s)
+        return _GridPass(float(np.abs(delta[1:-1]).max()), float(gen.min()),
+                         float(s[gen.argmin()]), float(metric[1:-1].max()))
 
     # -- scalar evaluators: one sample of the vector formulas ---------------
 
@@ -372,6 +402,13 @@ def _check_s(s, scalar: bool = True) -> None:
         raise ConfigError(f"s = {s!r} is not {what} in [0, 1]")
 
 
+def _check_branch(branch) -> None:
+    """Raise ConfigError unless branch, a number or a 0-d array, equals +1 or -1."""
+    if not (isinstance(branch, (Number, np.ndarray)) and np.ndim(branch) == 0
+            and branch in (+1, -1)):
+        raise ConfigError("branch must be +1 or -1")
+
+
 @dataclass(frozen=True)
 class PulseTable:
     """Uniformly sampled waveforms on [0, t_f].
@@ -416,20 +453,26 @@ def adiabaticity_metric(pair: SchedulePair, s: float | np.ndarray) -> float | np
     x = np.atleast_1d(np.asarray(s, dtype=float))
     if not (x.size and 0.0 < x.min() and x.max() < 1.0):
         raise ConfigError("adiabaticity metric is defined at interior points")
-    metric = _metric(_waveform(pair), x)
+    metric, gen, _ = _metric(_waveform(pair), x)
+    _check_gap(gen.min(), x[gen.argmin()])
     return float(metric[0]) if np.ndim(s) == 0 else metric
 
 
-def _metric(wave: _Waveform, s: np.ndarray) -> np.ndarray:
-    """The adiabaticity metric at every sample of s. omega_r and delta are
-    evaluated once, at s + i h: the real parts are their values and Im / h
-    their rates, with no difference to cancel (complex step)."""
+def _metric(wave: _Waveform, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The metric (unchecked: _check_gap), the generalized Rabi frequency Omega
+    and delta at every sample of s, from omega_r and delta at s + i h: the real
+    parts are their values and Im / h their rates, with no difference to cancel."""
     h = 1e-30
     om, dl = wave.fields(s + 1j * h)
     gen = np.hypot(om.real, dl.real)
-    if gen.min() < 1e-12:
-        raise DegeneratePoint(f"generalized Rabi frequency vanishes at s = {s[gen.argmin()]:.6g}")
-    return np.abs((om.real * (dl.imag / h) - (om.imag / h) * dl.real) / gen**3)
+    metric = np.abs((om.real * (dl.imag / h) - (om.imag / h) * dl.real) / np.maximum(gen, 1e-12)**3)
+    return metric, gen, dl.real
+
+
+def _check_gap(gen_min: float, at: float) -> None:
+    """Raise DegeneratePoint if Omega's least value, at s = at, marks a level crossing."""
+    if gen_min < 1e-12:
+        raise DegeneratePoint(f"generalized Rabi frequency vanishes at s = {at:.6g}")
 
 
 def lr_phase(pair: SchedulePair, t: float, branch: int) -> float:
@@ -444,8 +487,7 @@ def lr_phase(pair: SchedulePair, t: float, branch: int) -> float:
     a real number in [0, t_f (1 + 1e-12)], and DivergentPulse, at any t,
     for a schedule that diverges on its driven segment.
     """
-    if branch not in (+1, -1):
-        raise ConfigError("branch must be +1 or -1")
+    _check_branch(branch)
     if not _is_real_in(t, 0.0, pair.t_f * (1 + 1e-12), scalar=True):
         raise ConfigError(f"t = {t!r} is not a real number in [0, t_f]")
     wave = _waveform(pair)

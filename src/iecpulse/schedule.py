@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -70,17 +71,19 @@ class SchedulePair:
 
 
 def check_times(t_f: float, t_a: float | None = None) -> None:
-    """Raise ConfigError unless 0 < t_f < inf and, for a given t_a, the switch
-    fraction t_a / t_f that the fits and the switch rule use lies in (0, 1)."""
-    if not 0.0 < t_f < math.inf:
+    """Raise ConfigError unless t_f is a real number, 0 < t_f < inf, and, for a
+    given t_a, t_a is one and the switch fraction t_a / t_f that the fits and
+    the switch rule use lies in (0, 1)."""
+    if not (isinstance(t_f, Real) and 0.0 < t_f < math.inf):
         raise ConfigError(f"t_f must be positive and finite, got {t_f!r}")
-    if t_a is not None and not 0.0 < t_a / t_f < 1.0:
+    if t_a is not None and not (isinstance(t_a, Real) and 0.0 < t_a / t_f < 1.0):
         raise ConfigError(f"t_a must lie strictly inside (0, t_f), got {t_a!r}")
 
 
 def check_rate(beta_dot0: float) -> None:
-    """Raise ConfigError unless the initial beta rate (rad per unit t) is positive."""
-    if not beta_dot0 > 0:
+    """Raise ConfigError unless the initial beta rate (rad per unit t) is a
+    positive real number."""
+    if not (isinstance(beta_dot0, Real) and beta_dot0 > 0):
         raise ConfigError(f"beta_dot0 must be a positive rate, got {beta_dot0!r} rad per unit t")
 
 
@@ -117,12 +120,13 @@ def third_order_pair(t_f: float) -> SchedulePair:
 def fourth_order_pair(t_f: float, gamma_mid: float) -> SchedulePair:
     """Quartic gamma with gamma(t_f/2) = gamma_mid; beta as in the cubic family.
 
-    check_times applies to t_f and gamma_mid must be finite (ConfigError).
+    check_times applies to t_f and gamma_mid must be a finite real number
+    (ConfigError).
     Below critical_gamma_mid() gamma_mid makes gamma dip negative near t_f,
     which no beta can compensate; such requests raise UnphysicalSchedule.
     """
     check_times(t_f)
-    if not math.isfinite(gamma_mid):
+    if not (isinstance(gamma_mid, Real) and math.isfinite(gamma_mid)):
         raise ConfigError(f"gamma_mid must be finite, got {gamma_mid!r}")
     if gamma_mid < critical_gamma_mid() - 1e-6:
         raise UnphysicalSchedule(
@@ -155,7 +159,7 @@ def antedated_pair(t_f: float, t_a: float, beta_dot0: float | None = None) -> Sc
     check_times(t_f, t_a)
     if beta_dot0 is None:
         beta_dot0 = 0.5 * PI / t_f
-    elif not math.isfinite(beta_dot0):
+    elif not (isinstance(beta_dot0, Real) and math.isfinite(beta_dot0)):
         raise ConfigError(f"beta_dot0 must be a finite rate, got {beta_dot0!r} rad per unit t")
     check_rate(beta_dot0)
     basis, b = AntedatedBasis(t_f, t_a), beta_dot0 * t_f

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from iecpulse import cli, errors, pulse
+from iecpulse import analysis, cli, errors, pulse
 from iecpulse.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -173,6 +173,28 @@ def test_check_makes_no_scalar_waveform_scan(tmp_path, monkeypatch, text):
     out = tmp_path / "out"
     assert main(["check", "--config", str(_write(tmp_path, text)), "--out", str(out)]) == EXIT_OK
     assert len(calls) <= 1
+
+
+def test_synth_and_check_share_one_grid_pass(tmp_path, monkeypatch):
+    # the metric and check's detuning bound read one complex pass over the
+    # validation grid, kept on the waveform until the waveform cache is cleared
+    passes = []
+    fields = pulse._Waveform.fields
+
+    def counted(self, s):
+        if len(s) >= pulse.GRID_POINTS:
+            passes.append(np.iscomplexobj(s) and len(s) == pulse.GRID_POINTS + 2)
+        return fields(self, s)
+
+    monkeypatch.setattr(pulse._Waveform, "fields", counted)
+    pulse._waveform.cache_clear()
+    cfg = _write(tmp_path, THIRD_CFG)
+    for command in ("synth", "check"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == EXIT_OK
+    assert passes == [True]
+    pulse._waveform.cache_clear()
+    analysis.max_adiabaticity_metric(parse_config(cfg).build_pair())
+    assert passes == [True, True]
 
 
 def test_sweep_without_buildable_schedule_is_infeasible(tmp_path, capsys):

@@ -21,7 +21,8 @@ from iecpulse.dynamics import Weights, check_steps
 from iecpulse.pulse import (
     adiabaticity_metric, check_grid, delta_at, lr_phase, omega_r_at, synthesize,
 )
-from iecpulse.schedule import SchedulePair, antedated_pair, fourth_order_pair, third_order_pair
+from iecpulse.schedule import SchedulePair, antedated_pair, check_rate, check_times
+from iecpulse.schedule import fourth_order_pair, third_order_pair
 
 PI = math.pi
 W = Weights(0.2, 0.8)
@@ -72,6 +73,16 @@ def _third_pair_at(t_f, t_a):
         (lambda: lr_phase(third_order_pair(1.0), math.nan, 1), "not a real number"),
         (lambda: lr_phase(third_order_pair(1.0), -1e-300, 1), "not a real number"),
         (lambda: lr_phase(third_order_pair(2.0), 2.0 * (1 + 1e-11), 1), "not a real number"),
+        # schedule arguments are real scalars: no numpy or TypeError escapes
+        (lambda: third_order_pair(np.array([1.0, 2.0])), "t_f"),
+        (lambda: third_order_pair(1j), "t_f"),
+        (lambda: fourth_order_pair(1.0, "x"), "gamma_mid"),
+        (lambda: fourth_order_pair(1.0, np.array([1.0, 1.2])), "gamma_mid"),
+        (lambda: antedated_pair(1.0, "0.5"), "t_a"),
+        (lambda: antedated_pair(1.0, 0.5, "x"), "beta_dot0"),
+        (lambda: check_times(1.0, np.array([0.5])), "t_a"),
+        (lambda: check_rate(np.array([1.0, 2.0])), "beta_dot0"),
+        (lambda: check_rate("1.0"), "beta_dot0"),
     ],
     ids=[
         "third-t_f-inf", "fourth-gamma_mid-nan", "fourth-gamma_mid-inf", "fourth-t_f-negative",
@@ -80,12 +91,40 @@ def _third_pair_at(t_f, t_a):
         "sweep-t_a-underflow", "grid-cap", "grid-1e15", "steps-cap", "steps-1e15",
         "sweep-cap", "sweep-1e15", "omega_r_at-array", "delta_at-list", "omega_r_at-nan",
         "lr_phase-array", "lr_phase-list", "lr_phase-str", "lr_phase-nan", "lr_phase-negative",
-        "lr_phase-past-t_f",
+        "lr_phase-past-t_f", "third-t_f-array", "third-t_f-complex", "fourth-gamma_mid-str",
+        "fourth-gamma_mid-array", "antedated-t_a-str",
+        "antedated-beta_dot0-str", "check_times-t_a-array", "check_rate-array", "check_rate-str",
     ],
 )
 def test_bad_argument_raises_config_error(call, names):
     with pytest.raises(ConfigError, match=names):
         call()
+
+
+_BRANCH_CALLS = {
+    "invariant_eigenstate": lambda branch: dynamics.invariant_eigenstate(
+        third_order_pair(1.0), branch, 0.3),
+    "evolve_pure": lambda branch: dynamics.evolve_pure(third_order_pair(1.0), branch, 200).psi,
+    "lr_phase": lambda branch: lr_phase(third_order_pair(1.0), 0.5, branch),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_BRANCH_CALLS))
+@pytest.mark.parametrize(
+    "branch", [np.array([1, -1]), np.array([1]), "1", None, [[1], [1, -1]], 2],
+    ids=["array", "array-1", "str", "none", "ragged", "two"],
+)
+def test_branch_is_one_of_plus_and_minus_one(call, branch):
+    with pytest.raises(ConfigError, match=r"branch must be \+1 or -1"):
+        _BRANCH_CALLS[call](branch)
+
+
+@pytest.mark.parametrize("call", sorted(_BRANCH_CALLS))
+def test_branch_accepts_any_number_equal_to_one(call):
+    reference = _BRANCH_CALLS[call](1)
+    for branch in (1.0, np.int64(1), np.array(1), True):
+        np.testing.assert_array_equal(_BRANCH_CALLS[call](branch), reference)
+    assert not np.array_equal(_BRANCH_CALLS[call](-1.0), reference)
 
 
 _PROBES = {

@@ -630,6 +630,7 @@ def test_evolve_pure_checks_its_arguments_before_the_scan(third):
         (2, 100, "branch"),
         (2, [100], "branch"),
         ("+1", 100, "branch"),
+        (np.array([1, -1]), [100], "branch"),
     ]:
         with pytest.raises(ConfigError, match=message):
             evolve_pure(third, branch, n_steps)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from iecpulse import pulse
-from iecpulse.analysis import compare_passages, max_adiabaticity_metric
+from iecpulse.analysis import compare_passages, max_adiabaticity_metric, validate_schedule
 from iecpulse.dynamics import Weights, hamiltonian_at
 from iecpulse.errors import DegeneratePoint, DivergentPulse, NoConvergence
 from iecpulse.poly import Polynomial
@@ -294,8 +294,10 @@ def test_adiabaticity_metric_level_crossing():
         adiabaticity_metric(crossing, 0.4)
     with pytest.raises(DegeneratePoint):
         adiabaticity_metric(crossing, np.array([0.2, 0.4]))
-    with pytest.raises(DegeneratePoint):
-        max_adiabaticity_metric(crossing)
+    for _ in range(2):  # the grid pass is kept, but never the exception
+        with pytest.raises(DegeneratePoint, match="vanishes at s = 0$"):
+            max_adiabaticity_metric(crossing)
+    assert validate_schedule(crossing).delta_finite
     with pytest.raises(DegeneratePoint, match="level crossing"):
         compare_passages(crossing, Weights(0.2, 0.8), 100)
 
