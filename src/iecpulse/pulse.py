@@ -459,9 +459,9 @@ def adiabaticity_metric(pair: SchedulePair, s: float | np.ndarray) -> float | np
 
 
 def _metric(wave: _Waveform, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The metric (unchecked: _check_gap), the generalized Rabi frequency Omega
-    and delta at every sample of s, from omega_r and delta at s + i h: the real
-    parts are their values and Im / h their rates, with no difference to cancel."""
+    """The metric, the generalized Rabi frequency Omega (floored at 1e-12 in the
+    metric: _check_gap raises below it) and delta at every sample of s, from
+    s + i h: real parts are values and Im / h rates, with no difference to cancel."""
     h = 1e-30
     om, dl = wave.fields(s + 1j * h)
     gen = np.hypot(om.real, dl.real)
