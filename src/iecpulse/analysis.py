@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -387,7 +388,10 @@ def _band(b0: Polynomial, b1: Polynomial, s_end: float) -> tuple[float, float]:
 
 def check_sweep(t_f: float, lo: float, hi: float, n: int) -> None:
     """Raise ConfigError unless n points on [lo, hi] (units of pi / 2 t_f) make a
-    sweep grid: check_rate holds at lo, lo < hi < inf and n is an integer in [10, 10**6]."""
+    sweep grid: lo and hi are real numbers, check_rate holds at lo, lo < hi < inf
+    and n is an integer in [10, 10**6]."""
+    if not (isinstance(lo, Real) and isinstance(hi, Real)):
+        raise ConfigError(f"need real numbers lo and hi, got lo = {lo!r}, hi = {hi!r}")
     check_rate(beta_dot0_rate(lo, t_f))
     if not lo < hi < math.inf:
         raise ConfigError(f"need lo < hi < inf, got lo = {lo!r}, hi = {hi!r}")

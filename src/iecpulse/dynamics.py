@@ -11,16 +11,16 @@ mixed state
     rho(t) = p_plus |phi_plus(t)><phi_plus(t)| + p_minus |phi_minus(t)><phi_minus(t)|
 
 is the exact solution of the von Neumann equation under the engineered
-Hamiltonian, so a fixed-step RK4 integration of i drho/dt = [H, rho]
-serves as an independent oracle for the whole construction. It runs as
-per-step linear maps built from the real samples of omega_r and delta,
-applied to the initial state through their prefix products, which a scan
-over lanes of consecutive steps forms (_rk4). evolve scans the real Bloch
-coordinates of rho0's Hermitian part and carries the trace beside them, so
-its states keep trace and Hermiticity even when the run is unstable; its one
-drift check is the purity tr(rho^2), which fixes a qubit state's spectrum.
-The mixing-angle (instantaneous-eigenbasis) state provides the adiabatic
-reference passage.
+Hamiltonian, so a fixed-step RK4 integration serves as an independent
+oracle for the whole construction. H * t_f = (omega_r sx + delta sz) / 2 is
+real and traceless, so the propagator is a unit quaternion q, U = q0 I -
+i (q1 sx + q2 sy + q3 sz), and one real RK4 scan of q (_rk4) serves both
+oracles: evolve rotates rho0's Bloch vector by q and carries the trace
+beside it (its one drift check is the purity, which fixes a qubit state's
+spectrum), evolve_pure applies U to an eigenstate. Inside, states are real
+Bloch vectors, rho = (tr + r.s) / 2, and H's is (omega_r, 0, delta); the
+residual and the fidelity are computed on them. The mixing-angle
+(instantaneous-eigenbasis) state provides the adiabatic reference passage.
 Everything here follows the antedated switch rule stated in pulse: past
 t_a the drive is off (_Waveform.drive) and the invariant frozen (_angles).
 """
@@ -62,12 +62,12 @@ __all__ = [
 PURITY_DRIFT_BOUND = 1e-6
 
 #: Steps whose RK4 maps _rk4 builds and scans in one array pass, and the
-#: steps of one lane of that scan. At 1e4 steps, blocks of 512-2048 and
-#: lanes of 8-32 ran within noise of one another, blocks of 256 or 4096
-#: ~20% slower. Larger blocks hold more maps at once: at 1e4 steps on the
-#: antedated t_a = t_f / 2 passage, evolve_pure's scan of both branches
-#: peaks at 1.76 MB of allocations with blocks of 512, 2.22 MB at 1024 and
-#: 3.56 MB at 2048, past the one-branch per-step loop's 2.68 MB.
+#: steps of one lane of that scan. At 1e4 steps on the antedated t_a = t_f / 2
+#: passage, blocks of 1024 with lanes of 8 or 16 scanned fastest in two
+#: interleaved timings (medians of 25); 512 and 2048 were 10-65% slower, 256 and
+#: 4096 more. A cold evolve_pure there peaks at 1.33 MB of allocations with
+#: blocks of 512, 1.67 MB at 1024 and 2.78 MB at 2048; a per-step loop on U,
+#: 3.14 MB.
 _BLOCK = 1024
 _LANE = 16
 
@@ -132,6 +132,11 @@ def bloch_vector(rho: np.ndarray) -> np.ndarray:
     )
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u . v over the trailing axis, broadcast over the others."""
+    return np.einsum("...i,...i->...", u, v)
+
+
 def check_density_matrix(
     rho: np.ndarray, *, herm_tol: float = 1e-12, trace_tol: float = 1e-12, eig_tol: float = 1e-10
 ) -> None:
@@ -170,11 +175,6 @@ def _states(rho11, rho22, rho12) -> np.ndarray:
     return rho
 
 
-def _hamiltonian(om: np.ndarray, dl: np.ndarray) -> np.ndarray:
-    """H * t_f from omega_r and delta times t_f (wave.drive), stacked over their shape."""
-    return _states(0.5 * dl, -0.5 * dl, 0.5 * om)
-
-
 def _angles(pair: SchedulePair, s):
     """gamma, beta and their rates per unit s at the samples s, with the
     invariant frozen from t_a on: the values at t_a, the rates 0."""
@@ -187,7 +187,8 @@ def _angles(pair: SchedulePair, s):
 def hamiltonian_at(pair: SchedulePair, s: float | np.ndarray) -> np.ndarray:
     """The control Hamiltonian at s, in angular-frequency units (a stack for an s array)."""
     _check_s(s, scalar=False)
-    return _hamiltonian(*_waveform(pair).drive(np.asarray(s, dtype=float))) / pair.t_f
+    om, dl = _waveform(pair).drive(np.asarray(s, dtype=float))
+    return _states(0.5 * dl, -0.5 * dl, 0.5 * om) / pair.t_f
 
 
 def invariant_at(pair: SchedulePair, s: float | np.ndarray) -> np.ndarray:
@@ -224,16 +225,20 @@ def invariant_residual(pair: SchedulePair, s: float | np.ndarray) -> float | np.
     residual must vanish to floating-point accuracy. s is a float (a float
     result) or an array (an array of the same shape). Past the antedated
     switch the frozen invariant is checked against the held Hamiltonian.
+    With I = v.s / 2, v = (sin g cos b, -sin g sin b, cos g), and H's Bloch
+    vector (omega_r, 0, delta), it is |dv/ds - (omega_r, 0, delta) x v| / sqrt(2).
     """
     _check_s(s, scalar=False)
     x = np.atleast_1d(np.asarray(s, dtype=float))
     g, b, dg, db = _angles(pair, x)
-    sin_g, cos_g, phase = np.sin(g), np.cos(g), np.cos(b) + 1j * np.sin(b)
-    inv = _states(0.5 * cos_g, -0.5 * cos_g, 0.5 * sin_g * phase)
-    d_off = 0.5 * phase * (dg * cos_g + 1j * (db * sin_g))
-    d_inv = _states(-0.5 * dg * sin_g, 0.5 * dg * sin_g, d_off)
-    h = _hamiltonian(*_waveform(pair).drive(x))
-    residual = np.linalg.norm(1j * d_inv - (h @ inv - inv @ h), axis=(-2, -1))
+    om, dl = _waveform(pair).drive(x)
+    sin_g, cos_g, sin_b, cos_b = np.sin(g), np.cos(g), np.sin(b), np.cos(b)
+    # dv/ds - (omega_r, 0, delta) x v by components; beta's rate and delta both turn v about z
+    vx, vy, turn = sin_g * cos_b, -sin_g * sin_b, db + dl
+    ex = dg * cos_g * cos_b + turn * vy
+    ey = om * cos_g - dg * cos_g * sin_b - turn * vx
+    ez = -dg * sin_g - om * vy
+    residual = np.sqrt(0.5 * (ex * ex + ey * ey + ez * ez))
     return float(residual[0]) if np.ndim(s) == 0 else residual
 
 
@@ -273,31 +278,21 @@ def adiabatic_state(pair: SchedulePair, w: Weights, s: float | np.ndarray) -> np
     return _states(0.5 + half * np.cos(theta), 0.5 - half * np.cos(theta), half * np.sin(theta))
 
 
-def _overlap(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Re tr(rho sigma) over the trailing 2x2 axes."""
-    return (
-        (rho[..., 0, 0] * sigma[..., 0, 0] + rho[..., 0, 1] * sigma[..., 1, 0])
-        + (rho[..., 1, 0] * sigma[..., 0, 1] + rho[..., 1, 1] * sigma[..., 1, 1])
-    ).real
-
-
-def _det(rho: np.ndarray) -> np.ndarray:
-    """Re det(rho) over the trailing 2x2 axes."""
-    return (rho[..., 0, 0] * rho[..., 1, 1] - rho[..., 0, 1] * rho[..., 1, 0]).real
-
-
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
     """Uhlmann fidelity of two qubit states: tr(rho sigma) + 2 sqrt(det rho det sigma).
 
     rho and sigma are states or (n, 2, 2) stacks, broadcast against each
-    other; two states give a float, a stack an array. A (near-)pure state
-    against a mixed target carries ~1e-9 of round-off: its det is ~1e-17 of
-    rounding in any form, and enters under the square root beside the
-    target's.
+    other; two states give a float, a stack an array. It is computed from the
+    traces a, b and Bloch vectors r, s as (ab + r.s + sqrt((a^2 - |r|^2)
+    (b^2 - |s|^2))) / 2, each factor floored at 0, clipped to [0, 1]. A
+    (near-)pure state against a mixed target carries up to ~1e-8 of round-off
+    (8.4e-9 measured on the three families): its a^2 - |r|^2 is ~1e-16 of
+    rounding, and enters under the square root beside the target's.
     """
     rho, sigma = np.asarray(rho), np.asarray(sigma)
-    dets = np.maximum(_det(rho), 0.0) * np.maximum(_det(sigma), 0.0)
-    fid = np.clip(_overlap(rho, sigma) + 2.0 * np.sqrt(dets), 0.0, 1.0)
+    (a, r), (b, s) = (((x[..., 0, 0] + x[..., 1, 1]).real, bloch_vector(x)) for x in (rho, sigma))
+    dets = np.maximum(a * a - _dot(r, r), 0.0) * np.maximum(b * b - _dot(s, s), 0.0)
+    fid = np.clip(0.5 * (a * b + _dot(r, s) + np.sqrt(dets)), 0.0, 1.0)
     return float(fid) if fid.ndim == 0 else fid
 
 
@@ -321,7 +316,7 @@ def _legs(pair: SchedulePair, n_steps: int) -> list[tuple[float, float, int]]:
 def _h_grid(pair: SchedulePair, s_lo: float, s_hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """omega_r and delta times t_f at the 2n+1 half-step grid points of the
     leg [s_lo, s_hi]: the real samples of H * t_f = [[delta, omega_r],
-    [omega_r, -delta]] / 2 (_hamiltonian), which the generators read.
+    [omega_r, -delta]] / 2, which _rk4's generator reads.
 
     The leg picks the side of the switch: the leg after it (s_lo > 0) holds
     the switched drive from t_a on, the driven leg takes the driven
@@ -333,58 +328,28 @@ def _h_grid(pair: SchedulePair, s_lo: float, s_hi: float, n: int) -> tuple[np.nd
     return wave.fields(s_lo + (s_hi - s_lo) * np.arange(2 * n + 1) / (2 * n))
 
 
-def _bloch_generator(om: np.ndarray, dl: np.ndarray) -> np.ndarray:
-    """-i [H, .] on rho's Bloch coordinates (x, y, z), from the samples of
-    H * t_f: the (n, 3, 3) real matrices of d(x, y, z)/ds = b x (x, y, z),
-    b = (omega_r, 0, delta) being H's Bloch vector. The trace, which
-    -i [H, .] keeps, is not among the coordinates."""
-    gen = np.zeros((len(om), 3, 3))
-    gen[:, 0, 1], gen[:, 1, 0] = -dl, dl
-    gen[:, 1, 2], gen[:, 2, 1] = -om, om
-    return gen
-
-
-def _schroedinger_generator(om: np.ndarray, dl: np.ndarray) -> np.ndarray:
-    """-i H as (n, 4, 4) real matrices on psi.view(float), from the samples
-    of H * t_f: H is real, so each entry H_jk becomes the block
-    [[0, H_jk], [-H_jk, 0]]."""
-    gen = np.zeros((len(om), 4, 4))
-    gen[:, 0, 1] = gen[:, 3, 2] = 0.5 * dl
-    gen[:, 1, 0] = gen[:, 2, 3] = -0.5 * dl
-    gen[:, 0, 3] = gen[:, 2, 1] = 0.5 * om
-    gen[:, 1, 2] = gen[:, 3, 0] = -0.5 * om
-    return gen
-
-
-def _rk4(pair: SchedulePair, y0: np.ndarray, n_steps: int, generator):
-    """Fixed-step RK4 of dy/ds = L y from y0 over the legs of the step grid,
-    where generator maps the samples (omega_r, delta) times t_f to the
-    stack of L.
+def _rk4(pair: SchedulePair, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-step RK4 of the propagator's quaternion over the legs of the
+    step grid: dq/ds = G q from q = (1, 0, 0, 0), where G, the real form of
+    -i H * t_f on q, has the rows (0, -w, 0, -d), (w, 0, -d, 0),
+    (0, d, 0, -w) and (d, 0, w, 0), w = omega_r / 2 and d = delta / 2.
 
     RK4 on a linear equation is one linear map per step of size h,
-    S = E + h/6 (L0 + 2 K2 + 2 K3 + K4) with K2 = Lm (E + h/2 L0),
-    K3 = Lm (E + h/2 K2) and K4 = L1 (E + h K3), from L at the step's
+    S = E + h/6 (G0 + 2 K2 + 2 K3 + K4) with K2 = Gm (E + h/2 G0),
+    K3 = Gm (E + h/2 K2) and K4 = G1 (E + h K3), from G at the step's
     start, middle and end. The maps are built _BLOCK steps at a time in one
     array pass and scanned in lanes of _LANE consecutive steps, the last
     padded with E. _LANE - 1 batched products P[:, j] = S[:, j] P[:, j-1]
     give the prefix products inside each lane; doubling over the lane totals
     alone (T[o:] = T[o:] @ T[:-o], o = 1, 2, 4, ...) the products up to each
-    lane's end; one batched product each lane's start state z from y, the
+    lane's end; one batched product each lane's start state z from q, the
     state before the block; and one more, P @ z, the block's states: about
-    two matrix products per step. y0 is one real state, or a (k, dim) stack
-    of them as rows: the rows share the maps and their products, and only
-    the last two products run per row, so each row's states are bit for bit
-    those of a scan from that row alone (one batched product over the rows
-    would round differently). Returns the n_steps + 1 s values and the
-    (n_steps + 1, *y0.shape) real states, y0 first: step, then row, then
-    coordinate. check_steps applies to n_steps.
+    two matrix products per step. Returns the n_steps + 1 s values and the
+    (n_steps + 1, 4) quaternions, q(0) first.
     """
-    check_steps(n_steps)
-    rows, dim = np.atleast_2d(y0).shape
-    s, y = np.empty(n_steps + 1), np.empty((n_steps + 1, *y0.shape))
-    s[0], y[0] = 0.0, y0
-    y_rows = y.reshape(n_steps + 1, rows, dim)
-    eyes = np.tile(np.eye(dim), (_BLOCK, 1, 1))
+    s, q = np.empty(n_steps + 1), np.empty((n_steps + 1, 4))
+    s[0], q[0] = 0.0, (1.0, 0.0, 0.0, 0.0)
+    eyes = np.tile(np.eye(4), (_BLOCK, 1, 1))
     done = 0
     for s_lo, s_hi, n in _legs(pair, n_steps):
         om, dl = _h_grid(pair, s_lo, s_hi, n)
@@ -392,76 +357,86 @@ def _rk4(pair: SchedulePair, y0: np.ndarray, n_steps: int, generator):
         s[done + 1 : done + n + 1] = s_lo + np.arange(1, n + 1) * step
         for k in range(0, n, _BLOCK):
             m = min(_BLOCK, n - k)
-            gen = generator(om[2 * k : 2 * (k + m) + 1], dl[2 * k : 2 * (k + m) + 1])
+            w, d = 0.5 * om[2 * k : 2 * (k + m) + 1], 0.5 * dl[2 * k : 2 * (k + m) + 1]
+            gen = np.zeros((2 * m + 1, 4, 4))
+            gen[:, 1, 0] = gen[:, 3, 2] = w
+            gen[:, 2, 1] = gen[:, 3, 0] = d
+            gen[:, 0, 1] = gen[:, 2, 3] = -w
+            gen[:, 0, 3] = gen[:, 1, 2] = -d
             l0, lm, l1, eye = gen[:-1:2], gen[1::2], gen[2::2], eyes[:m]
             # S by its formula, each sum and product in its order, made in place on
-            # a contiguous E: fresh or broadcast operands cost as much as the products
-            a = np.multiply(l0, 0.5 * step)
+            # a contiguous E: fresh or broadcast operands cost as much as the products;
+            # the operand a is made in p, where S goes, and K4 in K3's place
+            lanes = -(-m // _LANE)
+            p = np.empty((lanes * _LANE, 4, 4))
+            a = np.multiply(l0, 0.5 * step, out=p[:m])
             k2 = lm @ np.add(a, eye, out=a)
             k3 = lm @ np.add(np.multiply(k2, 0.5 * step, out=a), eye, out=a)
-            k4 = l1 @ np.add(np.multiply(k3, step, out=a), eye, out=a)
+            np.add(np.multiply(k3, step, out=a), eye, out=a)
             k2 = np.add(l0, np.multiply(k2, 2.0, out=k2), out=k2)
             k2 += np.multiply(k3, 2.0, out=k3)
-            k2 += k4
+            k2 += np.matmul(l1, a, out=k3)
             k2 *= step / 6.0
-            lanes = -(-m // _LANE)
-            p = np.empty((lanes * _LANE, dim, dim))
             np.add(eye, k2, out=p[:m])
             p[m:] = eyes[0]
-            p = p.reshape(lanes, _LANE, dim, dim)
+            p = p.reshape(lanes, _LANE, 4, 4)
             for j in range(1, _LANE):
                 p[:, j] = p[:, j] @ p[:, j - 1]
             tot, o = p[:, -1].copy(), 1
             while o < lanes:
                 tot[o:] = tot[o:] @ tot[:-o]
                 o *= 2
-            z, block = np.empty((lanes, dim)), y_rows[done + 1 : done + m + 1]
-            for row in range(rows):
-                z[0], z[1:] = y_rows[done, row], tot[:-1] @ y_rows[done, row]
-                block[:, row] = np.einsum("lsij,lj->lsi", p, z).reshape(-1, dim)[:m]
+            z = np.empty((lanes, 4))
+            z[0], z[1:] = q[done], tot[:-1] @ q[done]
+            q[done + 1 : done + m + 1] = np.einsum("lsij,lj->lsi", p, z).reshape(-1, 4)[:m]
             done += m
-    return s, y
+    return s, q
+
+
+@lru_cache(maxsize=1)
+def _propagator(pair: SchedulePair, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only step times and (n_steps + 1, 4) quaternions of U from one
+    RK4 scan (_rk4). U does not depend on the initial state: evolve, for any
+    rho0, and both evolve_pure branches read the scan of the last (pair, n_steps)."""
+    s, q = _rk4(pair, n_steps)
+    t = s * pair.t_f
+    t.flags.writeable = q.flags.writeable = False  # and no view of them can be made writeable
+    return t[:], q[:]
 
 
 def evolve(pair: SchedulePair, rho0: np.ndarray, n_steps: int) -> Trajectory:
     """Fixed-step RK4 integration of i drho/dt = [H(t), rho] over [0, t_f].
 
-    Returns the n_steps + 1 states from rho0 on. The step grid honors the
-    antedated switch exactly (separate legs before and after t_a). Global
-    error is O(n_steps**-4). The steps act on the three real Bloch
-    coordinates of rho0's Hermitian part (_bloch_generator), and the trace,
-    which every step keeps, is carried beside them exactly, so every state is
-    Hermitian with rho0's trace. Raises StepTooCoarse if the purity
-    tr(rho^2) of any state drifts from rho0's by more than
+    Returns the n_steps + 1 states from rho0 on, at the read-only step times
+    evolve_pure shares. The step grid honors the antedated switch exactly
+    (separate legs before and after t_a). Global error is O(n_steps**-4).
+    The Bloch vector r0 of rho0's Hermitian part is rotated by the scanned
+    q = (q0, v) (_propagator) to (q0^2 - |v|^2) r0 + 2 (v.r0) v + 2 q0 (v x r0),
+    which is U rho0 U^H, and the trace is carried beside it exactly, so every
+    state is Hermitian with rho0's trace. Raises StepTooCoarse if the purity
+    (tr^2 + |r|^2) / 2 of any state drifts from rho0's by more than
     PURITY_DRIFT_BOUND: trace and Hermiticity survive an unstable run, the
     spectrum does not, and NaN or inf fail the bound too.
     """
     check_density_matrix(rho0, herm_tol=1e-9, trace_tol=1e-9)
-    (a, b), (c, d) = rho0 = np.asarray(rho0, dtype=complex)
-    s, states = _rk4(pair, np.real([b + c, 1j * (b - c), a - d]), n_steps, _bloch_generator)
-    x, y, z = states.T
-    tr = (a + d).real
-    rho_arr = _states(0.5 * (tr + z), 0.5 * (tr - z), 0.5 * (x - 1j * y))
-    purity_drift = np.abs(_overlap(rho_arr, rho_arr) - _overlap(rho0, rho0)).max()
+    check_steps(n_steps)
+    (a, b), (c, d) = np.asarray(rho0, dtype=complex)
+    r0 = np.real([b + c, 1j * (b - c), a - d])
+    t, q = _propagator(pair, n_steps)
+    q0, v = q[:, :1], q[:, 1:]
+    r = np.cross(v, r0)
+    r *= 2.0 * q0
+    r += (q0 * q0 - _dot(v, v)[:, None]) * r0
+    r += 2.0 * _dot(v, r0)[:, None] * v
+    purity_drift = 0.5 * np.abs(_dot(r, r) - r0 @ r0).max()
     if not purity_drift <= PURITY_DRIFT_BOUND:
         raise StepTooCoarse(
             f"integration purity drift {purity_drift:.2e} exceeds {PURITY_DRIFT_BOUND:g}; "
             "increase n_steps"
         )
-    return Trajectory(t=s * pair.t_f, rho=rho_arr)
-
-
-@lru_cache(maxsize=1)
-def _pure_scan(pair: SchedulePair, n_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both invariant branches from one RK4 scan: the read-only step times,
-    the read-only (n_steps + 1, 2, 2) states (axis 1: branch +1, then -1)
-    and each branch's largest norm drift from 1."""
-    psi0 = np.stack([invariant_eigenstate(pair, branch, 0.0) for branch in (+1, -1)])
-    s, y = _rk4(pair, psi0.view(float), n_steps, _schroedinger_generator)
-    drift = np.abs(np.linalg.norm(y, axis=2) - 1.0).max(axis=0)
-    t = s * pair.t_f
-    t.flags.writeable = y.flags.writeable = False  # and no view of them can be made writeable
-    return t[:], y.view(complex), drift
+    x, y, z = r.T
+    tr = (a + d).real
+    return Trajectory(t=t, rho=_states(0.5 * (tr + z), 0.5 * (tr - z), 0.5 * (x - 1j * y)))
 
 
 def evolve_pure(pair: SchedulePair, branch: int, n_steps: int) -> PureTrajectory:
@@ -470,20 +445,24 @@ def evolve_pure(pair: SchedulePair, branch: int, n_steps: int) -> PureTrajectory
     Returns the PureTrajectory of the n_steps + 1 samples on the step grid
     of evolve. Along the exact dynamics the state stays on its invariant
     branch up to the accumulated phase, which is what the phase oracle
-    tests verify. The steps act on psi's real coordinates through the real
-    form of -i H (_schroedinger_generator). Both branches evolve under the
-    same H, so they share every step map: a call scans both eigenstates at
-    once (_pure_scan), and a call for the other branch of the same
-    (pair, n_steps) reads that scan; only the last scan is kept. Raises
-    StepTooCoarse if the norm of any state of this branch drifts from 1 by
-    more than 1e-8. n_steps >= 100 is an argument check, not a guarantee:
-    the cubic, the quartic at gamma_mid = 1.2 and the antedated passage at
-    t_a = t_f / 2 all drift past that bound at 100 steps and pass at 150.
+    tests verify. psi = U psi(0), U = [[q0 - i q3, -q2 - i q1], [q2 - i q1,
+    q0 + i q3]], from the scan that evolve and the other branch of the same
+    (pair, n_steps) read (_propagator). Raises StepTooCoarse if the norm of
+    any state drifts from 1 by more than 1e-8. n_steps >= 100 is an
+    argument check, not a guarantee: the cubic, the quartic at gamma_mid =
+    1.2 and the antedated passage at t_a = t_f / 2 all drift past that
+    bound at 100 steps and pass at 150.
     """
     _check_branch(branch)
     check_steps(n_steps)
-    t, psi, drift = _pure_scan(pair, n_steps)
-    j = 0 if branch == +1 else 1
-    if not drift[j] <= 1e-8:
-        raise StepTooCoarse(f"state norm drift {drift[j]:.2e} exceeds 1e-8; increase n_steps")
-    return PureTrajectory(t, psi[:, j])
+    a, b = invariant_eigenstate(pair, branch, 0.0)
+    t, q = _propagator(pair, n_steps)
+    q0, q1, q2, q3 = q.T
+    psi = np.empty((len(q), 2), dtype=complex)
+    psi[:, 0] = (q0 - 1j * q3) * a - (q2 + 1j * q1) * b
+    psi[:, 1] = (q2 - 1j * q1) * a + (q0 + 1j * q3) * b
+    drift = np.abs(np.linalg.norm(psi, axis=1) - 1.0).max()
+    if not drift <= 1e-8:
+        raise StepTooCoarse(f"state norm drift {drift:.2e} exceeds 1e-8; increase n_steps")
+    psi.flags.writeable = False
+    return PureTrajectory(t, psi[:])

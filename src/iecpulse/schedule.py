@@ -154,7 +154,8 @@ def antedated_pair(t_f: float, t_a: float, beta_dot0: float | None = None) -> Sc
     beta is B0 + b B1 of the AntedatedBasis at t_a, which the pair carries.
 
     Schedules whose gamma leaves [-pi, pi] raise UnphysicalSchedule; t_a
-    below critical_t_a() * t_f trips this.
+    below critical_t_a() * t_f trips this. t_a is required: None is a
+    ConfigError too.
     """
     check_times(t_f, t_a)
     if beta_dot0 is None:
@@ -174,9 +175,12 @@ def antedated_pair(t_f: float, t_a: float, beta_dot0: float | None = None) -> Sc
 class AntedatedBasis:
     """beta = B0 + b B1 of every antedated pair at s_end = t_a / t_f: b =
     beta_dot0 t_f enters beta's conditions only on their right-hand side, so
-    one gamma fit and two unchecked solves serve every b; raises as antedated_pair does."""
+    one gamma fit and two unchecked solves serve every b; raises as antedated_pair does,
+    and ConfigError for t_a = None, which check_times lets through."""
 
     def __init__(self, t_f: float, t_a: float):
+        if t_a is None:
+            raise ConfigError("an antedated passage needs t_a, got None")
         self.s_end = a = t_a / t_f
         self.gamma = _antedated_gamma(a)
         if gamma_out_of_range(self.gamma) is not None:

@@ -79,6 +79,9 @@ def _third_pair_at(t_f, t_a):
         (lambda: fourth_order_pair(1.0, "x"), "gamma_mid"),
         (lambda: fourth_order_pair(1.0, np.array([1.0, 1.2])), "gamma_mid"),
         (lambda: antedated_pair(1.0, "0.5"), "t_a"),
+        # an antedated passage needs its switch time: None is no default
+        (lambda: antedated_pair(1.0, None), "t_a"),
+        (lambda: sweep_beta_dot0(1.0, None, 4.5, 6.0, 20), "t_a"),
         (lambda: antedated_pair(1.0, 0.5, "x"), "beta_dot0"),
         (lambda: check_times(1.0, np.array([0.5])), "t_a"),
         (lambda: check_rate(np.array([1.0, 2.0])), "beta_dot0"),
@@ -92,13 +95,26 @@ def _third_pair_at(t_f, t_a):
         "sweep-cap", "sweep-1e15", "omega_r_at-array", "delta_at-list", "omega_r_at-nan",
         "lr_phase-array", "lr_phase-list", "lr_phase-str", "lr_phase-nan", "lr_phase-negative",
         "lr_phase-past-t_f", "third-t_f-array", "third-t_f-complex", "fourth-gamma_mid-str",
-        "fourth-gamma_mid-array", "antedated-t_a-str",
+        "fourth-gamma_mid-array", "antedated-t_a-str", "antedated-t_a-none", "sweep-t_a-none",
         "antedated-beta_dot0-str", "check_times-t_a-array", "check_rate-array", "check_rate-str",
     ],
 )
 def test_bad_argument_raises_config_error(call, names):
     with pytest.raises(ConfigError, match=names):
         call()
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [("4.5", 6.0), (4.5, "6.0"), (np.array([4.5]), 6.0), (4.5, None), (4.5 + 0j, 6.0)],
+    ids=["lo-str", "hi-str", "lo-array", "hi-none", "lo-complex"],
+)
+def test_sweep_bounds_are_real_numbers(lo, hi):
+    # checked before the bounds are scaled or compared
+    with pytest.raises(ConfigError, match="real numbers lo and hi"):
+        check_sweep(1.0, lo, hi, 20)
+    with pytest.raises(ConfigError, match="real numbers lo and hi"):
+        sweep_beta_dot0(1.0, 0.5, lo, hi, 20)
 
 
 _BRANCH_CALLS = {

@@ -47,12 +47,12 @@ def ante():
 
 @pytest.fixture
 def cold_scan():
-    """evolve_pure's shared scan, cleared before and after the test: a test
-    that patches the integrator must run it cold, and must leave no scan made
-    under its patch for a later test to read."""
-    dynamics._pure_scan.cache_clear()
+    """The propagator scan evolve and evolve_pure share, cleared before and
+    after the test: a test that patches the integrator must run it cold, and
+    must leave no scan made under its patch for a later test to read."""
+    dynamics._propagator.cache_clear()
     yield
-    dynamics._pure_scan.cache_clear()
+    dynamics._propagator.cache_clear()
 
 
 def test_weights_validation():
@@ -121,16 +121,17 @@ def test_invariant_residual_vanishes(third):
     assert worst < 1e-8
 
 
-def _residual_reference(pair, s):
+def _residual_reference(pair, s, beta_offset=0.0):
     """The per-sample residual invariant_residual replaced: 2x2 matrices
     built with math and Python complex arithmetic. H takes omega_r and delta
     from the vector evaluators, as invariant_residual does: the scalar ones
     differ from them by an ulp at some samples (math.sin(x) / x against
-    np.sinc), which moves these ~1e-14 residuals by up to ~1.4e-15."""
+    np.sinc), which moves these ~1e-14 residuals by up to ~1.4e-15. A
+    beta_offset shifts the invariant's beta, not the drive's."""
     wave = _waveform(pair)
 
     def invariant(x):
-        g, b = float(pair.gamma(x)), float(pair.beta(x))
+        g, b = float(pair.gamma(x)), float(pair.beta(x)) + beta_offset
         off = 0.5 * math.sin(g) * complex(math.cos(b), math.sin(b))
         return np.array([[0.5 * math.cos(g), off], [off.conjugate(), -0.5 * math.cos(g)]])
 
@@ -142,7 +143,7 @@ def _residual_reference(pair, s):
         return float(np.linalg.norm(h @ inv - inv @ h))
     om, dl = float(wave.omega_many(np.array([s]))[0]), float(wave.delta_many(np.array([s]))[0])
     h = np.array([[0.5 * dl, 0.5 * om], [0.5 * om, -0.5 * dl]], dtype=complex)
-    g, b = float(pair.gamma(s)), float(pair.beta(s))
+    g, b = float(pair.gamma(s)), float(pair.beta(s)) + beta_offset
     dg, db = float(wave.dgamma(s)), float(wave.dbeta(s))
     d_off = 0.5 * complex(math.cos(b), math.sin(b)) * complex(dg * math.cos(g), db * math.sin(g))
     d_inv = np.array(
@@ -161,7 +162,7 @@ def _residual_reference(pair, s):
     ],
     ids=["third", "fourth-1.2", "antedated-0.5"],
 )
-def test_invariant_residual_array_matches_scalar_formula(build):
+def test_invariant_residual_array_matches_scalar_formula(build, monkeypatch):
     pair = build()
     s = np.linspace(0.0, 1.0, 401)  # holds s = 0.5 = t_a / t_f and 200 samples past it
     residual = invariant_residual(pair, s)
@@ -169,8 +170,22 @@ def test_invariant_residual_array_matches_scalar_formula(build):
     assert residual.tolist() == [invariant_residual(pair, float(x)) for x in s]
     square = invariant_residual(pair, s[:400].reshape(20, 20))
     assert np.array_equal(square, residual[:400].reshape(20, 20))
+    # on the designed invariant both forms are rounding noise, ~1e-14
     reference = np.array([_residual_reference(pair, float(x)) for x in s])
-    assert np.abs(residual - reference).max() <= 1e-15
+    assert residual.max() <= 1e-13 and reference.max() <= 1e-13
+    # tracking an invariant whose beta is offset by 0.1 rad from the drive's
+    # makes the residual O(1), where the two forms must agree to rounding
+    angles = dynamics._angles
+
+    def offset(pair, s):
+        g, b, dg, db = angles(pair, s)
+        return g, b + 0.1, dg, db
+
+    monkeypatch.setattr(dynamics, "_angles", offset)
+    mismatched = invariant_residual(pair, s)
+    reference = np.array([_residual_reference(pair, float(x), 0.1) for x in s])
+    assert reference.max() > 0.1
+    assert np.abs(mismatched - reference).max() <= 1e-12 * reference.max()
 
 
 def test_invariant_residual_is_self_consistent_for_any_smooth_pair(third):
@@ -386,33 +401,29 @@ def test_drift_checks_reject_nan(third, monkeypatch, cold_scan, run):
             evolve_pure(third, +1, 200)
 
 
-def _rk4_reference(pair, y0, n_steps, rate):
-    """The per-step RK4 loop the batched step maps replaced: four rate
-    calls per step on the state itself, the states appended to a list."""
+def _propagator_reference(pair, n_steps):
+    """A per-step RK4 loop on the 2x2 propagator, dU/ds = -i H U from U = E:
+    four rate calls per step on U itself, the propagators appended to a
+    list. RK4 on U has the truncation error of RK4 on q, not that of RK4 on
+    rho or psi, so the scan's states are compared with U rho0 U^H and
+    U psi0 of these."""
     times = [0.0]
-    states = [y0]
-    y = y0
+    states = [np.eye(2, dtype=complex)]
+    u = states[0]
     for s_lo, s_hi, n in dynamics._legs(pair, n_steps):
-        h_grid = dynamics._hamiltonian(*dynamics._h_grid(pair, s_lo, s_hi, n))
+        om, dl = dynamics._h_grid(pair, s_lo, s_hi, n)
+        h_grid = 0.5 * (om[:, None, None] * SIGMA_X + dl[:, None, None] * np.diag([1.0, -1.0]))
         step = (s_hi - s_lo) / n
         for k in range(n):
             h0, hm, h1 = h_grid[2 * k], h_grid[2 * k + 1], h_grid[2 * k + 2]
-            k1 = rate(h0, y)
-            k2 = rate(hm, y + 0.5 * step * k1)
-            k3 = rate(hm, y + 0.5 * step * k2)
-            k4 = rate(h1, y + step * k3)
-            y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k1 = -1j * (h0 @ u)
+            k2 = -1j * (hm @ (u + 0.5 * step * k1))
+            k3 = -1j * (hm @ (u + 0.5 * step * k2))
+            k4 = -1j * (h1 @ (u + step * k3))
+            u = u + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             times.append(s_lo + (k + 1) * step)
-            states.append(y)
+            states.append(u)
     return times, states
-
-
-def _von_neumann(h, rho):
-    return -1j * (h @ rho - rho @ h)
-
-
-def _schroedinger(h, psi):
-    return -1j * (h @ psi)
 
 
 _PARITY_CASES = [
@@ -431,22 +442,22 @@ _PARITY_CASES = [
 
 
 def _assert_matches_reference_loop(
-    pair, rho0, n_steps, branches=(+1, -1), reference=_rk4_reference
+    pair, rho0, n_steps, branches=(+1, -1), reference=_propagator_reference
 ):
     # the maps and their lane scan reassociate RK4's sums, so the
-    # states agree to rounding, not bit for bit: rho within 1e-13, psi
-    # within 1e-12 (its phase error builds up over the post-switch leg);
+    # states agree to rounding, not bit for bit: rho within 2.5e-13, psi
+    # within 1e-12 (their phase error builds up over the post-switch leg);
     # the step times are the same
     traj = evolve(pair, rho0, n_steps)
-    times, states = reference(pair, rho0, n_steps, _von_neumann)
+    times, states = reference(pair, n_steps)
+    u = np.array(states)
     assert traj.t.tolist() == [s * pair.t_f for s in times]
-    assert np.abs(traj.rho - np.array(states)).max() <= 1e-13
+    assert np.abs(traj.rho - u @ rho0 @ u.conj().transpose(0, 2, 1)).max() <= 2.5e-13
     for branch in branches:
         samples = evolve_pure(pair, branch, n_steps)
-        psi0 = invariant_eigenstate(pair, branch, 0.0)
-        times, states = reference(pair, psi0, n_steps, _schroedinger)
-        assert [t for t, _ in samples] == [s * pair.t_f for s in times]
-        assert np.abs(np.array([psi for _, psi in samples]) - np.array(states)).max() <= 1e-12
+        psi = u @ invariant_eigenstate(pair, branch, 0.0)
+        assert [t for t, _ in samples] == traj.t.tolist()
+        assert np.abs(np.array([psi for _, psi in samples]) - psi).max() <= 1e-12
 
 
 @pytest.mark.parametrize("build, n_steps", _PARITY_CASES)
@@ -463,15 +474,14 @@ def ante_8u():
 
 @pytest.fixture(scope="module")
 def reference_once():
-    """_rk4_reference, run once per input for the whole module: its states
-    depend on no constant of _rk4, so the cases that vary those share it."""
+    """_propagator_reference, run once per input for the whole module: its
+    states depend on no constant of _rk4, so the cases that vary those share it."""
     runs = {}
 
-    def reference(pair, y0, n_steps, rate):
-        key = (pair, y0.tobytes(), n_steps, rate)
-        if key not in runs:
-            runs[key] = _rk4_reference(pair, y0, n_steps, rate)
-        return runs[key]
+    def reference(pair, n_steps):
+        if (pair, n_steps) not in runs:
+            runs[pair, n_steps] = _propagator_reference(pair, n_steps)
+        return runs[pair, n_steps]
 
     return reference
 
@@ -490,7 +500,7 @@ def test_prefix_products_match_reference_loop_at_any_block(
     rho0 = invariant_state(ante_8u, W, 0.0)
     for lane in (1, 2, 3, 16):
         monkeypatch.setattr(dynamics, "_LANE", lane)
-        dynamics._pure_scan.cache_clear()
+        dynamics._propagator.cache_clear()
         _assert_matches_reference_loop(ante_8u, rho0, 3001, reference=reference_once)
         rho = evolve(ante_8u, rho0 + 3e-10j * SIGMA_X, 3001).rho
         assert np.abs(rho - rho.conj().transpose(0, 2, 1)).max() == 0.0
@@ -557,21 +567,19 @@ def _traced_peak(run) -> int:
 @pytest.mark.parametrize("run", ["evolve", "evolve_pure"])
 def test_step_maps_use_no_more_memory_than_reference_loop(ante, cold_scan, run):
     # building the maps in blocks keeps the peak below the loop's: a map
-    # stack for all 1e4 steps would not be; evolve_pure's traced run is a
-    # cold scan of both branches, set against the loop over one
+    # stack for all 1e4 steps would not be; each traced run is a cold scan
     n_steps = 10_000
-    if run == "evolve":
-        y0, rate = invariant_state(ante, W, 0.0), _von_neumann
-        integrate = lambda: evolve(ante, y0, n_steps)  # noqa: E731
-    else:
-        y0, rate = invariant_eigenstate(ante, +1, 0.0), _schroedinger
+    rho0 = invariant_state(ante, W, 0.0)
 
-        def integrate():
-            dynamics._pure_scan.cache_clear()
+    def integrate():
+        dynamics._propagator.cache_clear()
+        if run == "evolve":
+            evolve(ante, rho0, n_steps)
+        else:
             evolve_pure(ante, +1, n_steps)
 
     integrate()  # builds the cached waveform outside the traced runs
-    reference = _traced_peak(lambda: np.array(_rk4_reference(ante, y0, n_steps, rate)[1]))
+    reference = _traced_peak(lambda: np.array(_propagator_reference(ante, n_steps)[1]))
     assert _traced_peak(integrate) <= reference
 
 
@@ -622,7 +630,7 @@ def test_evolve_pure_minus_branch_initial_state(third):
 
 
 def test_evolve_pure_checks_its_arguments_before_the_scan(third):
-    before = dynamics._pure_scan.cache_info()
+    before = dynamics._propagator.cache_info()
     for branch, n_steps, message in [
         (+1, [100], "n_steps"),  # unhashable: the checks run before any cache lookup
         (+1, 100.0, "n_steps"),
@@ -634,7 +642,21 @@ def test_evolve_pure_checks_its_arguments_before_the_scan(third):
     ]:
         with pytest.raises(ConfigError, match=message):
             evolve_pure(third, branch, n_steps)
-    assert dynamics._pure_scan.cache_info() == before
+    assert dynamics._propagator.cache_info() == before
+
+
+def test_evolve_checks_its_arguments_before_the_scan(third):
+    before = dynamics._propagator.cache_info()
+    rho0 = invariant_state(third, W, 0.0)
+    for state, n_steps, message in [
+        (rho0, [100], "n_steps"),  # unhashable: the checks run before any cache lookup
+        (rho0, 100.0, "n_steps"),
+        (rho0, 99, "n_steps"),
+        (2.0 * rho0, [100], "trace"),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            evolve(third, state, n_steps)
+    assert dynamics._propagator.cache_info() == before
 
 
 @pytest.mark.parametrize(
@@ -646,29 +668,66 @@ def test_evolve_pure_checks_its_arguments_before_the_scan(third):
                      id="antedated-0.45-8u-10001"),
     ],
 )
-def test_evolve_pure_branches_share_one_scan(cold_scan, build, n_steps):
-    # each branch equals, bit for bit, a scan from its own eigenstate alone and
-    # a cold call, whichever branch is asked for first; the second is served
-    # from the first's scan, the one entry the cache holds
+def test_evolve_pure_branches_share_one_scan(monkeypatch, cold_scan, build, n_steps):
+    # evolve, for any rho0, and both evolve_pure branches read one propagator
+    # scan of (pair, n_steps): whichever is asked for first makes the one
+    # _rk4 call, the others are served from the one entry the cache holds,
+    # and each result equals a cold call's bit for bit
     pair = build()
+    rho_a, rho_b = invariant_state(pair, W, 0.0), np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+    runs = {
+        "evolve-a": lambda: evolve(pair, rho_a, n_steps),
+        "pure+1": lambda: evolve_pure(pair, +1, n_steps),
+        "pure-1": lambda: evolve_pure(pair, -1, n_steps),
+        "evolve-b": lambda: evolve(pair, rho_b, n_steps),
+    }
+    scans = []
+    rk4 = dynamics._rk4
+    monkeypatch.setattr(dynamics, "_rk4", lambda *args: scans.append(args) or rk4(*args))
     cold = {}
-    for branch in (+1, -1):
-        dynamics._pure_scan.cache_clear()
-        cold[branch] = evolve_pure(pair, branch, n_steps)
-        psi0 = invariant_eigenstate(pair, branch, 0.0)
-        s, y = dynamics._rk4(pair, psi0.view(float), n_steps, dynamics._schroedinger_generator)
-        assert cold[branch].t.tobytes() == (s * pair.t_f).tobytes()
-        assert cold[branch].psi.tobytes() == y.view(complex).tobytes()
-    for order in ((+1, -1), (-1, +1)):
-        dynamics._pure_scan.cache_clear()
-        for branch in order:
-            record = evolve_pure(pair, branch, n_steps)
-            assert record.t.tobytes() == cold[branch].t.tobytes()
-            assert record.psi.tobytes() == cold[branch].psi.tobytes()
-        info = dynamics._pure_scan.cache_info()
-        assert (info.hits, info.misses, info.currsize, info.maxsize) == (1, 1, 1, 1)
+    for name, run in runs.items():
+        dynamics._propagator.cache_clear()
+        result = run()
+        cold[name] = result.t.tobytes(), (result.rho if "evolve" in name else result.psi).tobytes()
+    assert len(scans) == len(runs) and len(set(t for t, _ in cold.values())) == 1
+    for order in (list(runs), list(reversed(runs))):
+        dynamics._propagator.cache_clear()
+        scans.clear()
+        for k, name in enumerate(order):
+            result = runs[name]()
+            states = result.rho if "evolve" in name else result.psi
+            assert (result.t.tobytes(), states.tobytes()) == cold[name]
+            info = dynamics._propagator.cache_info()
+            assert (info.hits, info.misses, info.currsize, info.maxsize) == (k, 1, 1, 1)
+        assert scans == [(pair, n_steps)]
     evolve_pure(pair, +1, n_steps + 1)
-    assert dynamics._pure_scan.cache_info().currsize == 1
+    assert dynamics._propagator.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: third_order_pair(1.0), lambda: antedated_pair(1.0, 0.45, beta_dot0_rate(8.0, 1.0))],
+    ids=["third", "antedated-0.45-8u"],
+)
+def test_oracles_apply_the_scanned_propagator(cold_scan, build):
+    # evolve's rotation of rho0's Bloch vector by q and evolve_pure's
+    # U psi0 are, to rounding, the matrix products with U built from the
+    # same quaternions; rho0 has a complex coherence. U rho0 U^H has
+    # |q|^2 times rho0's trace, which evolve carries exactly instead
+    pair, n_steps = build(), 3001
+    rho0 = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+    traj = evolve(pair, rho0, n_steps)
+    t, q = dynamics._propagator(pair, n_steps)
+    q0, q1, q2, q3 = q.T
+    u = np.empty((len(q), 2, 2), dtype=complex)
+    u[:, 0, 0], u[:, 0, 1], u[:, 1, 0], u[:, 1, 1] = q0 - 1j * q3, -q2 - 1j * q1, q2 - 1j * q1, q0 + 1j * q3
+    assert traj.t is t
+    rotated = u @ rho0 @ u.conj().transpose(0, 2, 1)
+    assert np.abs(bloch_vector(traj.rho) - bloch_vector(rotated)).max() <= 1e-15
+    assert np.array_equal(np.trace(traj.rho, axis1=1, axis2=2), np.full(len(q), 1.0 + 0j))
+    for branch in (+1, -1):
+        psi = evolve_pure(pair, branch, n_steps).psi
+        assert np.abs(psi - u @ invariant_eigenstate(pair, branch, 0.0)).max() <= 1e-15
 
 
 def test_evolve_pure_record_is_a_read_only_sequence_of_samples(third, cold_scan):
