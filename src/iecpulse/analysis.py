@@ -112,7 +112,7 @@ def validate_schedule(pair: SchedulePair) -> ValidationReport:
     DELTA_FINITE_BOUND on the validation grid of that segment (its grid
     pass, or the sweep's verdict for an antedated_pair); and gamma must stay within [-pi, pi] over
     the whole design window [0, t_f] (dips below -pi signal non-compensable
-    singularities), decided exactly from its stationary points.
+    singularities), decided exactly from its ends and the same zeros.
     """
     wave = _waveform(pair)
     # omega_r = gamma_dot / sin(beta) keeps its sign between consecutive
@@ -132,7 +132,7 @@ def validate_schedule(pair: SchedulePair) -> ValidationReport:
     delta_ok = max_delta <= DELTA_FINITE_BOUND
     if not delta_ok:
         messages.append(f"delta exceeds the finiteness bound (max {max_delta:.3e} * 1/t_f)")
-    gamma_range = gamma_out_of_range(pair.gamma)
+    gamma_range = gamma_out_of_range(pair.gamma, wave.rate_zeros)
     if gamma_range is not None:
         lo, hi = gamma_range
         messages.append(f"gamma leaves [-pi, pi] (range [{lo:.4f}, {hi:.4f}] rad)")

@@ -20,7 +20,7 @@ from numpy.polynomial import polynomial as npoly
 from .errors import ConfigError, SingularSystem
 
 __all__ = ["Polynomial", "Condition", "fit", "solve", "misfit", "real_roots",
-           "stacked_real_roots", "value_range"]
+           "stacked_real_roots"]
 
 
 class Polynomial:
@@ -148,12 +148,6 @@ def fit(conditions: Sequence[Condition], degree: int) -> Polynomial:
     if np.abs(misfit(p, conditions)).max() > FIT_TOL * scale:
         raise SingularSystem("ill-conditioned interpolation system (residual check failed)")
     return p
-
-
-def value_range(p: Polynomial, lo: float, hi: float) -> tuple[float, float]:
-    """(min, max) of p on [lo, hi]: taken at an endpoint or a stationary point."""
-    v = p(np.array([lo, hi] + real_roots(p.derivative(), lo, hi)))
-    return float(v.min()), float(v.max())
 
 
 def real_roots(p: Polynomial, lo: float, hi: float) -> list[float]:

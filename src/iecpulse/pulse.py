@@ -15,16 +15,18 @@ bound of their evaluation, so zeros that coincide by design share a
 station. About s0 each factor is u^m (u = s - s0) times a reduced part:
 gamma_dot's Taylor series without its first m terms, and for an angle
 
-    sin(p) = u^m (-1)^k r(s) sinc((p - k pi) / pi),   p - k pi = u^m r(s).
+    sin(p) = u^m (-1)^k r(s) sinc(x),   x = p - k pi = u^m r(s),
 
-Every sample takes the reduced parts of its nearest station, so one
-vectorised pass (_Waveform.quotients) gives both quotients over one
-sin(beta) factor at the 0/0 points and all other samples alike. A
-quotient's order, numerator minus denominator multiplicities, is negative
-exactly where it diverges (DivergentPulse); the cot term's is the one flag.
-The build walks the zeros in s order and rejects a divergence on the
-driven segment at the first divergent station, before it seeks any later
-zero: a schedule that diverges there cannot be probed at any s. The
+with sinc(x) and cos(x) from one tan(x / 2) (_sinc_cos). Every sample
+takes the reduced parts of its nearest station, so one vectorised pass
+(_Waveform.quotients) gives both quotients over one sin(beta) factor at
+the 0/0 points and all other samples alike. A quotient's order, numerator
+minus denominator multiplicities, is negative exactly where it diverges
+(DivergentPulse); the cot term's is the one flag. The build walks the
+zeros in s order and rejects a divergence on the driven segment at the
+first divergent station, before it seeks any later zero: a schedule that
+diverges there cannot be probed at any s. An angle met at a monotone
+piece's edge needs no root search there (_angle_zeros). The
 adiabaticity metric makes the same pass once at complex s + i h
 (h = 1e-30): the real parts are omega_r and delta and Im / h their rates,
 exact to rounding because nothing is subtracted (complex step). Each
@@ -87,19 +89,30 @@ GRID_POINTS = 10_000
 # ---------------------------------------------------------------------------
 # factored evaluation
 
-def _angle_zeros(p: Polynomial, crit: list[float]):
+def _angle_zeros(p: Polynomial, crit: list[float], n: int):
     """The points of [0, 1] where p crosses or touches a multiple of pi, in
     s order; crit holds the stationary points of p in [0, 1]. Between them p
-    is monotone, so it meets its multiples of pi one after another."""
-    edges = [0.0, *crit, 1.0]
-    values = p(np.array(edges)) / math.pi
+    is monotone, so it meets its multiples of pi one after another, and one
+    met at a piece's edge to rounding (_vanishes) has no other zero there."""
+    edges = np.array([0.0, *crit, 1.0])
+    v = p(edges)
+    k = np.round(v / math.pi)
+    bound = Polynomial(np.abs(p.coefficients))(edges) + np.abs(k) * math.pi
+    met = np.where(_vanishes(v - k * math.pi, bound, n), k, math.nan).tolist()
+    edges, values = edges.tolist(), (v / math.pi).tolist()
     roots: dict[int, list[float]] = {}
-    for a, b, va, vb in zip(edges, edges[1:], values, values[1:]):
+    for i, (a, b, va, vb) in enumerate(zip(edges, edges[1:], values, values[1:])):
         lo, hi = math.ceil(min(va, vb) - 1e-9), math.floor(max(va, vb) + 1e-9)
         for k in range(lo, hi + 1) if va <= vb else range(hi, lo - 1, -1):
-            if k not in roots:
+            at_edge = [e for e, m in ((a, met[i]), (b, met[i + 1])) if m == k]
+            if not at_edge and k not in roots:
                 roots[k] = real_roots(p.shifted(-k * math.pi), 0.0, 1.0)
-            yield from (r for r in roots[k] if a <= r <= b)
+            yield from at_edge or (r for r in roots[k] if a <= r <= b)
+
+
+def _vanishes(c, bound, n: int):
+    """Whether c, a sum of n terms of absolute sum bound, is zero to rounding."""
+    return np.abs(c) <= 4 * n * np.finfo(float).eps * bound
 
 
 def _clusters(points):
@@ -132,17 +145,33 @@ def _horner(c, u):
     return out
 
 
-def _sinc(x):
-    """sin(x) / x, 1 at x = 0, for an array. A complex x is a complex step
-    a + i b: sinc(a) + i b sinc'(a), with sinc' by its series near 0, where
-    cos(a) - sinc(a) cancels."""
+def _upow(u, m: int, y):
+    """y u^m, with numpy's generic power only for m > 1."""
+    return y if m == 0 else u * y if m == 1 else u**m * y
+
+
+def _sinc_cos(x):
+    """sinc(x) = sin(x) / x (1 at 0) and cos(x) for an array, from one
+    t = tan(x / 2): sin(x) = 2t w, cos(x) = (1 - t)(1 + t) w, w = 1 / (1 + t^2).
+    A complex x is a complex step a + i b: sinc(a) + i b sinc'(a) and cos(a)
+    - i b sin(a), sinc' by its series near 0, where cos(a) - sinc(a) cancels.
+    Both are filled in place, part by part."""
+    a, sinc, cos = x.real, np.ones_like(x), np.empty_like(x)
+    h = 0.5 * a
+    t = np.tan(h)
+    w = 1.0 / (1.0 + t * t)
+    np.multiply(np.divide(t, h, out=sinc.real, where=a != 0.0), w, out=sinc.real)
+    np.multiply(np.subtract(1.0, t, out=cos.real), 1.0 + t, out=cos.real)
+    cos.real *= w
     if np.iscomplexobj(x):
-        a, a2, value = x.real, x.real**2, np.sinc(x.real / math.pi)
         small = np.abs(a) < 1e-2
-        series = a * (a2 * (1.0 / 30.0 - a2 / 840.0) - 1.0 / 3.0)
-        rate = np.where(small, series, (np.cos(a) - value) / np.where(small, 1.0, a))
-        return value + 1j * (x.imag * rate)
-    return np.sinc(x / math.pi)
+        np.divide(np.subtract(cos.real, sinc.real, out=sinc.imag), a, out=sinc.imag, where=~small)
+        c = a[small]
+        sinc.imag[small] = c * (c * c * (1.0 / 30.0 - c * c / 840.0) - 1.0 / 3.0)
+        sinc.imag *= x.imag
+        np.multiply(t, w, out=cos.imag)
+        cos.imag *= -2.0 * x.imag  # -b sin(a)
+    return sinc, cos
 
 
 @dataclass(frozen=True)
@@ -165,21 +194,22 @@ class _Station:
 
 
 def _angle(st: _Station, f: int, u):
-    """Angle factor f at s0 + u divided by u^m, and its argument p - k pi there."""
+    """Angle factor f at s0 + u divided by u^m, and the cosine of its argument p - k pi there."""
     r = _horner(st.coef[f], u)
-    x = u ** st.mult[f] * r
-    return r * _sinc(x), x
+    sinc, cos = _sinc_cos(_upow(u, st.mult[f], r))
+    return r * sinc, cos
 
 
 def _quotients(st: _Station, u):
     """omega_r and the cot term (delta + beta_dot) at s0 + u, over one sin(beta) factor."""
-    rate = _horner(st.coef[0], u)
-    sin_b, _ = _angle(st, 1, u)
-    cos_b, _ = _angle(st, 2, u)
+    q = _horner(st.coef[0], u) / _angle(st, 1, u)[0]
+    cos_b = _angle(st, 2, u)[0]
     # cot(gamma) = cos(x) / sin(x) for x = gamma - k pi, whatever the parity of k
-    sin_x, x = _angle(st, 3, u)
-    cot = u ** st.cot_order * (rate * np.cos(x) * cos_b) / (sin_b * sin_x)
-    return u ** st.omega_order * rate / sin_b, cot
+    sin_x, cos_x = _angle(st, 3, u)
+    # Out of place: numpy's in-place complex product can round differently at
+    # some lengths, and a sample's value must not depend on its batch.
+    cot = q * cos_x * cos_b / sin_x
+    return _upow(u, st.omega_order, q), _upow(u, st.cot_order, cot)
 
 
 def _candidate_stations(a: np.ndarray, x: np.ndarray) -> list[_Station]:
@@ -194,7 +224,7 @@ def _candidate_stations(a: np.ndarray, x: np.ndarray) -> list[_Station]:
     k[0] = 0.0
     c[0] -= k * math.pi
     bound[0] += np.abs(k) * math.pi
-    small = np.abs(c) <= 4 * n * np.finfo(float).eps * bound
+    small = _vanishes(c, bound, n)
     mult = np.where(small.all(axis=0), n, np.argmin(small, axis=0))
     c[:, 1:3] *= 1.0 - 2.0 * (k[1:3] % 2)
     out = []
@@ -215,10 +245,9 @@ def _stations(args: tuple[Polynomial, ...], gamma_crit: list[float], beta_crit: 
     """
     # Candidates: each factor's zeros, and the angles' stationary points,
     # which locate multiple zeros better than their rounding-split roots.
-    candidates = heapq.merge(sorted({0.0, *gamma_crit, *beta_crit}),
-                             _angle_zeros(args[1], beta_crit), _angle_zeros(args[2], beta_crit),
-                             _angle_zeros(args[3], gamma_crit))
     n = max(len(q.coefficients) for q in args)
+    zeros = [_angle_zeros(q, crit, n) for q, crit in zip(args[1:], (beta_crit, beta_crit, gamma_crit))]
+    candidates = heapq.merge(sorted({0.0, *gamma_crit, *beta_crit}), *zeros)
     a = np.zeros((n, 4))
     for f, q in enumerate(args):
         a[: len(q.coefficients), f] = q.coefficients
@@ -305,7 +334,7 @@ class _Waveform:
     def fields(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """omega_r and delta (the cot term less beta_dot) times t_f at the samples s."""
         om, cot = self.quotients(s)
-        return om, cot - self.dbeta(s)
+        return om, cot - _horner(self.dbeta.coefficients, s)
 
     def edges(self, s_end: float) -> np.ndarray:
         """0, the stations and beta's stationary points inside (0, s_end), and

@@ -376,8 +376,9 @@ def test_evolve_fidelity_reaches_target(third):
 
 
 def test_evolve_rejects_blown_up_run():
-    # unstable at 100 steps: trace and Hermiticity hold while the
-    # eigenvalues grow to +-3e13, so only the purity shows it
+    # unstable at 100 steps: trace and Hermiticity hold while the scanned
+    # quaternion grows to |q| ~ 1.2e11 and the eigenvalues to +-4.3e21, so
+    # only the purity shows it
     pair = antedated_pair(1.0, 0.71, 8.164 * 0.5 * PI)
     rho0 = invariant_state(pair, W, 0.0)
     with pytest.raises(StepTooCoarse, match="purity"):

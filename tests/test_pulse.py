@@ -1,16 +1,22 @@
 import math
+import unittest.mock
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from iecpulse import pulse
 from iecpulse.analysis import compare_passages, max_adiabaticity_metric, validate_schedule
 from iecpulse.dynamics import Weights, hamiltonian_at
-from iecpulse.errors import DegeneratePoint, DivergentPulse, NoConvergence
+from iecpulse.errors import DegeneratePoint, DivergentPulse, Infeasible, NoConvergence
+from iecpulse.errors import NumericalFailure
 from iecpulse.poly import Polynomial
 from iecpulse.pulse import (
     _angle,
     _horner,
+    _upow,
     _waveform,
     adiabaticity_metric,
     delta_at,
@@ -20,7 +26,8 @@ from iecpulse.pulse import (
     synthesize,
 )
 from iecpulse.schedule import SchedulePair, antedated_pair, beta_dot0_rate, fourth_order_pair
-from iecpulse.schedule import third_order_pair
+from iecpulse.schedule import critical_t_a, third_order_pair
+from test_analysis import _evenly
 
 PI = math.pi
 
@@ -92,16 +99,15 @@ def test_scalar_evaluators_are_vector_elements(third, ante):
 def _reference_omega(st, u):
     """omega_r at s0 + u: the station formula that _quotients replaced."""
     sin_b, _ = _angle(st, 1, u)
-    return u ** st.omega_order * _horner(st.coef[0], u) / sin_b
+    return _upow(u, st.omega_order, _horner(st.coef[0], u) / sin_b)
 
 
 def _reference_cot(st, u):
     """The cot term at s0 + u: the station formula that _quotients replaced."""
     sin_b, _ = _angle(st, 1, u)
     cos_b, _ = _angle(st, 2, u)
-    sin_x, x = _angle(st, 3, u)
-    num = _horner(st.coef[0], u) * np.cos(x) * cos_b
-    return u ** st.cot_order * num / (sin_b * sin_x)
+    sin_x, cos_x = _angle(st, 3, u)
+    return _upow(u, st.cot_order, _horner(st.coef[0], u) / sin_b * cos_x * cos_b / sin_x)
 
 
 def _reference_rows(wave, s):
@@ -148,6 +154,109 @@ def test_quotients_visit_only_the_stations_that_own_samples(monkeypatch, ante):
     owners = set(s0[np.abs(s[:, None] - s0).argmin(axis=1)].tolist())
     assert sorted(visited) == sorted(owners) and len(visited) == 2
     assert sorted(set(s0.tolist()) - owners) == pytest.approx([0.6875, 1.0])
+
+
+# the listed points of the trig helper: 0, tiny, the series threshold 1e-2
+# from either side, and around pi / 2 and pi, where tan(a / 2) is 1 or huge
+TRIG_POINTS = [0.0, 1e-300, 1e-8, math.nextafter(1e-2, 0.0), 1e-2, PI / 2, PI - 1e-8, PI, 10.0]
+
+
+def test_sinc_cos_from_one_tan_matches_numpy_within_a_few_ulps():
+    a = np.array(TRIG_POINTS + [-x for x in TRIG_POINTS])
+    sinc, cos = pulse._sinc_cos(a)
+    # sinc relative to its value; cos absolute, because it comes from
+    # (1 - t)(1 + t) with t = tan(a / 2) rounded near 1 where cos(a) ~ 0
+    assert np.all(np.abs(sinc - np.sinc(a / PI)) <= 4 * np.spacing(np.abs(sinc)))
+    assert np.all(np.abs(cos - np.cos(a)) <= 2 * np.finfo(float).eps)
+    # a complex step a + i b carries b sinc'(a) and -b sin(a), the real parts unchanged
+    step_sinc, step_cos = pulse._sinc_cos(a + 1j)
+    assert step_sinc.real.tobytes() == sinc.tobytes() and step_cos.real.tobytes() == cos.tobytes()
+    with mp.workdps(800):  # cos(a) - sinc(a) ~ a^2 / 3 at a = 1e-300
+        exact = [(mp.cos(x) - mp.sin(x) / x) / x if x else mp.mpf(0) for x in map(mp.mpf, a)]
+    rate = np.array([float(x) for x in exact])
+    # below 1e-2 the series; above it (cos a - sinc a) / a, which loses
+    # ~eps / a to cancellation, as does numpy's own difference
+    numpy_rate = (np.cos(a) - np.sinc(a / PI)) / np.where(a == 0.0, 1.0, a)
+    series = np.abs(a) < 1e-2
+    assert np.all(np.abs(step_sinc.imag - rate)[series] <= 2 * np.spacing(np.abs(rate[series])))
+    slack = 2 * np.spacing(np.abs(rate)) + 4 * np.finfo(float).eps / np.abs(np.where(series, 1.0, a))
+    assert np.all(np.abs(step_sinc.imag - numpy_rate)[~series] <= slack[~series])
+    assert np.all(np.abs(step_cos.imag + np.sin(a)) <= 2 * np.spacing(np.abs(np.sin(a))))
+    # b scales the complex-step parts exactly, down to the metric's h = 1e-30
+    tiny_sinc, tiny_cos = pulse._sinc_cos(a + 1e-30j)
+    assert tiny_sinc.imag.tolist() == (1e-30 * step_sinc.imag).tolist()
+    assert tiny_cos.imag.tolist() == (1e-30 * step_cos.imag).tolist()
+
+
+@pytest.mark.parametrize("pair", [
+    third_order_pair(1.0),
+    fourth_order_pair(1.0, 1.2),
+    fourth_order_pair(1.0, 5 * PI / 16),  # the triple zero of gamma at s = 1
+], ids=["third", "fourth", "fourth-critical"])
+def test_cubic_and_quartic_builds_make_at_most_two_root_searches(monkeypatch, pair):
+    # gamma_dot's zeros and beta's stationary points; every angle zero sits at
+    # a piece's edge (s = 0 or 1), where no root is sought
+    calls = []
+    search = pulse.real_roots
+    monkeypatch.setattr(pulse, "real_roots", lambda *args: calls.append(args) or search(*args))
+    wave = pulse._Waveform(pair)
+    assert len(calls) <= 2
+    assert [round(st.s0, 12) for st in wave.stations] == [0.0, 1.0]
+
+
+def _searching_angle_zeros(p, crit, n):
+    """_angle_zeros that seeks the roots of every multiple of pi crossed,
+    at a piece's edge too."""
+    edges = [0.0, *crit, 1.0]
+    values = p(np.array(edges)) / PI
+    roots = {}
+    for a, b, va, vb in zip(edges, edges[1:], values, values[1:]):
+        lo, hi = math.ceil(min(va, vb) - 1e-9), math.floor(max(va, vb) + 1e-9)
+        for k in range(lo, hi + 1) if va <= vb else range(hi, lo - 1, -1):
+            if k not in roots:
+                roots[k] = pulse.real_roots(p.shifted(-k * PI), 0.0, 1.0)
+            yield from (r for r in roots[k] if a <= r <= b)
+
+
+def _outcome(pair):
+    """pair's waveform, built afresh (not cached), or the type and message of
+    the error that stopped the build."""
+    try:
+        return pulse._Waveform(pair)
+    except (Infeasible, NumericalFailure) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80)
+@given(family=st.sampled_from(["fourth", "antedated"]), mid=_evenly(5 * PI / 16, PI / 2),
+       frac=_evenly(critical_t_a() * (1 + 1e-9), 0.999), units=_evenly(0.05, 12.0),
+       t_f=_evenly(-6.0, 6.0).map(lambda e: 10.0**e))
+@example(family="fourth", mid=5 * PI / 16, frac=0.5, units=1.0, t_f=1e-6)
+@example(family="antedated", mid=1.0, frac=0.5, units=5.232, t_f=1e6)
+def test_edge_zeros_keep_the_stations_of_a_full_search_and_t_f_free_waveforms(
+        family, mid, frac, units, t_f):
+    # unit: the pair at t_f = 1 with the t_a / t_f and beta_dot0 t_f that pair
+    # is built from, whose waveforms (times t_f) must equal pair's to the bit
+    if family == "fourth":
+        pair, unit = fourth_order_pair(t_f, mid), fourth_order_pair(1.0, mid)
+    else:
+        pair = antedated_pair(t_f, frac * t_f, beta_dot0_rate(units, t_f))
+        unit = antedated_pair(1.0, pair.t_a / t_f, pair.antedated[1])
+    wave = _outcome(pair)
+    with unittest.mock.patch.object(pulse, "_angle_zeros", _searching_angle_zeros):
+        full = _outcome(pair)
+    if isinstance(wave, tuple):  # raised where and as the full search does
+        assert wave == full == _outcome(unit)
+        return
+    # The same stations. Where the full search puts a multiple zero at a
+    # rounding-split root, the edge is the exact structural zero.
+    assert [(x.mult, x.omega_order, x.cot_order) for x in wave.stations] == \
+        [(x.mult, x.omega_order, x.cot_order) for x in full.stations]
+    assert np.abs(wave._s0 - full._s0).max() <= 1e-12
+    table, unit_table = synthesize(pair, 400), synthesize(unit, 400)
+    assert table.omega_r.tobytes() == unit_table.omega_r.tobytes()
+    assert table.delta.tobytes() == unit_table.delta.tobytes()
+    assert _waveform(pair).grid.metric_peak == _waveform(unit).grid.metric_peak
 
 
 def test_frequencies_scale_as_inverse_t_f():
