@@ -7,13 +7,14 @@ The invariant construction fixes the Rabi frequency and detuning as
 
 Both quotients hit 0/0 at schedule-defined points (the passage endpoints,
 the antedated zero of gamma, the rate-reversal zero of beta), so they are
-evaluated in factored form. A station s0 is a point of [0, 1] where one of
-the factors gamma_dot, sin(beta), cos(beta), sin(gamma) vanishes. There a
-factor's multiplicity m is the number of leading Taylor coefficients of its
-argument (less a multiple k pi for an angle) that lie within the rounding
-bound of their evaluation, so zeros that coincide by design share a
-station. About s0 each factor is u^m (u = s - s0) times a reduced part:
-gamma_dot's Taylor series without its first m terms, and for an angle
+evaluated in factored form. A station s0 is a point of [0, 1] where a
+denominator factor, sin(beta) or sin(gamma), vanishes. There each of the
+factors gamma_dot, sin(beta), cos(beta), sin(gamma) has a multiplicity m,
+the number of leading Taylor coefficients of its argument (less a multiple
+k pi for an angle) that lie within the rounding bound of their evaluation,
+so zeros that coincide by design share a station. About s0 each factor is
+u^m (u = s - s0) times a reduced part: gamma_dot's Taylor series without
+its first m terms, and for an angle
 
     sin(p) = u^m (-1)^k r(s) sinc(x),   x = p - k pi = u^m r(s),
 
@@ -25,11 +26,14 @@ minus denominator multiplicities, is negative exactly where it diverges
 (DivergentPulse); the cot term's is the one flag. The build walks the
 zeros in s order and rejects a divergence on the driven segment at the
 first divergent station, before it seeks any later zero: a schedule that
-diverges there cannot be probed at any s. An angle met at a monotone
-piece's edge needs no root search there (_angle_zeros). The
-adiabaticity metric makes the same pass once at complex s + i h
-(h = 1e-30): the real parts are omega_r and delta and Im / h their rates,
-exact to rounding because nothing is subtracted (complex step). Each
+diverges there cannot be probed at any s. It walks beta and gamma over
+one list of the points the schedule fixes: 0, the angles' stationary
+points, the drive's end and 1. Each angle is monotone between them, so a
+zero shared by design (an end, the switch, the rate reversal) is met at an
+edge, exactly, with no root search (_angle_zeros). The adiabaticity
+metric makes the same pass once at complex s + i h (h = 1e-30): the real
+parts are omega_r and delta and Im / h their rates, exact to rounding
+because nothing is subtracted (complex step). Each
 waveform makes it once on its validation grid (_Waveform.grid), and its
 scalar results serve both the detuning bound and the metric's maximum.
 
@@ -52,6 +56,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import groupby
 from numbers import Number
 
 import numpy as np
@@ -71,8 +76,8 @@ __all__ = [
     "gauss_legendre",
 ]
 
-#: Stations are resolved to this distance in s: a zero candidate this close
-#: to one where more factors vanish is a rounding split of it, and a point
+#: Stations are resolved to this distance in s: a stationary point this
+#: close to 0, the drive's end or 1 is a rounding split of it, and a point
 #: this close to a divergent station is at it.
 ROOT_TOL = 1e-6
 
@@ -89,12 +94,11 @@ GRID_POINTS = 10_000
 # ---------------------------------------------------------------------------
 # factored evaluation
 
-def _angle_zeros(p: Polynomial, crit: list[float], n: int):
+def _angle_zeros(p: Polynomial, edges: np.ndarray, n: int):
     """The points of [0, 1] where p crosses or touches a multiple of pi, in
-    s order; crit holds the stationary points of p in [0, 1]. Between them p
-    is monotone, so it meets its multiples of pi one after another, and one
-    met at a piece's edge to rounding (_vanishes) has no other zero there."""
-    edges = np.array([0.0, *crit, 1.0])
+    s order. p is monotone between consecutive edges, so it meets its
+    multiples of pi one after another, and one met at an edge to rounding
+    (_vanishes) is that edge and has no other zero there."""
     v = p(edges)
     k = np.round(v / math.pi)
     bound = Polynomial(np.abs(p.coefficients))(edges) + np.abs(k) * math.pi
@@ -115,22 +119,10 @@ def _vanishes(c, bound, n: int):
     return np.abs(c) <= 4 * n * np.finfo(float).eps * bound
 
 
-def _clusters(points):
-    """The points, in s order, in runs whose neighbours lie within ROOT_TOL."""
-    run: list[float] = []
-    for x in points:
-        if run and x > run[-1] + ROOT_TOL:
-            yield run
-            run = []
-        run.append(x)
-    yield run
-
-
-def _taylor(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Taylor coefficients about each x of the polynomials whose ascending
-    coefficients run along axis 0 of a, by repeated synthetic division;
-    shape a.shape + x.shape."""
-    c = np.repeat(a[..., None], len(x), axis=-1)
+def _taylor(a: np.ndarray, x: float) -> np.ndarray:
+    """Taylor coefficients about x of the polynomials whose ascending
+    coefficients run along axis 0 of a, by repeated synthetic division."""
+    c = a.copy()
     for i in range(len(a) - 1):
         for j in range(len(a) - 2, i - 1, -1):
             c[j] += x * c[j + 1]
@@ -212,12 +204,12 @@ def _quotients(st: _Station, u):
     return _upow(u, st.omega_order, q), _upow(u, st.cot_order, cot)
 
 
-def _candidate_stations(a: np.ndarray, x: np.ndarray) -> list[_Station]:
-    """Every candidate of x as a station: each factor's multiplicity there,
-    the number of leading Taylor coefficients of its argument (less the
-    nearest multiple of pi for an angle) that lie within the rounding bound
-    of their evaluation, and its reduced coefficients. a holds the
-    arguments' coefficients and their absolute values, one column each."""
+def _station(a: np.ndarray, x: float) -> _Station:
+    """The factors about x: each one's multiplicity there, the number of
+    leading Taylor coefficients of its argument (less the nearest multiple
+    of pi for an angle) that lie within the rounding bound of their
+    evaluation, and its reduced coefficients. a holds the arguments'
+    coefficients and their absolute values, one column each."""
     n = len(a)
     c, bound = np.split(_taylor(a, x), 2, axis=1)
     k = np.round(c[0] / math.pi)
@@ -225,53 +217,46 @@ def _candidate_stations(a: np.ndarray, x: np.ndarray) -> list[_Station]:
     c[0] -= k * math.pi
     bound[0] += np.abs(k) * math.pi
     small = _vanishes(c, bound, n)
-    mult = np.where(small.all(axis=0), n, np.argmin(small, axis=0))
+    m = tuple(np.where(small.all(axis=0), n, np.argmin(small, axis=0)).tolist())
     c[:, 1:3] *= 1.0 - 2.0 * (k[1:3] % 2)
-    out = []
-    for j, m in enumerate(map(tuple, mult.T.tolist())):
-        cf = tuple(c[mf:, f, j].tolist() for f, mf in enumerate(m))
-        out.append(_Station(float(x[j]), m, cf, m[0] - m[1], m[0] + m[2] - m[1] - m[3]))
-    return out
+    coef = tuple(c[mf:, f].tolist() for f, mf in enumerate(m))
+    return _Station(x, m, coef, m[0] - m[1], m[0] + m[2] - m[1] - m[3])
 
 
-def _stations(args: tuple[Polynomial, ...], gamma_crit: list[float], beta_crit: list[float],
-              end: float) -> list[_Station]:
+def _stations(args: tuple[Polynomial, ...], crit: list[float], end: float) -> list[_Station]:
     """The stations of the factors gamma_dot, sin(beta), cos(beta) and
-    sin(gamma), whose arguments are args, in s order.
+    sin(gamma), whose arguments are args, in s order; crit holds the
+    angles' stationary points in [0, 1], and end is where the drive ends.
 
-    The zeros are walked in s order, and the first station within ROOT_TOL
-    of [0, end] where a quotient diverges raises DivergentPulse before any
-    later zero is sought, however many multiples of pi the angles cross.
+    The denominators' angles, beta and gamma, are walked over one edge
+    list: 0, crit, end and 1, with a stationary point within ROOT_TOL of 0,
+    end or 1 taken as that point. So a zero that two factors share by
+    design (the ends, the switch, the rate reversal) is met at an edge,
+    exactly and once. cos(beta) never vanishes with sin(beta), so its zeros
+    alone are no stations and are not sought. The zeros are taken in s
+    order, and the first within ROOT_TOL of [0, end] where a quotient
+    diverges raises DivergentPulse before any later zero is sought, however
+    many multiples of pi the angles cross.
     """
-    # Candidates: each factor's zeros, and the angles' stationary points,
-    # which locate multiple zeros better than their rounding-split roots.
+    fixed = (0.0, end, 1.0)
+    edges = np.array(sorted({*fixed, *(x for x in crit
+                                       if min(abs(x - f) for f in fixed) > ROOT_TOL)}))
     n = max(len(q.coefficients) for q in args)
-    zeros = [_angle_zeros(q, crit, n) for q, crit in zip(args[1:], (beta_crit, beta_crit, gamma_crit))]
-    candidates = heapq.merge(sorted({0.0, *gamma_crit, *beta_crit}), *zeros)
     a = np.zeros((n, 4))
     for f, q in enumerate(args):
         a[: len(q.coefficients), f] = q.coefficients
     a = np.hstack([a, np.abs(a)])
-    # A station is a candidate where a denominator factor vanishes (elsewhere
-    # the reduced parts of any station are exact). Candidates within ROOT_TOL
-    # of one where more factors vanish are rounding splits of it, so each
-    # run of candidates that close is decided on its own. Without any, the
-    # candidate s = 0 serves every sample.
+    # A station is a zero where a denominator factor vanishes to rounding
+    # (elsewhere the reduced parts of any station are exact). Without any,
+    # s = 0 serves every sample.
     stations: list[_Station] = []
-    origin: list[_Station] = []
-    for run in _clusters(candidates):
-        found = _candidate_stations(a, np.array(sorted(set(run))))
-        origin = origin or found[:1]
-        kept: list[_Station] = []
-        for st in sorted((st for st in found if st.mult[1] + st.mult[3]),
-                         key=lambda st: -sum(st.mult)):
-            if all(abs(st.s0 - x.s0) > ROOT_TOL for x in kept):
-                kept.append(st)
-        for st in sorted(kept, key=lambda st: st.s0):
+    for x, _ in groupby(heapq.merge(*(_angle_zeros(q, edges, n) for q in (args[1], args[3])))):
+        st = _station(a, x)
+        if st.mult[1] + st.mult[3]:
             if st.s0 <= end + ROOT_TOL and st.cot_order < 0:
                 raise DivergentPulse(f"waveform diverges at s = {st.s0:.6g}")
             stations.append(st)
-    return stations or origin
+    return stations or [_station(a, 0.0)]
 
 
 def _driven_grid(s_end: float) -> np.ndarray:
@@ -304,7 +289,7 @@ class _Waveform:
         #: beta's stationary points in [0, 1]
         self.beta_crit = real_roots(self.dbeta, 0.0, 1.0)
         args = (self.dgamma, self.beta, self.beta.shifted(0.5 * math.pi), self.gamma)
-        self.stations = _stations(args, self.rate_zeros, self.beta_crit, self.end)
+        self.stations = _stations(args, [*self.rate_zeros, *self.beta_crit], self.end)
         st = self.stations
         self._cuts = [0.5 * (a.s0 + b.s0) for a, b in zip(st, st[1:])]
         self._s0 = np.array([x.s0 for x in st])

@@ -18,7 +18,7 @@ from iecpulse.analysis import (
     sweep_beta_dot0,
     validate_schedule,
 )
-from iecpulse.dynamics import Weights, bloch_vector, fidelity
+from iecpulse.dynamics import Weights, bloch_vector, fidelity, invariant_residual
 from iecpulse.errors import DivergentPulse, NoFeasiblePoint
 from iecpulse.pulse import adiabaticity_metric
 from iecpulse.poly import Condition, Polynomial, fit, real_roots
@@ -310,6 +310,30 @@ def test_sweep_agrees_with_per_schedule_path_over_the_design_space(frac, units, 
     in_band, omega_r = _band_and_drive(t_f, frac * t_f, units)
     assert in_band == (omega_r is not None)
     assert omega_r is None or (omega_r > 0).all()
+
+
+@settings(max_examples=300)
+@given(family=st.sampled_from(["third", "fourth", "antedated"]), mid=_evenly(0.3, 3.1),
+       frac=_evenly(0.01, 0.999), units=_evenly(0.01, 20.0),
+       t_f=_evenly(-6.0, 6.0).map(lambda e: 10.0**e))
+def test_every_schedule_gives_results_or_typed_errors(family, mid, frac, units, t_f):
+    # one schedule through the library in the CLI's order: only the
+    # package's typed errors may escape, and a feasible schedule's waveforms
+    # satisfy the invariant equation
+    try:
+        pair = (third_order_pair(t_f) if family == "third" else
+                fourth_order_pair(t_f, mid) if family == "fourth" else
+                antedated_pair(t_f, frac * t_f, schedule.beta_dot0_rate(units, t_f)))
+        pulse.synthesize(pair, 200)
+        report = validate_schedule(pair)
+        cost = energy_cost(pair)
+        metric = max_adiabaticity_metric(pair)
+        residual = invariant_residual(pair, np.linspace(0.0, 1.0, 201))
+    except Exception as exc:
+        assert type(exc).__module__ == errors.__name__, repr(exc)
+        return
+    assert math.isfinite(cost) and math.isfinite(metric)
+    assert not report.feasible or residual.max() < 1e-8
 
 
 def _assert_as_its_factored_waveform(pair):

@@ -1,5 +1,6 @@
+import heapq
 import math
-import unittest.mock
+from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -26,7 +27,7 @@ from iecpulse.pulse import (
     synthesize,
 )
 from iecpulse.schedule import SchedulePair, antedated_pair, beta_dot0_rate, fourth_order_pair
-from iecpulse.schedule import critical_t_a, third_order_pair
+from iecpulse.schedule import critical_t_a, gamma_dot_zero_crossing, third_order_pair
 from test_analysis import _evenly
 
 PI = math.pi
@@ -153,7 +154,7 @@ def test_quotients_visit_only_the_stations_that_own_samples(monkeypatch, ante):
     s0 = np.array([st.s0 for st in wave.stations])
     owners = set(s0[np.abs(s[:, None] - s0).argmin(axis=1)].tolist())
     assert sorted(visited) == sorted(owners) and len(visited) == 2
-    assert sorted(set(s0.tolist()) - owners) == pytest.approx([0.6875, 1.0])
+    assert sorted(set(s0.tolist()) - owners) == [gamma_dot_zero_crossing(ante.gamma), 1.0]
 
 
 # the listed points of the trig helper: 0, tiny, the series threshold 1e-2
@@ -192,21 +193,27 @@ def test_sinc_cos_from_one_tan_matches_numpy_within_a_few_ulps():
     third_order_pair(1.0),
     fourth_order_pair(1.0, 1.2),
     fourth_order_pair(1.0, 5 * PI / 16),  # the triple zero of gamma at s = 1
-], ids=["third", "fourth", "fourth-critical"])
+    antedated_pair(1.0, 0.5),
+], ids=["third", "fourth", "fourth-critical", "antedated"])
 def test_cubic_and_quartic_builds_make_at_most_two_root_searches(monkeypatch, pair):
-    # gamma_dot's zeros and beta's stationary points; every angle zero sits at
-    # a piece's edge (s = 0 or 1), where no root is sought
+    # gamma_dot's zeros and beta's stationary points; every designed angle
+    # zero sits at an edge (s = 0, the switch, the rate reversal, s = 1),
+    # where no root is sought, and each station lies exactly there
     calls = []
     search = pulse.real_roots
     monkeypatch.setattr(pulse, "real_roots", lambda *args: calls.append(args) or search(*args))
     wave = pulse._Waveform(pair)
     assert len(calls) <= 2
-    assert [round(st.s0, 12) for st in wave.stations] == [0.0, 1.0]
+    if pair.switch_fraction is None:
+        assert [st.s0 for st in wave.stations] == [0.0, 1.0]
+    else:
+        t_s = gamma_dot_zero_crossing(pair.gamma)
+        assert [st.s0 for st in wave.stations] == [0.0, pair.switch_fraction, t_s, 1.0]
 
 
 def _searching_angle_zeros(p, crit, n):
-    """_angle_zeros that seeks the roots of every multiple of pi crossed,
-    at a piece's edge too."""
+    """The zeros of sin(p) in s order, the roots of every multiple of pi
+    crossed between p's stationary points crit, sought at a piece's edge too."""
     edges = [0.0, *crit, 1.0]
     values = p(np.array(edges)) / PI
     roots = {}
@@ -218,45 +225,95 @@ def _searching_angle_zeros(p, crit, n):
             yield from (r for r in roots[k] if a <= r <= b)
 
 
-def _outcome(pair):
-    """pair's waveform, built afresh (not cached), or the type and message of
-    the error that stopped the build."""
+def _clusters(points):
+    """The points, in s order, in runs whose neighbours lie within ROOT_TOL."""
+    run = []
+    for x in points:
+        if run and x > run[-1] + pulse.ROOT_TOL:
+            yield run
+            run = []
+        run.append(x)
+    yield run
+
+
+def _clustered_stations(pair):
+    """pair's stations by a walk that knows no designed zero: every crossing
+    sought over each angle's own stationary points, the stationary points
+    added as candidates, each run of candidates within ROOT_TOL decided
+    together, and the candidates kept where most factors vanish (least s on
+    a tie). The stations, or the type and message of the walk's error."""
+    dgamma, dbeta = pair.gamma.derivative(), pair.beta.derivative()
+    gamma_crit, beta_crit = (pulse.real_roots(q, 0.0, 1.0) for q in (dgamma, dbeta))
+    end = pair.switch_fraction or 1.0
+    args = (dgamma, pair.beta, pair.beta.shifted(0.5 * PI), pair.gamma)
+    n = max(len(q.coefficients) for q in args)
+    zeros = [_searching_angle_zeros(q, crit, n)
+             for q, crit in zip(args[1:], (beta_crit, beta_crit, gamma_crit))]
+    a = np.zeros((n, 4))
+    for f, q in enumerate(args):
+        a[: len(q.coefficients), f] = q.coefficients
+    a = np.hstack([a, np.abs(a)])
+    stations, origin = [], []
+    for run in _clusters(heapq.merge(sorted({0.0, *gamma_crit, *beta_crit}), *zeros)):
+        found = [pulse._station(a, x) for x in sorted(set(run))]
+        origin = origin or found[:1]
+        kept = []
+        for x in sorted((x for x in found if x.mult[1] + x.mult[3]), key=lambda x: -sum(x.mult)):
+            if all(abs(x.s0 - y.s0) > pulse.ROOT_TOL for y in kept):
+                kept.append(x)
+        for x in sorted(kept, key=lambda x: x.s0):
+            if x.s0 <= end + pulse.ROOT_TOL and x.cot_order < 0:
+                return DivergentPulse, f"waveform diverges at s = {x.s0:.6g}"
+            stations.append(x)
+    return stations or origin
+
+
+def _outcome(build):
+    """The pair build() makes and its waveform, built afresh (not cached), or
+    the type and message of the error that stopped either."""
     try:
-        return pulse._Waveform(pair)
+        pair = build()
+        return pair, pulse._Waveform(pair)
     except (Infeasible, NumericalFailure) as exc:
         return type(exc), str(exc)
 
 
 @settings(max_examples=80)
-@given(family=st.sampled_from(["fourth", "antedated"]), mid=_evenly(5 * PI / 16, PI / 2),
-       frac=_evenly(critical_t_a() * (1 + 1e-9), 0.999), units=_evenly(0.05, 12.0),
+@given(family=st.sampled_from(["fourth", "antedated"]), mid=_evenly(5 * PI / 16, 3.1),
+       frac=_evenly(critical_t_a() * (1 + 1e-9), 0.9999), units=_evenly(0.01, 25.0),
        t_f=_evenly(-6.0, 6.0).map(lambda e: 10.0**e))
 @example(family="fourth", mid=5 * PI / 16, frac=0.5, units=1.0, t_f=1e-6)
 @example(family="antedated", mid=1.0, frac=0.5, units=5.232, t_f=1e6)
+@example(family="antedated", mid=1.0, frac=critical_t_a(), units=4.0, t_f=1.0)
 def test_edge_zeros_keep_the_stations_of_a_full_search_and_t_f_free_waveforms(
         family, mid, frac, units, t_f):
     # unit: the pair at t_f = 1 with the t_a / t_f and beta_dot0 t_f that pair
     # is built from, whose waveforms (times t_f) must equal pair's to the bit
     if family == "fourth":
-        pair, unit = fourth_order_pair(t_f, mid), fourth_order_pair(1.0, mid)
+        build = partial(fourth_order_pair, t_f, mid)
+        unit_build = partial(fourth_order_pair, 1.0, mid)
     else:
-        pair = antedated_pair(t_f, frac * t_f, beta_dot0_rate(units, t_f))
-        unit = antedated_pair(1.0, pair.t_a / t_f, pair.antedated[1])
-    wave = _outcome(pair)
-    with unittest.mock.patch.object(pulse, "_angle_zeros", _searching_angle_zeros):
-        full = _outcome(pair)
-    if isinstance(wave, tuple):  # raised where and as the full search does
-        assert wave == full == _outcome(unit)
+        t_a, rate = frac * t_f, beta_dot0_rate(units, t_f)
+        build = partial(antedated_pair, t_f, t_a, rate)
+        # beta_dot0 t_f as antedated_pair rounds it
+        unit_build = partial(antedated_pair, 1.0, t_a / t_f, rate * t_f)
+    built, unit = _outcome(build), _outcome(unit_build)
+    if isinstance(built[0], type):  # raised as the unit pair and the search do
+        assert built == unit
+        if built[0] is DivergentPulse:
+            assert _clustered_stations(build()) == built
         return
-    # The same stations. Where the full search puts a multiple zero at a
+    (pair, wave), (unit_pair, _) = built, unit
+    # The same stations; where the search puts a shared zero at a
     # rounding-split root, the edge is the exact structural zero.
+    full = _clustered_stations(pair)
     assert [(x.mult, x.omega_order, x.cot_order) for x in wave.stations] == \
-        [(x.mult, x.omega_order, x.cot_order) for x in full.stations]
-    assert np.abs(wave._s0 - full._s0).max() <= 1e-12
-    table, unit_table = synthesize(pair, 400), synthesize(unit, 400)
+        [(x.mult, x.omega_order, x.cot_order) for x in full]
+    assert np.abs(wave._s0 - [x.s0 for x in full]).max() <= 1e-12
+    table, unit_table = synthesize(pair, 400), synthesize(unit_pair, 400)
     assert table.omega_r.tobytes() == unit_table.omega_r.tobytes()
     assert table.delta.tobytes() == unit_table.delta.tobytes()
-    assert _waveform(pair).grid.metric_peak == _waveform(unit).grid.metric_peak
+    assert _waveform(pair).grid.metric_peak == _waveform(unit_pair).grid.metric_peak
 
 
 def test_frequencies_scale_as_inverse_t_f():
