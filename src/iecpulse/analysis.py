@@ -118,7 +118,8 @@ def validate_schedule(pair: SchedulePair) -> ValidationReport:
     # omega_r = gamma_dot / sin(beta) keeps its sign between consecutive
     # zeros of gamma_dot on the driven segment: the waveform built, so every
     # zero of sin(beta) there is one of gamma_dot too.
-    cuts = np.array(sorted({0.0, wave.end, *(r for r in wave.rate_zeros if r < wave.end)}))
+    crit = pair.gamma.stationary_points
+    cuts = np.array(sorted({0.0, wave.end, *(r for r in crit if r < wave.end)}))
     messages: list[str] = []
     min_omega = float(wave.omega_many(0.5 * (cuts[1:] + cuts[:-1])).min())
     omega_ok = not min_omega < -1e-9
@@ -132,7 +133,7 @@ def validate_schedule(pair: SchedulePair) -> ValidationReport:
     delta_ok = max_delta <= DELTA_FINITE_BOUND
     if not delta_ok:
         messages.append(f"delta exceeds the finiteness bound (max {max_delta:.3e} * 1/t_f)")
-    gamma_range = gamma_out_of_range(pair.gamma, wave.rate_zeros)
+    gamma_range = gamma_out_of_range(pair.gamma)
     if gamma_range is not None:
         lo, hi = gamma_range
         messages.append(f"gamma leaves [-pi, pi] (range [{lo:.4f}, {hi:.4f}] rad)")

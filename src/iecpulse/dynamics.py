@@ -118,10 +118,21 @@ class PureTrajectory(Sequence):
         return float(self.t[i]), self.psi[i]
 
 
+def _qubit_array(x) -> np.ndarray:
+    """x as an array; ConfigError unless it holds numbers and its trailing axes are (2, 2)."""
+    try:
+        x = np.asarray(x)
+    except ValueError:  # a ragged nest of sequences
+        x = np.asarray(None)
+    if x.dtype.kind not in "iufc" or x.shape[-2:] != (2, 2):
+        raise ConfigError("a state must be a 2x2 array of numbers, or a stack of them")
+    return x
+
+
 def bloch_vector(rho: np.ndarray) -> np.ndarray:
     """(x, y, z) with rho = (I + x sx + y sy + z sz) / 2, for a state or an
-    (n, 2, 2) stack (then shape (n, 3))."""
-    rho = np.asarray(rho)
+    (n, 2, 2) stack (then shape (n, 3)); _qubit_array applies."""
+    rho = _qubit_array(rho)
     return np.stack(
         [
             2.0 * rho[..., 0, 1].real,
@@ -281,15 +292,15 @@ def adiabatic_state(pair: SchedulePair, w: Weights, s: float | np.ndarray) -> np
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
     """Uhlmann fidelity of two qubit states: tr(rho sigma) + 2 sqrt(det rho det sigma).
 
-    rho and sigma are states or (n, 2, 2) stacks, broadcast against each
-    other; two states give a float, a stack an array. It is computed from the
-    traces a, b and Bloch vectors r, s as (ab + r.s + sqrt((a^2 - |r|^2)
-    (b^2 - |s|^2))) / 2, each factor floored at 0, clipped to [0, 1]. A
+    rho and sigma are states or (n, 2, 2) stacks (_qubit_array applies),
+    broadcast against each other; two states give a float, a stack an array.
+    It is computed from the traces a, b and Bloch vectors r, s as (ab + r.s +
+    sqrt((a^2 - |r|^2) (b^2 - |s|^2))) / 2, each factor floored at 0, clipped to [0, 1]. A
     (near-)pure state against a mixed target carries up to ~1e-8 of round-off
     (8.4e-9 measured on the three families): its a^2 - |r|^2 is ~1e-16 of
     rounding, and enters under the square root beside the target's.
     """
-    rho, sigma = np.asarray(rho), np.asarray(sigma)
+    rho, sigma = _qubit_array(rho), _qubit_array(sigma)
     (a, r), (b, s) = (((x[..., 0, 0] + x[..., 1, 1]).real, bloch_vector(x)) for x in (rho, sigma))
     dets = np.maximum(a * a - _dot(r, r), 0.0) * np.maximum(b * b - _dot(s, s), 0.0)
     fid = np.clip(0.5 * (a * b + _dot(r, s) + np.sqrt(dets)), 0.0, 1.0)

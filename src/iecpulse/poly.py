@@ -24,18 +24,32 @@ __all__ = ["Polynomial", "Condition", "fit", "solve", "misfit", "real_roots",
 
 
 class Polynomial:
-    """Immutable real polynomial, coefficients in ascending power."""
+    """Immutable real polynomial, coefficients in ascending power: a number or
+    a 1-D sequence of integers or floats (ConfigError otherwise)."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_stationary")
 
     def __init__(self, coefficients: Sequence[float]) -> None:
-        c = np.array(coefficients, dtype=float).reshape(-1)
+        try:
+            c = np.asarray(coefficients)
+        except ValueError:  # a ragged nest of sequences
+            c = np.asarray(None)
+        if c.dtype.kind not in "iuf" or c.ndim > 1:
+            raise ConfigError(f"coefficients must be real numbers in 1-D, got {coefficients!r}")
+        c = c.astype(float).reshape(-1)
         c.setflags(write=False)
-        self._coeffs = c
+        self._coeffs, self._stationary = c, None
 
     @property
     def coefficients(self) -> np.ndarray:
         return self._coeffs
+
+    @property
+    def stationary_points(self) -> tuple[float, ...]:
+        """real_roots of p' on [0, 1], found on first use and kept: p is read-only."""
+        if self._stationary is None:
+            self._stationary = tuple(real_roots(self.derivative(), 0.0, 1.0))
+        return self._stationary
 
     @property
     def degree(self) -> int:

@@ -28,14 +28,14 @@ zeros in s order and rejects a divergence on the driven segment at the
 first divergent station, before it seeks any later zero: a schedule that
 diverges there cannot be probed at any s. It walks beta and gamma over
 one list of the points the schedule fixes: 0, the angles' stationary
-points, the drive's end and 1. Each angle is monotone between them, so a
-zero shared by design (an end, the switch, the rate reversal) is met at an
-edge, exactly, with no root search (_angle_zeros). The adiabaticity
-metric makes the same pass once at complex s + i h (h = 1e-30): the real
-parts are omega_r and delta and Im / h their rates, exact to rounding
-because nothing is subtracted (complex step). Each
-waveform makes it once on its validation grid (_Waveform.grid), and its
-scalar results serve both the detuning bound and the metric's maximum.
+points (each polynomial finds its own once), the drive's end and 1. Each
+angle is monotone between them, so a zero shared by design (an end, the
+switch, the rate reversal) is met at an edge, exactly, with no root search
+(_angle_zeros). The adiabaticity metric makes the same pass once at
+complex s + i h (h = 1e-30): the real parts are omega_r and delta and Im / h
+their rates, exact to rounding because nothing is subtracted (complex
+step). Each waveform makes it once on its validation grid (_Waveform.grid),
+and its scalar results serve both the detuning bound and the metric's maximum.
 
 An antedated passage switches the drive off at t_a: past _Waveform.end
 (t_a / t_f, else 1) omega_r = 0, delta holds its t_a value and the
@@ -223,13 +223,12 @@ def _station(a: np.ndarray, x: float) -> _Station:
     return _Station(x, m, coef, m[0] - m[1], m[0] + m[2] - m[1] - m[3])
 
 
-def _stations(args: tuple[Polynomial, ...], crit: list[float], end: float) -> list[_Station]:
+def _stations(args: tuple[Polynomial, ...], end: float) -> list[_Station]:
     """The stations of the factors gamma_dot, sin(beta), cos(beta) and
-    sin(gamma), whose arguments are args, in s order; crit holds the
-    angles' stationary points in [0, 1], and end is where the drive ends.
+    sin(gamma), whose arguments are args, in s order; end is where the drive ends.
 
     The denominators' angles, beta and gamma, are walked over one edge
-    list: 0, crit, end and 1, with a stationary point within ROOT_TOL of 0,
+    list: 0, their stationary points, end and 1, with one within ROOT_TOL of 0,
     end or 1 taken as that point. So a zero that two factors share by
     design (the ends, the switch, the rate reversal) is met at an edge,
     exactly and once. cos(beta) never vanishes with sin(beta), so its zeros
@@ -239,6 +238,7 @@ def _stations(args: tuple[Polynomial, ...], crit: list[float], end: float) -> li
     many multiples of pi the angles cross.
     """
     fixed = (0.0, end, 1.0)
+    crit = (*args[1].stationary_points, *args[3].stationary_points)
     edges = np.array(sorted({*fixed, *(x for x in crit
                                        if min(abs(x - f) for f in fixed) > ROOT_TOL)}))
     n = max(len(q.coefficients) for q in args)
@@ -284,12 +284,8 @@ class _Waveform:
         self.dbeta = pair.beta.derivative()
         self.switch = pair.switch_fraction
         self.end = self.switch if self.switch is not None else 1.0
-        #: gamma_dot's zeros in [0, 1]
-        self.rate_zeros = real_roots(self.dgamma, 0.0, 1.0)
-        #: beta's stationary points in [0, 1]
-        self.beta_crit = real_roots(self.dbeta, 0.0, 1.0)
         args = (self.dgamma, self.beta, self.beta.shifted(0.5 * math.pi), self.gamma)
-        self.stations = _stations(args, [*self.rate_zeros, *self.beta_crit], self.end)
+        self.stations = _stations(args, self.end)
         st = self.stations
         self._cuts = [0.5 * (a.s0 + b.s0) for a, b in zip(st, st[1:])]
         self._s0 = np.array([x.s0 for x in st])
@@ -324,7 +320,7 @@ class _Waveform:
     def edges(self, s_end: float) -> np.ndarray:
         """0, the stations and beta's stationary points inside (0, s_end), and
         s_end: the piece edges for a quadrature of the waveforms."""
-        inner = {x for x in (*self._s0.tolist(), *self.beta_crit) if 0.0 < x < s_end}
+        inner = {x for x in (*self._s0.tolist(), *self.beta.stationary_points) if 0.0 < x < s_end}
         return np.array([0.0, *sorted(inner), s_end])
 
     @cached_property

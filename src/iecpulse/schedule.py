@@ -27,7 +27,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import ConfigError, NoCrossing, SingularSystem, UnphysicalSchedule
-from .poly import FIT_TOL, Condition, Polynomial, fit, real_roots, solve
+from .poly import FIT_TOL, Condition, Polynomial, fit, solve
 
 __all__ = [
     "SchedulePair",
@@ -187,11 +187,10 @@ class AntedatedBasis:
             raise ConfigError("an antedated passage needs t_a, got None")
         self.s_end = a = t_a / t_f
         self.gamma = _antedated_gamma(a)
-        crit = real_roots(self.gamma.derivative(), 0.0, 1.0)
-        if gamma_out_of_range(self.gamma, crit) is not None:
+        if gamma_out_of_range(self.gamma) is not None:
             raise UnphysicalSchedule(f"gamma dips below -pi for t_a = {t_a!r} (antedating "
                                      f"earlier than {critical_t_a():.6f} t_f)")
-        t_s = gamma_dot_zero_crossing(self.gamma, crit)
+        t_s = gamma_dot_zero_crossing(self.gamma)
         at_zero = _antedated_beta_conditions(a, t_s, 0.0)  # b: beta'(0) = b, beta'(1) = -b
         slope = [Condition(c.s, c.derivative_order, v) for c, v in zip(at_zero, (0, 0, 0, 0, 1, -1))]
         self.b0, self.b1 = solve(at_zero, 5), solve(slope, 5)
@@ -207,12 +206,10 @@ class AntedatedBasis:
         return c, (np.abs(miss) <= FIT_TOL * np.maximum(PI / 2, np.abs(b))).all(axis=0)
 
 
-def gamma_out_of_range(gamma: Polynomial, crit: list | None = None) -> tuple[float, float] | None:
-    """gamma's range on [0, 1] (exact, from its ends and stationary points crit,
-    the real_roots of gamma' on [0, 1], found unless given) if it leaves
-    [-pi, pi], else None; a dip below -pi is a singularity no beta compensates."""
-    crit = real_roots(gamma.derivative(), 0.0, 1.0) if crit is None else crit
-    v = gamma(np.array([0.0, 1.0, *crit]))
+def gamma_out_of_range(gamma: Polynomial) -> tuple[float, float] | None:
+    """gamma's range on [0, 1], exact from its ends and stationary points, if it
+    leaves [-pi, pi], else None; a dip below -pi is a singularity no beta compensates."""
+    v = gamma(np.array([0.0, 1.0, *gamma.stationary_points]))
     lo, hi = float(v.min()), float(v.max())
     return None if lo >= -PI - 1e-9 and hi <= PI + 1e-9 else (lo, hi)
 
@@ -235,16 +232,14 @@ def _antedated_beta_conditions(a: float, t_s: float, b: float) -> list[Condition
             Condition(t_s, 0, 0.0), Condition(0.0, 1, b), Condition(1.0, 1, -b)]
 
 
-def gamma_dot_zero_crossing(gamma: Polynomial, crit: list[float] | None = None) -> float:
-    """The unique interior s where d(gamma)/ds changes sign.
+def gamma_dot_zero_crossing(gamma: Polynomial) -> float:
+    """The unique interior stationary point where d(gamma)/ds changes sign.
 
     Only roots of odd multiplicity change sign; tangencies and roots within
-    1e-9 of 0 or 1 are ignored; crit as for gamma_out_of_range. Raises
-    NoCrossing when no unique interior sign change exists, e.g. for the
-    monotone cubic gamma.
+    1e-9 of 0 or 1 are ignored. Raises NoCrossing when no unique interior
+    sign change exists, e.g. for the monotone cubic gamma.
     """
-    crit = real_roots(gamma.derivative(), 0.0, 1.0) if crit is None else crit
-    roots = [r for r in crit if 1e-9 <= r <= 1.0 - 1e-9]
+    roots = [r for r in gamma.stationary_points if 1e-9 <= r <= 1.0 - 1e-9]
     crossings = sorted(r for r in set(roots) if roots.count(r) % 2)
     if len(crossings) != 1:
         raise NoCrossing(

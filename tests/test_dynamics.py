@@ -801,6 +801,30 @@ def test_fidelity_orthogonal_pure_states():
     assert fidelity(a, b) == 0.0
 
 
+@pytest.mark.parametrize("rho, sigma", [
+    (np.eye(2) / 2, np.eye(3)),  # used to read 1.0
+    (np.eye(3) / 3, np.diag([1.0, 0.0, 0.0])),  # used to read 0.333
+    (np.ones(2), np.eye(2) / 2),
+    (np.eye(2) / 2, [["a", "b"], ["c", "d"]]),
+    (np.eye(2) / 2, [[1], [0, 0]]),
+    (np.eye(2) / 2, None),
+], ids=["3x3-target", "3x3-pair", "vector", "strings", "ragged", "none"])
+def test_fidelity_and_bloch_vector_need_2x2_numeric_arrays(rho, sigma):
+    with pytest.raises(ConfigError, match="2x2 array of numbers"):
+        fidelity(rho, sigma)
+    with pytest.raises(ConfigError, match="2x2 array of numbers"):
+        fidelity(sigma, rho)
+    bad = rho if np.shape(rho)[-2:] != (2, 2) else sigma
+    with pytest.raises(ConfigError, match="2x2 array of numbers"):
+        bloch_vector(bad)
+
+
+def test_fidelity_takes_nested_lists_and_stacks():
+    assert fidelity([[1, 0], [0, 0]], [[0.5, 0.5], [0.5, 0.5]]) == pytest.approx(0.5, abs=1e-15)
+    assert fidelity(np.stack([np.eye(2) / 2] * 3), np.eye(2) / 2).shape == (3,)
+    assert bloch_vector([[1, 0], [0, 0]]).tolist() == [0.0, 0.0, 1.0]
+
+
 def test_bloch_vector_roundtrip():
     rng = np.random.default_rng(2)
     x, y, z = rng.uniform(-0.5, 0.5, 3)

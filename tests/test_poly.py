@@ -6,9 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from iecpulse import errors
+from iecpulse import errors, poly
 from iecpulse.errors import ConfigError, SingularSystem
 from iecpulse.poly import Condition, Polynomial, fit, real_roots, stacked_real_roots
+from iecpulse.pulse import _Waveform
+from iecpulse.schedule import antedated_pair
 
 PI = math.pi
 
@@ -307,3 +309,52 @@ def test_roots_outside_the_finite_companion_domain_raise_a_typed_error(row):
             call()
         assert type(info.value).__module__ == errors.__name__, repr(info.value)
         assert isinstance(info.value, errors.ConfigError)
+
+
+@settings(max_examples=200)
+@given(p=st.integers(1, 7).flatmap(lambda width: _row(width, 0.0, 1.0)).map(Polynomial))
+@example(p=Polynomial(QUARTIC))  # p' = 0 at 0, and two more stationary points
+@example(p=Polynomial([0.0, 0.0, 0.0, 1.0, 0.0, 0.0]))  # s^3: a double root of p' at 0
+@example(p=Polynomial(npoly.polymul([1.0, 3.0], npoly.polypow([1.0, -1.0], 3))))  # at 1
+@example(p=Polynomial([2.0]))
+@example(p=Polynomial([]))
+def test_stationary_points_are_found_once_and_leave_equality_alone(p):
+    fresh = Polynomial(p.coefficients)
+    points = p.stationary_points
+    expected = real_roots(p.derivative(), 0.0, 1.0)
+    assert isinstance(points, tuple)
+    assert [x.hex() for x in points] == [x.hex() for x in expected]  # bit for bit
+    assert p.stationary_points is points  # kept, not sought again
+    assert p == fresh and hash(p) == hash(fresh)
+
+
+def test_antedated_gamma_keeps_its_basis_stationary_points(monkeypatch):
+    # the basis found gamma's stationary points; the waveform build reads them
+    pair = antedated_pair(1.0, 0.4, 2.0)
+    calls = []
+    search = poly.stacked_real_roots
+    monkeypatch.setattr(poly, "stacked_real_roots", lambda *args: calls.append(args) or search(*args))
+    points = pair.gamma.stationary_points
+    assert calls == []
+    _Waveform(pair)
+    assert pair.gamma.stationary_points is points
+    assert len(calls) == 1  # beta's stationary points, a fresh polynomial's
+
+
+@pytest.mark.parametrize("coefficients", [[[1, 2], [3, 4]], [None], [1j], "abc", [[1], [2, 3]],
+                                          np.zeros((1, 2))],
+                         ids=["nested", "none", "complex", "string", "ragged", "2-d"])
+def test_polynomial_needs_real_numbers_in_one_dimension(coefficients):
+    with pytest.raises(ConfigError, match="coefficients must be real numbers in 1-D"):
+        Polynomial(coefficients)
+
+
+def test_polynomial_accepts_numbers_integers_and_non_finite_values():
+    assert Polynomial(2.5).coefficients.tolist() == [2.5]  # 0-D
+    assert Polynomial(np.array([1, 2], dtype=np.int32)).coefficients.tolist() == [1.0, 2.0]
+    assert Polynomial([]).degree == -1
+    # real_roots, not Polynomial, rejects rows it cannot root
+    row = Polynomial([1.0, math.nan, math.inf])
+    assert np.isnan(row.coefficients[1]) and row.coefficients[2] == math.inf
+    with pytest.raises(ConfigError):
+        real_roots(row, 0.0, 1.0)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iecpulse import pulse
+from iecpulse import poly, pulse
 from iecpulse.analysis import compare_passages, max_adiabaticity_metric, validate_schedule
 from iecpulse.dynamics import Weights, hamiltonian_at
 from iecpulse.errors import DegeneratePoint, DivergentPulse, Infeasible, NoConvergence
@@ -189,21 +189,27 @@ def test_sinc_cos_from_one_tan_matches_numpy_within_a_few_ulps():
     assert tiny_cos.imag.tolist() == (1e-30 * step_cos.imag).tolist()
 
 
-@pytest.mark.parametrize("pair", [
-    third_order_pair(1.0),
-    fourth_order_pair(1.0, 1.2),
-    fourth_order_pair(1.0, 5 * PI / 16),  # the triple zero of gamma at s = 1
-    antedated_pair(1.0, 0.5),
+@pytest.mark.parametrize("build, searches", [
+    (partial(third_order_pair, 1.0), 0),
+    (partial(fourth_order_pair, 1.0, 1.2), 1),
+    (partial(fourth_order_pair, 1.0, 5 * PI / 16), 1),  # the triple zero of gamma at s = 1
+    (partial(antedated_pair, 1.0, 0.5), 1),
 ], ids=["third", "fourth", "fourth-critical", "antedated"])
-def test_cubic_and_quartic_builds_make_at_most_two_root_searches(monkeypatch, pair):
-    # gamma_dot's zeros and beta's stationary points; every designed angle
-    # zero sits at an edge (s = 0, the switch, the rate reversal, s = 1),
-    # where no root is sought, and each station lies exactly there
+def test_cubic_and_quartic_builds_make_at_most_two_root_searches(monkeypatch, build, searches):
+    # Every search, stationary points included, goes through stacked_real_roots.
+    # A polynomial finds its stationary points once: the cubic angles (the
+    # quartic's beta too) kept theirs from the process's first cubic build,
+    # and the antedated gamma its basis's. So a build searches only for a
+    # fresh angle's. Every designed angle zero sits at an edge (s = 0, the
+    # switch, the rate reversal, s = 1), where no root is sought, and each
+    # station lies exactly there.
+    pulse._Waveform(third_order_pair(1.0))
+    pair = build()
     calls = []
-    search = pulse.real_roots
-    monkeypatch.setattr(pulse, "real_roots", lambda *args: calls.append(args) or search(*args))
+    search = poly.stacked_real_roots
+    monkeypatch.setattr(poly, "stacked_real_roots", lambda *args: calls.append(args) or search(*args))
     wave = pulse._Waveform(pair)
-    assert len(calls) <= 2
+    assert len(calls) <= searches
     if pair.switch_fraction is None:
         assert [st.s0 for st in wave.stations] == [0.0, 1.0]
     else:
