@@ -20,12 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from numbers import Real
 
 import numpy as np
 
 from .dynamics import Weights, adiabatic_state, invariant_state
-from .errors import ConfigError, DivergentPulse, Infeasible, NoConvergence, NoFeasiblePoint
+from .errors import (ConfigError, DivergentPulse, Infeasible, NoConvergence, NoFeasiblePoint,
+                     is_number)
 from .poly import Polynomial, real_roots, stacked_real_roots
 from .pulse import GRID_POINTS, _check_gap, _driven_grid, _waveform, check_grid, gauss_legendre
 from .schedule import AntedatedBasis, SchedulePair, antedated_pair, beta_dot0_rate, check_rate
@@ -391,12 +391,12 @@ def check_sweep(t_f: float, lo: float, hi: float, n: int) -> None:
     """Raise ConfigError unless n points on [lo, hi] (units of pi / 2 t_f) make a
     sweep grid: lo and hi are real numbers, check_rate holds at lo, lo < hi < inf
     and n is an integer in [10, 10**6]."""
-    if not (isinstance(lo, Real) and isinstance(hi, Real)):
+    if not (is_number(lo) and is_number(hi)):
         raise ConfigError(f"need real numbers lo and hi, got lo = {lo!r}, hi = {hi!r}")
     check_rate(beta_dot0_rate(lo, t_f))
     if not lo < hi < math.inf:
         raise ConfigError(f"need lo < hi < inf, got lo = {lo!r}, hi = {hi!r}")
-    if not (isinstance(n, (int, np.integer)) and 10 <= n <= 10**6):
+    if not (is_number(n, "iu") and 10 <= n <= 10**6):
         raise ConfigError(f"need an integer 10 <= n <= 10**6 grid points, got {n!r}")
 
 
@@ -410,7 +410,7 @@ def sweep_beta_dot0(t_f: float, t_a: float, lo: float, hi: float, n: int) -> Swe
     more evaluate; it replaces the best row only if feasible and no costlier.
     Raises NoFeasiblePoint when every grid point is infeasible.
     """
-    check_times(t_f, t_a)
+    t_f, t_a = check_times(t_f, t_a)
     check_sweep(t_f, lo, hi, n)
     units = np.linspace(lo, hi, n)
     try:

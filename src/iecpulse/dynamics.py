@@ -31,11 +31,10 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Real
 
 import numpy as np
 
-from .errors import ConfigError, DegeneratePoint, StepTooCoarse
+from .errors import ConfigError, DegeneratePoint, StepTooCoarse, as_numbers, is_number
 from .pulse import _check_branch, _check_s, _waveform
 from .schedule import SchedulePair
 
@@ -80,7 +79,7 @@ class Weights:
     p_minus: float
 
     def __post_init__(self) -> None:
-        if not all(isinstance(p, Real) and 0.0 <= p <= 1.0 for p in (self.p_plus, self.p_minus)):
+        if not all(is_number(p) and 0.0 <= p <= 1.0 for p in (self.p_plus, self.p_minus)):
             raise ConfigError("branch weights must lie in [0, 1]")
         if abs(self.p_plus + self.p_minus - 1.0) > 1e-12:
             raise ConfigError("branch weights must sum to 1")
@@ -120,11 +119,8 @@ class PureTrajectory(Sequence):
 
 def _qubit_array(x) -> np.ndarray:
     """x as an array; ConfigError unless it holds numbers and its trailing axes are (2, 2)."""
-    try:
-        x = np.asarray(x)
-    except ValueError:  # a ragged nest of sequences
-        x = np.asarray(None)
-    if x.dtype.kind not in "iufc" or x.shape[-2:] != (2, 2):
+    x = as_numbers(x, "iufc")
+    if x is None or x.shape[-2:] != (2, 2):
         raise ConfigError("a state must be a 2x2 array of numbers, or a stack of them")
     return x
 
@@ -153,11 +149,7 @@ def check_density_matrix(
 ) -> None:
     """Raise ConfigError unless rho (an array or nested sequence) is a 2x2
     matrix that is finite, Hermitian, unit-trace, and PSD."""
-    try:
-        numeric = np.asarray(rho).dtype.kind in "iufc"
-    except ValueError:  # a ragged nest of sequences
-        numeric = False
-    if not numeric:
+    if as_numbers(rho, "iufc") is None:
         raise ConfigError("density matrix must be a 2x2 array of numbers")
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
@@ -197,16 +189,14 @@ def _angles(pair: SchedulePair, s):
 
 def hamiltonian_at(pair: SchedulePair, s: float | np.ndarray) -> np.ndarray:
     """The control Hamiltonian at s, in angular-frequency units (a stack for an s array)."""
-    _check_s(s, scalar=False)
-    om, dl = _waveform(pair).drive(np.asarray(s, dtype=float))
+    om, dl = _waveform(pair).drive(_check_s(s, scalar=False))
     return _states(0.5 * dl, -0.5 * dl, 0.5 * om) / pair.t_f
 
 
 def invariant_at(pair: SchedulePair, s: float | np.ndarray) -> np.ndarray:
     """The dynamical invariant (unit scale constant) of the design at s (a
     stack for an s array), frozen at its t_a value past an antedated switch."""
-    _check_s(s, scalar=False)
-    g, b, _, _ = _angles(pair, s)
+    g, b, _, _ = _angles(pair, _check_s(s, scalar=False))
     off = 0.5 * np.sin(g) * (np.cos(b) + 1j * np.sin(b))
     return _states(0.5 * np.cos(g), -0.5 * np.cos(g), off)
 
@@ -239,8 +229,7 @@ def invariant_residual(pair: SchedulePair, s: float | np.ndarray) -> float | np.
     With I = v.s / 2, v = (sin g cos b, -sin g sin b, cos g), and H's Bloch
     vector (omega_r, 0, delta), it is |dv/ds - (omega_r, 0, delta) x v| / sqrt(2).
     """
-    _check_s(s, scalar=False)
-    x = np.atleast_1d(np.asarray(s, dtype=float))
+    x = np.atleast_1d(_check_s(s, scalar=False))
     g, b, dg, db = _angles(pair, x)
     om, dl = _waveform(pair).drive(x)
     sin_g, cos_g, sin_b, cos_b = np.sin(g), np.cos(g), np.sin(b), np.cos(b)
@@ -262,8 +251,7 @@ def invariant_state(pair: SchedulePair, w: Weights, s: float | np.ndarray) -> np
     s is a float (a 2x2 state) or an array (a stack of states, shape
     s.shape + (2, 2)). Frozen from t_a on, like the invariant.
     """
-    _check_s(s, scalar=False)
-    g, b, _, _ = _angles(pair, s)
+    g, b, _, _ = _angles(pair, _check_s(s, scalar=False))
     dp = w.difference
     off = 0.5 * dp * np.sin(g) * (np.cos(b) + 1j * np.sin(b))
     return _states(0.5 * (1.0 + dp * np.cos(g)), 0.5 * (1.0 - dp * np.cos(g)), off)
@@ -277,8 +265,7 @@ def adiabatic_state(pair: SchedulePair, w: Weights, s: float | np.ndarray) -> np
     stays in the xz-plane. Raises DegeneratePoint at a level crossing, and
     DivergentPulse when a waveform diverges within the driven samples' span.
     """
-    _check_s(s, scalar=False)
-    s = np.asarray(s, dtype=float)
+    s = _check_s(s, scalar=False)
     om, dl = _waveform(pair).drive(s)
     crossing = np.hypot(om, dl) < 1e-12
     if crossing.any():
@@ -312,7 +299,7 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
 
 def check_steps(n_steps: int) -> None:
     """Raise ConfigError unless n_steps, the RK4 step count, is an integer in [100, 10**6]."""
-    if not (isinstance(n_steps, (int, np.integer)) and 100 <= n_steps <= 10**6):
+    if not (is_number(n_steps, "iu") and 100 <= n_steps <= 10**6):
         raise ConfigError(f"need an integer 100 <= n_steps <= 10**6, got {n_steps!r}")
 
 

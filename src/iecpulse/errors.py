@@ -1,5 +1,8 @@
-"""Exception types shared across the package. Each is a ConfigError, an Infeasible or a
-NumericalFailure (CLI exit 1, 2, 3), and a ValueError, ArithmeticError or RuntimeError."""
+"""Exception types shared across the package, and as_numbers, the one parse that tells whether an
+argument is a number. Each type is a ConfigError, an Infeasible or a NumericalFailure (CLI exit
+1, 2, 3), and a ValueError, ArithmeticError or RuntimeError."""
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -44,3 +47,18 @@ class StepTooCoarse(NumericalFailure, RuntimeError):
 
 class NoConvergence(NumericalFailure, ArithmeticError):
     """An adaptive quadrature spent its evaluation budget without meeting its tolerance."""
+
+
+def as_numbers(x, kinds: str = "iuf") -> np.ndarray | None:
+    """np.asarray(x) if its dtype kind is in kinds (b bool, i u integer, f float, c complex);
+    else None: a ragged nest, a string, an object dtype (an int no float holds, a Fraction)."""
+    try:
+        v = np.asarray(x)
+    except ValueError:  # a ragged nest of sequences
+        return None
+    return v if v.dtype.kind in kinds else None
+
+
+def is_number(x, kinds: str = "iuf") -> bool:
+    """Whether x is one number by as_numbers and no array: a stored number stays hashable."""
+    return not isinstance(x, np.ndarray) and getattr(as_numbers(x, kinds), "ndim", 1) == 0

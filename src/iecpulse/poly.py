@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import ConfigError, SingularSystem
+from .errors import ConfigError, SingularSystem, as_numbers, is_number
 
 __all__ = ["Polynomial", "Condition", "fit", "solve", "misfit", "real_roots",
            "stacked_real_roots"]
@@ -30,11 +29,8 @@ class Polynomial:
     __slots__ = ("_coeffs", "_stationary")
 
     def __init__(self, coefficients: Sequence[float]) -> None:
-        try:
-            c = np.asarray(coefficients)
-        except ValueError:  # a ragged nest of sequences
-            c = np.asarray(None)
-        if c.dtype.kind not in "iuf" or c.ndim > 1:
+        c = as_numbers(coefficients)
+        if c is None or c.ndim > 1:
             raise ConfigError(f"coefficients must be real numbers in 1-D, got {coefficients!r}")
         c = c.astype(float).reshape(-1)
         c.setflags(write=False)
@@ -96,11 +92,11 @@ class Condition:
     value: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.s, Real) and 0.0 <= self.s <= 1.0):
+        if not (is_number(self.s) and 0.0 <= self.s <= 1.0):
             raise ConfigError("condition abscissa must lie in [0, 1]")
-        if not isinstance(self.derivative_order, (int, np.integer)) or self.derivative_order < 0:
+        if not (is_number(self.derivative_order, "iu") and self.derivative_order >= 0):
             raise ConfigError("derivative order must be a nonnegative integer")
-        if not (isinstance(self.value, Real) and math.isfinite(self.value)):
+        if not (is_number(self.value) and math.isfinite(self.value)):
             raise ConfigError("condition value must be finite")
 
 

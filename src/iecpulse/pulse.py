@@ -57,11 +57,11 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import groupby
-from numbers import Number
 
 import numpy as np
 
-from .errors import ConfigError, DegeneratePoint, DivergentPulse, NoConvergence
+from .errors import (ConfigError, DegeneratePoint, DivergentPulse, NoConvergence, as_numbers,
+                     is_number)
 from .poly import Polynomial, real_roots
 from .schedule import SchedulePair
 
@@ -395,27 +395,25 @@ def delta_at(pair: SchedulePair, s: float) -> float:
 
 
 def _is_real_in(x, lo: float, hi: float, scalar: bool) -> bool:
-    """Whether x is a real number (a 0-d array is one) or, unless scalar,
-    an array of them, with every value in [lo, hi]."""
-    try:
-        v = np.asarray(x)
-    except ValueError:  # a ragged nest of sequences
-        return False
-    return v.dtype.kind in "iuf" and not (scalar and v.ndim) and bool(((lo <= v) & (v <= hi)).all())
+    """Whether x is a number by as_numbers (a 0-d array is one, a bool is not)
+    or, unless scalar, an array of them, with every value in [lo, hi]."""
+    v = as_numbers(x)
+    return v is not None and not (scalar and v.ndim) and bool(((lo <= v) & (v <= hi)).all())
 
 
-def _check_s(s, scalar: bool = True) -> None:
-    """Raise ConfigError unless s is a real number in [0, 1] (or, unless
-    scalar, an array of them), give or take 1e-12."""
+def _check_s(s, scalar: bool = True) -> np.ndarray:
+    """s as a float array; ConfigError unless s is a real number in [0, 1] (or,
+    unless scalar, an array of them), give or take 1e-12."""
     if not _is_real_in(s, -1e-12, 1.0 + 1e-12, scalar):
         what = "a real number" if scalar else "a real number or array of them"
         raise ConfigError(f"s = {s!r} is not {what} in [0, 1]")
+    return np.asarray(s, dtype=float)
 
 
 def _check_branch(branch) -> None:
-    """Raise ConfigError unless branch, a number or a 0-d array, equals +1 or -1."""
-    if not (isinstance(branch, (Number, np.ndarray)) and np.ndim(branch) == 0
-            and branch in (+1, -1)):
+    """Raise ConfigError unless branch, one number (a bool or a 0-d array too), is +1 or -1."""
+    v = as_numbers(branch, "biuf")
+    if v is None or v.ndim or branch not in (+1, -1):
         raise ConfigError("branch must be +1 or -1")
 
 
@@ -446,7 +444,7 @@ def synthesize(pair: SchedulePair, n: int) -> PulseTable:
 
 def check_grid(n: int) -> None:
     """Raise ConfigError unless n, a uniform time grid's intervals, is an integer in [2, 10**6]."""
-    if not (isinstance(n, (int, np.integer)) and 2 <= n <= 10**6):
+    if not (is_number(n, "iu") and 2 <= n <= 10**6):
         raise ConfigError(f"need an integer 2 <= n <= 10**6 grid intervals, got {n!r}")
 
 
@@ -459,8 +457,7 @@ def adiabaticity_metric(pair: SchedulePair, s: float | np.ndarray) -> float | np
     of the factored evaluators (exact to rounding). Raises DegeneratePoint
     at a level crossing (Omega * t_f < 1e-12).
     """
-    _check_s(s, scalar=False)
-    x = np.atleast_1d(np.asarray(s, dtype=float))
+    x = np.atleast_1d(_check_s(s, scalar=False))
     if not (x.size and 0.0 < x.min() and x.max() < 1.0):
         raise ConfigError("adiabaticity metric is defined at interior points")
     metric, gen, _ = _metric(_waveform(pair), x)

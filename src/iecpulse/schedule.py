@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import ConfigError, NoCrossing, SingularSystem, UnphysicalSchedule
+from .errors import ConfigError, NoCrossing, SingularSystem, UnphysicalSchedule, is_number
 from .poly import FIT_TOL, Condition, Polynomial, fit, solve
 
 __all__ = [
@@ -50,8 +49,8 @@ PI = math.pi
 class SchedulePair:
     """A designed (gamma, beta) schedule with its physical time scale.
 
-    gamma, beta are polynomials in s = t / t_f (radians). t_a, when set,
-    is the antedated switch time (same units as t_f); check_times applies.
+    gamma, beta are polynomials in s = t / t_f (radians). t_a, when set, is the
+    antedated switch time (same units as t_f); both are kept as check_times' floats.
     antedated_pair alone sets antedated = (AntedatedBasis, b): beta = B0 + b B1.
     """
 
@@ -62,7 +61,8 @@ class SchedulePair:
     antedated: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        check_times(self.t_f, self.t_a)
+        for name, value in zip(("t_f", "t_a"), check_times(self.t_f, self.t_a)):
+            object.__setattr__(self, name, value)
 
     @property
     def switch_fraction(self) -> float | None:
@@ -70,20 +70,22 @@ class SchedulePair:
         return None if self.t_a is None else self.t_a / self.t_f
 
 
-def check_times(t_f: float, t_a: float | None = None) -> None:
-    """Raise ConfigError unless t_f is a real number, 0 < t_f < inf, and, for a
-    given t_a, t_a is one and the switch fraction t_a / t_f that the fits and
-    the switch rule use lies in (0, 1)."""
-    if not (isinstance(t_f, Real) and 0.0 < t_f < math.inf):
+def check_times(t_f: float, t_a: float | None = None) -> tuple[float, float | None]:
+    """t_f and t_a as Python floats, so a numpy float32 computes in double precision too;
+    ConfigError unless t_f is a number (errors.is_number: an int or a float, no bool,
+    Fraction or array), 0 < t_f < inf, and, for a given t_a, t_a is one and the switch
+    fraction of those floats, which the fits and the switch rule use, lies in (0, 1)."""
+    if not (is_number(t_f) and 0.0 < t_f < math.inf):
         raise ConfigError(f"t_f must be positive and finite, got {t_f!r}")
-    if t_a is not None and not (isinstance(t_a, Real) and 0.0 < t_a / t_f < 1.0):
+    if t_a is not None and not (is_number(t_a) and 0.0 < float(t_a) / float(t_f) < 1.0):
         raise ConfigError(f"t_a must lie strictly inside (0, t_f), got {t_a!r}")
+    return float(t_f), None if t_a is None else float(t_a)
 
 
 def check_rate(beta_dot0: float) -> None:
     """Raise ConfigError unless the initial beta rate (rad per unit t) is a
     positive real number."""
-    if not (isinstance(beta_dot0, Real) and beta_dot0 > 0):
+    if not (is_number(beta_dot0) and beta_dot0 > 0):
         raise ConfigError(f"beta_dot0 must be a positive rate, got {beta_dot0!r} rad per unit t")
 
 
@@ -130,7 +132,7 @@ def fourth_order_pair(t_f: float, gamma_mid: float) -> SchedulePair:
     which no beta can compensate; such requests raise UnphysicalSchedule.
     """
     check_times(t_f)
-    if not (isinstance(gamma_mid, Real) and math.isfinite(gamma_mid)):
+    if not (is_number(gamma_mid) and math.isfinite(gamma_mid)):
         raise ConfigError(f"gamma_mid must be finite, got {gamma_mid!r}")
     if gamma_mid < critical_gamma_mid() - 1e-6:
         raise UnphysicalSchedule(
@@ -161,13 +163,13 @@ def antedated_pair(t_f: float, t_a: float, beta_dot0: float | None = None) -> Sc
     below critical_t_a() * t_f trips this. t_a is required: None is a
     ConfigError too.
     """
-    check_times(t_f, t_a)
+    t_f, t_a = check_times(t_f, t_a)
     if beta_dot0 is None:
         beta_dot0 = 0.5 * PI / t_f
-    elif not (isinstance(beta_dot0, Real) and math.isfinite(beta_dot0)):
+    elif not (is_number(beta_dot0) and math.isfinite(beta_dot0)):
         raise ConfigError(f"beta_dot0 must be a finite rate, got {beta_dot0!r} rad per unit t")
     check_rate(beta_dot0)
-    basis, b = AntedatedBasis(t_f, t_a), beta_dot0 * t_f
+    basis, b = AntedatedBasis(t_f, t_a), float(beta_dot0) * t_f
     beta, ok = basis.fit(np.array([b]))
     if not ok[0]:
         raise SingularSystem("ill-conditioned interpolation system (residual check failed)")

@@ -319,21 +319,37 @@ def test_sweep_agrees_with_per_schedule_path_over_the_design_space(frac, units, 
 def test_every_schedule_gives_results_or_typed_errors(family, mid, frac, units, t_f):
     # one schedule through the library in the CLI's order: only the
     # package's typed errors may escape, and a feasible schedule's waveforms
-    # satisfy the invariant equation
+    # satisfy the invariant equation. The same draw at t_f = 1 raises the
+    # same error, or gives the same dimensionless results to 1e-9 of their peaks.
+    out, unit = (_library_run(family, mid, frac, units, x) for x in (t_f, 1.0))
+    if isinstance(out, type) or isinstance(unit, type):
+        assert out is unit
+        return
+    table, report, cost, metric, residual = out
+    assert math.isfinite(cost) and math.isfinite(metric)
+    assert not report.feasible or residual.max() < 1e-8
+    unit_table, _, unit_cost, unit_metric, _ = unit
+    for x, ref in ((table.omega_r, unit_table.omega_r), (table.delta, unit_table.delta),
+                   (cost, unit_cost), (metric, unit_metric)):
+        assert np.abs(x - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def _library_run(family, mid, frac, units, t_f):
+    """The synthesize table, validation report, cost, metric and residual of
+    one drawn schedule at t_f, or the type of the package's error it raised."""
     try:
         pair = (third_order_pair(t_f) if family == "third" else
                 fourth_order_pair(t_f, mid) if family == "fourth" else
                 antedated_pair(t_f, frac * t_f, schedule.beta_dot0_rate(units, t_f)))
-        pulse.synthesize(pair, 200)
+        table = pulse.synthesize(pair, 200)
         report = validate_schedule(pair)
         cost = energy_cost(pair)
         metric = max_adiabaticity_metric(pair)
         residual = invariant_residual(pair, np.linspace(0.0, 1.0, 201))
     except Exception as exc:
         assert type(exc).__module__ == errors.__name__, repr(exc)
-        return
-    assert math.isfinite(cost) and math.isfinite(metric)
-    assert not report.feasible or residual.max() < 1e-8
+        return type(exc)
+    return table, report, cost, metric, residual
 
 
 def _assert_as_its_factored_waveform(pair):
@@ -686,6 +702,23 @@ def test_compare_passages_antedated_inversion_at_switch():
     assert rho22[idx] == pytest.approx(0.8, abs=1e-6)
     np.testing.assert_allclose(rho11[idx:], 0.2, atol=1e-9)
     assert report.inversion_time is not None and report.inversion_time <= 0.5
+
+
+@pytest.mark.parametrize("pair, expected", [
+    (third_order_pair(1.0), 0.904),
+    (fourth_order_pair(1.0, 1.2), 0.86),
+    (antedated_pair(1.0, 0.5, schedule.beta_dot0_rate(5.232, 1.0)), 0.484),
+], ids=["third", "fourth", "antedated"])
+def test_inversion_time_is_the_first_sample_within_1e_3_of_the_end(pair, expected):
+    # the docstring's bound, 1e-3, as a literal: a looser POPULATION_TOL
+    # (1e-2) moves each time earlier, to a sample more than 1e-3 away
+    report = compare_passages(pair, W, 1000)
+    k = int(np.flatnonzero(report.t == report.inversion_time)[0])
+    gap = np.abs(report.rho - report.rho[-1])
+    populations = np.stack([gap[:, 0, 0], gap[:, 1, 1]], axis=1)
+    assert (populations[k] <= 1e-3).all()
+    assert (populations[k - 1] > 1e-3).any()
+    assert report.inversion_time == pytest.approx(expected, abs=1e-12)
 
 
 def test_compare_passages_fidelity_column():

@@ -1,12 +1,14 @@
 """Argument errors: one ConfigError, raised by the library function that uses
 the value, and a fuzz of CLI config texts over every subcommand."""
 
+import ast
 import contextlib
 import io
 import math
 import re
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +16,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import iecpulse
 from iecpulse import ConfigError, cli
-from iecpulse.analysis import check_sweep, compare_passages, sweep_beta_dot0
+from iecpulse.analysis import check_sweep, compare_passages, energy_cost, sweep_beta_dot0
 from iecpulse import dynamics
 from iecpulse.dynamics import Weights, check_steps
+from iecpulse.poly import Condition
 from iecpulse.pulse import (
     adiabaticity_metric, check_grid, delta_at, lr_phase, omega_r_at, synthesize,
 )
@@ -86,6 +90,18 @@ def _third_pair_at(t_f, t_a):
         (lambda: check_times(1.0, np.array([0.5])), "t_a"),
         (lambda: check_rate(np.array([1.0, 2.0])), "beta_dot0"),
         (lambda: check_rate("1.0"), "beta_dot0"),
+        # a number is an int or a float that numpy holds: an int past float
+        # range, a Fraction and a bool are none
+        (lambda: fourth_order_pair(1.0, 10**400), "gamma_mid"),
+        (lambda: antedated_pair(1.0, 10**400), "t_a"),
+        (lambda: antedated_pair(1.0, 0.5, 10**400), "beta_dot0"),
+        (lambda: synthesize(third_order_pair(10**400), 10), "t_f"),
+        (lambda: Condition(0.5, 0, 10**400), "condition value"),
+        (lambda: sweep_beta_dot0(1.0, 0.5, 1.0, 10**400, 20), "hi"),
+        (lambda: energy_cost(antedated_pair(Fraction(1), Fraction(1, 2), 3.0)), "t_f"),
+        (lambda: third_order_pair(Fraction(1, 3)), "t_f"),
+        (lambda: third_order_pair(True), "t_f"),
+        (lambda: antedated_pair(1.0, 0.5, True), "beta_dot0"),
     ],
     ids=[
         "third-t_f-inf", "fourth-gamma_mid-nan", "fourth-gamma_mid-inf", "fourth-t_f-negative",
@@ -97,6 +113,9 @@ def _third_pair_at(t_f, t_a):
         "lr_phase-past-t_f", "third-t_f-array", "third-t_f-complex", "fourth-gamma_mid-str",
         "fourth-gamma_mid-array", "antedated-t_a-str", "antedated-t_a-none", "sweep-t_a-none",
         "antedated-beta_dot0-str", "check_times-t_a-array", "check_rate-array", "check_rate-str",
+        "fourth-gamma_mid-huge-int", "antedated-t_a-huge-int", "antedated-beta_dot0-huge-int",
+        "synthesize-t_f-huge-int", "condition-value-huge-int", "sweep-hi-huge-int",
+        "energy_cost-fractions", "third-t_f-fraction", "third-t_f-bool", "antedated-beta_dot0-bool",
     ],
 )
 def test_bad_argument_raises_config_error(call, names):
@@ -115,6 +134,31 @@ def test_sweep_bounds_are_real_numbers(lo, hi):
         check_sweep(1.0, lo, hi, 20)
     with pytest.raises(ConfigError, match="real numbers lo and hi"):
         sweep_beta_dot0(1.0, 0.5, lo, hi, 20)
+
+
+def _number_rule_breaches(path):
+    """Where a module imports the stdlib numbers module or, unless it is
+    errors.py, calls np.asarray inside a try: (line, what) pairs."""
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names):
+            yield node.lineno, "imports numbers"
+        if isinstance(node, ast.ImportFrom) and node.module == "numbers" and not node.level:
+            yield node.lineno, "imports from numbers"
+        if isinstance(node, ast.Try) and path.name != "errors.py":
+            for call in (c for statement in node.body for c in ast.walk(statement)):
+                if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                        and call.func.attr == "asarray"):
+                    yield call.lineno, "parses an argument with its own try: np.asarray"
+
+
+def test_every_number_check_reads_the_one_parse_in_errors():
+    # a number is what errors.as_numbers says it is: no other module keeps
+    # its own rule, by isinstance against the numbers ABCs or a private parse
+    modules = sorted(Path(iecpulse.__file__).parent.glob("*.py"))
+    assert "errors.py" in [m.name for m in modules]
+    breaches = [(m.name, *b) for m in modules for b in _number_rule_breaches(m)]
+    assert breaches == []
 
 
 _BRANCH_CALLS = {
@@ -141,6 +185,20 @@ def test_branch_accepts_any_number_equal_to_one(call):
     for branch in (1.0, np.int64(1), np.array(1), True):
         np.testing.assert_array_equal(_BRANCH_CALLS[call](branch), reference)
     assert not np.array_equal(_BRANCH_CALLS[call](-1.0), reference)
+
+
+@pytest.mark.parametrize("build", [
+    third_order_pair, lambda t_f: fourth_order_pair(t_f, 1.2), lambda t_f: antedated_pair(t_f, 1.0),
+], ids=["third", "fourth", "antedated"])
+def test_t_f_of_any_number_type_gives_the_same_table(build):
+    # a pair keeps t_f as a Python float: a numpy float32 computes in double
+    # precision like the float it holds
+    def table(t_f):
+        tab = synthesize(build(t_f), 100)
+        return [a.tobytes() for a in (tab.t, tab.s, tab.omega_r, tab.delta)]
+    for t_f in (np.float32(2.0), np.int64(2), 2):
+        assert table(t_f) == table(2.0)
+        assert type(build(t_f).t_f) is float
 
 
 _PROBES = {

@@ -107,13 +107,13 @@ def test_condition_validation():
         Condition(1.5, 0, 0.0)
     with pytest.raises(ValueError):
         Condition(0.5, -1, 0.0)
-    for order in (1.0, 0.5, "1", None):
+    for order in (1.0, 0.5, "1", None, True):
         with pytest.raises(ConfigError, match="integer"):
             Condition(0.5, order, 0.0)
-    for value in (math.nan, math.inf, -math.inf, "1", None, 1j):
+    for value in (math.nan, math.inf, -math.inf, "1", None, 1j, 10**400):
         with pytest.raises(ConfigError, match="finite"):
             Condition(0.5, 0, value)
-    for s in ("0.5", None, 0.5 + 0j):
+    for s in ("0.5", None, 0.5 + 0j, True):
         with pytest.raises(ConfigError, match="abscissa"):
             Condition(s, 0, 0.0)
 
