@@ -25,9 +25,9 @@ import numpy as np
 
 from .dynamics import Weights, adiabatic_state, invariant_state
 from .errors import (ConfigError, DivergentPulse, Infeasible, NoConvergence, NoFeasiblePoint,
-                     is_number)
+                     is_number, shown)
 from .poly import Polynomial, real_roots, stacked_real_roots
-from .pulse import GRID_POINTS, _check_gap, _driven_grid, _waveform, check_grid, gauss_legendre
+from .pulse import _check_gap, _driven_grid, _waveform, check_grid, gauss_legendre
 from .schedule import AntedatedBasis, SchedulePair, antedated_pair, beta_dot0_rate, check_rate
 from .schedule import check_times, gamma_out_of_range
 
@@ -392,12 +392,12 @@ def check_sweep(t_f: float, lo: float, hi: float, n: int) -> None:
     sweep grid: lo and hi are real numbers, check_rate holds at lo, lo < hi < inf
     and n is an integer in [10, 10**6]."""
     if not (is_number(lo) and is_number(hi)):
-        raise ConfigError(f"need real numbers lo and hi, got lo = {lo!r}, hi = {hi!r}")
+        raise ConfigError(f"need real numbers lo and hi, got lo = {shown(lo)}, hi = {shown(hi)}")
     check_rate(beta_dot0_rate(lo, t_f))
     if not lo < hi < math.inf:
-        raise ConfigError(f"need lo < hi < inf, got lo = {lo!r}, hi = {hi!r}")
+        raise ConfigError(f"need lo < hi < inf, got lo = {shown(lo)}, hi = {shown(hi)}")
     if not (is_number(n, "iu") and 10 <= n <= 10**6):
-        raise ConfigError(f"need an integer 10 <= n <= 10**6 grid points, got {n!r}")
+        raise ConfigError(f"need an integer 10 <= n <= 10**6 grid points, got {shown(n)}")
 
 
 def sweep_beta_dot0(t_f: float, t_a: float, lo: float, hi: float, n: int) -> SweepResult:

@@ -2,11 +2,10 @@
 
 States are plain 2x2 complex numpy arrays (density matrices) or length-2
 complex vectors. The operator and state builders take a float s or an
-array of s, each real and in [0, 1] (else ConfigError, pulse._check_s),
-and return a 2x2 matrix or an (n, 2, 2) stack, and
-invariant_residual a float or an array, from one pass over the samples;
-bloch_vector and fidelity take a state or a stack. The invariant-basis
-mixed state
+array of s, each real and in [0, 1] (else ConfigError, pulse._check_s), and
+return a 2x2 matrix or an (n, 2, 2) stack, and invariant_residual a float
+or an array, from one pass over the samples; bloch_vector and fidelity take
+a state or a stack. The invariant-basis mixed state
 
     rho(t) = p_plus |phi_plus(t)><phi_plus(t)| + p_minus |phi_minus(t)><phi_minus(t)|
 
@@ -18,9 +17,10 @@ i (q1 sx + q2 sy + q3 sz), and one real RK4 scan of q (_rk4) serves both
 oracles: evolve rotates rho0's Bloch vector by q and carries the trace
 beside it (its one drift check is the purity, which fixes a qubit state's
 spectrum), evolve_pure applies U to an eigenstate. Inside, states are real
-Bloch vectors, rho = (tr + r.s) / 2, and H's is (omega_r, 0, delta); the
-residual and the fidelity are computed on them. The mixing-angle
-(instantaneous-eigenbasis) state provides the adiabatic reference passage.
+Bloch vectors: _states builds every matrix from its trace and Bloch vector,
+rho = (tr + r.s) / 2; H's is (omega_r, 0, delta) and the invariant's
+(sin g cos b, -sin g sin b, cos g). The residual and the fidelity are
+computed on them. The mixing-angle state is the adiabatic reference.
 Everything here follows the antedated switch rule stated in pulse: past
 t_a the drive is off (_Waveform.drive) and the invariant frozen (_angles).
 """
@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, DegeneratePoint, StepTooCoarse, as_numbers, is_number
+from .errors import ConfigError, DegeneratePoint, StepTooCoarse, as_numbers, is_number, shown
 from .pulse import _check_branch, _check_s, _waveform
 from .schedule import SchedulePair
 
@@ -167,14 +167,14 @@ def check_density_matrix(
 # ---------------------------------------------------------------------------
 # operators along the passage
 
-def _states(rho11, rho22, rho12) -> np.ndarray:
-    """Hermitian 2x2 states from their diagonal and upper off-diagonal
-    entries, stacked over the entries' shape."""
-    rho = np.empty(np.shape(rho11) + (2, 2), dtype=complex)
-    rho[..., 0, 0] = rho11
-    rho[..., 0, 1] = rho12
-    rho[..., 1, 0] = np.conj(rho12)
-    rho[..., 1, 1] = rho22
+def _states(tr, x, y, z) -> np.ndarray:
+    """(tr I + x sx + y sy + z sz) / 2, stacked over the broadcast shape of its
+    real arguments: every matrix here is built from its trace and Bloch vector."""
+    rho = np.empty(np.broadcast(tr, x, y, z).shape + (2, 2), dtype=complex)
+    rho[..., 0, 0] = 0.5 * (tr + z)
+    rho[..., 0, 1] = 0.5 * (x - 1j * y)
+    rho[..., 1, 0] = np.conj(rho[..., 0, 1])
+    rho[..., 1, 1] = 0.5 * (tr - z)
     return rho
 
 
@@ -190,15 +190,20 @@ def _angles(pair: SchedulePair, s):
 def hamiltonian_at(pair: SchedulePair, s: float | np.ndarray) -> np.ndarray:
     """The control Hamiltonian at s, in angular-frequency units (a stack for an s array)."""
     om, dl = _waveform(pair).drive(_check_s(s, scalar=False))
-    return _states(0.5 * dl, -0.5 * dl, 0.5 * om) / pair.t_f
+    return _states(0.0, om, 0.0, dl) / pair.t_f
+
+
+def _invariant_vector(pair: SchedulePair, s, scale: float) -> tuple[np.ndarray, ...]:
+    """scale (sin g cos b, -sin g sin b, cos g), the invariant's Bloch vector, at s (_angles)."""
+    g, b, _, _ = _angles(pair, _check_s(s, scalar=False))
+    r = scale * np.sin(g)
+    return r * np.cos(b), -r * np.sin(b), scale * np.cos(g)
 
 
 def invariant_at(pair: SchedulePair, s: float | np.ndarray) -> np.ndarray:
     """The dynamical invariant (unit scale constant) of the design at s (a
     stack for an s array), frozen at its t_a value past an antedated switch."""
-    g, b, _, _ = _angles(pair, _check_s(s, scalar=False))
-    off = 0.5 * np.sin(g) * (np.cos(b) + 1j * np.sin(b))
-    return _states(0.5 * np.cos(g), -0.5 * np.cos(g), off)
+    return _states(0.0, *_invariant_vector(pair, s, 1.0))
 
 
 def invariant_eigenstate(pair: SchedulePair, branch: int, s: float) -> np.ndarray:
@@ -207,15 +212,8 @@ def invariant_eigenstate(pair: SchedulePair, branch: int, s: float) -> np.ndarra
     _check_s(s)
     _check_branch(branch)
     g, b, _, _ = map(float, _angles(pair, s))
-    if branch == +1:
-        return np.array(
-            [math.cos(0.5 * g) * complex(math.cos(b), math.sin(b)), math.sin(0.5 * g)],
-            dtype=complex,
-        )
-    return np.array(
-        [math.sin(0.5 * g), -math.cos(0.5 * g) * complex(math.cos(b), -math.sin(b))],
-        dtype=complex,
-    )
+    up, down = math.cos(0.5 * g) * complex(math.cos(b), math.sin(b)), math.sin(0.5 * g)
+    return np.array([up, down] if branch == +1 else [down, -up.conjugate()], dtype=complex)
 
 
 def invariant_residual(pair: SchedulePair, s: float | np.ndarray) -> float | np.ndarray:
@@ -251,10 +249,7 @@ def invariant_state(pair: SchedulePair, w: Weights, s: float | np.ndarray) -> np
     s is a float (a 2x2 state) or an array (a stack of states, shape
     s.shape + (2, 2)). Frozen from t_a on, like the invariant.
     """
-    g, b, _, _ = _angles(pair, _check_s(s, scalar=False))
-    dp = w.difference
-    off = 0.5 * dp * np.sin(g) * (np.cos(b) + 1j * np.sin(b))
-    return _states(0.5 * (1.0 + dp * np.cos(g)), 0.5 * (1.0 - dp * np.cos(g)), off)
+    return _states(1.0, *_invariant_vector(pair, s, w.difference))
 
 
 def adiabatic_state(pair: SchedulePair, w: Weights, s: float | np.ndarray) -> np.ndarray:
@@ -272,8 +267,7 @@ def adiabatic_state(pair: SchedulePair, w: Weights, s: float | np.ndarray) -> np
         at = s[crossing][0]
         raise DegeneratePoint(f"level crossing at s = {at:.6g}: mixing angle undefined")
     theta = np.arctan2(om, dl)
-    half = 0.5 * w.difference
-    return _states(0.5 + half * np.cos(theta), 0.5 - half * np.cos(theta), half * np.sin(theta))
+    return _states(1.0, w.difference * np.sin(theta), 0.0, w.difference * np.cos(theta))
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
@@ -300,7 +294,7 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
 def check_steps(n_steps: int) -> None:
     """Raise ConfigError unless n_steps, the RK4 step count, is an integer in [100, 10**6]."""
     if not (is_number(n_steps, "iu") and 100 <= n_steps <= 10**6):
-        raise ConfigError(f"need an integer 100 <= n_steps <= 10**6, got {n_steps!r}")
+        raise ConfigError(f"need an integer 100 <= n_steps <= 10**6, got {shown(n_steps)}")
 
 
 def _legs(pair: SchedulePair, n_steps: int) -> list[tuple[float, float, int]]:
@@ -432,9 +426,7 @@ def evolve(pair: SchedulePair, rho0: np.ndarray, n_steps: int) -> Trajectory:
             f"integration purity drift {purity_drift:.2e} exceeds {PURITY_DRIFT_BOUND:g}; "
             "increase n_steps"
         )
-    x, y, z = r.T
-    tr = (a + d).real
-    return Trajectory(t=t, rho=_states(0.5 * (tr + z), 0.5 * (tr - z), 0.5 * (x - 1j * y)))
+    return Trajectory(t=t, rho=_states((a + d).real, *r.T))
 
 
 def evolve_pure(pair: SchedulePair, branch: int, n_steps: int) -> PureTrajectory:

@@ -1,6 +1,6 @@
-"""Exception types shared across the package, and as_numbers, the one parse that tells whether an
-argument is a number. Each type is a ConfigError, an Infeasible or a NumericalFailure (CLI exit
-1, 2, 3), and a ValueError, ArithmeticError or RuntimeError."""
+"""Exception types shared across the package, each a ConfigError, an Infeasible or a
+NumericalFailure (CLI exit 1, 2, 3) and a ValueError, ArithmeticError or RuntimeError; as_numbers,
+the one parse of a number argument; and shown, the one rendering of an argument in a message."""
 
 import numpy as np
 
@@ -62,3 +62,11 @@ def as_numbers(x, kinds: str = "iuf") -> np.ndarray | None:
 def is_number(x, kinds: str = "iuf") -> bool:
     """Whether x is one number by as_numbers and no array: a stored number stays hashable."""
     return not isinstance(x, np.ndarray) and getattr(as_numbers(x, kinds), "ndim", 1) == 0
+
+
+def shown(x) -> str:
+    """repr(x), or a stand-in where repr raises: an int past sys.get_int_max_str_digits() digits."""
+    try:
+        return repr(x)
+    except ValueError:
+        return f"<unprintable {type(x).__name__}>"

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import ConfigError, SingularSystem, as_numbers, is_number
+from .errors import ConfigError, SingularSystem, as_numbers, is_number, shown
 
 __all__ = ["Polynomial", "Condition", "fit", "solve", "misfit", "real_roots",
            "stacked_real_roots"]
@@ -31,7 +31,7 @@ class Polynomial:
     def __init__(self, coefficients: Sequence[float]) -> None:
         c = as_numbers(coefficients)
         if c is None or c.ndim > 1:
-            raise ConfigError(f"coefficients must be real numbers in 1-D, got {coefficients!r}")
+            raise ConfigError(f"coefficients must be real numbers in 1-D, got {shown(coefficients)}")
         c = c.astype(float).reshape(-1)
         c.setflags(write=False)
         self._coeffs, self._stationary = c, None

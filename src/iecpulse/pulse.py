@@ -61,7 +61,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import (ConfigError, DegeneratePoint, DivergentPulse, NoConvergence, as_numbers,
-                     is_number)
+                     is_number, shown)
 from .poly import Polynomial, real_roots
 from .schedule import SchedulePair
 
@@ -406,7 +406,7 @@ def _check_s(s, scalar: bool = True) -> np.ndarray:
     unless scalar, an array of them), give or take 1e-12."""
     if not _is_real_in(s, -1e-12, 1.0 + 1e-12, scalar):
         what = "a real number" if scalar else "a real number or array of them"
-        raise ConfigError(f"s = {s!r} is not {what} in [0, 1]")
+        raise ConfigError(f"s = {shown(s)} is not {what} in [0, 1]")
     return np.asarray(s, dtype=float)
 
 
@@ -445,7 +445,7 @@ def synthesize(pair: SchedulePair, n: int) -> PulseTable:
 def check_grid(n: int) -> None:
     """Raise ConfigError unless n, a uniform time grid's intervals, is an integer in [2, 10**6]."""
     if not (is_number(n, "iu") and 2 <= n <= 10**6):
-        raise ConfigError(f"need an integer 2 <= n <= 10**6 grid intervals, got {n!r}")
+        raise ConfigError(f"need an integer 2 <= n <= 10**6 grid intervals, got {shown(n)}")
 
 
 def adiabaticity_metric(pair: SchedulePair, s: float | np.ndarray) -> float | np.ndarray:
@@ -496,7 +496,7 @@ def lr_phase(pair: SchedulePair, t: float, branch: int) -> float:
     """
     _check_branch(branch)
     if not _is_real_in(t, 0.0, pair.t_f * (1 + 1e-12), scalar=True):
-        raise ConfigError(f"t = {t!r} is not a real number in [0, t_f]")
+        raise ConfigError(f"t = {shown(t)} is not a real number in [0, t_f]")
     wave = _waveform(pair)
     s = min(t / pair.t_f, 1.0)
     if s == 0.0:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import ConfigError, NoCrossing, SingularSystem, UnphysicalSchedule, is_number
+from .errors import ConfigError, NoCrossing, SingularSystem, UnphysicalSchedule, is_number, shown
 from .poly import FIT_TOL, Condition, Polynomial, fit, solve
 
 __all__ = [
@@ -76,9 +76,9 @@ def check_times(t_f: float, t_a: float | None = None) -> tuple[float, float | No
     Fraction or array), 0 < t_f < inf, and, for a given t_a, t_a is one and the switch
     fraction of those floats, which the fits and the switch rule use, lies in (0, 1)."""
     if not (is_number(t_f) and 0.0 < t_f < math.inf):
-        raise ConfigError(f"t_f must be positive and finite, got {t_f!r}")
+        raise ConfigError(f"t_f must be positive and finite, got {shown(t_f)}")
     if t_a is not None and not (is_number(t_a) and 0.0 < float(t_a) / float(t_f) < 1.0):
-        raise ConfigError(f"t_a must lie strictly inside (0, t_f), got {t_a!r}")
+        raise ConfigError(f"t_a must lie strictly inside (0, t_f), got {shown(t_a)}")
     return float(t_f), None if t_a is None else float(t_a)
 
 
@@ -86,7 +86,7 @@ def check_rate(beta_dot0: float) -> None:
     """Raise ConfigError unless the initial beta rate (rad per unit t) is a
     positive real number."""
     if not (is_number(beta_dot0) and beta_dot0 > 0):
-        raise ConfigError(f"beta_dot0 must be a positive rate, got {beta_dot0!r} rad per unit t")
+        raise ConfigError(f"beta_dot0 must be a positive rate, got {shown(beta_dot0)} rad per unit t")
 
 
 def _gamma_conditions() -> list[Condition]:
@@ -133,7 +133,7 @@ def fourth_order_pair(t_f: float, gamma_mid: float) -> SchedulePair:
     """
     check_times(t_f)
     if not (is_number(gamma_mid) and math.isfinite(gamma_mid)):
-        raise ConfigError(f"gamma_mid must be finite, got {gamma_mid!r}")
+        raise ConfigError(f"gamma_mid must be finite, got {shown(gamma_mid)}")
     if gamma_mid < critical_gamma_mid() - 1e-6:
         raise UnphysicalSchedule(
             f"gamma_mid={gamma_mid:.6f} is below the nonnegativity limit "
@@ -167,7 +167,7 @@ def antedated_pair(t_f: float, t_a: float, beta_dot0: float | None = None) -> Sc
     if beta_dot0 is None:
         beta_dot0 = 0.5 * PI / t_f
     elif not (is_number(beta_dot0) and math.isfinite(beta_dot0)):
-        raise ConfigError(f"beta_dot0 must be a finite rate, got {beta_dot0!r} rad per unit t")
+        raise ConfigError(f"beta_dot0 must be a finite rate, got {shown(beta_dot0)} rad per unit t")
     check_rate(beta_dot0)
     basis, b = AntedatedBasis(t_f, t_a), float(beta_dot0) * t_f
     beta, ok = basis.fit(np.array([b]))

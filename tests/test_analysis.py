@@ -18,8 +18,9 @@ from iecpulse.analysis import (
     sweep_beta_dot0,
     validate_schedule,
 )
-from iecpulse.dynamics import Weights, bloch_vector, fidelity, invariant_residual
-from iecpulse.errors import DivergentPulse, NoFeasiblePoint
+from iecpulse.dynamics import (Weights, adiabatic_state, bloch_vector, evolve, fidelity,
+                               invariant_residual, invariant_state)
+from iecpulse.errors import DegeneratePoint, DivergentPulse, NoFeasiblePoint, StepTooCoarse
 from iecpulse.pulse import adiabaticity_metric
 from iecpulse.poly import Condition, Polynomial, fit, real_roots
 from iecpulse.schedule import SchedulePair, antedated_pair, fourth_order_pair, third_order_pair
@@ -173,6 +174,22 @@ def test_validate_raises_where_the_design_diverges():
         max_adiabaticity_metric(pair)
 
 
+def test_level_crossing_is_a_gap_below_1e_12():
+    # both sides of the 1e-12 floor of Omega t_f, the metric's (_check_gap) and
+    # the mixing angle's (adiabatic_state): gamma = 1 + gap s and beta = -pi/2
+    # give Omega t_f = |omega_r| t_f = gap at every s
+    above, below = (SchedulePair(Polynomial([1.0, gap]), Polynomial([-PI / 2]), 1.0, None)
+                    for gap in (1e-11, 1e-13))
+    s = np.linspace(0.0, 1.0, 11)
+    assert max_adiabaticity_metric(above) == 0.0
+    assert adiabaticity_metric(above, 0.4) == 0.0
+    assert np.isfinite(adiabatic_state(above, W, s)).all()
+    for call in (lambda: max_adiabaticity_metric(below), lambda: adiabaticity_metric(below, 0.4),
+                 lambda: adiabatic_state(below, W, s)):
+        with pytest.raises(DegeneratePoint):
+            call()
+
+
 def _cubic_rate_pair(gap):
     """gamma_dot = -((s - 1/2)^2 - gap) and beta = -0.001: omega_r is about
     1000 ((s - 1/2)^2 - gap), and gamma stays near pi/2."""
@@ -321,22 +338,30 @@ def test_every_schedule_gives_results_or_typed_errors(family, mid, frac, units, 
     # package's typed errors may escape, and a feasible schedule's waveforms
     # satisfy the invariant equation. The same draw at t_f = 1 raises the
     # same error, or gives the same dimensionless results to 1e-9 of their peaks.
+    # A feasible draw's RK4 run from the invariant-basis state stays on it to
+    # the RK4 agreement bound, 1e-6, or raises StepTooCoarse.
     out, unit = (_library_run(family, mid, frac, units, x) for x in (t_f, 1.0))
     if isinstance(out, type) or isinstance(unit, type):
         assert out is unit
         return
-    table, report, cost, metric, residual = out
+    pair, table, report, cost, metric, residual = out
     assert math.isfinite(cost) and math.isfinite(metric)
     assert not report.feasible or residual.max() < 1e-8
-    unit_table, _, unit_cost, unit_metric, _ = unit
+    _, unit_table, _, unit_cost, unit_metric, _ = unit
     for x, ref in ((table.omega_r, unit_table.omega_r), (table.delta, unit_table.delta),
                    (cost, unit_cost), (metric, unit_metric)):
         assert np.abs(x - ref).max() <= 1e-9 * np.abs(ref).max()
+    if report.feasible:
+        try:
+            run = evolve(pair, invariant_state(pair, W, 0.0), 2000)
+        except StepTooCoarse:
+            return
+        assert np.abs(run.rho - invariant_state(pair, W, run.t / pair.t_f)).max() <= 1e-6
 
 
 def _library_run(family, mid, frac, units, t_f):
-    """The synthesize table, validation report, cost, metric and residual of
-    one drawn schedule at t_f, or the type of the package's error it raised."""
+    """The pair, synthesize table, validation report, cost, metric and residual
+    of one drawn schedule at t_f, or the type of the package's error it raised."""
     try:
         pair = (third_order_pair(t_f) if family == "third" else
                 fourth_order_pair(t_f, mid) if family == "fourth" else
@@ -349,7 +374,7 @@ def _library_run(family, mid, frac, units, t_f):
     except Exception as exc:
         assert type(exc).__module__ == errors.__name__, repr(exc)
         return type(exc)
-    return table, report, cost, metric, residual
+    return pair, table, report, cost, metric, residual
 
 
 def _assert_as_its_factored_waveform(pair):
@@ -473,6 +498,24 @@ def test_sweep_grid_rows_stay_near_the_band_ends(monkeypatch):
     cost, ok = sweep.evaluate(np.linspace(0.1, 8.0, 200))
     assert ok.all()
     assert sum(rows) <= 2 * analysis.SWEEP_BLOCK
+
+
+def test_proof_between_rows_keeps_its_margin(monkeypatch):
+    # the bound B of two in-band rows as _proved_between's docstring states it:
+    # per sample, the larger |gamma_dot cot(gamma) / tan(beta)| of the two plus
+    # their larger |beta_dot|. The proof holds only below DELTA_FINITE_BOUND (1 - 1e-9).
+    sweep = _Sweep(1.0, 0.5)
+    lo, hi = sweep.band
+    a, c = lo + 0.3 * (hi - lo), lo + 0.6 * (hi - lo)
+    cot, b0, b1, db0, db1 = sweep._grid
+    ends = np.array([a, c])[:, None]
+    bound = (np.abs(cot / np.tan(b0 + ends * b1)).max(axis=0)
+             + np.abs(db0 + ends * db1).max(axis=0)).max()
+    assert bound == pytest.approx(30.48, abs=5e-3)
+    monkeypatch.setattr(analysis, "DELTA_FINITE_BOUND", bound / (1 + 1e-7))
+    assert sweep._proved_between(a, c) is False
+    monkeypatch.setattr(analysis, "DELTA_FINITE_BOUND", bound / (1 - 2e-9))
+    assert sweep._proved_between(a, c) is True
 
 
 @pytest.mark.parametrize("frac", [0.3, 0.5, 0.7])

@@ -21,7 +21,7 @@ from iecpulse import ConfigError, cli
 from iecpulse.analysis import check_sweep, compare_passages, energy_cost, sweep_beta_dot0
 from iecpulse import dynamics
 from iecpulse.dynamics import Weights, check_steps
-from iecpulse.poly import Condition
+from iecpulse.poly import Condition, Polynomial
 from iecpulse.pulse import (
     adiabaticity_metric, check_grid, delta_at, lr_phase, omega_r_at, synthesize,
 )
@@ -30,6 +30,7 @@ from iecpulse.schedule import fourth_order_pair, third_order_pair
 
 PI = math.pi
 W = Weights(0.2, 0.8)
+HUGE = 10**5000  # more digits than repr prints by default (sys.get_int_max_str_digits())
 
 
 def test_config_error_is_the_cli_config_error_and_a_value_error():
@@ -102,6 +103,20 @@ def _third_pair_at(t_f, t_a):
         (lambda: third_order_pair(Fraction(1, 3)), "t_f"),
         (lambda: third_order_pair(True), "t_f"),
         (lambda: antedated_pair(1.0, 0.5, True), "beta_dot0"),
+        # an int too long for repr is still a ConfigError, and its message says so
+        (lambda: check_grid(HUGE), "grid intervals"),
+        (lambda: check_steps(HUGE), "n_steps"),
+        (lambda: check_sweep(1.0, 0.1, 8.0, HUGE), "grid points"),
+        (lambda: check_sweep(1.0, HUGE, 8.0, 20), "real numbers lo and hi"),
+        (lambda: third_order_pair(HUGE), "t_f"),
+        (lambda: check_times(1.0, HUGE), "t_a"),
+        (lambda: check_rate(HUGE), "beta_dot0"),
+        (lambda: fourth_order_pair(1.0, HUGE), "gamma_mid"),
+        (lambda: antedated_pair(1.0, 0.5, HUGE), "beta_dot0"),
+        (lambda: omega_r_at(third_order_pair(1.0), HUGE), "not a real number"),
+        (lambda: lr_phase(third_order_pair(1.0), HUGE, 1), "not a real number"),
+        (lambda: Polynomial([1.0, HUGE]), "coefficients.*unprintable list"),
+        (lambda: synthesize(third_order_pair(1.0), HUGE), "grid intervals"),
     ],
     ids=[
         "third-t_f-inf", "fourth-gamma_mid-nan", "fourth-gamma_mid-inf", "fourth-t_f-negative",
@@ -116,6 +131,10 @@ def _third_pair_at(t_f, t_a):
         "fourth-gamma_mid-huge-int", "antedated-t_a-huge-int", "antedated-beta_dot0-huge-int",
         "synthesize-t_f-huge-int", "condition-value-huge-int", "sweep-hi-huge-int",
         "energy_cost-fractions", "third-t_f-fraction", "third-t_f-bool", "antedated-beta_dot0-bool",
+        "grid-long-int", "steps-long-int", "sweep-n-long-int", "sweep-lo-long-int",
+        "third-t_f-long-int", "check_times-t_a-long-int", "check_rate-long-int",
+        "fourth-gamma_mid-long-int", "antedated-beta_dot0-long-int", "omega_r_at-long-int",
+        "lr_phase-long-int", "polynomial-long-int", "synthesize-n-long-int",
     ],
 )
 def test_bad_argument_raises_config_error(call, names):
