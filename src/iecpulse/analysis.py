@@ -26,7 +26,7 @@ import numpy as np
 from .dynamics import Weights, adiabatic_state, invariant_state
 from .errors import (ConfigError, DivergentPulse, Infeasible, NoConvergence, NoFeasiblePoint,
                      is_number, shown)
-from .poly import Polynomial, real_roots, stacked_real_roots
+from .poly import Polynomial, horner, real_roots, stacked_real_roots
 from .pulse import _check_gap, _driven_grid, _waveform, check_grid, gauss_legendre
 from .schedule import AntedatedBasis, SchedulePair, antedated_pair, beta_dot0_rate, check_rate
 from .schedule import check_times, gamma_out_of_range
@@ -82,7 +82,7 @@ def energy_cost(pair: SchedulePair) -> float:
         return float(_Sweep(pair.t_f, pair.t_a, basis)._cost(np.array([b]))[0])
 
     def omega(s, row):
-        return wave.dgamma(s) / np.sin(wave.beta(s))
+        return wave.gamma.derivative()(s) / np.sin(wave.beta(s))
 
     return float(gauss_legendre(omega, wave.edges(wave.end), COST_TOL)[0])
 
@@ -200,8 +200,6 @@ class _Sweep:
         self.t_f = t_f
         basis = self.basis = AntedatedBasis(t_f, t_a) if basis is None else basis
         self.s_end, self.gamma, self.b0, self.b1 = basis.s_end, basis.gamma, basis.b0, basis.b1
-        self.dgamma = self.gamma.derivative()
-        self._db0, self._db1 = self.b0.derivative(), self.b1.derivative()
 
     @cached_property
     def band(self) -> tuple[float, float]:
@@ -212,8 +210,8 @@ class _Sweep:
         """gamma_dot cot(gamma), B0, B1, B0' and B1' on the validation grid, with
         tan(gamma) as tan(s^2 q(s)), gamma = pi + s^2 q(s): no cancellation at 0."""
         s = _driven_grid(self.s_end)
-        cot = self.dgamma(s) / np.tan(s * s * Polynomial(self.gamma.coefficients[2:])(s))
-        return cot, self.b0(s), self.b1(s), self._db0(s), self._db1(s)
+        cot = self.gamma.derivative()(s) / np.tan(s * s * horner(self.gamma.coefficients[2:], s))
+        return cot, self.b0(s), self.b1(s), self.b0.derivative()(s), self.b1.derivative()(s)
 
     def evaluate(self, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(cost, feasible) at each beta_dot0, in units of pi / (2 t_f); cost
@@ -294,7 +292,7 @@ class _Sweep:
     def _edges(self, b: np.ndarray) -> np.ndarray:
         """Each b's pieces of [0, t_a / t_f], cut at its beta's stationary
         points: the roots of B0' + b B1', all found by one stacked call."""
-        d = self._db0.coefficients + b[:, None] * self._db1.coefficients
+        d = self.b0.derivative().coefficients + b[:, None] * self.b1.derivative().coefficients
         edges = np.column_stack((np.zeros(len(b)), stacked_real_roots(d, 0.0, self.s_end),
                                  np.full(len(b), self.s_end)))
         edges[np.isnan(edges)] = self.s_end  # a row's padding: empty pieces
@@ -304,7 +302,7 @@ class _Sweep:
         """Pulse areas C(b) = integral of gamma' / sin(beta) on _edges(b)."""
 
         def omega(s, row):
-            return self.dgamma(s) / np.sin(self.b0(s) + b[row, None] * self.b1(s))
+            return self.gamma.derivative()(s) / np.sin(self.b0(s) + b[row, None] * self.b1(s))
 
         return gauss_legendre(omega, self._edges(b), COST_TOL)
 
@@ -317,7 +315,7 @@ class _Sweep:
             b1 = self.b1(s)
             beta = self.b0(s) + b * b1
             sin, cos = np.sin(beta), np.cos(beta)
-            first = self.dgamma(s) * b1 / (sin * sin)
+            first = self.gamma.derivative()(s) * b1 / (sin * sin)
             return np.where(row[:, None] == 0, -cos * first, first * b1 * (1.0 + cos * cos) / sin)
 
         d1, d2 = gauss_legendre(slope, np.repeat(self._edges(np.array([b])), 2, axis=0), COST_TOL)

@@ -5,6 +5,8 @@ s = t / t_f on [0, 1]. Fitting solves a dense Vandermonde-with-derivatives
 system; real roots, with their multiplicities, come from the eigenvalues of
 the companion matrix. The roots of a stack of polynomials come from one
 eigvals call per degree (stacked_real_roots); real_roots is its one-row case.
+All polynomial arithmetic of the package is here: one Horner rule (horner),
+one zero-to-rounding rule (vanishes) and one fit residual check (residual_ok).
 """
 
 from __future__ import annotations
@@ -14,19 +16,42 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import ConfigError, SingularSystem, as_numbers, is_number, shown
 
-__all__ = ["Polynomial", "Condition", "fit", "solve", "misfit", "real_roots",
-           "stacked_real_roots"]
+__all__ = ["Polynomial", "Condition", "fit", "solve", "misfit", "residual_ok", "real_roots",
+           "stacked_real_roots", "horner", "vanishes"]
+
+
+def horner(c, x):
+    """The polynomials with ascending coefficients c (along axis 0, further axes
+    broadcast against x; a list or tuple x is an array) at x: v = a + v x from
+    v = 0, highest a first, numpy's polyval bit for bit; zeros for no coefficients."""
+    x = np.asarray(x) if isinstance(x, (list, tuple)) else x
+    v = np.zeros(np.shape(x), np.result_type(x, float))[()]
+    for a in reversed(c):
+        v = a + v * x
+    return v
+
+
+def vanishes(v, bound, terms: int):
+    """Whether v, a sum of `terms` terms whose absolute values sum to bound
+    (a polynomial at x, with its absolute coefficients at |x|), is zero to rounding."""
+    return np.abs(v) <= 8 * terms * np.finfo(float).eps * bound
+
+
+def _derivative(c: np.ndarray, order: int = 1) -> np.ndarray:
+    """Ascending coefficients (along axis 0) of the order-th derivative: j c[j] per order."""
+    for _ in range(order):
+        c = c[1:] * np.arange(1, len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
+    return c
 
 
 class Polynomial:
     """Immutable real polynomial, coefficients in ascending power: a number or
     a 1-D sequence of integers or floats (ConfigError otherwise)."""
 
-    __slots__ = ("_coeffs", "_stationary")
+    __slots__ = ("_coeffs", "_stationary", "_derivative")
 
     def __init__(self, coefficients: Sequence[float]) -> None:
         c = as_numbers(coefficients)
@@ -34,7 +59,7 @@ class Polynomial:
             raise ConfigError(f"coefficients must be real numbers in 1-D, got {shown(coefficients)}")
         c = c.astype(float).reshape(-1)
         c.setflags(write=False)
-        self._coeffs, self._stationary = c, None
+        self._coeffs, self._stationary, self._derivative = c, None, None
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -53,15 +78,13 @@ class Polynomial:
         return len(self._coeffs) - 1
 
     def __call__(self, s):
-        if len(self._coeffs) == 0:
-            s = np.asarray(s)
-            return np.zeros(s.shape, dtype=np.result_type(s, float))[()]
-        return npoly.polyval(s, self._coeffs)
+        return horner(self._coeffs, s)
 
     def derivative(self) -> "Polynomial":
-        if len(self._coeffs) <= 1:
-            return Polynomial([])
-        return Polynomial(self._coeffs[1:] * np.arange(1, len(self._coeffs)))
+        """p', made on first use and kept: p is read-only."""
+        if self._derivative is None:
+            self._derivative = Polynomial(_derivative(self._coeffs))
+        return self._derivative
 
     def shifted(self, offset: float) -> "Polynomial":
         """p + offset (constant term shifted)."""
@@ -134,28 +157,31 @@ def solve(conditions: Sequence[Condition], degree: int) -> Polynomial:
     return Polynomial(c)
 
 
-def misfit(p: Polynomial, conditions: Sequence[Condition]) -> np.ndarray:
-    """Signed amount by which p misses each condition."""
-    out = np.empty(len(conditions))
-    for i, c in enumerate(conditions):
-        q = p
-        for _ in range(c.derivative_order):
-            q = q.derivative()
-        out[i] = q(c.s) - c.value
-    return out
+def misfit(c: np.ndarray, conditions: Sequence[Condition], values=None) -> np.ndarray:
+    """Signed amount by which the polynomials with ascending coefficients c
+    (along axis 0, a column each) miss each condition: row i is the
+    derivative_order-th derivative at s less values[i], by default the value."""
+    values = [x.value for x in conditions] if values is None else values
+    return np.array([horner(_derivative(c, x.derivative_order), x.s) - v
+                     for x, v in zip(conditions, values)])
+
+
+def residual_ok(c: np.ndarray, conditions: Sequence[Condition], values) -> np.ndarray:
+    """fit's residual check on each column of c, as misfit takes its arguments:
+    every miss within FIT_TOL times the largest |value|, at least 1."""
+    tol = FIT_TOL * np.maximum(1.0, np.abs(values).max(axis=0))
+    return (np.abs(misfit(c, conditions, values)) <= tol).all(axis=0)
 
 
 def fit(conditions: Sequence[Condition], degree: int) -> Polynomial:
     """Fit the unique degree-`degree` polynomial through the given conditions.
 
     Requires exactly degree + 1 conditions. Raises SingularSystem when the
-    constraint matrix is rank-deficient, or when the solution misses a
-    condition by more than FIT_TOL relative to the largest value
-    (ill-conditioned).
+    constraint matrix is rank-deficient, or when the solution fails
+    residual_ok (ill-conditioned).
     """
     p = solve(conditions, degree)
-    scale = max(1.0, max(abs(c.value) for c in conditions))
-    if np.abs(misfit(p, conditions)).max() > FIT_TOL * scale:
+    if not residual_ok(p.coefficients, conditions, [x.value for x in conditions]):
         raise SingularSystem("ill-conditioned interpolation system (residual check failed)")
     return p
 
@@ -175,7 +201,7 @@ def stacked_real_roots(coefficients: np.ndarray, lo: float, hi: float) -> np.nda
     degree (trailing zeros trimmed). Rounding splits a root of multiplicity m
     into m nearby, possibly complex, values, between which p cannot be told
     from zero: an eigenvalue counts as real, and neighbours as one root at
-    their mean, where |p| is within its rounding bound. Simple roots get one
+    their mean, where p vanishes to rounding (vanishes). Simple roots get one
     Newton step. A root within 1e-12 of [lo, hi] is clipped into it.
     The domain is rows of finite coefficients whose companion matrix is
     finite and whose Horner sums, of |p| and of p', are finite at every
@@ -201,22 +227,13 @@ def _roots_of_degree(c: np.ndarray, lo: float, hi: float) -> np.ndarray:
     (Horner's rule, runs summed left to right), so a row's roots do not
     depend on the rows beside it."""
     m, d = c.shape[0], c.shape[1] - 1
-    # |p|, p, p and p' (with a zero leading coefficient), highest power first,
-    # each coefficient spread over the d columns of the points in `at`
+    # |p|, p, p and p' (with a zero leading coefficient), ascending, each
+    # coefficient spread over the d columns of the points in `at`
     planes = np.zeros((d + 1, 4, m, d))
-    planes[:, 1:3] = c.T[::-1, None, :, None]
+    planes[:, 1:3] = c.T[:, None, :, None]
     np.abs(planes[:, 1], out=planes[:, 0])
     with np.errstate(over="ignore"):  # an infinite p' coefficient fails the first pass
-        np.multiply(planes[:-1, 1], np.arange(d, 0, -1)[:, None, None], out=planes[1:, 3])
-    planes, tol = planes.reshape(d + 1, -1), 8 * (d + 1) * np.finfo(float).eps
-
-    def horner(at):  # at[0] = |at[1]|, then npoly.polyval's order of operations
-        np.abs(at[1], out=at[0])
-        x, rows = at.reshape(-1), planes[:, : at.size]
-        v = rows[0] + x * 0
-        for p in rows[1:]:
-            v = p + v * x
-        return v.reshape(at.shape)
+        planes[:-1, 3] = _derivative(planes[:, 1])
 
     with np.errstate(over="ignore", invalid="ignore"):
         ratio = c / c[:, -1:]  # last column 1, or NaN for a leading inf or NaN
@@ -226,19 +243,20 @@ def _roots_of_degree(c: np.ndarray, lo: float, hi: float) -> np.ndarray:
     companion.reshape(m, -1)[:, d :: d + 1] = 1.0
     companion[:, :, -1] -= ratio[:, :-1]
     z = np.linalg.eigvals(companion)
-    at = np.empty((4, m, d))
-    at[1:] = z.real
+    at = np.empty((4, m, d))  # at[0] = |at[1]|
+    at[0], at[1:] = np.abs(z.real), z.real
     with np.errstate(over="ignore", invalid="ignore"):
-        first = horner(at)
+        first = horner(planes, at)
     # Finite here, every later sum is: it is |p| at a point no farther out, or
     # p or p' at an eigenvalue.
     if not np.isfinite(first).all():
         raise ConfigError("real_roots needs Horner sums that stay finite at every eigenvalue")
     bound, value = first[:2]
-    x = np.sort(np.where((z.imag == 0) | (np.abs(value) <= tol * bound), z.real, math.nan), 1)
+    x = np.sort(np.where((z.imag == 0) | vanishes(value, bound, d + 1), z.real, math.nan), 1)
     at[1, :, :-1], at[1, :, -1], at[2], at[3] = 0.5 * (x[:, 1:] + x[:, :-1]), math.nan, x, x
-    bound, value, at_x, slope = horner(at)
-    joined = np.abs(value) <= tol * bound  # x[:, j] and x[:, j + 1] are one root
+    at[0] = np.abs(at[1])
+    bound, value, at_x, slope = horner(planes, at)
+    joined = vanishes(value, bound, d + 1)  # x[:, j] and x[:, j + 1] are one root
     with np.errstate(divide="ignore", invalid="ignore"):  # p' may vanish at a multiple root
         r = x - at_x / slope  # one Newton step, kept for simple roots
     if joined.any():

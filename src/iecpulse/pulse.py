@@ -11,8 +11,8 @@ evaluated in factored form. A station s0 is a point of [0, 1] where a
 denominator factor, sin(beta) or sin(gamma), vanishes. There each of the
 factors gamma_dot, sin(beta), cos(beta), sin(gamma) has a multiplicity m,
 the number of leading Taylor coefficients of its argument (less a multiple
-k pi for an angle) that lie within the rounding bound of their evaluation,
-so zeros that coincide by design share a station. About s0 each factor is
+k pi for an angle) that are zero to rounding by poly.vanishes, so zeros
+that coincide by design share a station. About s0 each factor is
 u^m (u = s - s0) times a reduced part: gamma_dot's Taylor series without
 its first m terms, and for an angle
 
@@ -62,7 +62,7 @@ import numpy as np
 
 from .errors import (ConfigError, DegeneratePoint, DivergentPulse, NoConvergence, as_numbers,
                      is_number, shown)
-from .poly import Polynomial, real_roots
+from .poly import Polynomial, horner, real_roots, vanishes
 from .schedule import SchedulePair
 
 __all__ = [
@@ -98,11 +98,11 @@ def _angle_zeros(p: Polynomial, edges: np.ndarray, n: int):
     """The points of [0, 1] where p crosses or touches a multiple of pi, in
     s order. p is monotone between consecutive edges, so it meets its
     multiples of pi one after another, and one met at an edge to rounding
-    (_vanishes) is that edge and has no other zero there."""
+    (poly.vanishes) is that edge and has no other zero there."""
     v = p(edges)
     k = np.round(v / math.pi)
-    bound = Polynomial(np.abs(p.coefficients))(edges) + np.abs(k) * math.pi
-    met = np.where(_vanishes(v - k * math.pi, bound, n), k, math.nan).tolist()
+    bound = horner(np.abs(p.coefficients), edges) + np.abs(k) * math.pi
+    met = np.where(vanishes(v - k * math.pi, bound, n), k, math.nan).tolist()
     edges, values = edges.tolist(), (v / math.pi).tolist()
     roots: dict[int, list[float]] = {}
     for i, (a, b, va, vb) in enumerate(zip(edges, edges[1:], values, values[1:])):
@@ -114,11 +114,6 @@ def _angle_zeros(p: Polynomial, edges: np.ndarray, n: int):
             yield from at_edge or (r for r in roots[k] if a <= r <= b)
 
 
-def _vanishes(c, bound, n: int):
-    """Whether c, a sum of n terms of absolute sum bound, is zero to rounding."""
-    return np.abs(c) <= 4 * n * np.finfo(float).eps * bound
-
-
 def _taylor(a: np.ndarray, x: float) -> np.ndarray:
     """Taylor coefficients about x of the polynomials whose ascending
     coefficients run along axis 0 of a, by repeated synthetic division."""
@@ -127,14 +122,6 @@ def _taylor(a: np.ndarray, x: float) -> np.ndarray:
         for j in range(len(a) - 2, i - 1, -1):
             c[j] += x * c[j + 1]
     return c
-
-
-def _horner(c, u):
-    """The polynomial with ascending coefficients c at u (a float or an array)."""
-    out = 0.0
-    for a in reversed(c):
-        out = out * u + a
-    return out
 
 
 def _upow(u, m: int, y):
@@ -187,14 +174,14 @@ class _Station:
 
 def _angle(st: _Station, f: int, u):
     """Angle factor f at s0 + u divided by u^m, and the cosine of its argument p - k pi there."""
-    r = _horner(st.coef[f], u)
+    r = horner(st.coef[f], u)
     sinc, cos = _sinc_cos(_upow(u, st.mult[f], r))
     return r * sinc, cos
 
 
 def _quotients(st: _Station, u):
     """omega_r and the cot term (delta + beta_dot) at s0 + u, over one sin(beta) factor."""
-    q = _horner(st.coef[0], u) / _angle(st, 1, u)[0]
+    q = horner(st.coef[0], u) / _angle(st, 1, u)[0]
     cos_b = _angle(st, 2, u)[0]
     # cot(gamma) = cos(x) / sin(x) for x = gamma - k pi, whatever the parity of k
     sin_x, cos_x = _angle(st, 3, u)
@@ -207,8 +194,8 @@ def _quotients(st: _Station, u):
 def _station(a: np.ndarray, x: float) -> _Station:
     """The factors about x: each one's multiplicity there, the number of
     leading Taylor coefficients of its argument (less the nearest multiple
-    of pi for an angle) that lie within the rounding bound of their
-    evaluation, and its reduced coefficients. a holds the arguments'
+    of pi for an angle) that are zero to rounding by poly.vanishes, and its
+    reduced coefficients. a holds the arguments'
     coefficients and their absolute values, one column each."""
     n = len(a)
     c, bound = np.split(_taylor(a, x), 2, axis=1)
@@ -216,7 +203,7 @@ def _station(a: np.ndarray, x: float) -> _Station:
     k[0] = 0.0
     c[0] -= k * math.pi
     bound[0] += np.abs(k) * math.pi
-    small = _vanishes(c, bound, n)
+    small = vanishes(c, bound, n)
     m = tuple(np.where(small.all(axis=0), n, np.argmin(small, axis=0)).tolist())
     c[:, 1:3] *= 1.0 - 2.0 * (k[1:3] % 2)
     coef = tuple(c[mf:, f].tolist() for f, mf in enumerate(m))
@@ -280,11 +267,9 @@ class _Waveform:
     def __init__(self, pair: SchedulePair):
         self.gamma = pair.gamma
         self.beta = pair.beta
-        self.dgamma = pair.gamma.derivative()
-        self.dbeta = pair.beta.derivative()
         self.switch = pair.switch_fraction
         self.end = self.switch if self.switch is not None else 1.0
-        args = (self.dgamma, self.beta, self.beta.shifted(0.5 * math.pi), self.gamma)
+        args = (self.gamma.derivative(), self.beta, self.beta.shifted(0.5 * math.pi), self.gamma)
         self.stations = _stations(args, self.end)
         st = self.stations
         self._cuts = [0.5 * (a.s0 + b.s0) for a, b in zip(st, st[1:])]
@@ -315,7 +300,7 @@ class _Waveform:
     def fields(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """omega_r and delta (the cot term less beta_dot) times t_f at the samples s."""
         om, cot = self.quotients(s)
-        return om, cot - _horner(self.dbeta.coefficients, s)
+        return om, cot - self.beta.derivative()(s)
 
     def edges(self, s_end: float) -> np.ndarray:
         """0, the stations and beta's stationary points inside (0, s_end), and
@@ -506,7 +491,7 @@ def lr_phase(pair: SchedulePair, t: float, branch: int) -> float:
     def rate(s, row):
         g = wave.gamma(s)
         om, cot = wave.quotients(s)
-        return cot * np.cos(g) + wave.dbeta(s) + om * np.sin(g) * np.cos(wave.beta(s))
+        return cot * np.cos(g) + wave.beta.derivative()(s) + om * np.sin(g) * np.cos(wave.beta(s))
 
     integral = float(gauss_legendre(rate, wave.edges(s_end), 1e-9)[0])
     if s > s_end:

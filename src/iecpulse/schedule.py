@@ -23,10 +23,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import ConfigError, NoCrossing, SingularSystem, UnphysicalSchedule, is_number, shown
-from .poly import FIT_TOL, Condition, Polynomial, fit, solve
+from .poly import Condition, Polynomial, fit, residual_ok, solve
 
 __all__ = [
     "SchedulePair",
@@ -196,16 +195,15 @@ class AntedatedBasis:
         at_zero = _antedated_beta_conditions(a, t_s, 0.0)  # b: beta'(0) = b, beta'(1) = -b
         slope = [Condition(c.s, c.derivative_order, v) for c, v in zip(at_zero, (0, 0, 0, 0, 1, -1))]
         self.b0, self.b1 = solve(at_zero, 5), solve(slope, 5)
-        self._conditions = list(zip(at_zero, slope))
+        self._at_zero, self._slope = at_zero, slope
 
     def fit(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """B0 + b B1 for each b (a column of coefficients), and whether it passes
-        fit's residual check at b: misses within FIT_TOL max(pi / 2, |b|)."""
+        fit's residual check (poly.residual_ok) on its conditions at b."""
         with np.errstate(over="ignore", invalid="ignore"):
             c = self.b0.coefficients[:, None] + self.b1.coefficients[:, None] * b
-            miss = [npoly.polyval(x.s, npoly.polyder(c, x.derivative_order))
-                    - (x.value + y.value * b) for x, y in self._conditions]
-        return c, (np.abs(miss) <= FIT_TOL * np.maximum(PI / 2, np.abs(b))).all(axis=0)
+            values = [x.value + y.value * b for x, y in zip(self._at_zero, self._slope)]
+            return c, residual_ok(c, self._at_zero, values)
 
 
 def gamma_out_of_range(gamma: Polynomial) -> tuple[float, float] | None:

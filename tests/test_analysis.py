@@ -255,13 +255,13 @@ def test_sweep_decides_and_costs_as_per_schedule_path():
 
 def _per_candidate_cost(self, b):
     """_Sweep._cost with one reference root call per candidate."""
-    d0, d1 = self._db0.coefficients, self._db1.coefficients
+    d0, d1 = self.b0.derivative().coefficients, self.b1.derivative().coefficients
     cuts = [reference_real_roots(d0 + x * d1, 0.0, self.s_end) for x in b]
     width = max(map(len, cuts)) + 1
     edges = [[0.0, *c] + [self.s_end] * (width - len(c)) for c in cuts]
 
     def omega(s, row):
-        return self.dgamma(s) / np.sin(self.b0(s) + b[row, None] * self.b1(s))
+        return self.gamma.derivative()(s) / np.sin(self.b0(s) + b[row, None] * self.b1(s))
 
     return pulse.gauss_legendre(omega, edges, analysis.COST_TOL)
 
@@ -273,7 +273,7 @@ def _per_candidate_cost(self, b):
 ])
 def test_sweep_costs_match_per_candidate_roots(monkeypatch, frac, units, drop_feasible):
     sweep = _Sweep(1.0, frac)
-    d0, d1 = sweep._db0.coefficients, sweep._db1.coefficients
+    d0, d1 = sweep.b0.derivative().coefficients, sweep.b1.derivative().coefficients
     drop = -d0[-1] / d1[-1] * 2.0 / PI  # there B0' + b B1' has degree 3
     assert d0[-1] + schedule.beta_dot0_rate(drop, 1.0) * d1[-1] == 0.0
     units = np.append(units, drop)
@@ -663,7 +663,7 @@ def reference_detuning_peak(sweep, b):
     s = analysis._driven_grid(sweep.s_end)
     g = s * s * Polynomial(sweep.gamma.coefficients[2:])(s)
     _, b0, b1, db0, db1 = sweep._grid
-    grid_cot = sweep.dgamma(s) * np.cos(g) / np.sin(g)
+    grid_cot = sweep.gamma.derivative()(s) * np.cos(g) / np.sin(g)
     beta = np.multiply.outer(b, b1)
     beta += b0
     delta = np.cos(beta)

@@ -144,7 +144,7 @@ def _residual_reference(pair, s, beta_offset=0.0):
     om, dl = float(wave.omega_many(np.array([s]))[0]), float(wave.delta_many(np.array([s]))[0])
     h = np.array([[0.5 * dl, 0.5 * om], [0.5 * om, -0.5 * dl]], dtype=complex)
     g, b = float(pair.gamma(s)), float(pair.beta(s)) + beta_offset
-    dg, db = float(wave.dgamma(s)), float(wave.dbeta(s))
+    dg, db = float(wave.gamma.derivative()(s)), float(wave.beta.derivative()(s))
     d_off = 0.5 * complex(math.cos(b), math.sin(b)) * complex(dg * math.cos(g), db * math.sin(g))
     d_inv = np.array(
         [[-0.5 * dg * math.sin(g), d_off], [d_off.conjugate(), 0.5 * dg * math.sin(g)]]

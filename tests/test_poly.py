@@ -1,4 +1,9 @@
+import ast
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
+import iecpulse
 from iecpulse import errors, poly
 from iecpulse.errors import ConfigError, SingularSystem
-from iecpulse.poly import Condition, Polynomial, fit, real_roots, stacked_real_roots
+from iecpulse.poly import Condition, Polynomial, fit, horner, real_roots, stacked_real_roots
 from iecpulse.pulse import _Waveform
 from iecpulse.schedule import antedated_pair
 
@@ -36,6 +42,46 @@ def test_eval_midpoint():
 def test_eval_vectorized():
     p = Polynomial([1.0, 2.0])
     np.testing.assert_allclose(p(np.array([0.0, 1.0, 2.0])), [1.0, 3.0, 5.0])
+    assert p([0.0, 1.0, 2.0]).tolist() == p((0.0, 1.0, 2.0)).tolist() == [1.0, 3.0, 5.0]
+
+
+#: Evaluation points and coefficients: signed zeros, infinities and negative values among them.
+_POINTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf]) | st.floats(-1e3, 1e3)
+_HORNER_COEFFICIENTS = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-3.0, 3.0)
+
+
+@st.composite
+def _horner_cases(draw):
+    """(c, x): 0-8 ascending coefficients, one polynomial or a stack of three
+    (c is then (n, 3)), at a float, complex, 0-d, 1-D or 2-D x that broadcasts
+    against a stack's columns."""
+    n, columns = draw(st.integers(0, 8)), draw(st.sampled_from([(), (3,)]))
+    c = np.array(draw(st.lists(_HORNER_COEFFICIENTS, min_size=n * (3 if columns else 1),
+                               max_size=n * (3 if columns else 1)))).reshape((n, *columns))
+    shape = draw(st.sampled_from([None, (), (3,), (2, 3)]))  # None: a Python number
+    size = 1 if shape is None else math.prod(shape)
+    x = np.array(draw(st.lists(_POINTS, min_size=size, max_size=size)))
+    if draw(st.booleans()):
+        x = x.astype(complex)
+        x.imag = draw(st.lists(_POINTS, min_size=size, max_size=size))
+    return c, x.item() if shape is None else x.reshape(shape)
+
+
+@settings(max_examples=400)
+@given(case=_horner_cases())
+@example(case=(np.array([1.0, -2.0, 0.5]), -0.0))
+@example(case=(np.zeros((0, 3)), np.array([[1.0, -0.0, math.inf]] * 2)))
+def test_horner_is_numpy_polyval_bit_for_bit(case):
+    # numpy's polyval is the independent oracle; it has no value for no
+    # coefficients, where horner gives zeros of x's shape and type
+    c, x = case
+    with np.errstate(all="ignore"):  # inf * 0 and inf - inf are NaN in both
+        got = horner(c, x)
+        want = (npoly.polyval(x, c, tensor=False) if len(c)
+                else np.zeros(np.shape(x), np.result_type(x, float))[()])
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.asarray(got).dtype == np.asarray(want).dtype
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_derivative_power_rule():
@@ -195,6 +241,19 @@ def test_real_roots_repeat_multiple_roots():
     # rounding splits the double root at 1 about 1e-8 apart; it is one root
     # of multiplicity two
     assert real_roots(Polynomial(QUARTIC), 0.0, 1.0) == pytest.approx([0.5, 1.0, 1.0], abs=1e-12)
+
+
+def test_split_double_root_is_joined_within_the_rounding_bound():
+    # p = (s - 1/2)^2 - e^2 has the eigenvalues 1/2 -+ e, whose mean is 1/2.
+    # There |p| = e^2 and the absolute coefficients sum to 1/4 + 1/2 + 1/4 = 1,
+    # so poly.vanishes joins them while e^2 <= 8 * 3 * eps. At 0.7 times that
+    # bound they are one double root, at 1.4 times two simple ones: a rule of
+    # half or twice the constant turns one of them over.
+    bound = 8 * 3 * np.finfo(float).eps
+    joined, split = stacked_real_roots(np.array([[0.25 - 0.7 * bound, -1.0, 1.0],
+                                                 [0.25 - 1.4 * bound, -1.0, 1.0]]), 0.0, 1.0)
+    assert joined[0] == joined[1] == pytest.approx(0.5, abs=1e-15)
+    assert split[1] - split[0] == pytest.approx(2.0 * math.sqrt(1.4 * bound), rel=1e-3)
 
 
 def test_polynomial_hash_and_eq():
@@ -358,3 +417,46 @@ def test_polynomial_accepts_numbers_integers_and_non_finite_values():
     assert np.isnan(row.coefficients[1]) and row.coefficients[2] == math.inf
     with pytest.raises(ConfigError):
         real_roots(row, 0.0, 1.0)
+
+
+def _numpy_polynomial_uses(path):
+    """(line, kind, function) of each import from numpy.polynomial ("import")
+    and each np.polynomial attribute ("attribute") in a module, with the
+    name of the innermost function it is in (None at module level)."""
+    tree = ast.parse(path.read_text())
+    owner = {}
+    for f in ast.walk(tree):  # outer functions first, so inner ones overwrite
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((node, f.name) for node in ast.walk(f))
+    for node in ast.walk(tree):
+        names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        if any(n == "numpy.polynomial" or n.startswith("numpy.polynomial.") for n in names):
+            yield node.lineno, "import", owner.get(node)
+        if (isinstance(node, ast.Attribute) and node.attr == "polynomial"
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            yield node.lineno, "attribute", owner.get(node)
+
+
+def test_numpy_polynomial_is_reached_only_for_gauss_legendre_nodes():
+    # poly owns polynomial arithmetic: no other module imports from
+    # numpy.polynomial, and pulse._gauss_rule's leggauss is its one other use
+    modules = sorted(Path(iecpulse.__file__).parent.glob("*.py"))
+    assert "poly.py" in [m.name for m in modules]
+    uses = [(m.name, kind, f) for m in modules for _, kind, f in _numpy_polynomial_uses(m)]
+    assert [u for u in uses if u[1] == "import" and u[0] != "poly.py"] == []
+    assert [u for u in uses if u[1] == "attribute"] == [("pulse.py", "attribute", "_gauss_rule")]
+
+
+def test_importing_the_package_leaves_numpy_polynomial_unloaded():
+    # only the first quadrature's Gauss-Legendre rule loads it
+    code = ("import sys, iecpulse, iecpulse.cli\n"
+            "print('numpy.polynomial' in sys.modules)\n"
+            "iecpulse.energy_cost(iecpulse.third_order_pair(1.0))\n"
+            "print('numpy.polynomial' in sys.modules)\n")
+    src = Path(iecpulse.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert done.stdout.split() == ["False", "True"]

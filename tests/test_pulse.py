@@ -13,10 +13,9 @@ from iecpulse.analysis import compare_passages, max_adiabaticity_metric, validat
 from iecpulse.dynamics import Weights, hamiltonian_at
 from iecpulse.errors import DegeneratePoint, DivergentPulse, Infeasible, NoConvergence
 from iecpulse.errors import NumericalFailure
-from iecpulse.poly import Polynomial
+from iecpulse.poly import Polynomial, horner
 from iecpulse.pulse import (
     _angle,
-    _horner,
     _upow,
     _waveform,
     adiabaticity_metric,
@@ -100,7 +99,7 @@ def test_scalar_evaluators_are_vector_elements(third, ante):
 def _reference_omega(st, u):
     """omega_r at s0 + u: the station formula that _quotients replaced."""
     sin_b, _ = _angle(st, 1, u)
-    return _upow(u, st.omega_order, _horner(st.coef[0], u) / sin_b)
+    return _upow(u, st.omega_order, horner(st.coef[0], u) / sin_b)
 
 
 def _reference_cot(st, u):
@@ -108,7 +107,7 @@ def _reference_cot(st, u):
     sin_b, _ = _angle(st, 1, u)
     cos_b, _ = _angle(st, 2, u)
     sin_x, cos_x = _angle(st, 3, u)
-    return _upow(u, st.cot_order, _horner(st.coef[0], u) / sin_b * cos_x * cos_b / sin_x)
+    return _upow(u, st.cot_order, horner(st.coef[0], u) / sin_b * cos_x * cos_b / sin_x)
 
 
 def _reference_rows(wave, s):
@@ -272,6 +271,19 @@ def _clustered_stations(pair):
                 return DivergentPulse, f"waveform diverges at s = {x.s0:.6g}"
             stations.append(x)
     return stations or origin
+
+
+@pytest.mark.parametrize("miss, m", [(-16, 1), (64, 0)])
+def test_station_multiplicity_turns_at_the_rounding_bound(miss, m):
+    # About s = 1, gamma_dot = -(1 + miss eps) + s has the Taylor coefficients
+    # -miss eps, exactly, and 1; the first's absolute coefficients sum to
+    # 2 + miss eps. So poly.vanishes's bound for its two terms is 8 * 2 * eps
+    # * (2 + miss eps): at miss = -16 the coefficient is just over half of it
+    # and vanishes (multiplicity 1), at 64 just under twice it and does not
+    # (multiplicity 0). A rule of half or twice the constant turns one over.
+    eps = np.finfo(float).eps
+    a = np.array([[-(1.0 + miss * eps), 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0]])
+    assert pulse._station(np.hstack([a, np.abs(a)]), 1.0).mult == (m, 0, 0, 0)
 
 
 def _outcome(build):

@@ -275,7 +275,7 @@ def test_antedated_beta_meets_its_conditions(frac, units, t_f):
     t_s = gamma_dot_zero_crossing(pair.gamma)
     conditions = schedule._antedated_beta_conditions(pair.switch_fraction, t_s, b)
     scale = max(1.0, max(abs(c.value) for c in conditions))
-    assert np.abs(misfit(pair.beta, conditions)).max() <= FIT_TOL * scale
+    assert np.abs(misfit(pair.beta.coefficients, conditions)).max() <= FIT_TOL * scale
     plain = SchedulePair(pair.gamma, pair.beta, pair.t_f, pair.t_a)
     assert plain.antedated is None
     assert plain == pair and hash(plain) == hash(pair)
