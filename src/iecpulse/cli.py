@@ -159,10 +159,12 @@ def parse_config(path: Path) -> RunConfig:
 # output helpers (full round-trip precision, no timestamps)
 
 def _csv(header: list[str], columns: list[np.ndarray]) -> str:
-    # + 0.0 folds -0.0; tolist() gives Python floats (numpy 2 reprs "np.float64(...)")
-    rows = (np.column_stack(columns) + 0.0).tolist()
-    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    # + 0.0 folds -0.0; tolist() gives Python floats (numpy 2 reprs "np.float64(...)").
+    # repr runs once per distinct value (every NaN is one), gathered back by the inverse.
+    data = np.column_stack(columns) + 0.0
+    values, inverse = np.unique(data, return_inverse=True)
+    text = np.array(list(map(repr, values.tolist())), dtype=object)[inverse.reshape(data.shape)]
+    return "\n".join([",".join(header), *map(",".join, text.tolist())]) + "\n"
 
 
 def _summary(entries: list[tuple[str, object]]) -> str:

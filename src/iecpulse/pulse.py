@@ -46,7 +46,11 @@ of the driven formulas.
 
 All internal arithmetic is dimensionless: rates per unit s = t / t_f and
 frequencies multiplied by t_f. Public functions convert at the boundary,
-so every dimensionless output is exactly independent of t_f.
+so every dimensionless output is exactly independent of t_f. So the
+waveform cache (_waveform, one lru_cache of 128) is keyed on the shape a
+_Waveform reads, (gamma, beta, t_a / t_f), not on t_f: pairs that differ
+in t_f alone share one build and one grid pass, and the "switched detuning
+is ~0" warning fires once per shape while it stays cached.
 """
 
 from __future__ import annotations
@@ -279,7 +283,7 @@ class _Waveform:
         self.switch_delta = None if self.switch is None else self.delta(self.switch)
         if self.switch_delta is not None and abs(self.switch_delta) < 1e-9:
             warnings.warn("switched detuning is ~0: the post-switch Hamiltonian is degenerate "
-                          "and the population inversion is not well defined", stacklevel=3)
+                          "and the population inversion is not well defined", stacklevel=4)
 
     def quotients(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """omega_r and the cot term (delta + beta_dot) times t_f at the samples s,
@@ -355,8 +359,17 @@ class _Waveform:
 
 
 @lru_cache(maxsize=128)
+def _shape(gamma: Polynomial, beta: Polynomial, switch: float | None) -> _Waveform:
+    return _Waveform(SchedulePair(gamma, beta, 1.0, switch))
+
+
 def _waveform(pair: SchedulePair) -> _Waveform:
-    return _Waveform(pair)
+    """The waveform of pair's dimensionless shape, (gamma, beta, t_a / t_f):
+    what a _Waveform reads, so pairs that differ in t_f alone share one."""
+    return _shape(pair.gamma, pair.beta, pair.switch_fraction)
+
+
+_waveform.cache_clear, _waveform.cache_info = _shape.cache_clear, _shape.cache_info
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from iecpulse import analysis, cli, errors, pulse
 from iecpulse.cli import (
@@ -195,6 +197,45 @@ def test_synth_and_check_share_one_grid_pass(tmp_path, monkeypatch):
     pulse._waveform.cache_clear()
     analysis.max_adiabaticity_metric(parse_config(cfg).build_pair())
     assert passes == [True, True]
+
+
+def _csv_by_rows(header, columns):
+    """The CSV writer as it was before it formatted each distinct value once:
+    one repr per cell, one join per row."""
+    rows = (np.column_stack(columns) + 0.0).tolist()
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+#: Values where repr's text is least regular: both zeros, NaN (negative and
+#: with a payload too), both infinities, subnormals, the largest float, and
+#: both sides of repr's switches to exponent form at 1e-5 and 1e16.
+_CSV_SPECIALS = [0.0, -0.0, math.nan, -math.nan,
+                 float(np.array(0x7FF8000000000123, dtype=np.uint64).view(np.float64)),
+                 math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+                 math.nextafter(2.2250738585072014e-308, 0.0), 1.7976931348623157e308,
+                 1e-5, -1e-5, math.nextafter(1e-5, 0.0), math.nextafter(1e-5, 1.0), 1e-4,
+                 1e16, -1e16, math.nextafter(1e16, 0.0), math.nextafter(1e16, math.inf), 1e15]
+
+
+@st.composite
+def _csv_columns(draw):
+    """1-4 columns of 1-6 rows, drawn from a small pool so that values repeat."""
+    pool = draw(st.lists(st.sampled_from(_CSV_SPECIALS) | st.floats(), min_size=1, max_size=6))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    cells = draw(st.lists(st.sampled_from(pool), min_size=rows * cols, max_size=rows * cols))
+    return list(np.array(cells, dtype=float).reshape(cols, rows))
+
+
+@settings(max_examples=300)
+@given(columns=_csv_columns())
+@example(columns=[np.array([-0.0])])  # one row, one column
+@example(columns=[np.array(_CSV_SPECIALS)])  # one column
+@example(columns=[np.array([x]) for x in _CSV_SPECIALS])  # one row
+@example(columns=[np.array([1e-5, 1e-5, math.nan]), np.array([math.nan, -0.0, 1e16])])
+def test_csv_is_the_per_row_writer_byte_for_byte(columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    assert cli._csv(header, columns) == _csv_by_rows(header, columns)
 
 
 def test_sweep_without_buildable_schedule_is_infeasible(tmp_path, capsys):

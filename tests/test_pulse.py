@@ -1,5 +1,7 @@
 import heapq
+import inspect
 import math
+import warnings
 from functools import partial
 
 import mpmath as mp
@@ -416,6 +418,79 @@ def test_degenerate_switch_warns():
     )
     with pytest.warns(UserWarning, match="degenerate"):
         synthesize(degenerate, 100)
+
+
+def test_degenerate_switch_warns_once_per_shape():
+    # the same dimensionless shape at another t_f reads the cached waveform
+    pulse._waveform.cache_clear()
+    shape = (Polynomial([PI, -2 * PI]), Polynomial([-PI / 2]))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        for t_f in (1.0, 4.0):
+            synthesize(SchedulePair(*shape, t_f, 0.5 * t_f), 100)
+    assert [str(w.message).startswith("switched detuning is ~0") for w in seen] == [True]
+    # attributed, as before the shape key, to the public function that built it
+    lines, first = inspect.getsourcelines(synthesize)
+    assert seen[0].filename == pulse.__file__ and first < seen[0].lineno < first + len(lines)
+
+
+def _counted_builds(monkeypatch):
+    """Clear the waveform cache and count, from here on, _Waveform builds and
+    complex passes over the validation grid (through fields)."""
+    builds, passes = [], []
+    init, fields = pulse._Waveform.__init__, pulse._Waveform.fields
+
+    def counted_init(self, pair):
+        builds.append(pair)
+        init(self, pair)
+
+    def counted_fields(self, s):
+        if np.iscomplexobj(s) and len(s) == pulse.GRID_POINTS + 2:
+            passes.append(self)
+        return fields(self, s)
+
+    monkeypatch.setattr(pulse._Waveform, "__init__", counted_init)
+    monkeypatch.setattr(pulse._Waveform, "fields", counted_fields)
+    pulse._waveform.cache_clear()
+    return builds, passes
+
+
+def test_pairs_that_differ_in_t_f_alone_share_one_waveform(monkeypatch):
+    builds, passes = _counted_builds(monkeypatch)
+    one, seven = third_order_pair(1.0), third_order_pair(7.0)
+    wave = _waveform(one)
+    assert _waveform(seven) is wave
+    assert wave.grid is _waveform(seven).grid
+    assert len(builds) == 1 and passes == [wave]
+    assert builds[0].t_f == 1.0  # the shape's own pair, at unit t_f
+    info = pulse._waveform.cache_info()
+    assert (info.hits, info.misses, info.maxsize, info.currsize) == (2, 1, 128, 1)
+    assert max_adiabaticity_metric(seven) == max_adiabaticity_metric(one)
+    assert omega_r_at(seven, 0.3) == omega_r_at(one, 0.3) / 7.0
+    assert len(builds) == 1 and len(passes) == 1
+
+
+def test_antedated_pairs_of_one_shape_share_one_waveform(monkeypatch):
+    # equal t_a / t_f and beta_dot0 t_f fit the same polynomials at any t_f
+    builds, passes = _counted_builds(monkeypatch)
+    unit, scaled = antedated_pair(1.0, 0.375, 3.0), antedated_pair(4.0, 1.5, 0.75)
+    assert (unit.gamma, unit.beta, unit.switch_fraction) == \
+        (scaled.gamma, scaled.beta, scaled.switch_fraction)
+    assert _waveform(unit) is _waveform(scaled)
+    _waveform(unit).grid, _waveform(scaled).grid
+    assert len(builds) == 1 and len(passes) == 1
+    # another switch fraction is another shape
+    assert _waveform(antedated_pair(4.0, 2.0, 0.75)) is not _waveform(unit)
+    assert len(builds) == 2
+
+
+def test_quartic_pairs_at_two_gamma_mid_do_not_share(monkeypatch):
+    builds, passes = _counted_builds(monkeypatch)
+    low, high = fourth_order_pair(2.0, 1.2), fourth_order_pair(2.0, 1.3)
+    assert _waveform(low) is not _waveform(high)
+    assert _waveform(low).grid != _waveform(high).grid
+    assert len(builds) == 2 and len(passes) == 2
+    assert pulse._waveform.cache_info().currsize == 2
 
 
 def test_adiabaticity_metric_static_pulse():
