@@ -48,10 +48,6 @@ __all__ = [
 #: antedated_pair's delta is _Sweep._detuning_ok's, the waveform's grid pass else.
 DELTA_FINITE_BOUND = 1e3
 
-#: Absolute tolerance of the pulse area: successive Gauss-Legendre sums of
-#: every piece agree to it.
-COST_TOL = 1e-8
-
 #: A passage has inverted once both populations lie this close to their
 #: final values.
 POPULATION_TOL = 1e-3
@@ -65,7 +61,7 @@ SWEEP_BLOCK = 8
 def energy_cost(pair: SchedulePair) -> float:
     """Pulse area of omega_r up to the completion time (dimensionless).
 
-    By gauss_legendre to COST_TOL on [0, t_end] cut at beta's stationary
+    By gauss_legendre (to pulse.GAUSS_TOL) on [0, t_end] cut at beta's stationary
     points, and at the stations unless the pair is an antedated_pair, which
     is costed as the sweep costs its rate (_Sweep._cost). The nodes lie
     inside the pieces, so omega_r is the plain quotient gamma_dot / sin(beta)
@@ -84,7 +80,7 @@ def energy_cost(pair: SchedulePair) -> float:
     def omega(s, row):
         return wave.gamma.derivative()(s) / np.sin(wave.beta(s))
 
-    return float(gauss_legendre(omega, wave.edges(wave.end), COST_TOL)[0])
+    return float(gauss_legendre(omega, wave.edges(wave.end))[0])
 
 
 @dataclass
@@ -107,22 +103,22 @@ def validate_schedule(pair: SchedulePair) -> ValidationReport:
 
     Raises DivergentPulse, when the waveform is built, where omega_r or
     delta diverges on the driven segment [0, t_end]. Otherwise omega_r must
-    be nonnegative there, decided exactly from one sample between
-    consecutive zeros of gamma_dot; |delta| must stay within
+    be nonnegative there, decided exactly, with no slack, from its sign at
+    one sample between consecutive zeros of gamma_dot: omega_r =
+    gamma_dot / sin(beta), and the waveform built, so every zero of
+    sin(beta) there is one of gamma_dot too, and omega_r keeps one sign on
+    each piece. |delta| must stay within
     DELTA_FINITE_BOUND on the validation grid of that segment (its grid
     pass, or the sweep's verdict for an antedated_pair); and gamma must stay within [-pi, pi] over
     the whole design window [0, t_f] (dips below -pi signal non-compensable
     singularities), decided exactly from its ends and the same zeros.
     """
     wave = _waveform(pair)
-    # omega_r = gamma_dot / sin(beta) keeps its sign between consecutive
-    # zeros of gamma_dot on the driven segment: the waveform built, so every
-    # zero of sin(beta) there is one of gamma_dot too.
     crit = pair.gamma.stationary_points
     cuts = np.array(sorted({0.0, wave.end, *(r for r in crit if r < wave.end)}))
     messages: list[str] = []
     min_omega = float(wave.omega_many(0.5 * (cuts[1:] + cuts[:-1])).min())
-    omega_ok = not min_omega < -1e-9
+    omega_ok = not min_omega < 0.0
     if not omega_ok:
         messages.append(f"omega_r turns negative (min {min_omega:.3e} * 1/t_f)")
     if pair.antedated is None:
@@ -304,7 +300,7 @@ class _Sweep:
         def omega(s, row):
             return self.gamma.derivative()(s) / np.sin(self.b0(s) + b[row, None] * self.b1(s))
 
-        return gauss_legendre(omega, self._edges(b), COST_TOL)
+        return gauss_legendre(omega, self._edges(b))
 
     def _slopes(self, b: float) -> tuple[float, float]:
         """C'(b) and C''(b), the integrals of -gamma' cos(beta) B1 / sin^2(beta)
@@ -318,7 +314,7 @@ class _Sweep:
             first = self.gamma.derivative()(s) * b1 / (sin * sin)
             return np.where(row[:, None] == 0, -cos * first, first * b1 * (1.0 + cos * cos) / sin)
 
-        d1, d2 = gauss_legendre(slope, np.repeat(self._edges(np.array([b])), 2, axis=0), COST_TOL)
+        d1, d2 = gauss_legendre(slope, np.repeat(self._edges(np.array([b])), 2, axis=0))
         return float(d1), float(d2)
 
     def argmin(self, b: float, lo: float, hi: float) -> float:

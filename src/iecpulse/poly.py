@@ -100,7 +100,7 @@ class Polynomial:
         return np.array_equal(self._coeffs, other._coeffs)
 
     def __hash__(self) -> int:
-        return hash(self._coeffs.tobytes())
+        return hash((self._coeffs + 0.0).tobytes())  # -0.0 as 0.0, which __eq__ equates
 
     def __repr__(self) -> str:
         return f"Polynomial({self._coeffs.tolist()})"
@@ -157,11 +157,10 @@ def solve(conditions: Sequence[Condition], degree: int) -> Polynomial:
     return Polynomial(c)
 
 
-def misfit(c: np.ndarray, conditions: Sequence[Condition], values=None) -> np.ndarray:
+def misfit(c: np.ndarray, conditions: Sequence[Condition], values) -> np.ndarray:
     """Signed amount by which the polynomials with ascending coefficients c
     (along axis 0, a column each) miss each condition: row i is the
-    derivative_order-th derivative at s less values[i], by default the value."""
-    values = [x.value for x in conditions] if values is None else values
+    derivative_order-th derivative at s less values[i]."""
     return np.array([horner(_derivative(c, x.derivative_order), x.s) - v
                      for x, v in zip(conditions, values)])
 

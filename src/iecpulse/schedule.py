@@ -133,7 +133,7 @@ def fourth_order_pair(t_f: float, gamma_mid: float) -> SchedulePair:
     check_times(t_f)
     if not (is_number(gamma_mid) and math.isfinite(gamma_mid)):
         raise ConfigError(f"gamma_mid must be finite, got {shown(gamma_mid)}")
-    if gamma_mid < critical_gamma_mid() - 1e-6:
+    if gamma_mid < critical_gamma_mid():
         raise UnphysicalSchedule(
             f"gamma_mid={gamma_mid:.6f} is below the nonnegativity limit "
             f"{critical_gamma_mid():.6f}"

@@ -213,9 +213,20 @@ def test_omega_r_sign_is_decided_between_rate_zeros(monkeypatch):
     assert samples == [3, 2]
 
 
+def test_omega_r_identically_zero_is_nonnegative():
+    # a constant gamma makes omega_r = 0 / sin(beta) = -0.0 everywhere: the
+    # sign test has no slack, and zero is no negative value
+    static = SchedulePair(Polynomial([2.0]), Polynomial([-1.2, 0.3]), 1.0, None)
+    assert pulse._waveform(static).omega(0.5) == 0.0
+    report = validate_schedule(static)
+    assert report.omega_r_nonnegative and report.messages == []
+
+
 def test_sweep_reproduces_half_switch_minimum():
     result = sweep_beta_dot0(1.0, 0.5, 4.0, 6.5, 26)
     u_star, cost_star = result.minimum
+    # the area floor holds on every row; all of them are feasible here
+    _assert_area_floor(_Sweep(1.0, 0.5).gamma, 0.5, [*result.cost, cost_star])
     assert u_star == pytest.approx(5.232, abs=0.05)
     assert cost_star == pytest.approx(3.230, abs=0.01)
     assert cost_star >= PI - 1e-6
@@ -263,7 +274,7 @@ def _per_candidate_cost(self, b):
     def omega(s, row):
         return self.gamma.derivative()(s) / np.sin(self.b0(s) + b[row, None] * self.b1(s))
 
-    return pulse.gauss_legendre(omega, edges, analysis.COST_TOL)
+    return pulse.gauss_legendre(omega, edges)
 
 
 @pytest.mark.parametrize("frac, units, drop_feasible", [
@@ -347,6 +358,8 @@ def test_every_schedule_gives_results_or_typed_errors(family, mid, frac, units, 
     pair, table, report, cost, metric, residual = out
     assert math.isfinite(cost) and math.isfinite(metric)
     assert not report.feasible or residual.max() < 1e-8
+    if report.feasible:
+        _assert_area_floor(pair.gamma, pair.switch_fraction or 1.0, [cost])
     _, unit_table, _, unit_cost, unit_metric, _ = unit
     for x, ref in ((table.omega_r, unit_table.omega_r), (table.delta, unit_table.delta),
                    (cost, unit_cost), (metric, unit_metric)):
@@ -357,6 +370,17 @@ def test_every_schedule_gives_results_or_typed_errors(family, mid, frac, units, 
         except StepTooCoarse:
             return
         assert np.abs(run.rho - invariant_state(pair, W, run.t / pair.t_f)).max() <= 1e-6
+
+
+def _assert_area_floor(gamma, s_end, costs):
+    """Each cost is at least gamma's total variation on [0, s_end], and that
+    is at least pi to rounding: omega_r = gamma_dot / sin(beta), so a
+    feasible design's |omega_r| >= |gamma_dot|, and gamma runs from pi to 0
+    there. The variation is exact from gamma's stationary points."""
+    x = np.array([0.0, *(r for r in gamma.stationary_points if 0.0 < r < s_end), s_end])
+    variation = float(np.abs(np.diff(gamma(x))).sum())
+    assert variation >= PI - 1e-12
+    assert all(c >= variation for c in costs), (min(costs), variation)
 
 
 def _library_run(family, mid, frac, units, t_f):
@@ -563,6 +587,7 @@ def test_sweep_minimum_is_a_feasible_local_minimum(frac, t_f, ends, n):
     assert ok and check == c_star
     assert c_star >= PI
     assert c_star <= result.cost[result.feasible].min()
+    _assert_area_floor(sweep.gamma, frac, [*result.cost[result.feasible], c_star])
     # local minimality, inside the grid bracket the minimum was sought in
     left, right = _grid_bracket(result)
     near = np.array([u for u in (u_star - 1e-5, u_star + 1e-5) if left <= u <= right])

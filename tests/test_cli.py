@@ -92,6 +92,19 @@ def test_parse_config_duplicate_key(tmp_path):
         parse_config(_write(tmp_path, "t_f = 1\nt_f = 2\nfamily = third\n"))
 
 
+def test_exit_codes_are_the_documented_numbers():
+    assert (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL) == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("dropped", [["sweep_n"], ["sweep_hi", "sweep_n"]])
+def test_a_partial_sweep_is_a_config_error(tmp_path, capsys, dropped):
+    text = "".join(line + "\n" for line in ANTE_CFG.splitlines() if line.split(" ")[0] not in dropped)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(_write(tmp_path, text)), "--out", str(out)]) == EXIT_CONFIG
+    assert "sweep requires all of sweep_lo, sweep_hi, sweep_n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_config_error(tmp_path, capsys):
     cfg = _write(tmp_path, "t_f = 1\nfamily = fourth\n")  # missing gamma_mid
     code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")])

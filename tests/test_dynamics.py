@@ -66,6 +66,19 @@ def test_weights_validation():
     assert Weights(0.2, 0.8).difference == pytest.approx(-0.6)
 
 
+@pytest.mark.parametrize("miss, ok", [(0.5e-12, True), (2e-12, False)])
+def test_weights_sum_to_one_within_1e_12(miss, ok):
+    # and neither weight may pass 1 by that rounding, though the sum would allow it
+    for weights in ((0.5, 0.5 + miss), (0.5 + miss, 0.5)):
+        if ok:
+            Weights(*weights)
+        else:
+            with pytest.raises(ConfigError, match="sum to 1"):
+                Weights(*weights)
+    with pytest.raises(ConfigError, match=r"lie in \[0, 1\]"):
+        Weights(1.0 + miss, 0.0)
+
+
 def test_hamiltonian_start_is_diagonal(third):
     h = hamiltonian_at(third, 0.0)
     np.testing.assert_allclose(h, np.diag([-2.25 * PI, 2.25 * PI]), atol=1e-9)
@@ -257,6 +270,8 @@ def test_invariant_state_bloch_norm_and_diagonality(third, ante):
         for s in rng.uniform(0, 1, 50):
             rho = invariant_state(pair, W, float(s))
             check_density_matrix(rho)
+            assert np.abs(rho - rho.conj().T).max() <= 1e-12
+            assert abs(np.trace(rho) - 1.0) <= 1e-12
             assert np.linalg.norm(bloch_vector(rho)) == pytest.approx(0.6, abs=1e-12)
             plus = invariant_eigenstate(pair, +1, float(s))
             minus = invariant_eigenstate(pair, -1, float(s))
@@ -307,6 +322,17 @@ def test_adiabatic_state_array_at_level_crossing():
     crossing = SchedulePair(Polynomial([1.0]), Polynomial([-1.2]), 1.0, None)
     with pytest.raises(DegeneratePoint):
         adiabatic_state(crossing, W, np.linspace(0.0, 1.0, 11))
+
+
+@pytest.mark.parametrize("rate, crossing", [(0.5e-12, True), (2e-12, False)])
+def test_adiabatic_state_sees_a_crossing_below_1e_12(rate, crossing):
+    # constant gamma: omega_r = 0 and delta = -beta_dot = rate, so Omega t_f = rate
+    pair = SchedulePair(Polynomial([1.0]), Polynomial([-1.2, -rate]), 1.0, None)
+    if crossing:
+        with pytest.raises(DegeneratePoint, match="level crossing at s = 0.5"):
+            adiabatic_state(pair, W, 0.5)
+    else:  # delta > 0 alone: the state sits on the z axis
+        np.testing.assert_allclose(adiabatic_state(pair, W, 0.5), np.diag([0.2, 0.8]), atol=1e-15)
 
 
 def test_adiabatic_state_midpoint(third):
@@ -362,7 +388,9 @@ def test_evolve_preserves_purity_and_trace(third):
     traj = evolve(third, rho0, 1000)
     purity0 = np.trace(rho0 @ rho0).real
     for rho in traj.rho[::50]:
-        check_density_matrix(rho, herm_tol=1e-10, trace_tol=1e-10, eig_tol=1e-8)
+        check_density_matrix(rho)
+        assert np.abs(rho - rho.conj().T).max() <= 1e-10
+        assert abs(np.trace(rho) - 1.0) <= 1e-10
         assert np.trace(rho @ rho).real == pytest.approx(purity0, abs=1e-8)
 
 
@@ -888,3 +916,37 @@ def test_check_density_matrix_rejects_bad_inputs(third):
                 check_density_matrix(rho)
     with pytest.raises(ConfigError, match="non-finite"):
         evolve(third, np.full((2, 2), np.nan, dtype=complex), 100)
+
+
+@pytest.mark.parametrize("factor, ok", [(0.5, True), (2.0, False)])
+def test_density_matrix_bounds_are_1e_9_and_1e_10(factor, ok):
+    # one miss each, at factor times its bound: Hermiticity (eigvalsh reads
+    # the lower triangle, which stays diagonal), the trace, the least eigenvalue
+    e, d = factor * 1e-9, factor * 1e-10
+    half = np.diag([0.5, 0.5]).astype(complex)
+    cases = {"not Hermitian": half + [[0.0, e], [0.0, 0.0]],
+             "trace": half + np.diag([e, 0.0]),
+             "negative eigenvalue": np.diag([1.0 + d, -d]).astype(complex)}
+    for message, rho in cases.items():
+        if ok:
+            check_density_matrix(rho)
+        else:
+            with pytest.raises(ConfigError, match=message):
+                check_density_matrix(rho)
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_purity_drift_bound_is_the_edge(third, cold_scan, monkeypatch, factor):
+    # quaternions scaled by f scale every Bloch vector by f^2, so each state's
+    # purity drifts from rho0's by |r0|^2 (f^4 - 1) / 2: here factor times the
+    # bound, 1e-6. cold_scan comes first, so its teardown sees the unpatched scan.
+    rho0 = invariant_state(third, W, 0.0)
+    r0 = bloch_vector(rho0)
+    f = (1.0 + 2.0 * factor * 1e-6 / (r0 @ r0)) ** 0.25
+    scan = dynamics._propagator
+    monkeypatch.setattr(dynamics, "_propagator", lambda pair, n: (scan(pair, n)[0], f * scan(pair, n)[1]))
+    if factor < 1.0:
+        evolve(third, rho0, 1000)
+    else:
+        with pytest.raises(StepTooCoarse, match="purity"):
+            evolve(third, rho0, 1000)

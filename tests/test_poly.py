@@ -237,6 +237,13 @@ def test_real_roots_are_sorted_and_small():
             assert abs(p(r)) < 1e-8 * scale
 
 
+@pytest.mark.parametrize("past, kept", [(0.5e-12, True), (2e-12, False)])
+def test_real_roots_clip_a_root_within_1e_12_of_the_interval(past, kept):
+    # s - (1 + past) and s + past: one root just past each end of [0, 1]
+    assert real_roots(Polynomial([-(1.0 + past), 1.0]), 0.0, 1.0) == ([1.0] if kept else [])
+    assert real_roots(Polynomial([past, 1.0]), 0.0, 1.0) == ([0.0] if kept else [])
+
+
 def test_real_roots_repeat_multiple_roots():
     # rounding splits the double root at 1 about 1e-8 apart; it is one root
     # of multiplicity two
@@ -260,6 +267,25 @@ def test_polynomial_hash_and_eq():
     assert Polynomial([1.0, 2.0]) == Polynomial([1.0, 2.0])
     assert hash(Polynomial([1.0, 2.0])) == hash(Polynomial([1.0, 2.0]))
     assert Polynomial([1.0, 2.0]) != Polynomial([1.0, 2.5])
+
+
+def test_signed_zero_coefficients_hash_as_they_compare():
+    # __eq__ is np.array_equal, which equates 0.0 and -0.0, so the hash must too
+    plus, minus = Polynomial([0.0, 1.0]), Polynomial([-0.0, 1.0])
+    assert np.signbit(minus.coefficients[0])
+    assert plus == minus and hash(plus) == hash(minus)
+    assert len({plus, minus}) == 1
+
+
+@pytest.mark.parametrize("factor, ok", [(0.5, True), (2.0, False)])
+def test_residual_ok_bound_is_fit_tol_times_the_largest_value(factor, ok):
+    # p = 3 + miss - 8 s misses both conditions by miss; the largest |value| is
+    # 5, and FIT_TOL is 1e-9
+    conditions = [Condition(0.0, 0, 3.0), Condition(1.0, 0, -5.0)]
+    miss = factor * 1e-9 * 5.0
+    c = np.array([3.0 + miss, -8.0])
+    assert poly.misfit(c, conditions, [3.0, -5.0]) == pytest.approx([miss, miss], rel=1e-6)
+    assert bool(poly.residual_ok(c, conditions, [3.0, -5.0])) == ok
 
 
 def reference_real_roots(c, lo, hi):

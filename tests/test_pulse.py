@@ -420,6 +420,19 @@ def test_degenerate_switch_warns():
         synthesize(degenerate, 100)
 
 
+@pytest.mark.parametrize("rate, warns", [(0.5e-9, True), (2e-9, False)])
+def test_switched_detuning_warns_below_1e_9(rate, warns):
+    # the cubic gamma is pi / 2 at the switch s = 1/2, so cot(gamma) vanishes
+    # there and the held detuning is -beta_dot = rate (times 1 / t_f)
+    pulse._waveform.cache_clear()
+    pair = SchedulePair(third_order_pair(1.0).gamma, Polynomial([-PI / 2, -rate]), 1.0, 0.5)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        table = synthesize(pair, 100)
+    assert table.delta[-1] == pytest.approx(rate, rel=1e-9)
+    assert [str(w.message).startswith("switched detuning is ~0") for w in seen] == [True] * warns
+
+
 def test_degenerate_switch_warns_once_per_shape():
     # the same dimensionless shape at another t_f reads the cached waveform
     pulse._waveform.cache_clear()
@@ -493,6 +506,34 @@ def test_quartic_pairs_at_two_gamma_mid_do_not_share(monkeypatch):
     assert pulse._waveform.cache_info().currsize == 2
 
 
+def test_signed_zero_coefficients_make_one_pair_and_one_waveform(monkeypatch):
+    # the cubic's gamma and beta each have a 0.0 coefficient; -0.0 there is the same pair
+    builds, _ = _counted_builds(monkeypatch)
+    third = third_order_pair(1.0)
+    signed = [Polynomial(np.where(p.coefficients == 0.0, -0.0, p.coefficients))
+              for p in (third.gamma, third.beta)]
+    assert np.signbit(signed[0].coefficients[1]) and np.signbit(signed[1].coefficients[3])
+    other = SchedulePair(*signed, 1.0, None)
+    assert other == third and hash(other) == hash(third)
+    assert _waveform(other) is _waveform(third)
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("gap, divergent", [(0.5e-6, True), (2e-6, False)])
+def test_a_divergence_within_root_tol_past_the_switch_is_on_the_drive(gap, divergent):
+    # beta crosses 0 at s1 = 0.5 + gap, where gamma_dot does not vanish, so
+    # omega_r diverges there, just past the switch at s = 0.5: within ROOT_TOL
+    # of the drive's end it is on the driven segment
+    s1 = 0.5 + gap
+    pair = SchedulePair(third_order_pair(1.0).gamma, Polynomial([-PI / 2, PI / (2 * s1)]), 1.0, 0.5)
+    if divergent:
+        with pytest.raises(DivergentPulse, match="diverges at s = 0.5"):
+            synthesize(pair, 100)
+    else:
+        table = synthesize(pair, 100)
+        assert np.isfinite(table.omega_r).all() and table.omega_r[50] > 1e5
+
+
 def test_adiabaticity_metric_static_pulse():
     static = SchedulePair(Polynomial([2.0]), Polynomial([-1.2, 0.3]), 1.0, None)
     assert adiabaticity_metric(static, 0.4) == pytest.approx(0.0, abs=1e-9)
@@ -561,6 +602,17 @@ def test_adiabaticity_metric_level_crossing():
         compare_passages(crossing, Weights(0.2, 0.8), 100)
 
 
+@pytest.mark.parametrize("rate, crossing", [(0.5e-12, True), (2e-12, False)])
+def test_adiabaticity_metric_sees_a_crossing_below_1e_12(rate, crossing):
+    # constant gamma: omega_r = 0 and delta = -beta_dot = rate, so Omega t_f = rate
+    pair = SchedulePair(Polynomial([1.0]), Polynomial([-1.2, -rate]), 1.0, None)
+    if crossing:
+        with pytest.raises(DegeneratePoint, match="vanishes at s = 0.4"):
+            adiabaticity_metric(pair, 0.4)
+    else:
+        assert adiabaticity_metric(pair, 0.4) == 0.0
+
+
 def test_adiabaticity_metric_scale_invariant():
     small, large = third_order_pair(1.0), third_order_pair(1000.0)
     for s in (0.1, 0.37, 0.81):
@@ -602,15 +654,14 @@ def test_lr_phase_invalid_branch(third):
 def test_gauss_legendre_known_integrals():
     pieces = np.array([[0.0, 0.5 * PI, PI], [0.0, 1.0, 1.0]])
     rows = np.array([0.0, 1.0])
-    values = gauss_legendre(lambda s, row: np.where(rows[row, None] == 0, np.sin(s), s**3),
-                            pieces, 1e-12)
+    values = gauss_legendre(lambda s, row: np.where(rows[row, None] == 0, np.sin(s), s**3), pieces)
     assert values == pytest.approx([2.0, 0.25], abs=1e-12)
 
 
 def test_gauss_legendre_stops_at_node_cap():
     # 1.6 million oscillations cannot be resolved by 1024 nodes per piece
     with pytest.raises(NoConvergence, match=r"did not converge on \[0, 0.5\]"):
-        gauss_legendre(lambda s, row: np.sin(1e7 * s), [0.0, 0.5, 1.0], 1e-10)
+        gauss_legendre(lambda s, row: np.sin(1e7 * s), [0.0, 0.5, 1.0])
 
 
 def test_pulse_values_match_on_fourth_order_families():

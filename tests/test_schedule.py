@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from iecpulse import schedule
+from iecpulse.analysis import validate_schedule
 from iecpulse.errors import Infeasible, NoCrossing, SingularSystem, UnphysicalSchedule
 from iecpulse.poly import FIT_TOL, Condition, Polynomial, fit, misfit
 from iecpulse.schedule import (
@@ -105,6 +106,19 @@ def test_fourth_order_below_limit_rejected():
         fourth_order_pair(1.0, critical_gamma_mid() - 0.01)
 
 
+def test_fourth_order_limit_is_exact():
+    # at the limit gamma's dip is a triple root at t_f and omega_r stays
+    # nonnegative; below it gamma dips negative near t_f and omega_r turns
+    # negative there (by about 1.7e-12 at 0.5e-6 below), which the exact sign
+    # test of validate_schedule sees, so the constructor admits no slack either
+    crit = critical_gamma_mid()
+    assert validate_schedule(fourth_order_pair(1.0, crit)).feasible
+    for gamma_mid in (math.nextafter(crit, 0.0), crit - 0.5e-6):
+        with pytest.raises(UnphysicalSchedule, match="nonnegativity limit"):
+            fourth_order_pair(1.0, gamma_mid)
+    assert not validate_schedule(_fourth_unchecked(crit - 0.5e-6)).omega_r_nonnegative
+
+
 def test_fourth_order_diagnostic_construction():
     pair = _fourth_unchecked(2 * PI / 7)
     assert pair.gamma(0.5) == pytest.approx(2 * PI / 7, abs=1e-12)
@@ -163,6 +177,18 @@ def test_gamma_dot_zero_crossing_skips_tangency():
     # gamma-dot = (s - 0.3)^2 (s - 0.7) touches zero at 0.3 and crosses at 0.7
     rate = npoly.polyfromroots([0.3, 0.3, 0.7])
     assert gamma_dot_zero_crossing(Polynomial(npoly.polyint(rate))) == pytest.approx(0.7, abs=1e-12)
+
+
+@pytest.mark.parametrize("near, counted", [(0.5e-9, False), (2e-9, True)])
+def test_gamma_dot_zero_crossing_ignores_roots_within_1e_9_of_the_ends(near, counted):
+    # gamma-dot = (s - r)(s - 0.6) with r near 0 or near 1 crosses zero twice
+    for r in (near, 1.0 - near):
+        gamma = Polynomial(npoly.polyint(npoly.polyfromroots([r, 0.6])))
+        if counted:
+            with pytest.raises(NoCrossing, match="found 2"):
+                gamma_dot_zero_crossing(gamma)
+        else:
+            assert gamma_dot_zero_crossing(gamma) == pytest.approx(0.6, abs=1e-12)
 
 
 def test_antedated_default_beta_dot0():
@@ -234,6 +260,13 @@ def test_critical_t_a_is_range_threshold():
         antedated_pair(1.0, critical_t_a() - 1e-6)
 
 
+@pytest.mark.parametrize("over, inside", [(0.5e-9, True), (2e-9, False)])
+def test_gamma_range_admits_rounding_of_1e_9_past_pi(over, inside):
+    # each gamma reaches pi + over (or -pi - over) at s = 0, its one stationary point
+    for gamma in (Polynomial([PI + over, 0.0, -1.0]), Polynomial([-PI - over, 0.0, 1.0])):
+        assert (schedule.gamma_out_of_range(gamma) is None) == inside
+
+
 def test_critical_gamma_mid_is_positivity_threshold():
     s = np.linspace(0.0, 1.0, 20001)
     above = fourth_order_pair(1.0, critical_gamma_mid() + 0.01)
@@ -275,7 +308,8 @@ def test_antedated_beta_meets_its_conditions(frac, units, t_f):
     t_s = gamma_dot_zero_crossing(pair.gamma)
     conditions = schedule._antedated_beta_conditions(pair.switch_fraction, t_s, b)
     scale = max(1.0, max(abs(c.value) for c in conditions))
-    assert np.abs(misfit(pair.beta.coefficients, conditions)).max() <= FIT_TOL * scale
+    values = [c.value for c in conditions]
+    assert np.abs(misfit(pair.beta.coefficients, conditions, values)).max() <= FIT_TOL * scale
     plain = SchedulePair(pair.gamma, pair.beta, pair.t_f, pair.t_a)
     assert plain.antedated is None
     assert plain == pair and hash(plain) == hash(pair)
