@@ -10,9 +10,9 @@ waveform diverges on the driven segment, and the metric raises
 DegeneratePoint at a level crossing there. sweep_beta_dot0 minimises the
 cost over the initial beta rate, in which it is convex where the waveform
 builds: beta is affine in that rate (AntedatedBasis), so _Sweep decides and
-costs every candidate from shared parts. An antedated_pair carries its
-basis, and validate_schedule and energy_cost read the sweep's verdict and
-cost at its rate: one definition, so a sweep needs no re-check.
+costs every candidate from shared parts, by the pairs' own integrand (_areas).
+validate_schedule reads the sweep's detuning verdict from an antedated_pair's
+basis, so a sweep needs no re-check.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from .dynamics import Weights, adiabatic_state, invariant_state
 from .errors import (ConfigError, DivergentPulse, Infeasible, NoConvergence, NoFeasiblePoint,
                      is_number, shown)
-from .poly import Polynomial, horner, real_roots, stacked_real_roots
+from .poly import Polynomial, _derivative, horner, real_roots, stacked_real_roots
 from .pulse import _check_gap, _driven_grid, _waveform, check_grid, gauss_legendre
 from .schedule import AntedatedBasis, SchedulePair, antedated_pair, beta_dot0_rate, check_rate
 from .schedule import check_times, gamma_out_of_range
@@ -59,28 +59,28 @@ SWEEP_BLOCK = 8
 
 
 def energy_cost(pair: SchedulePair) -> float:
-    """Pulse area of omega_r up to the completion time (dimensionless).
-
-    By gauss_legendre (to pulse.GAUSS_TOL) on [0, t_end] cut at beta's stationary
-    points, and at the stations unless the pair is an antedated_pair, which
-    is costed as the sweep costs its rate (_Sweep._cost). The nodes lie
-    inside the pieces, so omega_r is the plain quotient gamma_dot / sin(beta)
-    there. Where beta nearly touches a multiple of pi, omega_r peaks as
-    1 / sin(beta), and the area magnifies the rounding of the coefficients:
-    on the narrow-peak schedule of the tests (sin(beta) ~ 5e-5) it lies
-    2.8e-8 from that of a 30-digit refit. That gap is a floor of the
-    formulation, not of the quadrature. A schedule whose omega_r diverges
-    on the driven segment raises DivergentPulse when its waveform is built.
-    """
+    """Pulse area of omega_r up to the completion time (dimensionless): _areas
+    on [0, t_end] cut at the stations and beta's stationary points
+    (_Waveform.edges), for every pair, so an antedated_pair's is its sweep
+    cost. The nodes lie inside the pieces, where omega_r is the plain quotient
+    gamma_dot / sin(beta). Where beta nearly touches a multiple of pi, omega_r
+    peaks as 1 / sin(beta) and the area magnifies the coefficients' rounding:
+    on the narrow-peak schedule of the tests (sin(beta) ~ 5e-5) it lies 2.4e-8
+    from that of a 30-digit refit, a floor of the formulation, not of the
+    quadrature. A schedule whose omega_r diverges on the driven segment raises
+    DivergentPulse when its waveform is built."""
     wave = _waveform(pair)
-    if pair.antedated is not None:
-        basis, b = pair.antedated
-        return float(_Sweep(pair.t_f, pair.t_a, basis)._cost(np.array([b]))[0])
+    return float(_areas(wave.gamma, wave.beta.coefficients[:, None], wave.edges(wave.end))[0])
+
+
+def _areas(gamma: Polynomial, c: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The energy cost: gamma'(s) / sin(beta(s)) integrated on each row of edges
+    by gauss_legendre, the row-th beta's ascending coefficients in column row of c."""
 
     def omega(s, row):
-        return wave.gamma.derivative()(s) / np.sin(wave.beta(s))
+        return gamma.derivative()(s) / np.sin(horner(c[:, row, None], s))
 
-    return float(gauss_legendre(omega, wave.edges(wave.end))[0])
+    return gauss_legendre(omega, edges)
 
 
 @dataclass
@@ -184,12 +184,11 @@ class _Sweep:
     """What every beta_dot0 candidate at one (t_f, t_a) shares: its
     AntedatedBasis beta = B0 + b B1, b = beta_dot0 t_f, given or built.
 
-    evaluate decides each candidate by the basis's fit check, the band of b
-    where -pi < beta < 0 on the driven segment (omega_r is then finite and
-    positive, a plain quotient with no station) and the detuning policy on
-    the validation grid (_detuning_in_band), and costs the feasible ones in
-    one call (_cost), whose sums do not depend on that grouping. The band
-    and the grid are computed on first use.
+    evaluate decides each candidate by the basis's fit check, the band of b where
+    -pi < beta < 0 on the driven segment (omega_r is then finite and positive, a
+    plain quotient with no station) and the detuning policy on the validation
+    grid (_detuning_in_band), and costs the feasible ones' fitted betas in one
+    call (_cost), whose sums do not depend on that grouping. Band and grid are lazy.
     """
 
     def __init__(self, t_f: float, t_a: float, basis: AntedatedBasis | None = None):
@@ -215,13 +214,14 @@ class _Sweep:
         lo, hi = self.band
         with np.errstate(over="ignore", invalid="ignore"):
             b = beta_dot0_rate(units, self.t_f) * self.t_f  # rounded as _sweep_point rounds it
-            ok = (lo < b) & (b < hi) & self.basis.fit(b)[1]
+            c, fits = self.basis.fit(b)
+            ok = (lo < b) & (b < hi) & fits
         rows = np.flatnonzero(ok)
         rows = rows[np.argsort(b[rows])]
         ok[rows] = self._detuning_in_band(b[rows])
         rows = rows[ok[rows]]
         cost = np.full(len(b), math.nan)
-        cost[rows] = self._cost(b[rows])
+        cost[rows] = self._cost(c[:, rows])
         return cost, ok
 
     def _lines(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -285,22 +285,18 @@ class _Sweep:
         bound += np.abs(rate, out=rate).max(axis=0)
         return bool(bound.max() <= DELTA_FINITE_BOUND * (1 - 1e-9))
 
-    def _edges(self, b: np.ndarray) -> np.ndarray:
-        """Each b's pieces of [0, t_a / t_f], cut at its beta's stationary
-        points: the roots of B0' + b B1', all found by one stacked call."""
-        d = self.b0.derivative().coefficients + b[:, None] * self.b1.derivative().coefficients
-        edges = np.column_stack((np.zeros(len(b)), stacked_real_roots(d, 0.0, self.s_end),
-                                 np.full(len(b), self.s_end)))
+    def _edges(self, c: np.ndarray) -> np.ndarray:
+        """Each beta's pieces of [0, t_a / t_f] (a column of c), cut at the roots of its
+        derivative by one stacked call: in the band, its pair's _Waveform.edges and empty pieces."""
+        d = _derivative(c).T
+        edges = np.column_stack((np.zeros(len(d)), stacked_real_roots(d, 0.0, self.s_end),
+                                 np.full(len(d), self.s_end)))
         edges[np.isnan(edges)] = self.s_end  # a row's padding: empty pieces
         return edges
 
-    def _cost(self, b: np.ndarray) -> np.ndarray:
-        """Pulse areas C(b) = integral of gamma' / sin(beta) on _edges(b)."""
-
-        def omega(s, row):
-            return self.gamma.derivative()(s) / np.sin(self.b0(s) + b[row, None] * self.b1(s))
-
-        return gauss_legendre(omega, self._edges(b))
+    def _cost(self, c: np.ndarray) -> np.ndarray:
+        """C(b) from AntedatedBasis.fit's columns c: _areas on _edges, energy_cost's to the bit."""
+        return _areas(self.gamma, c, self._edges(c))
 
     def _slopes(self, b: float) -> tuple[float, float]:
         """C'(b) and C''(b), the integrals of -gamma' cos(beta) B1 / sin^2(beta)
@@ -314,7 +310,7 @@ class _Sweep:
             first = self.gamma.derivative()(s) * b1 / (sin * sin)
             return np.where(row[:, None] == 0, -cos * first, first * b1 * (1.0 + cos * cos) / sin)
 
-        d1, d2 = gauss_legendre(slope, np.repeat(self._edges(np.array([b])), 2, axis=0))
+        d1, d2 = gauss_legendre(slope, np.repeat(self._edges(self.basis.fit(np.array([b]))[0]), 2, 0))
         return float(d1), float(d2)
 
     def argmin(self, b: float, lo: float, hi: float) -> float:

@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, DegeneratePoint, StepTooCoarse, as_numbers, is_number, shown
-from .pulse import _check_branch, _check_s, _waveform
+from .pulse import LEVEL_CROSSING, _check_branch, _check_s, _waveform
 from .schedule import SchedulePair
 
 __all__ = [
@@ -261,7 +261,7 @@ def adiabatic_state(pair: SchedulePair, w: Weights, s: float | np.ndarray) -> np
     """
     s = _check_s(s, scalar=False)
     om, dl = _waveform(pair).drive(s)
-    crossing = np.hypot(om, dl) < 1e-12
+    crossing = np.hypot(om, dl) < LEVEL_CROSSING
     if crossing.any():
         at = s[crossing][0]
         raise DegeneratePoint(f"level crossing at s = {at:.6g}: mixing angle undefined")

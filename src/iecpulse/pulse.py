@@ -95,6 +95,10 @@ GAUSS_START = 16
 GAUSS_CAP = 1024
 GAUSS_TOL = 1e-8
 
+#: Omega t_f below this is a level crossing (DegeneratePoint): the metric's
+#: 1 / Omega^3 and the mixing angle lose meaning. Drives are of order 1 here.
+LEVEL_CROSSING = 1e-12
+
 #: Samples of the validation grid: midpoints of the driven segment for the
 #: waveforms and the adiabaticity metric.
 GRID_POINTS = 10_000
@@ -458,7 +462,7 @@ def adiabaticity_metric(pair: SchedulePair, s: float | np.ndarray) -> float | np
     and independent of t_f; past an antedated switch, the metric of the
     driven formulas' continuation. The rates are complex-step derivatives
     of the factored evaluators (exact to rounding). Raises DegeneratePoint
-    at a level crossing (Omega * t_f < 1e-12).
+    at a level crossing (Omega * t_f < LEVEL_CROSSING).
     """
     x = np.atleast_1d(_check_s(s, scalar=False))
     if not (x.size and 0.0 < x.min() and x.max() < 1.0):
@@ -469,19 +473,19 @@ def adiabaticity_metric(pair: SchedulePair, s: float | np.ndarray) -> float | np
 
 
 def _metric(wave: _Waveform, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The metric, the generalized Rabi frequency Omega (floored at 1e-12 in the
-    metric: _check_gap raises below it) and delta at every sample of s, from
+    """The metric, the generalized Rabi frequency Omega (floored at LEVEL_CROSSING
+    in the metric: _check_gap raises below it) and delta at every sample of s, from
     s + i h: real parts are values and Im / h rates, with no difference to cancel."""
     h = 1e-30
     om, dl = wave.fields(s + 1j * h)
     gen = np.hypot(om.real, dl.real)
-    metric = np.abs((om.real * (dl.imag / h) - (om.imag / h) * dl.real) / np.maximum(gen, 1e-12)**3)
-    return metric, gen, dl.real
+    numerator = om.real * (dl.imag / h) - (om.imag / h) * dl.real
+    return np.abs(numerator / np.maximum(gen, LEVEL_CROSSING)**3), gen, dl.real
 
 
 def _check_gap(gen_min: float, at: float) -> None:
     """Raise DegeneratePoint if Omega's least value, at s = at, marks a level crossing."""
-    if gen_min < 1e-12:
+    if gen_min < LEVEL_CROSSING:
         raise DegeneratePoint(f"generalized Rabi frequency vanishes at s = {at:.6g}")
 
 

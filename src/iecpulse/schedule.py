@@ -50,7 +50,7 @@ class SchedulePair:
 
     gamma, beta are polynomials in s = t / t_f (radians). t_a, when set, is the
     antedated switch time (same units as t_f); both are kept as check_times' floats.
-    antedated_pair alone sets antedated = (AntedatedBasis, b): beta = B0 + b B1.
+    antedated_pair sets antedated = (AntedatedBasis, b) for validate_schedule: beta = B0 + b B1.
     """
 
     gamma: Polynomial
@@ -156,7 +156,7 @@ def antedated_pair(t_f: float, t_a: float, beta_dot0: float | None = None) -> Sc
     rate reversal stay finite and nonnegative. beta_dot0 defaults to
     pi / (2 t_f) and is tunable (it controls the energy cost); a given one
     must be finite, and check_times and check_rate apply (ConfigError).
-    beta is B0 + b B1 of the AntedatedBasis at t_a, which the pair carries.
+    beta is B0 + b B1 of the AntedatedBasis at t_a, carried for validate_schedule's verdict.
 
     Schedules whose gamma leaves [-pi, pi] raise UnphysicalSchedule; t_a
     below critical_t_a() * t_f trips this. t_a is required: None is a

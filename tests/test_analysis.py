@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iecpulse import analysis, errors, pulse, schedule
+from iecpulse import analysis, errors, poly, pulse, schedule
 from iecpulse.analysis import (
     _Sweep,
     _sweep_point,
@@ -264,17 +264,35 @@ def test_sweep_decides_and_costs_as_per_schedule_path():
             assert c == ref or math.isnan(c) and math.isnan(ref) and not f
 
 
-def _per_candidate_cost(self, b):
-    """_Sweep._cost with one reference root call per candidate."""
-    d0, d1 = self.b0.derivative().coefficients, self.b1.derivative().coefficients
-    cuts = [reference_real_roots(d0 + x * d1, 0.0, self.s_end) for x in b]
+def _per_candidate_cost(self, c):
+    """_Sweep._cost with one reference root call per candidate, on the
+    derivative of its fitted beta (a column of c), and the _areas integrand."""
+    cuts = [reference_real_roots(d, 0.0, self.s_end) for d in poly._derivative(c).T]
     width = max(map(len, cuts)) + 1
-    edges = [[0.0, *c] + [self.s_end] * (width - len(c)) for c in cuts]
+    edges = [[0.0, *r] + [self.s_end] * (width - len(r)) for r in cuts]
+    return analysis._areas(self.gamma, c, np.array(edges))
 
-    def omega(s, row):
-        return self.gamma.derivative()(s) / np.sin(self.b0(s) + b[row, None] * self.b1(s))
 
-    return pulse.gauss_legendre(omega, edges)
+def _floats_near(x, n=8):
+    """x, then the n floats on each side of it, nearest first."""
+    up = down = x
+    yield x
+    for _ in range(n):
+        up, down = np.nextafter(up, math.inf), np.nextafter(down, -math.inf)
+        yield from (up, down)
+
+
+def _degree_drop(sweep):
+    """The units of a b whose fitted beta, and so its derivative, has degree
+    4: b0_5 + b b1_5 is exactly 0. Such a b is sought among the floats next
+    to -b0_5 / b1_5, and its units among those next to b / (pi / 2)."""
+    b05, b15 = sweep.b0.coefficients[-1], sweep.b1.coefficients[-1]
+    for b in _floats_near(-b05 / b15):
+        if sweep.basis.fit(np.array([b]))[0][-1, 0] == 0.0:
+            for u in _floats_near(b * 2.0 / PI):
+                if schedule.beta_dot0_rate(u, 1.0) * 1.0 == b:  # as evaluate rounds it
+                    return float(u)
+    pytest.fail("no float b zeroes the fitted quintic coefficient")
 
 
 @pytest.mark.parametrize("frac, units, drop_feasible", [
@@ -284,10 +302,7 @@ def _per_candidate_cost(self, b):
 ])
 def test_sweep_costs_match_per_candidate_roots(monkeypatch, frac, units, drop_feasible):
     sweep = _Sweep(1.0, frac)
-    d0, d1 = sweep.b0.derivative().coefficients, sweep.b1.derivative().coefficients
-    drop = -d0[-1] / d1[-1] * 2.0 / PI  # there B0' + b B1' has degree 3
-    assert d0[-1] + schedule.beta_dot0_rate(drop, 1.0) * d1[-1] == 0.0
-    units = np.append(units, drop)
+    units = np.append(units, _degree_drop(sweep))
     cost, ok = sweep.evaluate(units)
     assert ok[-1] == drop_feasible and ok.sum() >= 10
     monkeypatch.setattr(_Sweep, "_cost", _per_candidate_cost)
@@ -402,14 +417,13 @@ def _library_run(family, mid, frac, units, t_f):
 
 
 def _assert_as_its_factored_waveform(pair):
-    """A pair built by antedated_pair is decided and costed by the sweep on
-    its basis; the factored waveform of the same polynomials, which a plain
+    """A pair built by antedated_pair is decided by the sweep on its basis;
+    the factored waveform of the same polynomials, which a plain
     SchedulePair takes, is the independent reference. The grid's delta
     lies within 1e-9 of the reference's peak at every sample, and so does
     the peak (measured <= 5.5e-11; tan(gamma) in place of tan(s^2 q(s))
-    misses by 1.6e-8, at the first sample). The costs agree to 1e-11
-    relative (measured <= 5.6e-13 on drawn pairs, 7.6e-12 on the
-    narrow-peak pair)."""
+    misses by 1.6e-8, at the first sample). The costs are equal: the pulse
+    area has one definition, whoever built the pair."""
     basis, b = pair.antedated
     sweep, b = _Sweep(pair.t_f, pair.t_a, basis), np.array([b])
     wave = pulse._waveform(pair)
@@ -420,7 +434,7 @@ def _assert_as_its_factored_waveform(pair):
     assert np.abs(delta - reference).max() <= 1e-9 * peak
     assert sweep._detuning_ok(b)[1][0] == pytest.approx(peak, rel=1e-9)
     plain = SchedulePair(pair.gamma, pair.beta, pair.t_f, pair.t_a)
-    assert energy_cost(pair) == pytest.approx(energy_cost(plain), rel=1e-11)
+    assert energy_cost(pair) == energy_cost(plain)
 
 
 @settings(max_examples=60, deadline=None)
@@ -437,6 +451,28 @@ def test_narrow_peak_is_costed_as_its_factored_waveform():
     t_f = 158.03918506664547
     _assert_as_its_factored_waveform(
         antedated_pair(t_f, 99.11881451794792, 0.8179669548296351 * 0.5 * PI / t_f))
+
+
+def test_energy_cost_of_an_antedated_pair_is_its_waveform_area(monkeypatch):
+    # one definition of the area: once synthesize has built the pair's waveform,
+    # energy_cost builds no _Sweep and seeks no root, and it is the sweep's cost
+    pair = antedated_pair(1.0, 0.5, schedule.beta_dot0_rate(5.0, 1.0))
+    pulse.synthesize(pair, 100)
+    calls = []
+    init, roots = _Sweep.__init__, poly.stacked_real_roots
+
+    def counted(*args):
+        calls.append("roots")
+        return roots(*args)
+
+    monkeypatch.setattr(_Sweep, "__init__",
+                        lambda self, *args: calls.append("_Sweep") or init(self, *args))
+    monkeypatch.setattr(poly, "stacked_real_roots", counted)
+    monkeypatch.setattr(analysis, "stacked_real_roots", counted)
+    cost = energy_cost(pair)
+    assert calls == []
+    monkeypatch.undo()
+    assert cost == _Sweep(1.0, 0.5).evaluate(np.array([5.0]))[0][0]
 
 
 def _band_and_drive(t_f, t_a, units):
@@ -463,12 +499,12 @@ def test_sweep_costs_do_not_depend_on_how_rows_are_grouped(frac):
     lo, hi = sweep.band
     units = np.linspace(lo, hi, 202)[1:-1] * 2.0 / PI
     cost, ok = sweep.evaluate(units)
-    b = schedule.beta_dot0_rate(units[ok], 1.0)
-    assert len(b) >= 150
-    whole = sweep._cost(b)
+    c = sweep.basis.fit(schedule.beta_dot0_rate(units[ok], 1.0))[0]
+    assert c.shape[1] >= 150
+    whole = sweep._cost(c)
     assert np.array_equal(cost[ok], whole)
     for block in (1, 8):
-        parts = [sweep._cost(b[i : i + block]) for i in range(0, len(b), block)]
+        parts = [sweep._cost(c[:, i : i + block]) for i in range(0, c.shape[1], block)]
         assert np.array_equal(np.concatenate(parts), whole), block
 
 
@@ -550,7 +586,7 @@ def test_cost_slopes_are_the_cost_derivatives(frac):
     h = 1e-3 * (hi - lo)
     for where in (0.2, 0.5, 0.8):
         b = lo + (hi - lo) * where
-        c = sweep._cost(b + h * np.arange(-2, 3))
+        c = sweep._cost(sweep.basis.fit(b + h * np.arange(-2, 3))[0])
         d1 = (c[0] - 8 * c[1] + 8 * c[3] - c[4]) / (12 * h)
         d2 = (-c[0] + 16 * c[1] - 30 * c[2] + 16 * c[3] - c[4]) / (12 * h * h)
         assert sweep._slopes(b) == pytest.approx((d1, d2), rel=1e-6), where

@@ -55,7 +55,9 @@ def test_one_value_and_one_exit_code(outputs, tmp_path):
     text, status = outputs.summarize(list(reports.values()))
     assert status == 1
     assert text.splitlines()[-1] == ("8 files: 6 identical, 2 differ, 2 beyond 1e-12 relative "
-                                     "or not numeric; 1 of 2 exit codes equal")
+                                     "or not numeric; 1 of 2 exit codes equal; largest change "
+                                     "rel 0.125 (abs 0.5) in design-seed1/job000/synth/pulse.csv, "
+                                     "omega_r")
     assert "omega_r: abs 0.5 rel 0.125" in text and "exit 0 -> 3" in text
 
 
@@ -69,7 +71,28 @@ def test_rounding_changes_are_measured_and_pass_below_the_bound(outputs, tmp_pat
     assert reports["design-seed1/job000/synth/pulse.csv"].changes["x"] == (0.0, 0.0)
     array = reports["design-seed1/job000/pure+1_psi.npy"].changes["array"]
     assert array[0] == pytest.approx(1e-16) and array[1] < 1e-12
-    assert outputs.summarize(list(reports.values()))[1] == 0
+    text, status = outputs.summarize(list(reports.values()))
+    assert status == 0
+    # the summary names the one number that moved, not the -0.0 that did not
+    assert text.splitlines()[-1].endswith(
+        f"; largest change rel {array[1]:.3g} (abs {array[0]:.3g}) in "
+        "design-seed1/job000/pure+1_psi.npy, array")
+
+
+def test_summary_names_the_largest_relative_change_and_where(outputs, tmp_path):
+    psi = np.zeros((2, 2), dtype=complex)
+    base = _folder(tmp_path / "base", "t,x,y\n0.0,1.0,100.0\n1.0,2.0,200.0\n", "0", psi)
+    head = _folder(tmp_path / "head", "t,x,y\n0.0,1.0,100.0\n1.0,2.0,200.0\n", "0", psi)
+    assert outputs.summarize(outputs.compare(base, head))[0].endswith(
+        "; 2 of 2 exit codes equal; no number changed")
+    job = head / "design-seed1" / "job000"
+    # y moves most in absolute terms, energy_cost most relative to its size
+    (job / "synth" / "pulse.csv").write_text("t,x,y\n0.0,1.0,100.0\n1.0,2.2,202.0\n")
+    (job / "synth" / "summary.txt").write_text("t_f = 1.0\nfamily = third\nenergy_cost = 7.0\n")
+    text, status = outputs.summarize(outputs.compare(base, head))
+    assert status == 1
+    assert text.splitlines()[-1].endswith(
+        "; largest change rel 0.143 (abs 1) in design-seed1/job000/synth/summary.txt, energy_cost")
 
 
 def test_keys_text_and_files_that_are_no_number_fail(outputs, tmp_path):

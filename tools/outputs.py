@@ -15,7 +15,9 @@ The report names every file whose bytes differ. For a CSV column, a
 `key = value` (or `key: value`) line or an array, it gives the largest
 absolute change and that change relative to the largest finite magnitude
 of the column, key or array on either side. A change of exit code, stderr,
-text, shape or file set is named as it is. The exit status is 1 when an
+text, shape or file set is named as it is. The last line sums up: the file
+and exit-code counts, and the largest relative change with its file and
+column, key or array, so one line can be cited. The exit status is 1 when an
 exit code changed, a number changed by more than 1e-12 relative, or a change
 is no number at all (text, a shape, a missing file); else 0, and 2 when
 the revision cannot be exported. Without --work the work folder is a
@@ -253,15 +255,28 @@ def compare(base: Path, head: Path) -> list[FileReport]:
     return reports
 
 
+def _largest(reports: list[FileReport]) -> str:
+    """The largest relative change of any number, with its absolute change, its
+    file and its column, key or array (the first in path order on a tie)."""
+    changes = [(rel, a, r.path, key) for r in reports for key, (a, rel) in r.changes.items()
+               if a or rel]
+    if not changes:
+        return "no number changed"
+    rel, a, path, key = max(changes, key=lambda c: c[0])
+    return f"largest change rel {rel:.3g} (abs {a:.3g}) in {path}, {key}"
+
+
 def summarize(reports: list[FileReport]) -> tuple[str, int]:
-    """The report's text and the exit status: 1 if any file failed, else 0."""
+    """The report's text and the exit status: 1 if any file failed, else 0.
+    The last line, the summary, counts the files and exit codes and names the
+    largest relative change."""
     differ = [r for r in reports if not r.identical]
     failed = sum(r.failed for r in differ)
     exits = [r for r in reports if r.path.endswith(".exit")]
     lines = [r.line() for r in differ] + [
         f"{len(reports)} files: {len(reports) - len(differ)} identical, {len(differ)} differ, "
         f"{failed} beyond {REL_TOL:g} relative or not numeric; "
-        f"{sum(r.identical for r in exits)} of {len(exits)} exit codes equal"
+        f"{sum(r.identical for r in exits)} of {len(exits)} exit codes equal; {_largest(differ)}"
     ]
     return "\n".join(lines), int(failed > 0)
 
