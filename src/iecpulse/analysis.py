@@ -11,8 +11,10 @@ DegeneratePoint at a level crossing there. sweep_beta_dot0 minimises the
 cost over the initial beta rate, in which it is convex where the waveform
 builds: beta is affine in that rate (AntedatedBasis), so _Sweep decides and
 costs every candidate from shared parts, by the pairs' own integrand (_areas).
-validate_schedule reads the sweep's detuning verdict from an antedated_pair's
-basis, so a sweep needs no re-check.
+A pair is its polynomials and times: validate_schedule decides every pair
+from its waveform's grid pass, and the sweep's detuning verdict agrees with
+it except where the peak lies within their rounding gap (measured <= 3.7e-11
+relative) of DELTA_FINITE_BOUND.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ __all__ = [
 ]
 
 #: Frequencies are "finite" when |delta| * t_f stays below this bound on the
-#: validation grid; genuine divergences blow past any fixed threshold. An
-#: antedated_pair's delta is _Sweep._detuning_ok's, the waveform's grid pass else.
+#: validation grid; genuine divergences blow past any fixed threshold. A sweep
+#: takes its delta from _Sweep._detuning_ok, validate_schedule from the grid pass.
 DELTA_FINITE_BOUND = 1e3
 
 #: A passage has inverted once both populations lie this close to their
@@ -108,8 +110,8 @@ def validate_schedule(pair: SchedulePair) -> ValidationReport:
     gamma_dot / sin(beta), and the waveform built, so every zero of
     sin(beta) there is one of gamma_dot too, and omega_r keeps one sign on
     each piece. |delta| must stay within
-    DELTA_FINITE_BOUND on the validation grid of that segment (its grid
-    pass, or the sweep's verdict for an antedated_pair); and gamma must stay within [-pi, pi] over
+    DELTA_FINITE_BOUND on the validation grid of that segment, read from
+    the waveform's grid pass for every pair; and gamma must stay within [-pi, pi] over
     the whole design window [0, t_f] (dips below -pi signal non-compensable
     singularities), decided exactly from its ends and the same zeros.
     """
@@ -121,11 +123,7 @@ def validate_schedule(pair: SchedulePair) -> ValidationReport:
     omega_ok = not min_omega < 0.0
     if not omega_ok:
         messages.append(f"omega_r turns negative (min {min_omega:.3e} * 1/t_f)")
-    if pair.antedated is None:
-        max_delta = wave.grid.delta_peak
-    else:  # _detuning_ok's peak, and below the comparison behind its verdict
-        basis, b = pair.antedated
-        max_delta = float(_Sweep(pair.t_f, pair.t_a, basis)._detuning_ok(np.array([b]))[1][0])
+    max_delta = wave.grid.delta_peak
     delta_ok = max_delta <= DELTA_FINITE_BOUND
     if not delta_ok:
         messages.append(f"delta exceeds the finiteness bound (max {max_delta:.3e} * 1/t_f)")
@@ -169,7 +167,10 @@ def _sweep_point(t_f: float, t_a: float, units: float) -> tuple[float, bool]:
     """Cost and feasibility at one grid point, beta_dot0 in units of pi / 2 t_f.
 
     A schedule that cannot be built or costed is an infeasible point. Kept for
-    the benchmark and tests; equals a one-row _Sweep.evaluate where the build agrees with _band.
+    the benchmark and tests; equals a one-row _Sweep.evaluate where the build agrees
+    with _band and the detuning peak is not within the rounding gap (measured
+    <= 3.7e-11 relative) of validate_schedule's grid pass and _Sweep._detuning_ok
+    from DELTA_FINITE_BOUND.
     """
     try:
         pair = antedated_pair(t_f, t_a, beta_dot0_rate(units, t_f))
@@ -182,18 +183,20 @@ def _sweep_point(t_f: float, t_a: float, units: float) -> tuple[float, bool]:
 
 class _Sweep:
     """What every beta_dot0 candidate at one (t_f, t_a) shares: its
-    AntedatedBasis beta = B0 + b B1, b = beta_dot0 t_f, given or built.
+    AntedatedBasis beta = B0 + b B1, b = beta_dot0 t_f.
 
     evaluate decides each candidate by the basis's fit check, the band of b where
     -pi < beta < 0 on the driven segment (omega_r is then finite and positive, a
     plain quotient with no station) and the detuning policy on the validation
     grid (_detuning_in_band), and costs the feasible ones' fitted betas in one
     call (_cost), whose sums do not depend on that grouping. Band and grid are lazy.
+    A pair's cost is its row's to the bit; its validate_schedule verdict is the
+    row's outside the rounding gap between the two detuning peaks (_sweep_point).
     """
 
-    def __init__(self, t_f: float, t_a: float, basis: AntedatedBasis | None = None):
+    def __init__(self, t_f: float, t_a: float):
         self.t_f = t_f
-        basis = self.basis = AntedatedBasis(t_f, t_a) if basis is None else basis
+        basis = self.basis = AntedatedBasis(t_f, t_a)
         self.s_end, self.gamma, self.b0, self.b1 = basis.s_end, basis.gamma, basis.b0, basis.b1
 
     @cached_property

@@ -84,11 +84,7 @@ class RunConfig:
         if self.family == "third":
             return third_order_pair(self.t_f)
         if self.family == "fourth":
-            if self.gamma_mid is None:
-                raise ConfigError("family=fourth requires gamma_mid")
             return fourth_order_pair(self.t_f, self.gamma_mid)
-        if self.t_a is None:
-            raise ConfigError("family=antedated requires t_a")
         beta_dot0 = None if self.beta_dot0 is None else beta_dot0_rate(self.beta_dot0, self.t_f)
         return antedated_pair(self.t_f, self.t_a, beta_dot0)
 
@@ -249,8 +245,6 @@ def _cmd_sweep(cfg: RunConfig) -> dict[str, str]:
         raise ConfigError("sweep subcommand requires sweep_lo, sweep_hi, sweep_n")
     if cfg.family != "antedated":
         raise ConfigError(f"sweep subcommand requires family = antedated, got {cfg.family!r}")
-    if cfg.t_a is None:
-        raise ConfigError("sweep subcommand requires t_a")
     lo, hi, n = cfg.sweep
     result = analysis.sweep_beta_dot0(cfg.t_f, cfg.t_a, lo, hi, n)
     return {

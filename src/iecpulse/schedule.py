@@ -20,7 +20,7 @@ All boundary conditions are stated per unit t and converted to per unit s
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,14 +50,13 @@ class SchedulePair:
 
     gamma, beta are polynomials in s = t / t_f (radians). t_a, when set, is the
     antedated switch time (same units as t_f); both are kept as check_times' floats.
-    antedated_pair sets antedated = (AntedatedBasis, b) for validate_schedule: beta = B0 + b B1.
+    A pair is these four values: equal pairs are decided and costed alike, however built.
     """
 
     gamma: Polynomial
     beta: Polynomial
     t_f: float
     t_a: float | None
-    antedated: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for name, value in zip(("t_f", "t_a"), check_times(self.t_f, self.t_a)):
@@ -156,7 +155,7 @@ def antedated_pair(t_f: float, t_a: float, beta_dot0: float | None = None) -> Sc
     rate reversal stay finite and nonnegative. beta_dot0 defaults to
     pi / (2 t_f) and is tunable (it controls the energy cost); a given one
     must be finite, and check_times and check_rate apply (ConfigError).
-    beta is B0 + b B1 of the AntedatedBasis at t_a, carried for validate_schedule's verdict.
+    beta is B0 + b B1 of the AntedatedBasis at t_a, b = beta_dot0 t_f, as a sweep fits it.
 
     Schedules whose gamma leaves [-pi, pi] raise UnphysicalSchedule; t_a
     below critical_t_a() * t_f trips this. t_a is required: None is a
@@ -172,9 +171,7 @@ def antedated_pair(t_f: float, t_a: float, beta_dot0: float | None = None) -> Sc
     beta, ok = basis.fit(np.array([b]))
     if not ok[0]:
         raise SingularSystem("ill-conditioned interpolation system (residual check failed)")
-    pair = SchedulePair(basis.gamma, Polynomial(beta[:, 0]), t_f, t_a)
-    object.__setattr__(pair, "antedated", (basis, b))
-    return pair
+    return SchedulePair(basis.gamma, Polynomial(beta[:, 0]), t_f, t_a)
 
 
 class AntedatedBasis:

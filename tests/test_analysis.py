@@ -416,16 +416,16 @@ def _library_run(family, mid, frac, units, t_f):
     return pair, table, report, cost, metric, residual
 
 
-def _assert_as_its_factored_waveform(pair):
-    """A pair built by antedated_pair is decided by the sweep on its basis;
-    the factored waveform of the same polynomials, which a plain
-    SchedulePair takes, is the independent reference. The grid's delta
-    lies within 1e-9 of the reference's peak at every sample, and so does
-    the peak (measured <= 5.5e-11; tan(gamma) in place of tan(s^2 q(s))
-    misses by 1.6e-8, at the first sample). The costs are equal: the pulse
-    area has one definition, whoever built the pair."""
-    basis, b = pair.antedated
-    sweep, b = _Sweep(pair.t_f, pair.t_a, basis), np.array([b])
+def _assert_as_its_factored_waveform(pair, beta_dot0):
+    """A sweep decides the row of an antedated_pair at b = beta_dot0 t_f,
+    rounded as antedated_pair rounds it; the factored waveform of the same
+    polynomials, which a plain SchedulePair takes, is the independent
+    reference. The sweep grid's delta lies within 1e-9 of the reference's
+    peak at every sample, and so does the peak (measured <= 5.5e-11;
+    tan(gamma) in place of tan(s^2 q(s)) misses by 1.6e-8, at the first
+    sample). Costs and reports are equal: the pulse area and the verdict
+    have one definition each, whoever built the pair."""
+    sweep, b = _Sweep(pair.t_f, pair.t_a), np.array([float(beta_dot0) * pair.t_f])
     wave = pulse._waveform(pair)
     reference = wave.delta_many(analysis._driven_grid(wave.end))
     cot, b0, b1, db0, db1 = sweep._grid
@@ -435,6 +435,7 @@ def _assert_as_its_factored_waveform(pair):
     assert sweep._detuning_ok(b)[1][0] == pytest.approx(peak, rel=1e-9)
     plain = SchedulePair(pair.gamma, pair.beta, pair.t_f, pair.t_a)
     assert energy_cost(pair) == energy_cost(plain)
+    assert validate_schedule(pair) == validate_schedule(plain)
 
 
 @settings(max_examples=60, deadline=None)
@@ -444,13 +445,14 @@ def test_antedated_pair_is_decided_and_costed_as_its_factored_waveform(frac, whe
     """where places beta_dot0 t_f across the positive part of the band."""
     lo, hi = _Sweep(t_f, frac * t_f).band
     lo = max(lo, 0.0)
-    _assert_as_its_factored_waveform(antedated_pair(t_f, frac * t_f, (lo + (hi - lo) * where) / t_f))
+    beta_dot0 = (lo + (hi - lo) * where) / t_f
+    _assert_as_its_factored_waveform(antedated_pair(t_f, frac * t_f, beta_dot0), beta_dot0)
 
 
 def test_narrow_peak_is_costed_as_its_factored_waveform():
     t_f = 158.03918506664547
-    _assert_as_its_factored_waveform(
-        antedated_pair(t_f, 99.11881451794792, 0.8179669548296351 * 0.5 * PI / t_f))
+    beta_dot0 = 0.8179669548296351 * 0.5 * PI / t_f
+    _assert_as_its_factored_waveform(antedated_pair(t_f, 99.11881451794792, beta_dot0), beta_dot0)
 
 
 def test_energy_cost_of_an_antedated_pair_is_its_waveform_area(monkeypatch):
@@ -713,6 +715,17 @@ def test_detuning_policy_decides_pinned_point():
     assert not sweep.evaluate(np.array([8.154]))[1][0]
     assert _sweep_point(1.0, 0.71, 8.154) == (pytest.approx(math.nan, nan_ok=True), False)
     assert "delta exceeds" in validate_schedule(antedated_pair(1.0, 0.71, b)).messages[0]
+
+
+def test_equal_pairs_get_equal_reports():
+    # the detuning peak of this pair lies within rounding of DELTA_FINITE_BOUND:
+    # the grid pass reads 999.9999999995396 and the sweep's one-tan formula
+    # 1000.000000000032, so a pair decided by how it was built would differ
+    # from its plain twin; a pair is its value, and both read the grid pass
+    pair = antedated_pair(1.0, 0.71, 6.356476554588351)
+    plain = SchedulePair(pair.gamma, pair.beta, 1.0, 0.71)
+    assert pair == plain and hash(pair) == hash(plain)
+    assert validate_schedule(pair) == validate_schedule(plain)
 
 
 def reference_detuning_peak(sweep, b):

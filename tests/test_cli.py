@@ -62,6 +62,14 @@ sweep_n = 12
 """
 
 
+#: Configs that lack the one key their family needs, and that key: the library
+#: rejects the None it receives, and its message names the key.
+MISSING_KEY = {
+    "t_f = 1\nfamily = fourth\n": "gamma_mid",
+    ANTE_CFG.replace("t_a = 0.5\n", ""): "t_a",
+}
+
+
 def test_parse_config_defaults(tmp_path):
     cfg = parse_config(_write(tmp_path, THIRD_CFG))
     assert cfg.t_f == 1.0
@@ -155,6 +163,8 @@ def test_exit_code_infeasible(tmp_path, capsys):
         ("synth", THIRD_CFG.replace("rk4_steps = 1000", "rk4_steps = 1000000000000000")),
         ("sweep", ANTE_CFG.replace("sweep_n = 12", "sweep_n = 1000001")),
         ("sweep", ANTE_CFG.replace("sweep_n = 12", "sweep_n = 1000000000000000")),
+        *(("synth", text) for text in MISSING_KEY),
+        ("sweep", ANTE_CFG.replace("t_a = 0.5\n", "")),
     ],
     ids=[
         "t_f-inf", "t_f-nan", "beta_dot0-inf", "beta_dot0-rate-overflow", "grid_n", "rk4_steps",
@@ -164,13 +174,17 @@ def test_exit_code_infeasible(tmp_path, capsys):
         "sweep_lo-negative", "sweep-family-third", "unread-t_a", "unread-beta_dot0",
         "unread-grid_n", "unread-rk4_steps", "unread-sweep_n", "grid_n-cap", "grid_n-1e15",
         "rk4_steps-cap", "rk4_steps-1e15", "sweep_n-cap", "sweep_n-1e15",
+        "fourth-no-gamma_mid", "antedated-no-t_a", "sweep-no-t_a",
     ],
 )
 def test_invalid_config_exits_1(tmp_path, capsys, command, text):
     out = tmp_path / "out"
     code = main([command, "--config", str(_write(tmp_path, text)), "--out", str(out)])
     assert code == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    if text in MISSING_KEY:
+        assert MISSING_KEY[text] in err
     assert not out.exists()
 
 

@@ -297,19 +297,19 @@ def test_coefficients_independent_of_t_f(factory, kwargs):
 def test_antedated_beta_meets_its_conditions(frac, units, t_f):
     """Wherever antedated_pair builds, its beta = B0 + b B1 misses none of its
     six conditions by more than fit's bound: FIT_TOL times the largest
-    condition value (at least 1). The basis it carries takes no part in
-    comparing or hashing pairs."""
+    condition value (at least 1), b = beta_dot0 t_f rounded as antedated_pair
+    rounds it. A pair is its value: a plain SchedulePair of the same
+    polynomials and times is equal to it and hashes alike."""
+    beta_dot0 = units * 0.5 * PI / t_f
     try:
-        pair = antedated_pair(t_f, frac * t_f, units * 0.5 * PI / t_f)
+        pair = antedated_pair(t_f, frac * t_f, beta_dot0)
     except Infeasible:
         return
-    basis, b = pair.antedated
-    assert pair.gamma is basis.gamma
+    b = float(beta_dot0) * pair.t_f
     t_s = gamma_dot_zero_crossing(pair.gamma)
     conditions = schedule._antedated_beta_conditions(pair.switch_fraction, t_s, b)
     scale = max(1.0, max(abs(c.value) for c in conditions))
     values = [c.value for c in conditions]
     assert np.abs(misfit(pair.beta.coefficients, conditions, values)).max() <= FIT_TOL * scale
     plain = SchedulePair(pair.gamma, pair.beta, pair.t_f, pair.t_a)
-    assert plain.antedated is None
     assert plain == pair and hash(plain) == hash(pair)
