@@ -46,6 +46,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -171,11 +172,12 @@ def _summary(entries: list[tuple[str, object]]) -> str:
 def _write(out: Path, files: dict[str, str]) -> None:
     """Create out and write each file of files into it. On an OSError, remove
     every file and folder this call created (none that existed before) and
-    raise ConfigError."""
+    raise ConfigError. The folders it may create are out and its ancestors up
+    to the first that exists: every ancestor of an existing path exists."""
     made: list[Path] = []
     new: list[Path] = []
     try:
-        made = [p for p in (out, *out.parents) if not os.path.lexists(p)]
+        made = list(takewhile(lambda p: not os.path.lexists(p), (out, *out.parents)))
         out.mkdir(parents=True, exist_ok=True)
         new = [out / name for name in files if not os.path.lexists(out / name)]
         for name, text in files.items():

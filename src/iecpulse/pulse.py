@@ -66,7 +66,7 @@ import numpy as np
 
 from .errors import (ConfigError, DegeneratePoint, DivergentPulse, NoConvergence, as_numbers,
                      is_number, shown)
-from .poly import Polynomial, horner, real_roots, vanishes
+from .poly import Polynomial, gauss_rule, horner, real_roots, vanishes
 from .schedule import SchedulePair
 
 __all__ = [
@@ -523,8 +523,12 @@ def lr_phase(pair: SchedulePair, t: float, branch: int) -> float:
 
 @lru_cache(maxsize=None)
 def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
-    return np.polynomial.legendre.leggauss(n)
+    """n-point Gauss-Legendre nodes and weights on [-1, 1] (poly.gauss_rule), built
+    on first use and read-only, as every caller shares them."""
+    x, w = gauss_rule(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def gauss_legendre(f, edges) -> np.ndarray:

@@ -465,24 +465,25 @@ def _numpy_polynomial_uses(path):
             yield node.lineno, "attribute", owner.get(node)
 
 
-def test_numpy_polynomial_is_reached_only_for_gauss_legendre_nodes():
-    # poly owns polynomial arithmetic: no other module imports from
-    # numpy.polynomial, and pulse._gauss_rule's leggauss is its one other use
+def test_no_module_imports_or_reaches_numpy_polynomial():
+    # poly owns polynomial arithmetic, the Gauss-Legendre rules included: no
+    # module imports from numpy.polynomial or reads np.polynomial
     modules = sorted(Path(iecpulse.__file__).parent.glob("*.py"))
     assert "poly.py" in [m.name for m in modules]
-    uses = [(m.name, kind, f) for m in modules for _, kind, f in _numpy_polynomial_uses(m)]
-    assert [u for u in uses if u[1] == "import" and u[0] != "poly.py"] == []
-    assert [u for u in uses if u[1] == "attribute"] == [("pulse.py", "attribute", "_gauss_rule")]
+    assert [(m.name, *use) for m in modules for use in _numpy_polynomial_uses(m)] == []
 
 
 def test_importing_the_package_leaves_numpy_polynomial_unloaded():
-    # only the first quadrature's Gauss-Legendre rule loads it
+    # nor does a quadrature that builds the 128-node rule load it
     code = ("import sys, iecpulse, iecpulse.cli\n"
             "print('numpy.polynomial' in sys.modules)\n"
-            "iecpulse.energy_cost(iecpulse.third_order_pair(1.0))\n"
+            "sizes = []\n"
+            "f = lambda s, row: sizes.append(s.shape[1]) or 1 / (0.0625 + s * s)\n"
+            "iecpulse.pulse.gauss_legendre(f, [-1.0, 1.0])\n"
+            "print(max(sizes))\n"
             "print('numpy.polynomial' in sys.modules)\n")
     src = Path(iecpulse.__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, check=True)
-    assert done.stdout.split() == ["False", "True"]
+    assert done.stdout.split() == ["False", "128", "False"]

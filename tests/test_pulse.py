@@ -17,7 +17,10 @@ from iecpulse.errors import DegeneratePoint, DivergentPulse, Infeasible, NoConve
 from iecpulse.errors import NumericalFailure
 from iecpulse.poly import Polynomial, horner
 from iecpulse.pulse import (
+    GAUSS_CAP,
+    GAUSS_START,
     _angle,
+    _gauss_rule,
     _upow,
     _waveform,
     adiabaticity_metric,
@@ -662,6 +665,68 @@ def test_gauss_legendre_stops_at_node_cap():
     # 1.6 million oscillations cannot be resolved by 1024 nodes per piece
     with pytest.raises(NoConvergence, match=r"did not converge on \[0, 0.5\]"):
         gauss_legendre(lambda s, row: np.sin(1e7 * s), [0.0, 0.5, 1.0])
+
+
+#: every node count gauss_legendre can ask for: GAUSS_START doubled up to GAUSS_CAP
+RULE_SIZES = [GAUSS_START << j for j in range((GAUSS_CAP // GAUSS_START).bit_length())]
+
+
+def test_rule_sizes_run_from_the_first_rule_to_the_cap():
+    assert RULE_SIZES[0] == GAUSS_START and RULE_SIZES[-1] == GAUSS_CAP
+    assert all(b == 2 * a for a, b in zip(RULE_SIZES, RULE_SIZES[1:]))
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_gauss_rule_nodes_rise_strictly_inside_and_are_symmetric(n):
+    x, w = _gauss_rule(n)
+    assert x.shape == w.shape == (n,) and not (x.flags.writeable or w.flags.writeable)
+    assert -1.0 < x[0] and x[-1] < 1.0 and (np.diff(x) > 0).all()
+    assert np.abs(x + x[::-1]).max() <= np.finfo(float).eps
+    assert (w > 0).all() and np.abs(w / w[::-1] - 1).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_gauss_rule_integrates_every_monomial_up_to_degree_2n_minus_1(n):
+    x, w = _gauss_rule(n)
+    k = np.arange(2 * n)[:, None]
+    terms = w * x**k
+    exact = np.where(k[:, 0] % 2 == 0, 2.0 / (k[:, 0] + 1), 0.0)
+    # relative to the sum of |w x^k|, which is the exact value for even k
+    assert (np.abs(terms.sum(axis=1) - exact) <= 1e-13 * np.abs(terms).sum(axis=1)).all()
+
+
+def _reference_root_and_weight(n, x):
+    """The root of P_n next to the float x and its weight, to 40 digits: two
+    Newton steps on mpmath's legendre, then 2 (1 - a^2) / (n P_{n-1}(a))^2.
+    mpmath evaluates P_n slowly at x < 0, so it works at |x| and mirrors
+    (P_n(-x) = (-1)^n P_n(x))."""
+    with mp.workdps(40):
+        a = mp.mpf(abs(x))
+        for _ in range(2):
+            pn, pm = mp.legendre(n, a), mp.legendre(n - 1, a)
+            a -= pn * (a * a - 1) / (n * (a * pn - pm))
+        w = 2 * (1 - a * a) / (n * mp.legendre(n - 1, a)) ** 2
+        return math.copysign(1.0, x) * a, w
+
+
+@pytest.mark.parametrize("n", [16, 128, 1024])
+def test_gauss_rule_matches_a_40_digit_reference(n):
+    # leggauss's weights miss this by 1.2e-9 at n = 1024
+    x, w = _gauss_rule(n)
+    for i in sorted({*np.linspace(0, n - 1, 20).round().astype(int).tolist()}):
+        root, weight = _reference_root_and_weight(n, float(x[i]))
+        assert abs(x[i] - root) <= 2.2e-16, (n, i)
+        assert abs(w[i] / weight - 1) <= 1e-11, (n, i)
+
+
+def test_gauss_rules_build_without_an_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    for name in ("eigvalsh", "eigh", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for n in RULE_SIZES:  # built afresh, not read from the cache
+        assert all(map(np.array_equal, _gauss_rule.__wrapped__(n), _gauss_rule(n)))
 
 
 def test_pulse_values_match_on_fourth_order_families():
