@@ -10,18 +10,16 @@ waveform diverges on the driven segment, and the metric raises
 DegeneratePoint at a level crossing there. sweep_beta_dot0 minimises the
 cost over the initial beta rate, in which it is convex where the waveform
 builds: beta is affine in that rate (AntedatedBasis), so _Sweep decides and
-costs every candidate from shared parts, by the pairs' own integrand (_areas).
-A pair is its polynomials and times: validate_schedule decides every pair
-from its waveform's grid pass, and the sweep's detuning verdict agrees with
-it except where the peak lies within their rounding gap (measured <= 3.7e-11
-relative) of DELTA_FINITE_BOUND.
+costs every candidate from shared parts, by the pairs' own integrand (_areas)
+and detuning kernel (pulse._detuning). A pair is its polynomials and times:
+validate_schedule decides every pair from its waveform's grid pass, which
+reads that kernel too, so a sweep row's verdict and cost are its pair's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +27,8 @@ from .dynamics import Weights, adiabatic_state, invariant_state
 from .errors import (ConfigError, DivergentPulse, Infeasible, NoConvergence, NoFeasiblePoint,
                      is_number, shown)
 from .poly import Polynomial, _derivative, horner, real_roots, stacked_real_roots
-from .pulse import _check_gap, _driven_grid, _waveform, check_grid, gauss_legendre
+from .pulse import (_arguments, _check_gap, _detuning, _stacked_stations, _waveform, check_grid,
+                    gauss_legendre)
 from .schedule import AntedatedBasis, SchedulePair, antedated_pair, beta_dot0_rate, check_rate
 from .schedule import check_times, gamma_out_of_range
 
@@ -45,18 +44,16 @@ __all__ = [
     "compare_passages",
 ]
 
-#: Frequencies are "finite" when |delta| * t_f stays below this bound on the
-#: validation grid; genuine divergences blow past any fixed threshold. A sweep
-#: takes its delta from _Sweep._detuning_ok, validate_schedule from the grid pass.
+#: Frequencies are "finite" when |delta| * t_f stays below this bound on the validation
+#: grid (pulse._detuning); genuine divergences blow past any fixed threshold.
 DELTA_FINITE_BOUND = 1e3
 
 #: A passage has inverted once both populations lie this close to their
 #: final values.
 POPULATION_TOL = 1e-3
 
-#: Sweep candidates whose detuning is evaluated on the validation grid
-#: together: 8 rows of it make 640 kB per array. It bounds only that memory;
-#: no output depends on it.
+#: The most sweep rows from each end of the band in one pulse._detuning call:
+#: 16 rows make 1.3 MB per array. It bounds that memory; no output depends on it.
 SWEEP_BLOCK = 8
 
 
@@ -168,9 +165,7 @@ def _sweep_point(t_f: float, t_a: float, units: float) -> tuple[float, bool]:
 
     A schedule that cannot be built or costed is an infeasible point. Kept for
     the benchmark and tests; equals a one-row _Sweep.evaluate where the build agrees
-    with _band and the detuning peak is not within the rounding gap (measured
-    <= 3.7e-11 relative) of validate_schedule's grid pass and _Sweep._detuning_ok
-    from DELTA_FINITE_BOUND.
+    with _band.
     """
     try:
         pair = antedated_pair(t_f, t_a, beta_dot0_rate(units, t_f))
@@ -189,27 +184,16 @@ class _Sweep:
     -pi < beta < 0 on the driven segment (omega_r is then finite and positive, a
     plain quotient with no station) and the detuning policy on the validation
     grid (_detuning_in_band), and costs the feasible ones' fitted betas in one
-    call (_cost), whose sums do not depend on that grouping. Band and grid are lazy.
-    A pair's cost is its row's to the bit; its validate_schedule verdict is the
-    row's outside the rounding gap between the two detuning peaks (_sweep_point).
+    call (_cost), whose sums do not depend on that grouping.
+    A pair's cost and detuning peak are its row's to the bit, so its
+    validate_schedule verdict is the row's.
     """
 
     def __init__(self, t_f: float, t_a: float):
         self.t_f = t_f
         basis = self.basis = AntedatedBasis(t_f, t_a)
         self.s_end, self.gamma, self.b0, self.b1 = basis.s_end, basis.gamma, basis.b0, basis.b1
-
-    @cached_property
-    def band(self) -> tuple[float, float]:
-        return _band(self.b0, self.b1, self.s_end)
-
-    @cached_property
-    def _grid(self) -> tuple[np.ndarray, ...]:
-        """gamma_dot cot(gamma), B0, B1, B0' and B1' on the validation grid, with
-        tan(gamma) as tan(s^2 q(s)), gamma = pi + s^2 q(s): no cancellation at 0."""
-        s = _driven_grid(self.s_end)
-        cot = self.gamma.derivative()(s) / np.tan(s * s * horner(self.gamma.coefficients[2:], s))
-        return cot, self.b0(s), self.b1(s), self.b0.derivative()(s), self.b1.derivative()(s)
+        self.band = _band(self.b0, self.b1, self.s_end)
 
     def evaluate(self, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(cost, feasible) at each beta_dot0, in units of pi / (2 t_f); cost
@@ -221,72 +205,37 @@ class _Sweep:
             ok = (lo < b) & (b < hi) & fits
         rows = np.flatnonzero(ok)
         rows = rows[np.argsort(b[rows])]
-        ok[rows] = self._detuning_in_band(b[rows])
+        ok[rows] = self._detuning_in_band(c[:, rows])
         rows = rows[ok[rows]]
         cost = np.full(len(b), math.nan)
         cost[rows] = self._cost(c[:, rows])
         return cost, ok
 
-    def _lines(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """beta = B0 + b B1 and beta_dot = B0' + b B1' on the grid, a row per b."""
-        _, b0, b1, db0, db1 = self._grid
-        beta, rate = np.multiply.outer(b, b1), np.multiply.outer(b, db1)
-        return np.add(beta, b0, out=beta), np.add(rate, db0, out=rate)
+    def detuning(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """pulse._detuning of fitted betas c in the band, whose only stations are 0 and
+        t_a / t_f (_band): each row and peak is its pair's, as validate_schedule reads it."""
+        a = _arguments(self.gamma, c)
+        return _detuning([[*_stacked_stations(a, x)] for x in (0.0, self.s_end)], c, self.s_end)
 
-    def _detuning_ok(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(verdict, peak): whether the peak max |delta| t_f on the validation
-        grid is at most DELTA_FINITE_BOUND, where
-        delta = gamma_dot cot(gamma) / tan(beta) - beta_dot: one tan per
-        sample, vectorised on numpy 2.4 with AVX-512, where sin and cos are
-        not. Where tan(beta) is 0, as where sin(beta) is, the check fails."""
-        beta, rate = self._lines(b)
-        delta = np.divide(self._grid[0], np.tan(beta, out=beta), out=beta)
-        delta -= rate
-        peak = np.abs(delta, out=delta).max(axis=1)
-        return peak <= DELTA_FINITE_BOUND, peak
-
-    def _detuning_in_band(self, b: np.ndarray) -> np.ndarray:
-        """_detuning_ok's verdicts on b, ascending and inside the band, with
-        the grid evaluated only near the ends: SWEEP_BLOCK rows from each end
-        at a time, moving inward, until _proved_between shows that every row
-        strictly between the innermost evaluated ones passes. At worst every
-        row reaches the grid."""
-        ok = np.empty(len(b), dtype=bool)
-        i, j = 0, len(b)  # rows i .. j - 1 are undecided
+    def _detuning_in_band(self, c: np.ndarray) -> np.ndarray:
+        """Whether each fitted beta (a column of c, ascending in b in the band)
+        has its peak within DELTA_FINITE_BOUND, by the kernel on the outermost
+        undecided row at each end, then 2, 4, ... up to SWEEP_BLOCK, moving
+        inward until _proved_between passes every row between the innermost
+        evaluated ones. At worst every row is evaluated."""
+        ok = np.empty(c.shape[1], dtype=bool)
+        i, j, k = 0, c.shape[1], 1  # rows i .. j - 1 are undecided
         while i < j:
-            k = min(i + SWEEP_BLOCK, j)
-            ok[i:k] = self._detuning_ok(b[i:k])[0]
-            i = k
-            if i == j:
-                break
-            k = max(j - SWEEP_BLOCK, i)
-            ok[k:j] = self._detuning_ok(b[k:j])[0]
-            j = k
-            if i < j and self._proved_between(b[i - 1], b[j]):
+            rows = np.r_[i : min(i + k, j), max(j - k, i + k) : j]
+            peak, cot, rate = self.detuning(c[:, rows])
+            ok[rows] = peak <= DELTA_FINITE_BOUND
+            n = min(k, j - i)  # rows from the low end; the high end's follow
+            i, j = i + n, max(j - k, i + n)
+            if i < j and _proved_between(cot[n - 1 : n + 1], rate[n - 1 : n + 1]):
                 ok[i:j] = True
                 break
+            k = min(2 * k, SWEEP_BLOCK)
         return ok
-
-    def _proved_between(self, a: float, c: float) -> bool:
-        """Whether every b in [a, c] passes _detuning_ok, proved from the
-        grid at a and c alone.
-
-        beta = B0 + b B1 is rounded monotonically in b at each sample, so a
-        b between a and c gets a beta between theirs. Where both lie in
-        (-pi, 0), |cot| is quasi-convex there: its maximum over the interval
-        lies at an end. beta_dot = B0' + b B1' is likewise rounded between
-        the ends' values. So each sample's |delta| is at most the larger
-        |gamma_dot cot(gamma) / tan(beta)| of the ends plus their larger
-        |beta_dot|, up to a few ulps of rounding in tan, the divide and the
-        sums, which the 1e-9 relative margin below DELTA_FINITE_BOUND covers.
-        """
-        beta, rate = self._lines(np.array([a, c]))
-        if not ((-math.pi < beta) & (beta < 0.0)).all():
-            return False
-        cot = np.divide(self._grid[0], np.tan(beta, out=beta), out=beta)
-        bound = np.abs(cot, out=cot).max(axis=0)
-        bound += np.abs(rate, out=rate).max(axis=0)
-        return bool(bound.max() <= DELTA_FINITE_BOUND * (1 - 1e-9))
 
     def _edges(self, c: np.ndarray) -> np.ndarray:
         """Each beta's pieces of [0, t_a / t_f] (a column of c), cut at the roots of its
@@ -339,6 +288,26 @@ class _Sweep:
                 return x
             g, h = self._slopes(x)
             lo, hi = (x, hi) if g < 0 else (lo, x)
+
+
+def _proved_between(cot: np.ndarray, rate: np.ndarray) -> bool:
+    """Whether every b strictly between two rows of the band passes the
+    detuning policy, proved from the rows' cot terms and beta_dots (a row
+    each, from pulse._detuning) alone.
+
+    In exact arithmetic beta = B0 + b B1 and beta_dot are affine in b, so at
+    each sample a b between the rows' gets a beta between theirs in (-pi, 0)
+    (_band), where |cot| is quasi-convex: its maximum lies at an end. So each
+    sample's |delta| is at most the larger |cot term| of the rows plus their
+    larger |beta_dot|. The kernel misses the exact affine beta's values by the
+    rounding of the fit and of the factored form, a few ulps of beta over
+    |sin(beta)|: at most 1.8e-11 of DELTA_FINITE_BOUND at every sample of 32
+    in-band rows against a 30-digit refit, rows within 1e-7 of the bound
+    included. The 1e-9 relative margin covers three such errors (the two
+    rows' and the one between) 18 times over.
+    """
+    bound = np.abs(cot).max(axis=0) + np.abs(rate).max(axis=0)
+    return bool(bound.max() <= DELTA_FINITE_BOUND * (1 - 1e-9))
 
 
 def _band(b0: Polynomial, b1: Polynomial, s_end: float) -> tuple[float, float]:

@@ -34,8 +34,9 @@ switch, the rate reversal) is met at an edge, exactly, with no root search
 (_angle_zeros). The adiabaticity metric makes the same pass once at
 complex s + i h (h = 1e-30): the real parts are omega_r and delta and Im / h
 their rates, exact to rounding because nothing is subtracted (complex
-step). Each waveform makes it once on its validation grid (_Waveform.grid),
-and its scalar results serve both the detuning bound and the metric's maximum.
+step). Each waveform makes it once on its validation grid (_Waveform.grid)
+for the metric's maximum; the detuning bound reads a real pass there
+(_detuning), for one beta or a sweep's stack of them.
 
 An antedated passage switches the drive off at t_a: past _Waveform.end
 (t_a / t_f, else 1) omega_r = 0, delta holds its t_a value and the
@@ -66,7 +67,7 @@ import numpy as np
 
 from .errors import (ConfigError, DegeneratePoint, DivergentPulse, NoConvergence, as_numbers,
                      is_number, shown)
-from .poly import Polynomial, gauss_rule, horner, real_roots, vanishes
+from .poly import Polynomial, _derivative, gauss_rule, horner, real_roots, vanishes
 from .schedule import SchedulePair
 
 __all__ = [
@@ -204,28 +205,39 @@ def _quotients(st: _Station, u):
     return _upow(u, st.omega_order, q), _upow(u, st.cot_order, cot)
 
 
-def _station(a: np.ndarray, x: float) -> _Station:
-    """The factors about x: each one's multiplicity there, the number of
-    leading Taylor coefficients of its argument (less the nearest multiple
-    of pi for an angle) that are zero to rounding by poly.vanishes, and its
-    reduced coefficients. a holds the arguments'
-    coefficients and their absolute values, one column each."""
-    n = len(a)
+def _stacked_stations(a: np.ndarray, x: float):
+    """The factors about x of betas that share gamma, a _Station per beta. A
+    factor's multiplicity is the number of leading Taylor coefficients of its
+    argument (less the nearest multiple of pi for an angle) that are zero to
+    rounding by poly.vanishes. a holds the _arguments."""
+    n, r = len(a), a.shape[1] // 4 - 1
     c, bound = np.split(_taylor(a, x), 2, axis=1)
     k = np.round(c[0] / math.pi)
     k[0] = 0.0
     c[0] -= k * math.pi
     bound[0] += np.abs(k) * math.pi
     small = vanishes(c, bound, n)
-    m = tuple(np.where(small.all(axis=0), n, np.argmin(small, axis=0)).tolist())
-    c[:, 1:3] *= 1.0 - 2.0 * (k[1:3] % 2)
-    coef = tuple(c[mf:, f].tolist() for f, mf in enumerate(m))
-    return _Station(x, m, coef, m[0] - m[1], m[0] + m[2] - m[1] - m[3])
+    m = np.where(small.all(axis=0), n, np.argmin(small, axis=0)).tolist()
+    c[:, 1:-1] *= 1.0 - 2.0 * (k[1:-1] % 2)
+    for f in ((0, 1 + i, 1 + r + i, -1) for i in range(r)):  # each beta's four factors
+        m0, m1, m2, m3 = (m[j] for j in f)
+        coef = tuple(c[m[j]:, j] for j in f)
+        yield _Station(x, (m0, m1, m2, m3), coef, m0 - m1, m0 + m2 - m1 - m3)
 
 
-def _stations(args: tuple[Polynomial, ...], end: float) -> list[_Station]:
+def _arguments(gamma: Polynomial, c: np.ndarray) -> np.ndarray:
+    """Columns gamma_dot, beta for each sin(beta) and beta + pi/2 for each cos(beta),
+    a beta per column of c, and gamma; then their absolute values."""
+    r, g, d = c.shape[1], gamma.coefficients, gamma.derivative().coefficients
+    a = np.zeros((max(len(c), len(g), 1), 2 * r + 2))
+    a[: len(d), 0], a[: len(g), -1], a[: len(c), 1:-1] = d, g, np.hstack([c, c])
+    a[0, r + 1 : -1] += 0.5 * math.pi
+    return np.hstack([a, np.abs(a)])
+
+
+def _stations(gamma: Polynomial, beta: Polynomial, end: float) -> list[_Station]:
     """The stations of the factors gamma_dot, sin(beta), cos(beta) and
-    sin(gamma), whose arguments are args, in s order; end is where the drive ends.
+    sin(gamma), in s order; end is where the drive ends.
 
     The denominators' angles, beta and gamma, are walked over one edge
     list: 0, their stationary points, end and 1, with one within ROOT_TOL of 0,
@@ -238,30 +250,44 @@ def _stations(args: tuple[Polynomial, ...], end: float) -> list[_Station]:
     many multiples of pi the angles cross.
     """
     fixed = (0.0, end, 1.0)
-    crit = (*args[1].stationary_points, *args[3].stationary_points)
+    crit = (*beta.stationary_points, *gamma.stationary_points)
     edges = np.array(sorted({*fixed, *(x for x in crit
                                        if min(abs(x - f) for f in fixed) > ROOT_TOL)}))
-    n = max(len(q.coefficients) for q in args)
-    a = np.zeros((n, 4))
-    for f, q in enumerate(args):
-        a[: len(q.coefficients), f] = q.coefficients
-    a = np.hstack([a, np.abs(a)])
+    a = _arguments(gamma, beta.coefficients[:, None])
+    n = len(a)
     # A station is a zero where a denominator factor vanishes to rounding
     # (elsewhere the reduced parts of any station are exact). Without any,
     # s = 0 serves every sample.
     stations: list[_Station] = []
-    for x, _ in groupby(heapq.merge(*(_angle_zeros(q, edges, n) for q in (args[1], args[3])))):
-        st = _station(a, x)
+    for x, _ in groupby(heapq.merge(*(_angle_zeros(q, edges, n) for q in (beta, gamma)))):
+        st, = _stacked_stations(a, x)
         if st.mult[1] + st.mult[3]:
             if st.s0 <= end + ROOT_TOL and st.cot_order < 0:
                 raise DivergentPulse(f"waveform diverges at s = {st.s0:.6g}")
             stations.append(st)
-    return stations or [_station(a, 0.0)]
+    return stations or [*_stacked_stations(a, 0.0)]
 
 
 def _driven_grid(s_end: float) -> np.ndarray:
     """GRID_POINTS midpoints of the driven segment [0, s_end]."""
     return (np.arange(GRID_POINTS) + 0.5) * (s_end / GRID_POINTS)
+
+
+def _detuning(stations: list[list[_Station]], c: np.ndarray, end: float):
+    """The detuning kernel for betas (columns of c) that share gamma, with each
+    beta's factors (_stacked_stations) at every station on the driven segment, a
+    list per station in s order: each beta's peak max |delta| t_f on
+    _driven_grid(end), and its cot term and beta_dot (times t_f) there, a row each.
+    Each sample takes its beta's factors at its nearest station (_quotients), as
+    the beta's waveform does, so no value depends on the stack. None may diverge."""
+    s, s0 = _driven_grid(end), np.array([at[0].s0 for at in stations])
+    rate = np.broadcast_to(horner(_derivative(c)[:, :, None], s), (c.shape[1], len(s)))
+    cot = np.empty(rate.shape)
+    cuts = np.searchsorted(s, 0.5 * (s0[1:] + s0[:-1]))
+    for at, lo, hi in zip(stations, [0, *cuts], [*cuts, len(s)]):
+        for row, st in enumerate(at if lo < hi else ()):
+            cot[row, lo:hi] = _quotients(st, s[lo:hi] - st.s0)[1]
+    return np.abs(cot - rate).max(axis=1), cot, rate
 
 
 @dataclass(frozen=True)
@@ -282,8 +308,7 @@ class _Waveform:
         self.beta = pair.beta
         self.switch = pair.switch_fraction
         self.end = self.switch if self.switch is not None else 1.0
-        args = (self.gamma.derivative(), self.beta, self.beta.shifted(0.5 * math.pi), self.gamma)
-        self.stations = _stations(args, self.end)
+        self.stations = _stations(self.gamma, self.beta, self.end)
         st = self.stations
         self._cuts = [0.5 * (a.s0 + b.s0) for a, b in zip(st, st[1:])]
         self._s0 = np.array([x.s0 for x in st])
@@ -299,7 +324,7 @@ class _Waveform:
         real or complex s + i h, each from the station nearest s.real. Raises
         DivergentPulse at the first divergent station near the samples' span."""
         s = np.asarray(s, dtype=complex if np.iscomplexobj(s) else float)
-        lo, hi = s.real.min(), s.real.max()
+        lo, hi = s.real.min(initial=math.inf), s.real.max(initial=-math.inf)
         hit = self._divergent & (self._s0 >= lo - ROOT_TOL) & (self._s0 <= hi + ROOT_TOL)
         if hit.any():
             raise DivergentPulse(f"waveform diverges at s = {self._s0[hit][0]:.6g}")
@@ -323,11 +348,13 @@ class _Waveform:
 
     @cached_property
     def grid(self) -> _GridPass:
-        """One _metric pass over [0, _driven_grid(end), end], made on first use."""
+        """_detuning's peak, and one _metric pass on [0, _driven_grid(end), end]: on first use."""
         s = np.concatenate(([0.0], _driven_grid(self.end), [self.end]))
-        metric, gen, delta = _metric(self, s)
-        return _GridPass(float(np.abs(delta[1:-1]).max()), float(gen.min()),
-                         float(s[gen.argmin()]), float(metric[1:-1].max()))
+        metric, gen = _metric(self, s)
+        beta = self.beta.coefficients[:, None]
+        peak = _detuning([[st] for st in self.stations], beta, self.end)[0]
+        return _GridPass(float(peak[0]), float(gen.min()), float(s[gen.argmin()]),
+                         float(metric[1:-1].max()))
 
     # -- scalar evaluators: one sample of the vector formulas ---------------
 
@@ -384,21 +411,24 @@ _waveform.cache_clear, _waveform.cache_info = _shape.cache_clear, _shape.cache_i
 # ---------------------------------------------------------------------------
 # public API
 
-def omega_r_at(pair: SchedulePair, s: float) -> float:
-    """Rabi frequency of the design waveform at s, in angular-frequency
-    units; past an antedated switch, the driven formula's continuation.
-    Raises DivergentPulse at any s if the schedule diverges on its driven
-    segment, and past the switch near where omega_r or delta diverges."""
-    _check_s(s)
-    return _waveform(pair).omega(s) / pair.t_f
+def omega_r_at(pair: SchedulePair, s: float | np.ndarray) -> float | np.ndarray:
+    """Rabi frequency of the design waveform at s (a float, or an array and
+    then an array), in angular-frequency units; past an antedated switch, the
+    driven formula's continuation. Raises DivergentPulse at any s if the
+    schedule diverges on its driven segment, and past the switch where
+    omega_r or delta diverges within ROOT_TOL of the span of s."""
+    return _at(pair, s, 0)
 
 
-def delta_at(pair: SchedulePair, s: float) -> float:
-    """Detuning of the design waveform at s, in angular-frequency units;
-    past an antedated switch, the driven formula's continuation. Raises
-    DivergentPulse as omega_r_at does."""
-    _check_s(s)
-    return _waveform(pair).delta(s) / pair.t_f
+def delta_at(pair: SchedulePair, s: float | np.ndarray) -> float | np.ndarray:
+    """Detuning of the design waveform at s, as omega_r_at takes and raises."""
+    return _at(pair, s, 1)
+
+
+def _at(pair: SchedulePair, s, which: int):
+    """_Waveform.fields' which-th output at s over t_f, a float for a float s."""
+    values = _waveform(pair).fields(np.atleast_1d(_check_s(s, scalar=False)))[which] / pair.t_f
+    return float(values[0]) if np.ndim(s) == 0 else values
 
 
 def _is_real_in(x, lo: float, hi: float, scalar: bool) -> bool:
@@ -467,20 +497,20 @@ def adiabaticity_metric(pair: SchedulePair, s: float | np.ndarray) -> float | np
     x = np.atleast_1d(_check_s(s, scalar=False))
     if not (x.size and 0.0 < x.min() and x.max() < 1.0):
         raise ConfigError("adiabaticity metric is defined at interior points")
-    metric, gen, _ = _metric(_waveform(pair), x)
+    metric, gen = _metric(_waveform(pair), x)
     _check_gap(gen.min(), x[gen.argmin()])
     return float(metric[0]) if np.ndim(s) == 0 else metric
 
 
-def _metric(wave: _Waveform, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The metric, the generalized Rabi frequency Omega (floored at LEVEL_CROSSING
-    in the metric: _check_gap raises below it) and delta at every sample of s, from
-    s + i h: real parts are values and Im / h rates, with no difference to cancel."""
+def _metric(wave: _Waveform, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The metric and the generalized Rabi frequency Omega (floored at LEVEL_CROSSING
+    in the metric: _check_gap raises below it) at every sample of s, from s + i h:
+    real parts are values and Im / h rates, with no difference to cancel."""
     h = 1e-30
     om, dl = wave.fields(s + 1j * h)
     gen = np.hypot(om.real, dl.real)
     numerator = om.real * (dl.imag / h) - (om.imag / h) * dl.real
-    return np.abs(numerator / np.maximum(gen, LEVEL_CROSSING)**3), gen, dl.real
+    return np.abs(numerator / np.maximum(gen, LEVEL_CROSSING)**3), gen
 
 
 def _check_gap(gen_min: float, at: float) -> None:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from iecpulse import analysis, errors, poly, pulse, schedule
 from iecpulse.analysis import (
+    DELTA_FINITE_BOUND,
     _Sweep,
     _sweep_point,
     compare_passages,
@@ -133,16 +134,13 @@ def test_validate_third_order_all_clear():
 )
 def test_one_grid_pass_gives_the_metric_maximum_and_the_detuning_peak(build):
     """The grid pass's metric peak is the metric on the midpoints, bit for
-    bit. Its detuning peak comes from the complex pass's real parts, which
-    may differ from a real pass at the ulp level (<= 1.26e-16 relative on
-    the 204 third- and fourth-order design pairs of benchmark seeds 1-3),
-    so delta_finite can move only that close to DELTA_FINITE_BOUND."""
+    bit, and its detuning peak the real waveform's there: the detuning
+    kernel (pulse._detuning) makes each sample as _Waveform.fields does."""
     pair = build()
     wave = pulse._waveform(pair)
-    s = analysis._driven_grid(wave.end)
+    s = pulse._driven_grid(wave.end)
     assert max_adiabaticity_metric(pair) == adiabaticity_metric(pair, s).max()
-    real = np.abs(wave.delta_many(s)).max()
-    assert abs(wave.grid.delta_peak - real) <= 1e-14 * real
+    assert wave.grid.delta_peak == np.abs(wave.delta_many(s)).max()
     assert all(type(v) is float for v in dataclasses.astuple(wave.grid))
 
 
@@ -418,21 +416,19 @@ def _library_run(family, mid, frac, units, t_f):
 
 def _assert_as_its_factored_waveform(pair, beta_dot0):
     """A sweep decides the row of an antedated_pair at b = beta_dot0 t_f,
-    rounded as antedated_pair rounds it; the factored waveform of the same
-    polynomials, which a plain SchedulePair takes, is the independent
-    reference. The sweep grid's delta lies within 1e-9 of the reference's
-    peak at every sample, and so does the peak (measured <= 5.5e-11;
-    tan(gamma) in place of tan(s^2 q(s)) misses by 1.6e-8, at the first
-    sample). Costs and reports are equal: the pulse area and the verdict
-    have one definition each, whoever built the pair."""
+    rounded as antedated_pair rounds it, by the detuning kernel on the
+    stations 0 and t_a / t_f alone; the waveform of the same polynomials,
+    which a plain SchedulePair takes, finds its own stations. The row's
+    delta is the waveform's at every sample of the grid, and its peak the
+    one validate_schedule reads, bit for bit. Costs and reports are equal:
+    the pulse area and the verdict have one definition each, whoever built
+    the pair."""
     sweep, b = _Sweep(pair.t_f, pair.t_a), np.array([float(beta_dot0) * pair.t_f])
     wave = pulse._waveform(pair)
-    reference = wave.delta_many(analysis._driven_grid(wave.end))
-    cot, b0, b1, db0, db1 = sweep._grid
-    delta = cot / np.tan(b0 + b * b1) - (db0 + b * db1)
-    peak = np.abs(reference).max()
-    assert np.abs(delta - reference).max() <= 1e-9 * peak
-    assert sweep._detuning_ok(b)[1][0] == pytest.approx(peak, rel=1e-9)
+    reference = wave.delta_many(pulse._driven_grid(wave.end))
+    peak, cot, rate = sweep.detuning(sweep.basis.fit(b)[0])
+    assert np.array_equal(cot[0] - rate[0], reference)
+    assert peak[0] == np.abs(reference).max() == wave.grid.delta_peak
     plain = SchedulePair(pair.gamma, pair.beta, pair.t_f, pair.t_a)
     assert energy_cost(pair) == energy_cost(plain)
     assert validate_schedule(pair) == validate_schedule(plain)
@@ -490,7 +486,7 @@ def _band_and_drive(t_f, t_a, units):
         wave = pulse._waveform(antedated_pair(t_f, t_a, schedule.beta_dot0_rate(units, t_f)))
     except (errors.Infeasible, DivergentPulse):
         return in_band, None
-    return in_band, wave.omega_many(analysis._driven_grid(wave.end))
+    return in_band, wave.omega_many(pulse._driven_grid(wave.end))
 
 
 @pytest.mark.parametrize("frac", [0.3, 0.5, 0.77])
@@ -510,15 +506,16 @@ def test_sweep_costs_do_not_depend_on_how_rows_are_grouped(frac):
         assert np.array_equal(np.concatenate(parts), whole), block
 
 
-def _grid_verdicts(sweep, b):
-    """_detuning_ok on every candidate that passes the band and fit checks,
-    SWEEP_BLOCK rows at a time; False elsewhere."""
+def _kernel_verdicts(sweep, b):
+    """The detuning kernel's verdict on every candidate that passes the band
+    and fit checks, SWEEP_BLOCK rows at a time; False elsewhere."""
     lo, hi = sweep.band
-    rows = np.flatnonzero((lo < b) & (b < hi) & sweep.basis.fit(b)[1])
+    c, fits = sweep.basis.fit(b)
+    rows = np.flatnonzero((lo < b) & (b < hi) & fits)
     ok = np.zeros(len(b), dtype=bool)
     for i in range(0, len(rows), analysis.SWEEP_BLOCK):
         block = rows[i : i + analysis.SWEEP_BLOCK]
-        ok[block] = sweep._detuning_ok(b[block])[0]
+        ok[block] = sweep.detuning(c[:, block])[0] <= analysis.DELTA_FINITE_BOUND
     return ok
 
 
@@ -530,8 +527,8 @@ def _grid_verdicts(sweep, b):
 @example(frac=0.77, t_f=1.0, ends=(0.0, 0.0), n=400, shuffle=None)  # ~35 fail at each end
 @example(frac=0.71, t_f=1.0, ends=(-0.99, 0.0), n=400, shuffle=None)  # 8.154 units fails
 def test_sweep_verdicts_are_the_grid_verdicts(frac, t_f, ends, n, shuffle):
-    """evaluate proves most band rows from the grid rows near the band's
-    ends; its verdicts are _detuning_ok's on every band row. The candidates
+    """evaluate proves most band rows from the kernel rows near the band's
+    ends; its verdicts are the kernel's on every band row. The candidates
     run from ends[0] band widths below the band's low edge to ends[1] above
     its high edge (negative: inside), in order or shuffled."""
     sweep = _Sweep(t_f, frac * t_f)
@@ -541,43 +538,67 @@ def test_sweep_verdicts_are_the_grid_verdicts(frac, t_f, ends, n, shuffle):
         shuffle.shuffle(units)
     cost, ok = sweep.evaluate(units)
     b = schedule.beta_dot0_rate(units, t_f) * t_f
-    assert np.array_equal(ok, _grid_verdicts(sweep, b))
+    assert np.array_equal(ok, _kernel_verdicts(sweep, b))
     assert np.array_equal(np.isnan(cost), ~ok)
 
 
+def _kernel_rows(monkeypatch):
+    """Wrap _Sweep.detuning to record each call's fitted betas and peaks."""
+    calls = []
+    detuning = _Sweep.detuning
+
+    def recorded(self, c):
+        out = detuning(self, c)
+        calls.append((c, out[0]))
+        return out
+
+    monkeypatch.setattr(_Sweep, "detuning", recorded)
+    return calls
+
+
+def _assert_grid_rows(monkeypatch, frac, lo, hi, n):
+    """The sizes of the kernel calls of one sweep at t_f = 1. Each row's peak
+    is its pair's grid-pass peak, the one validate_schedule reads."""
+    calls = _kernel_rows(monkeypatch)
+    result = sweep_beta_dot0(1.0, frac, lo, hi, n)
+    assert result.feasible.sum() > 100
+    gamma = _Sweep(1.0, frac).gamma
+    for c, peak in calls:
+        for column, p in zip(c.T, peak):
+            assert p == pulse._waveform(SchedulePair(gamma, Polynomial(column), 1.0, frac)).grid.delta_peak
+    return [len(peak) for _, peak in calls]
+
+
 def test_sweep_grid_rows_stay_near_the_band_ends(monkeypatch):
-    # the README sweep: two blocks reach the grid and the bound proves the
-    # other 184 candidates
-    rows = []
-    grid = _Sweep._detuning_ok
+    # the README sweep: the two band-end rows reach the grid and the bound
+    # proves the other 198 candidates; then the refined minimum
+    assert _assert_grid_rows(monkeypatch, 0.5, 0.1, 8.0, 200) == [2, 1]
 
-    def counted(self, b):
-        rows.append(len(b))
-        return grid(self, b)
 
-    sweep = _Sweep(1.0, 0.5)
-    monkeypatch.setattr(_Sweep, "_detuning_ok", counted)
-    cost, ok = sweep.evaluate(np.linspace(0.1, 8.0, 200))
-    assert ok.all()
-    assert sum(rows) <= 2 * analysis.SWEEP_BLOCK
+def test_sweep_grid_rows_move_inward_while_the_band_ends_fail(monkeypatch):
+    # inside the band (5.511, 5.750) at t_a = 0.77 t_f rows fail near both
+    # ends: 1, 2, 4, 8, then SWEEP_BLOCK rows from each end per call
+    assert _assert_grid_rows(monkeypatch, 0.77, 5.52, 5.74, 400) == [2, 4, 8, 16, 16, 16, 16, 16,
+                                                                      16, 1]
 
 
 def test_proof_between_rows_keeps_its_margin(monkeypatch):
     # the bound B of two in-band rows as _proved_between's docstring states it:
-    # per sample, the larger |gamma_dot cot(gamma) / tan(beta)| of the two plus
-    # their larger |beta_dot|. The proof holds only below DELTA_FINITE_BOUND (1 - 1e-9).
+    # per sample, the larger |cot term| of the two plus their larger
+    # |beta_dot|. The proof holds only below DELTA_FINITE_BOUND (1 - 1e-9).
     sweep = _Sweep(1.0, 0.5)
     lo, hi = sweep.band
-    a, c = lo + 0.3 * (hi - lo), lo + 0.6 * (hi - lo)
-    cot, b0, b1, db0, db1 = sweep._grid
-    ends = np.array([a, c])[:, None]
-    bound = (np.abs(cot / np.tan(b0 + ends * b1)).max(axis=0)
-             + np.abs(db0 + ends * db1).max(axis=0)).max()
+    _, cot, rate = sweep.detuning(sweep.basis.fit(np.array([lo + 0.3 * (hi - lo),
+                                                           lo + 0.6 * (hi - lo)]))[0])
+    bound = (np.abs(cot).max(axis=0) + np.abs(rate).max(axis=0)).max()
     assert bound == pytest.approx(30.48, abs=5e-3)
-    monkeypatch.setattr(analysis, "DELTA_FINITE_BOUND", bound / (1 + 1e-7))
-    assert sweep._proved_between(a, c) is False
-    monkeypatch.setattr(analysis, "DELTA_FINITE_BOUND", bound / (1 - 2e-9))
-    assert sweep._proved_between(a, c) is True
+    for slack, proved in ((-1e-7, False), (5e-10, False), (2e-9, True)):
+        monkeypatch.setattr(analysis, "DELTA_FINITE_BOUND", bound / (1 - slack))
+        assert analysis._proved_between(cot, rate) is proved, slack
+    # at a tie, bound = DELTA_FINITE_BOUND (1 - 1e-9) exactly, the proof holds
+    tie = next(x for x in _floats_near(bound / (1 - 1e-9), 64) if x * (1 - 1e-9) == bound)
+    monkeypatch.setattr(analysis, "DELTA_FINITE_BOUND", tie)
+    assert analysis._proved_between(cot, rate) is True
 
 
 @pytest.mark.parametrize("frac", [0.3, 0.5, 0.7])
@@ -689,8 +710,9 @@ def test_sweep_minimum_when_the_bracket_straddles_infeasible_rows(monkeypatch, p
     verdict = _Sweep._detuning_in_band
     lo, hi = schedule.beta_dot0_rate(np.array(pocket), 1.0)
 
-    def holed(self, b):
-        return verdict(self, b) & ~((lo < b) & (b < hi))
+    def holed(self, c):
+        b = c[1]  # beta_dot(0) = b, to rounding
+        return verdict(self, c) & ~((lo < b) & (b < hi))
 
     monkeypatch.setattr(_Sweep, "_detuning_in_band", holed)
     result = sweep_beta_dot0(1.0, 0.5, 4.0, 6.5, 26)
@@ -706,78 +728,112 @@ def test_sweep_minimum_when_the_bracket_straddles_infeasible_rows(monkeypatch, p
 
 
 def test_detuning_policy_decides_pinned_point():
-    # beta stays inside (-pi, 0) (max -0.0045), but |delta| t_f reaches 1502
+    # beta stays inside (-pi, 0) (max -0.0045), but |delta| t_f reaches 1470.6
     sweep = _Sweep(1.0, 0.71)
     b = 8.154 * 0.5 * PI
     assert sweep.band[0] < b < sweep.band[1]
-    assert sweep.basis.fit(np.array([b]))[1][0]
-    assert not sweep._detuning_ok(np.array([b]))[0][0]
+    c, fits = sweep.basis.fit(np.array([b]))
+    assert fits[0]
+    assert sweep.detuning(c)[0][0] == pytest.approx(1470.64, abs=0.01)
     assert not sweep.evaluate(np.array([8.154]))[1][0]
     assert _sweep_point(1.0, 0.71, 8.154) == (pytest.approx(math.nan, nan_ok=True), False)
     assert "delta exceeds" in validate_schedule(antedated_pair(1.0, 0.71, b)).messages[0]
 
 
+def _assert_row_is_its_pair(frac, b):
+    """The sweep row at b = beta_dot0 t_f (t_f = 1) and its pair's
+    validate_schedule: the same detuning peak, bit for bit, and the same
+    verdict. Returns the peak and the verdict."""
+    sweep = _Sweep(1.0, frac)
+    c = sweep.basis.fit(np.array([b]))[0]
+    peak, verdict = sweep.detuning(c)[0][0], sweep._detuning_in_band(c)[0]
+    pair = antedated_pair(1.0, frac, b)
+    report = validate_schedule(pair)
+    assert peak == pulse._waveform(pair).grid.delta_peak
+    assert verdict == report.feasible == report.delta_finite == (peak <= DELTA_FINITE_BOUND)
+    return peak, verdict
+
+
 def test_equal_pairs_get_equal_reports():
-    # the detuning peak of this pair lies within rounding of DELTA_FINITE_BOUND:
-    # the grid pass reads 999.9999999995396 and the sweep's one-tan formula
-    # 1000.000000000032, so a pair decided by how it was built would differ
-    # from its plain twin; a pair is its value, and both read the grid pass
+    # the detuning peak of this pair lies within rounding of DELTA_FINITE_BOUND
+    # (999.9999999995392; gamma' cot(gamma) / tan(beta) - beta' reads
+    # 1000.000000000032), so a pair decided by how it was built would differ
+    # from its plain twin; a pair is its value, and a sweep row its pair
     pair = antedated_pair(1.0, 0.71, 6.356476554588351)
     plain = SchedulePair(pair.gamma, pair.beta, 1.0, 0.71)
     assert pair == plain and hash(pair) == hash(plain)
     assert validate_schedule(pair) == validate_schedule(plain)
+    assert _assert_row_is_its_pair(0.71, 6.356476554588351) == (999.9999999995392, True)
+
+
+@settings(max_examples=12, deadline=None)
+@given(frac=_evenly(schedule.critical_t_a() * (1 + 1e-9), 0.7737))
+def test_rows_at_the_detuning_bound_get_their_pairs_verdicts(frac):
+    """From the least-peak row of 32 across the band, bisect units towards the
+    high edge, where |delta| grows without bound, until the peak lies within
+    1e-9 relative of DELTA_FINITE_BOUND; there the sweep row and
+    validate_schedule read one peak and give one verdict, evaluate's."""
+    sweep = _Sweep(1.0, frac)
+    lo, hi = np.array(sweep.band) * 2.0 / PI
+    units = np.linspace(lo, hi, 34)[1:-1]
+    peaks = sweep.detuning(sweep.basis.fit(schedule.beta_dot0_rate(units, 1.0))[0])[0]
+    bound = analysis.DELTA_FINITE_BOUND
+    if peaks.min() > bound:
+        return  # no row of the band is feasible
+    a, c = float(units[peaks.argmin()]), float(hi)
+    for _ in range(200):
+        m = 0.5 * (a + c)
+        b = schedule.beta_dot0_rate(m, 1.0) * 1.0
+        peak = sweep.detuning(sweep.basis.fit(np.array([b]))[0])[0][0]
+        if abs(peak - bound) <= 1e-9 * bound:
+            break
+        a, c = (m, c) if peak < bound else (a, m)
+    assert _assert_row_is_its_pair(frac, b) == (peak, peak <= bound)
+    assert peak == pytest.approx(bound, rel=1e-9)
+    assert sweep.evaluate(np.array([m]))[1][0] == (peak <= bound)
 
 
 def reference_detuning_peak(sweep, b):
-    """The peak behind _Sweep._detuning_ok's verdict by the formula it
-    replaced, cot(gamma) and cot(beta) each from cos, sin and a divide:
-    max |delta| t_f on the validation grid, where
-    delta = gamma_dot cot(gamma) cot(beta) - beta_dot, and cot(gamma) is
-    taken at gamma - pi = s^2 q(s), as the grid takes it."""
-    s = analysis._driven_grid(sweep.s_end)
+    """The detuning peak by an independent formula, cot(gamma) and cot(beta)
+    each from cos, sin and a divide, with no station: max |delta| t_f on the
+    validation grid, where delta = gamma_dot cot(gamma) cot(beta) - beta_dot,
+    beta = B0 + b B1, and cot(gamma) is taken at gamma - pi = s^2 q(s), which
+    vanishes at s = 0 by design."""
+    s = pulse._driven_grid(sweep.s_end)
     g = s * s * Polynomial(sweep.gamma.coefficients[2:])(s)
-    _, b0, b1, db0, db1 = sweep._grid
     grid_cot = sweep.gamma.derivative()(s) * np.cos(g) / np.sin(g)
-    beta = np.multiply.outer(b, b1)
-    beta += b0
-    delta = np.cos(beta)
-    delta /= np.sin(beta, out=beta)
-    delta *= grid_cot
-    rate = np.multiply.outer(b, db1, out=beta)
-    rate += db0
-    delta -= rate
-    return np.abs(delta, out=delta).max(axis=1)
+    beta = np.multiply.outer(b, sweep.b1(s)) + sweep.b0(s)
+    rate = np.multiply.outer(b, sweep.b1.derivative()(s)) + sweep.b0.derivative()(s)
+    return np.abs(grid_cot * np.cos(beta) / np.sin(beta) - rate).max(axis=1)
 
 
 @settings(max_examples=150)
 @given(frac=_evenly(schedule.critical_t_a() + 1e-6, 0.7737), where=_evenly(0.0, 1.0),
        edge=st.floats(6.0, 12.0).map(lambda e: 10.0**-e))
 def test_detuning_verdict_matches_the_cos_sin_formula(frac, where, edge):
-    """The tan verdict is the cos/sin one outside a tie zone at the bound.
+    """The kernel's verdict is the cos/sin one outside a tie zone at the bound.
 
     Three candidates per draw: one across the band (lo, hi) and one within
     edge of each end, where beta nears 0 or -pi and |delta| grows large.
-    Inside the band beta stays in (-pi, 0), so both peaks are finite. The
-    verdict's own peak is read through the verdict, with the bound set per
-    candidate just above and just below the reference peak: it agrees with
-    the reference to 1e-14 relative. Both verdicts compare their peak with
-    the same bound, so they can differ only where the reference peak lies
-    within 1e-14 relative of it, inside the 1e-12 tie zone.
-    """
+    Inside the band beta stays in (-pi, 0), so both peaks are finite. Where
+    the reference peak is at most ten times DELTA_FINITE_BOUND, the kernel's
+    agrees with it to 1e-10 relative (measured <= 3.7e-11 over 300 draws:
+    the reference has no station at t_a / t_f, where cot(gamma) diverges and
+    cos(beta) vanishes). Nearer the band's ends both lose digits to beta's
+    rounding, up to 2e-4 relative at peaks of 1e12. So the verdicts can
+    differ only inside a 1e-10 tie zone at the bound."""
     sweep = _Sweep(1.0, frac)
     lo, hi = sweep.band
     b = np.array([lo + (hi - lo) * where, lo + edge, hi - edge])
     b = b[(lo < b) & (b < hi)]  # where = 0 or 1 puts the first on an edge
     ref = reference_detuning_peak(sweep, b)
     assert len(b) >= 2 and np.isfinite(ref).all()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(analysis, "DELTA_FINITE_BOUND", ref * (1 + 1e-14))
-        assert sweep._detuning_ok(b)[0].all()
-        patch.setattr(analysis, "DELTA_FINITE_BOUND", ref * (1 - 1e-14))
-        assert not sweep._detuning_ok(b)[0].any()
+    peak = sweep.detuning(sweep.basis.fit(b)[0])[0]
     bound = analysis.DELTA_FINITE_BOUND
-    outside = np.abs(ref - bound) > 1e-12 * bound
-    assert np.array_equal(sweep._detuning_ok(b)[0][outside], (ref <= bound)[outside])
+    near = ref <= 10 * bound
+    assert (np.abs(peak - ref)[near] <= 1e-10 * ref[near]).all()
+    outside = np.abs(ref - bound) > 1e-10 * bound
+    assert np.array_equal((peak <= bound)[outside], (ref <= bound)[outside])
 
 
 @pytest.mark.parametrize("frac", [0.27, 0.5, 0.71, 0.8])

@@ -67,9 +67,9 @@ def _third_pair_at(t_f, t_a):
         (lambda: check_steps(10**15), "n_steps"),
         (lambda: check_sweep(1.0, 0.1, 8.0, 10**6 + 1), "grid points"),
         (lambda: check_sweep(1.0, 0.1, 8.0, 10**15), "grid points"),
-        # the waveform probes take one real s
-        (lambda: omega_r_at(third_order_pair(1.0), np.array([0.2, 0.4])), "not a real number"),
-        (lambda: delta_at(third_order_pair(1.0), [0.5]), "not a real number"),
+        # the waveform probes take real s in [0, 1], one or an array of them
+        (lambda: omega_r_at(third_order_pair(1.0), np.array([0.2, 1.4])), "not a real number"),
+        (lambda: delta_at(third_order_pair(1.0), [0.5, math.nan]), "not a real number"),
         (lambda: omega_r_at(third_order_pair(1.0), math.nan), "not a real number"),
         # lr_phase takes one real t in [0, t_f]
         (lambda: lr_phase(third_order_pair(1.0), np.array([0.2, 0.3]), 1), "not a real number"),

@@ -32,10 +32,33 @@ def test_mutants_are_constants_and_the_literals_comparisons_read():
         "m.py:7:19: comparison <= -> <",
         "m.py:7:22: literal 2.0 -> 20.0",
         "m.py:7:22: literal 2.0 -> 0.2",
+        "m.py:7:32: boolean and -> or",
         "m.py:7:41: comparison > -> >=",  # 0 reads no scaled value, the index 1 is not read
+        "m.py:7:45: boolean and -> or",
     ]  # f(3) < x reads no literal: 3 is a call's argument
     assert mutants[4].apply(source).endswith("abs(x) < 2.0 * TOL and n[1] > 0 and f(3) < x\n")
-    assert mutants[7].apply(source).endswith("abs(x) <= 2.0 * TOL and n[1] >= 0 and f(3) < x\n")
+    assert mutants[8].apply(source).endswith("abs(x) <= 2.0 * TOL and n[1] >= 0 and f(3) < x\n")
+
+
+def test_mutants_swap_and_with_or_and_negate_if_and_while_conditions():
+    source = ("def f(a, b):\n    while a or (b and\n               a):\n        a -= 1\n"
+              "    if a:\n        return 1\n    elif not b:\n        return [x for x in a if x]\n")
+    mutants = _tool().mutants("m", source)
+    assert [str(m) for m in mutants] == [
+        "m.py:2:11: condition negated",
+        "m.py:2:13: boolean or -> and",
+        "m.py:2:19: boolean and -> or",
+        "m.py:5:8: condition negated",
+        "m.py:7:10: condition negated",  # the elif; a comprehension's if is no statement
+    ]
+    edits = [m.apply(source) for m in mutants]
+    for text in edits:
+        compile(text, "m.py", "exec")
+    assert "    while not (a or (b and\n               a)):\n" in edits[0]
+    assert "    while a and (b and\n" in edits[1]
+    assert "(b or\n" in edits[2]
+    assert "    if not (a):\n" in edits[3]
+    assert "    elif not (not b):\n" in edits[4]
 
 
 def test_survivors_name_the_constant_no_test_pins(tmp_path):

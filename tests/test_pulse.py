@@ -101,6 +101,19 @@ def test_scalar_evaluators_are_vector_elements(third, ante):
         assert [wave.delta(x) for x in s.tolist()] == wave.delta_many(s).tolist()
 
 
+def test_waveform_probes_take_arrays(third, ante):
+    # one vectorised call per array: each element is the scalar probe's, and
+    # a float s (or a 0-d array) gives a float
+    s = np.linspace(0.0, 1.0, 101)
+    for pair in (third, ante):
+        for probe in (omega_r_at, delta_at):
+            values = probe(pair, s)
+            assert isinstance(values, np.ndarray) and values.shape == s.shape
+            assert values.tolist() == [probe(pair, x) for x in s.tolist()]
+            assert type(probe(pair, 0.25)) is float and type(probe(pair, np.array(0.25))) is float
+            assert probe(pair, s[:0]).shape == (0,)
+
+
 def _reference_omega(st, u):
     """omega_r at s0 + u: the station formula that _quotients replaced."""
     sin_b, _ = _angle(st, 1, u)
@@ -265,7 +278,7 @@ def _clustered_stations(pair):
     a = np.hstack([a, np.abs(a)])
     stations, origin = [], []
     for run in _clusters(heapq.merge(sorted({0.0, *gamma_crit, *beta_crit}), *zeros)):
-        found = [pulse._station(a, x) for x in sorted(set(run))]
+        found = [next(pulse._stacked_stations(a, x)) for x in sorted(set(run))]
         origin = origin or found[:1]
         kept = []
         for x in sorted((x for x in found if x.mult[1] + x.mult[3]), key=lambda x: -sum(x.mult)):
@@ -288,7 +301,7 @@ def test_station_multiplicity_turns_at_the_rounding_bound(miss, m):
     # (multiplicity 0). A rule of half or twice the constant turns one over.
     eps = np.finfo(float).eps
     a = np.array([[-(1.0 + miss * eps), 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0]])
-    assert pulse._station(np.hstack([a, np.abs(a)]), 1.0).mult == (m, 0, 0, 0)
+    assert next(pulse._stacked_stations(np.hstack([a, np.abs(a)]), 1.0)).mult == (m, 0, 0, 0)
 
 
 def _outcome(build):

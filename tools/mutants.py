@@ -1,4 +1,4 @@
-"""Which tolerance mutants of the package survive its tests.
+"""Which tolerance and condition mutants of the package survive its tests.
 
     python3 tools/mutants.py --out survivors.txt
     python3 tools/mutants.py --list
@@ -10,7 +10,10 @@ One mutant at a time changes one of these in `src/iecpulse/*.py`:
 - a number literal that a comparison reads, as an operand or inside an
   operand's arithmetic (not an index, a call's argument or a tuple),
   times 10 and divided by 10;
-- the operator of such a comparison: `<` and `<=` swapped, and `>` and `>=`.
+- the operator of such a comparison: `<` and `<=` swapped, and `>` and `>=`;
+- each `and` of a boolean operation made `or`, and each `or` made `and`;
+- the condition of an `if` (or `elif`) or `while` statement negated, as
+  `not (...)`.
 
 An int is divided with floor and kept at least 1 in size; a mutant that
 equals the original (a zero, a 1 divided) is not made. Each mutant is
@@ -132,6 +135,15 @@ def mutants(module: str, source: str) -> list[Mutant]:
         if isinstance(target, ast.Name) and value is not None and _is_number(value):
             scale(value, target.id)
     for node in ast.walk(tree):
+        if isinstance(node, ast.BoolOp):
+            word, other = ("and", "or") if isinstance(node.op, ast.And) else ("or", "and")
+            for left, right in zip(node.values, node.values[1:]):
+                a, b = span(left)[1], span(right)[0]
+                m = re.search(rf"\b{word}\b", source[a:b])
+                add(f"boolean {word} -> {other}", a + m.start(), a + m.end(), other)
+        if isinstance(node, (ast.If, ast.While)):
+            a, b = span(node.test)
+            add("condition negated", a, b, f"not ({source[a:b]})")
         operands = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
         numbers = [n for x in operands for n in _read(x)]
         if not numbers:
