@@ -11,9 +11,8 @@ DegeneratePoint at a level crossing there. sweep_beta_dot0 minimises the
 cost over the initial beta rate, in which it is convex where the waveform
 builds: beta is affine in that rate (AntedatedBasis), so _Sweep decides and
 costs every candidate from shared parts, by the pairs' own integrand (_areas)
-and detuning kernel (pulse._detuning). A pair is its polynomials and times:
-validate_schedule decides every pair from its waveform's grid pass, which
-reads that kernel too, so a sweep row's verdict and cost are its pair's.
+and detuning samples (_Sweep.detuning): a pair is its polynomials and times,
+so a sweep row's verdict and cost are its pair's in validate_schedule.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from .dynamics import Weights, adiabatic_state, invariant_state
 from .errors import (ConfigError, DivergentPulse, Infeasible, NoConvergence, NoFeasiblePoint,
                      is_number, shown)
 from .poly import Polynomial, _derivative, horner, real_roots, stacked_real_roots
-from .pulse import (_arguments, _check_gap, _detuning, _stacked_stations, _waveform, check_grid,
-                    gauss_legendre)
+from .pulse import (_arguments, _check_gap, _driven_grid, _quotients, _stacked_stations, _waveform,
+                    check_grid, gauss_legendre)
 from .schedule import AntedatedBasis, SchedulePair, antedated_pair, beta_dot0_rate, check_rate
 from .schedule import check_times, gamma_out_of_range
 
@@ -45,14 +44,14 @@ __all__ = [
 ]
 
 #: Frequencies are "finite" when |delta| * t_f stays below this bound on the validation
-#: grid (pulse._detuning); genuine divergences blow past any fixed threshold.
+#: grid (pulse._Waveform.grid); genuine divergences blow past any fixed threshold.
 DELTA_FINITE_BOUND = 1e3
 
 #: A passage has inverted once both populations lie this close to their
 #: final values.
 POPULATION_TOL = 1e-3
 
-#: The most sweep rows from each end of the band in one pulse._detuning call:
+#: The most sweep rows from each end of the band in one _Sweep.detuning call:
 #: 16 rows make 1.3 MB per array. It bounds that memory; no output depends on it.
 SWEEP_BLOCK = 8
 
@@ -212,10 +211,16 @@ class _Sweep:
         return cost, ok
 
     def detuning(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """pulse._detuning of fitted betas c in the band, whose only stations are 0 and
-        t_a / t_f (_band): each row and peak is its pair's, as validate_schedule reads it."""
-        a = _arguments(self.gamma, c)
-        return _detuning([[*_stacked_stations(a, x)] for x in (0.0, self.s_end)], c, self.s_end)
+        """Peaks max |delta| t_f on _driven_grid(t_a / t_f) of fitted betas c (columns), and their
+        cot term and beta_dot rows: the band's stations, 0 and t_a / t_f (_band), own half each."""
+        s = _driven_grid(self.s_end)
+        rate = horner(_derivative(c)[:, :, None], s)
+        cot = np.empty(rate.shape)
+        a, half = _arguments(self.gamma, c), len(s) // 2
+        for x, part in ((0.0, slice(None, half)), (self.s_end, slice(half, None))):
+            for row, st in enumerate(_stacked_stations(a, x)):
+                cot[row, part] = _quotients(st, s[part] - x)[1]
+        return np.abs(cot - rate).max(axis=1), cot, rate
 
     def _detuning_in_band(self, c: np.ndarray) -> np.ndarray:
         """Whether each fitted beta (a column of c, ascending in b in the band)
@@ -293,7 +298,7 @@ class _Sweep:
 def _proved_between(cot: np.ndarray, rate: np.ndarray) -> bool:
     """Whether every b strictly between two rows of the band passes the
     detuning policy, proved from the rows' cot terms and beta_dots (a row
-    each, from pulse._detuning) alone.
+    each, from _Sweep.detuning) alone.
 
     In exact arithmetic beta = B0 + b B1 and beta_dot are affine in b, so at
     each sample a b between the rows' gets a beta between theirs in (-pi, 0)

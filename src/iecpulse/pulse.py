@@ -32,11 +32,11 @@ points (each polynomial finds its own once), the drive's end and 1. Each
 angle is monotone between them, so a zero shared by design (an end, the
 switch, the rate reversal) is met at an edge, exactly, with no root search
 (_angle_zeros). The adiabaticity metric makes the same pass once at
-complex s + i h (h = 1e-30): the real parts are omega_r and delta and Im / h
-their rates, exact to rounding because nothing is subtracted (complex
-step). Each waveform makes it once on its validation grid (_Waveform.grid)
-for the metric's maximum; the detuning bound reads a real pass there
-(_detuning), for one beta or a sweep's stack of them.
+complex s + i h (h = 1e-200): Im / h are the rates, exact to rounding as
+nothing is subtracted (complex step), and the real parts are omega_r and
+delta bit for bit, as products of two imaginary parts underflow to 0 and
+_upow and _divide take the real power and quotient. Each waveform makes it
+once on its validation grid (_Waveform.grid), for the metric's and delta's peaks.
 
 An antedated passage switches the drive off at t_a: past _Waveform.end
 (t_a / t_f, else 1) omega_r = 0, delta holds its t_a value and the
@@ -67,7 +67,7 @@ import numpy as np
 
 from .errors import (ConfigError, DegeneratePoint, DivergentPulse, NoConvergence, as_numbers,
                      is_number, shown)
-from .poly import Polynomial, _derivative, gauss_rule, horner, real_roots, vanishes
+from .poly import Polynomial, gauss_rule, horner, real_roots, vanishes
 from .schedule import SchedulePair
 
 __all__ = [
@@ -139,8 +139,23 @@ def _taylor(a: np.ndarray, x: float) -> np.ndarray:
 
 
 def _upow(u, m: int, y):
-    """y u^m, with numpy's generic power only for m > 1."""
-    return y if m == 0 else u * y if m == 1 else u**m * y
+    """y u^m; for a complex step u, the real power of u.real and its first-order part."""
+    if m == 0:
+        return y
+    p = u.real**m
+    if np.iscomplexobj(u):
+        p = p.astype(complex)
+        p.imag = m * u.real**(m - 1) * u.imag
+    return p * y
+
+
+def _divide(a, b):
+    """a / b; for complex steps, the real quotient of the real parts and its first-order part."""
+    q = a.real / b.real
+    if np.iscomplexobj(b):
+        q = q.astype(complex)
+        q.imag = (a.imag - q.real * b.imag) / b.real
+    return q
 
 
 def _sinc_cos(x):
@@ -195,13 +210,13 @@ def _angle(st: _Station, f: int, u):
 
 def _quotients(st: _Station, u):
     """omega_r and the cot term (delta + beta_dot) at s0 + u, over one sin(beta) factor."""
-    q = horner(st.coef[0], u) / _angle(st, 1, u)[0]
+    q = _divide(horner(st.coef[0], u), _angle(st, 1, u)[0])
     cos_b = _angle(st, 2, u)[0]
     # cot(gamma) = cos(x) / sin(x) for x = gamma - k pi, whatever the parity of k
     sin_x, cos_x = _angle(st, 3, u)
     # Out of place: numpy's in-place complex product can round differently at
     # some lengths, and a sample's value must not depend on its batch.
-    cot = q * cos_x * cos_b / sin_x
+    cot = _divide(q * cos_x * cos_b, sin_x)
     return _upow(u, st.omega_order, q), _upow(u, st.cot_order, cot)
 
 
@@ -273,23 +288,6 @@ def _driven_grid(s_end: float) -> np.ndarray:
     return (np.arange(GRID_POINTS) + 0.5) * (s_end / GRID_POINTS)
 
 
-def _detuning(stations: list[list[_Station]], c: np.ndarray, end: float):
-    """The detuning kernel for betas (columns of c) that share gamma, with each
-    beta's factors (_stacked_stations) at every station on the driven segment, a
-    list per station in s order: each beta's peak max |delta| t_f on
-    _driven_grid(end), and its cot term and beta_dot (times t_f) there, a row each.
-    Each sample takes its beta's factors at its nearest station (_quotients), as
-    the beta's waveform does, so no value depends on the stack. None may diverge."""
-    s, s0 = _driven_grid(end), np.array([at[0].s0 for at in stations])
-    rate = np.broadcast_to(horner(_derivative(c)[:, :, None], s), (c.shape[1], len(s)))
-    cot = np.empty(rate.shape)
-    cuts = np.searchsorted(s, 0.5 * (s0[1:] + s0[:-1]))
-    for at, lo, hi in zip(stations, [0, *cuts], [*cuts, len(s)]):
-        for row, st in enumerate(at if lo < hi else ()):
-            cot[row, lo:hi] = _quotients(st, s[lo:hi] - st.s0)[1]
-    return np.abs(cot - rate).max(axis=1), cot, rate
-
-
 @dataclass(frozen=True)
 class _GridPass:
     """_Waveform.grid's floats: peaks on the midpoints, Omega's least value and its s."""
@@ -348,13 +346,11 @@ class _Waveform:
 
     @cached_property
     def grid(self) -> _GridPass:
-        """_detuning's peak, and one _metric pass on [0, _driven_grid(end), end]: on first use."""
+        """One _metric pass on [0, _driven_grid(end), end], on first use."""
         s = np.concatenate(([0.0], _driven_grid(self.end), [self.end]))
-        metric, gen = _metric(self, s)
-        beta = self.beta.coefficients[:, None]
-        peak = _detuning([[st] for st in self.stations], beta, self.end)[0]
-        return _GridPass(float(peak[0]), float(gen.min()), float(s[gen.argmin()]),
-                         float(metric[1:-1].max()))
+        metric, gen, delta = _metric(self, s)
+        return _GridPass(float(np.abs(delta[1:-1]).max()), float(gen.min()),
+                         float(s[gen.argmin()]), float(metric[1:-1].max()))
 
     # -- scalar evaluators: one sample of the vector formulas ---------------
 
@@ -497,20 +493,19 @@ def adiabaticity_metric(pair: SchedulePair, s: float | np.ndarray) -> float | np
     x = np.atleast_1d(_check_s(s, scalar=False))
     if not (x.size and 0.0 < x.min() and x.max() < 1.0):
         raise ConfigError("adiabaticity metric is defined at interior points")
-    metric, gen = _metric(_waveform(pair), x)
+    metric, gen, _ = _metric(_waveform(pair), x)
     _check_gap(gen.min(), x[gen.argmin()])
     return float(metric[0]) if np.ndim(s) == 0 else metric
 
 
-def _metric(wave: _Waveform, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The metric and the generalized Rabi frequency Omega (floored at LEVEL_CROSSING
-    in the metric: _check_gap raises below it) at every sample of s, from s + i h:
-    real parts are values and Im / h rates, with no difference to cancel."""
-    h = 1e-30
+def _metric(wave: _Waveform, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The metric, Omega (floored at LEVEL_CROSSING in the metric: _check_gap raises
+    below it) and delta at the samples s, from s + i h: real parts wave.fields(s), Im / h rates."""
+    h = 1e-200
     om, dl = wave.fields(s + 1j * h)
     gen = np.hypot(om.real, dl.real)
     numerator = om.real * (dl.imag / h) - (om.imag / h) * dl.real
-    return np.abs(numerator / np.maximum(gen, LEVEL_CROSSING)**3), gen
+    return np.abs(numerator / np.maximum(gen, LEVEL_CROSSING)**3), gen, dl.real
 
 
 def _check_gap(gen_min: float, at: float) -> None:

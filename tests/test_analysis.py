@@ -123,25 +123,58 @@ def test_validate_third_order_all_clear():
     assert 0.0 < max_adiabaticity_metric(pair) < 1.0
 
 
-@pytest.mark.parametrize(
-    "build",
-    [lambda: third_order_pair(1.0), lambda: third_order_pair(37.0),
-     lambda: fourth_order_pair(1.0, 1.2), lambda: fourth_order_pair(3.0, 2.0),
-     lambda: fourth_order_pair(1.0, schedule.critical_gamma_mid() + 1e-3),
-     lambda: antedated_pair(1.0, 0.5), lambda: antedated_pair(2.0, 1.3, 1.7)],
-    ids=["third", "third-37", "fourth-1.2", "fourth-2.0", "fourth-critical", "antedated",
-         "antedated-0.65"],
-)
+#: Pairs of every family for the grid-pass tests, with their ids.
+GRID_PAIRS = {
+    "third": lambda: third_order_pair(1.0),
+    "third-37": lambda: third_order_pair(37.0),
+    "fourth-1.2": lambda: fourth_order_pair(1.0, 1.2),
+    "fourth-2.0": lambda: fourth_order_pair(3.0, 2.0),
+    "fourth-critical": lambda: fourth_order_pair(1.0, schedule.critical_gamma_mid() + 1e-3),
+    "antedated": lambda: antedated_pair(1.0, 0.5),
+    "antedated-0.65": lambda: antedated_pair(2.0, 1.3, 1.7),
+}
+
+
+@pytest.mark.parametrize("build", GRID_PAIRS.values(), ids=GRID_PAIRS.keys())
 def test_one_grid_pass_gives_the_metric_maximum_and_the_detuning_peak(build):
     """The grid pass's metric peak is the metric on the midpoints, bit for
-    bit, and its detuning peak the real waveform's there: the detuning
-    kernel (pulse._detuning) makes each sample as _Waveform.fields does."""
+    bit, and its detuning peak the real waveform's there: the complex pass's
+    real parts are the samples _Waveform.fields makes."""
     pair = build()
     wave = pulse._waveform(pair)
     s = pulse._driven_grid(wave.end)
     assert max_adiabaticity_metric(pair) == adiabaticity_metric(pair, s).max()
     assert wave.grid.delta_peak == np.abs(wave.delta_many(s)).max()
     assert all(type(v) is float for v in dataclasses.astuple(wave.grid))
+
+
+@pytest.mark.parametrize("build", GRID_PAIRS.values(), ids=GRID_PAIRS.keys())
+def test_a_grid_pass_evaluates_each_sample_once(build, monkeypatch):
+    """The metric, Omega's least value and the detuning peak come from one
+    pass: GRID_POINTS + 2 samples through _quotients, the ends included."""
+    wave = pulse._Waveform(build())
+    samples = []
+    quotients = pulse._quotients
+    monkeypatch.setattr(pulse, "_quotients", lambda st, u: samples.append(len(u)) or quotients(st, u))
+    assert wave.grid.delta_peak > 0.0
+    assert sum(samples) == pulse.GRID_POINTS + 2
+
+
+@pytest.mark.parametrize("build", [
+    *GRID_PAIRS.values(),
+    lambda: fourth_order_pair(1.0, schedule.critical_gamma_mid()),  # sin(gamma) of order 3 at 1
+    # driven samples past s = 0.25 take the order -1 of the divergence at 0.500002
+    lambda: SchedulePair(third_order_pair(1.0).gamma, Polynomial([-PI / 2, PI / 1.000004]), 1.0, 0.5),
+], ids=[*GRID_PAIRS.keys(), "fourth-at-critical", "divergent-past-switch"])
+def test_the_metric_pass_real_parts_are_the_real_fields(build):
+    """At the metric's complex step the real parts of omega_r and delta are
+    the real pass's byte for byte, on the grid pass's samples."""
+    wave = pulse._Waveform(build())
+    s = np.concatenate(([0.0], pulse._driven_grid(wave.end), [wave.end]))
+    _, gen, delta = pulse._metric(wave, s)
+    om, dl = wave.fields(s)
+    assert delta.tobytes() == dl.tobytes()
+    assert gen.tobytes() == np.hypot(om, dl).tobytes()
 
 
 def test_validate_flags_early_antedating():

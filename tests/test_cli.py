@@ -630,6 +630,35 @@ def test_synth_and_check_at_the_sweep_minimum_report_what_the_sweep_did(tmp_path
     assert _summary_values(tmp_path / "synth" / "summary.txt")["energy_cost"] == sweep["min_cost"]
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("synth", "t_f = 1\nfamily third\n", ":2: expected 'key = value'"),
+    ("synth", "t_f = x\nfamily = third\n", "config key 't_f': not a number: 'x'"),
+    ("synth", "t_f = 1\nfamily = third\ngrid_n = 1.5\n", "config key 'grid_n': not an integer: '1.5'"),
+    ("synth", "t_f = inf\nfamily = third\n", "config key 't_f': not finite: 'inf'"),
+    ("synth", "t_f = 1\nfamily = fifth\n", "family must be third|fourth|antedated, got 'fifth'"),
+    ("sweep", THIRD_CFG, "sweep subcommand requires sweep_lo, sweep_hi, sweep_n"),
+], ids=["no-equals", "float-text", "int-text", "float-inf", "family", "sweep-no-keys"])
+def test_config_errors_say_what_is_wrong(tmp_path, capsys, command, text, message):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(_write(tmp_path, text)), "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_an_unreadable_config_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "absent.cfg"
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert f"cannot read config {cfg}" in capsys.readouterr().err
+
+
+def test_evolve_summary_reports_the_inversion_time(tmp_path):
+    cfg = _write(tmp_path, THIRD_CFG)
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    run = parse_config(cfg)
+    report = analysis.compare_passages(run.build_pair(), run.weights, run.grid_n)
+    summary = _summary_values(tmp_path / "out" / "summary.txt")
+    assert summary["inversion_time"] == repr(report.inversion_time)
+
+
 def test_sweep_requires_sweep_keys(tmp_path):
     cfg = _write(tmp_path, THIRD_CFG)
     code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])

@@ -245,6 +245,15 @@ def test_dynamics_probes_take_s_in_the_unit_interval(probe, s):
         _PROBES[probe](third_order_pair(1.0), s)
 
 
+def test_s_errors_say_whether_the_probe_takes_arrays():
+    # a probe of one s asks for a real number; one that takes arrays names them too
+    pair = third_order_pair(1.0)
+    with pytest.raises(ConfigError, match=r"is not a real number in \[0, 1\]"):
+        dynamics.invariant_eigenstate(pair, 1, 2.0)
+    with pytest.raises(ConfigError, match=r"is not a real number or array of them in \[0, 1\]"):
+        omega_r_at(pair, 2.0)
+
+
 @pytest.mark.parametrize(
     "s", [*_BAD_S.values(), 0.5 + 0j, []], ids=[*_BAD_S, "complex-0j", "empty"]
 )

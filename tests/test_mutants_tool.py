@@ -49,7 +49,8 @@ def test_mutants_swap_and_with_or_and_negate_if_and_while_conditions():
         "m.py:2:13: boolean or -> and",
         "m.py:2:19: boolean and -> or",
         "m.py:5:8: condition negated",
-        "m.py:7:10: condition negated",  # the elif; a comprehension's if is no statement
+        "m.py:7:10: condition negated",  # the elif
+        "m.py:8:33: condition negated",  # the comprehension's if
     ]
     edits = [m.apply(source) for m in mutants]
     for text in edits:
@@ -59,6 +60,23 @@ def test_mutants_swap_and_with_or_and_negate_if_and_while_conditions():
     assert "(b or\n" in edits[2]
     assert "    if not (a):\n" in edits[3]
     assert "    elif not (not b):\n" in edits[4]
+    assert "        return [x for x in a if not (x)]\n" in edits[5]
+
+
+def test_mutants_drop_raises_and_negate_conditional_expressions():
+    source = ("def g(a):\n    if a:\n        raise ValueError(\n            f'{a}') from None\n"
+              "    return [1 if y else 2 for y in a]\n")
+    mutants = _tool().mutants("m", source)
+    assert [str(m) for m in mutants] == [
+        "m.py:2:8: condition negated",
+        "m.py:3:9: raise dropped",
+        "m.py:5:18: condition negated",
+    ]
+    edits = [m.apply(source) for m in mutants]
+    for text in edits:
+        compile(text, "m.py", "exec")
+    assert edits[1] == "def g(a):\n    if a:\n        pass\n    return [1 if y else 2 for y in a]\n"
+    assert "    return [1 if not (y) else 2 for y in a]\n" in edits[2]
 
 
 def test_survivors_name_the_constant_no_test_pins(tmp_path):

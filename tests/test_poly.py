@@ -170,8 +170,16 @@ def test_fit_duplicate_conditions_raises():
 
 
 def test_fit_wrong_condition_count():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="need exactly 4 conditions for degree 3, got 1"):
         fit([Condition(0.0, 0, 1.0)], 3)
+
+
+def test_fit_rejects_a_solution_that_misses_its_conditions():
+    # values alternating in sign at four points within 1e-3: the solve
+    # succeeds, but its rounding misses the conditions by far more than FIT_TOL
+    conds = [Condition(float(s), 0, (-1.0) ** i) for i, s in enumerate(np.linspace(0.4, 0.401, 4))]
+    with pytest.raises(SingularSystem, match="residual check"):
+        fit(conds, 3)
 
 
 def test_fit_satisfies_random_condition_sets():

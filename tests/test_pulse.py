@@ -114,10 +114,16 @@ def test_waveform_probes_take_arrays(third, ante):
             assert probe(pair, s[:0]).shape == (0,)
 
 
+def _reference_divide(a, b):
+    """a / b as _quotients divides: numpy's division for real samples, the
+    first-order complex-step division (pulse._divide) for complex ones."""
+    return pulse._divide(a, b) if np.iscomplexobj(b) else a / b
+
+
 def _reference_omega(st, u):
     """omega_r at s0 + u: the station formula that _quotients replaced."""
     sin_b, _ = _angle(st, 1, u)
-    return _upow(u, st.omega_order, horner(st.coef[0], u) / sin_b)
+    return _upow(u, st.omega_order, _reference_divide(horner(st.coef[0], u), sin_b))
 
 
 def _reference_cot(st, u):
@@ -125,7 +131,8 @@ def _reference_cot(st, u):
     sin_b, _ = _angle(st, 1, u)
     cos_b, _ = _angle(st, 2, u)
     sin_x, cos_x = _angle(st, 3, u)
-    return _upow(u, st.cot_order, horner(st.coef[0], u) / sin_b * cos_x * cos_b / sin_x)
+    q = _reference_divide(horner(st.coef[0], u), sin_b)
+    return _upow(u, st.cot_order, _reference_divide(q * cos_x * cos_b, sin_x))
 
 
 def _reference_rows(wave, s):
@@ -150,7 +157,7 @@ def test_quotients_match_the_two_station_formulas_bit_for_bit(pair):
     s0 = np.array([st.s0 for st in wave.stations])
     near = (s0[:, None] + np.array([-1e-3, -1e-6, -1e-9, 1e-9, 1e-6, 1e-3])).ravel()
     s = np.concatenate([np.linspace(0.0, 1.0, 1001), near[(near >= 0.0) & (near <= 1.0)]])
-    for x in (s, s + 1e-30j):
+    for x in (s, s + 1e-200j):  # the metric's complex step
         rows, reference = wave.quotients(x), _reference_rows(wave, x)
         for row, ref in zip(rows, reference):
             assert row.dtype == ref.dtype and row.tobytes() == ref.tobytes()
@@ -200,10 +207,10 @@ def test_sinc_cos_from_one_tan_matches_numpy_within_a_few_ulps():
     slack = 2 * np.spacing(np.abs(rate)) + 4 * np.finfo(float).eps / np.abs(np.where(series, 1.0, a))
     assert np.all(np.abs(step_sinc.imag - numpy_rate)[~series] <= slack[~series])
     assert np.all(np.abs(step_cos.imag + np.sin(a)) <= 2 * np.spacing(np.abs(np.sin(a))))
-    # b scales the complex-step parts exactly, down to the metric's h = 1e-30
-    tiny_sinc, tiny_cos = pulse._sinc_cos(a + 1e-30j)
-    assert tiny_sinc.imag.tolist() == (1e-30 * step_sinc.imag).tolist()
-    assert tiny_cos.imag.tolist() == (1e-30 * step_cos.imag).tolist()
+    # b scales the complex-step parts exactly, down to the metric's h = 1e-200
+    tiny_sinc, tiny_cos = pulse._sinc_cos(a + 1e-200j)
+    assert tiny_sinc.imag.tolist() == (1e-200 * step_sinc.imag).tolist()
+    assert tiny_cos.imag.tolist() == (1e-200 * step_cos.imag).tolist()
 
 
 @pytest.mark.parametrize("build, searches", [

@@ -12,8 +12,10 @@ One mutant at a time changes one of these in `src/iecpulse/*.py`:
   times 10 and divided by 10;
 - the operator of such a comparison: `<` and `<=` swapped, and `>` and `>=`;
 - each `and` of a boolean operation made `or`, and each `or` made `and`;
-- the condition of an `if` (or `elif`) or `while` statement negated, as
-  `not (...)`.
+- the condition of an `if` (or `elif`) or `while` statement, of a
+  conditional expression (`a if c else b`) or of a comprehension's `if`
+  negated, as `not (...)`;
+- a `raise` statement made `pass`.
 
 An int is divided with floor and kept at least 1 in size; a mutant that
 equals the original (a zero, a 1 divided) is not made. Each mutant is
@@ -141,9 +143,13 @@ def mutants(module: str, source: str) -> list[Mutant]:
                 a, b = span(left)[1], span(right)[0]
                 m = re.search(rf"\b{word}\b", source[a:b])
                 add(f"boolean {word} -> {other}", a + m.start(), a + m.end(), other)
-        if isinstance(node, (ast.If, ast.While)):
-            a, b = span(node.test)
+        tests = ([node.test] if isinstance(node, (ast.If, ast.While, ast.IfExp))
+                 else node.ifs if isinstance(node, ast.comprehension) else [])
+        for test in tests:
+            a, b = span(test)
             add("condition negated", a, b, f"not ({source[a:b]})")
+        if isinstance(node, ast.Raise):
+            add("raise dropped", *span(node), "pass")
         operands = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
         numbers = [n for x in operands for n in _read(x)]
         if not numbers:
