@@ -51,10 +51,6 @@ DELTA_FINITE_BOUND = 1e3
 #: final values.
 POPULATION_TOL = 1e-3
 
-#: The most sweep rows from each end of the band in one _Sweep.detuning call:
-#: 16 rows make 1.3 MB per array. It bounds that memory; no output depends on it.
-SWEEP_BLOCK = 8
-
 
 def energy_cost(pair: SchedulePair) -> float:
     """Pulse area of omega_r up to the completion time (dimensionless): _areas
@@ -182,10 +178,10 @@ class _Sweep:
     evaluate decides each candidate by the basis's fit check, the band of b where
     -pi < beta < 0 on the driven segment (omega_r is then finite and positive, a
     plain quotient with no station) and the detuning policy on the validation
-    grid (_detuning_in_band), and costs the feasible ones' fitted betas in one
-    call (_cost), whose sums do not depend on that grouping.
-    A pair's cost and detuning peak are its row's to the bit, so its
-    validate_schedule verdict is the row's.
+    grid (_detuning_in_band, or its proof for b in the open interval self.proved),
+    and costs the feasible ones' fitted betas in one call (_cost), whose sums do
+    not depend on that grouping. A pair's cost and detuning peak are its row's
+    to the bit, so its validate_schedule verdict is the row's.
     """
 
     def __init__(self, t_f: float, t_a: float):
@@ -193,6 +189,7 @@ class _Sweep:
         basis = self.basis = AntedatedBasis(t_f, t_a)
         self.s_end, self.gamma, self.b0, self.b1 = basis.s_end, basis.gamma, basis.b0, basis.b1
         self.band = _band(self.b0, self.b1, self.s_end)
+        self.proved = (0.0, 0.0)
 
     def evaluate(self, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(cost, feasible) at each beta_dot0, in units of pi / (2 t_f); cost
@@ -202,10 +199,11 @@ class _Sweep:
             b = beta_dot0_rate(units, self.t_f) * self.t_f  # rounded as _sweep_point rounds it
             c, fits = self.basis.fit(b)
             ok = (lo < b) & (b < hi) & fits
-        rows = np.flatnonzero(ok)
+        p, q = self.proved
+        rows = np.flatnonzero(ok & ~((p < b) & (b < q)))
         rows = rows[np.argsort(b[rows])]
-        ok[rows] = self._detuning_in_band(c[:, rows])
-        rows = rows[ok[rows]]
+        ok[rows] = self._detuning_in_band(c[:, rows], b[rows])
+        rows = np.flatnonzero(ok)
         cost = np.full(len(b), math.nan)
         cost[rows] = self._cost(c[:, rows])
         return cost, ok
@@ -222,24 +220,23 @@ class _Sweep:
                 cot[row, part] = _quotients(st, s[part] - x)[1]
         return np.abs(cot - rate).max(axis=1), cot, rate
 
-    def _detuning_in_band(self, c: np.ndarray) -> np.ndarray:
-        """Whether each fitted beta (a column of c, ascending in b in the band)
+    def _detuning_in_band(self, c: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Whether each fitted beta (a column of c, at b ascending in the band)
         has its peak within DELTA_FINITE_BOUND, by the kernel on the outermost
-        undecided row at each end, then 2, 4, ... up to SWEEP_BLOCK, moving
-        inward until _proved_between passes every row between the innermost
-        evaluated ones. At worst every row is evaluated."""
+        undecided row at each end, moving inward one pair at a time, until
+        _proved_between passes every b strictly between the pair's. That open
+        interval of b goes to self.proved. At worst every row is evaluated."""
         ok = np.empty(c.shape[1], dtype=bool)
-        i, j, k = 0, c.shape[1], 1  # rows i .. j - 1 are undecided
+        i, j = 0, c.shape[1]  # rows i .. j - 1 are undecided
         while i < j:
-            rows = np.r_[i : min(i + k, j), max(j - k, i + k) : j]
+            rows = sorted({i, j - 1})
             peak, cot, rate = self.detuning(c[:, rows])
             ok[rows] = peak <= DELTA_FINITE_BOUND
-            n = min(k, j - i)  # rows from the low end; the high end's follow
-            i, j = i + n, max(j - k, i + n)
-            if i < j and _proved_between(cot[n - 1 : n + 1], rate[n - 1 : n + 1]):
+            i, j = i + 1, j - 1
+            if i < j and _proved_between(cot, rate):
                 ok[i:j] = True
+                self.proved = b[i - 1], b[j]
                 break
-            k = min(2 * k, SWEEP_BLOCK)
         return ok
 
     def _edges(self, c: np.ndarray) -> np.ndarray:
@@ -271,15 +268,16 @@ class _Sweep:
         return float(d1), float(d2)
 
     def argmin(self, b: float, lo: float, hi: float) -> float:
-        """Where C is least on [lo, hi], from the grid's best b in it: b itself
-        unless C' changes sign between b and the end it falls towards. C'' > 0
-        in the band, where gamma' < 0 (_band) and sin(beta) < 0. Safeguarded
-        Newton on C' (rtsafe): each C' sign shrinks the bracket, and a Newton
-        point outside it, C'' <= 0 or a step over half the one before last
-        bisects it instead. Stops at a step of 1e-12 relative in b."""
+        """Where C is least on [lo, hi], from the grid's best b and its feasible
+        neighbours lo and hi: b itself if it is the end C falls towards. Else
+        C' changes sign between b and that end, as C(end) >= C(b) and C'' > 0
+        in the band (which holds [lo, hi]), where gamma' < 0 (_band) and
+        sin(beta) < 0. Safeguarded Newton on C' (rtsafe): each C' sign shrinks
+        the bracket, and a Newton point outside it, C'' <= 0 or a step over half
+        the one before last bisects it instead. Stops at a step of 1e-12 relative in b."""
         g, h = self._slopes(b)
         end = hi if g < 0 else lo
-        if end == b or (self._slopes(end)[0] < 0) == (g < 0):
+        if end == b:
             return b
         lo, hi = min(b, end), max(b, end)
         x, step, prior = b, hi - lo, hi - lo
@@ -410,14 +408,14 @@ class PassageReport:
     stacks of the two passages. max_population_gap is the largest
     difference of their upper-level populations, and inversion_time the
     first sample time at which both populations of rho lie within
-    POPULATION_TOL of their final values (None if none does).
+    POPULATION_TOL of their final values (the last sample holds them).
     """
 
     t: np.ndarray
     rho: np.ndarray
     adiabatic_rho: np.ndarray
     max_population_gap: float
-    inversion_time: float | None
+    inversion_time: float
 
 
 def compare_passages(pair: SchedulePair, w: Weights, n_grid: int) -> PassageReport:
@@ -442,7 +440,7 @@ def compare_passages(pair: SchedulePair, w: Weights, n_grid: int) -> PassageRepo
         rho=rho,
         adiabatic_rho=ad,
         max_population_gap=float(np.abs(rho11 - ad[:, 0, 0].real).max()),
-        inversion_time=float(s_grid[hit[0]] * pair.t_f) if len(hit) else None,
+        inversion_time=float(s_grid[hit[0]] * pair.t_f),
     )
 
 

@@ -234,7 +234,7 @@ def _cmd_evolve(cfg: RunConfig) -> dict[str, str]:
         "summary.txt": _summary([
             ("t_f", float(cfg.t_f)),
             ("family", cfg.family),
-            ("inversion_time", report.inversion_time if report.inversion_time is not None else "none"),
+            ("inversion_time", report.inversion_time),
             ("max_population_gap", report.max_population_gap),
             ("final_fidelity", float(iec[-1][-1])),
             ("max_rk4_deviation", deviation),

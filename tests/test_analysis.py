@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+import types
 
 import mpmath as mp
 import numpy as np
@@ -541,13 +542,14 @@ def test_sweep_costs_do_not_depend_on_how_rows_are_grouped(frac):
 
 def _kernel_verdicts(sweep, b):
     """The detuning kernel's verdict on every candidate that passes the band
-    and fit checks, SWEEP_BLOCK rows at a time; False elsewhere."""
+    and fit checks, 16 rows at a time (a row's peak does not depend on the
+    rows beside it); False elsewhere."""
     lo, hi = sweep.band
     c, fits = sweep.basis.fit(b)
     rows = np.flatnonzero((lo < b) & (b < hi) & fits)
     ok = np.zeros(len(b), dtype=bool)
-    for i in range(0, len(rows), analysis.SWEEP_BLOCK):
-        block = rows[i : i + analysis.SWEEP_BLOCK]
+    for i in range(0, len(rows), 16):
+        block = rows[i : i + 16]
         ok[block] = sweep.detuning(c[:, block])[0] <= analysis.DELTA_FINITE_BOUND
     return ok
 
@@ -604,15 +606,52 @@ def _assert_grid_rows(monkeypatch, frac, lo, hi, n):
 
 def test_sweep_grid_rows_stay_near_the_band_ends(monkeypatch):
     # the README sweep: the two band-end rows reach the grid and the bound
-    # proves the other 198 candidates; then the refined minimum
-    assert _assert_grid_rows(monkeypatch, 0.5, 0.1, 8.0, 200) == [2, 1]
+    # proves the other 198 candidates, and the refined minimum between them
+    assert _assert_grid_rows(monkeypatch, 0.5, 0.1, 8.0, 200) == [2]
 
 
 def test_sweep_grid_rows_move_inward_while_the_band_ends_fail(monkeypatch):
     # inside the band (5.511, 5.750) at t_a = 0.77 t_f rows fail near both
-    # ends: 1, 2, 4, 8, then SWEEP_BLOCK rows from each end per call
-    assert _assert_grid_rows(monkeypatch, 0.77, 5.52, 5.74, 400) == [2, 4, 8, 16, 16, 16, 16, 16,
-                                                                      16, 1]
+    # ends: one row from each end per call until the bound proves the rest,
+    # the refined minimum among them
+    assert _assert_grid_rows(monkeypatch, 0.77, 5.52, 5.74, 400) == [2] * 48
+
+
+@pytest.mark.parametrize("frac", [0.3, 0.5, 0.7, 0.77])
+def test_proved_interval_decides_off_grid_rows_as_the_kernel(monkeypatch, frac):
+    """After a grid, evaluate decides b strictly inside sweep.proved without
+    the kernel; the proof covers every b between its two rows, not only grid
+    rows, so each verdict and cost is a fresh _Sweep's kernel verdict and
+    _cost at that b. At 0.77 rows fail near both band ends, and the proof
+    passes only on a later pair."""
+    sweep = _Sweep(1.0, frac)
+    lo, hi = sweep.band
+    calls = _kernel_rows(monkeypatch)
+    sweep.evaluate(np.linspace(lo, hi, 202)[1:-1] * 2.0 / PI)
+    p, q = sweep.proved
+    assert lo < p < q < hi
+    # the interval ends at the last kernel pair's rows, no further
+    assert np.array_equal(calls[-1][0], sweep.basis.fit(np.array([p, q]))[0])
+    units = np.random.default_rng(0).uniform(p, q, 50) * 2.0 / PI
+    b = schedule.beta_dot0_rate(units, 1.0)
+    assert ((p < b) & (b < q)).all()
+    calls.clear()
+    cost, ok = sweep.evaluate(units)
+    assert calls == []
+    fresh = _Sweep(1.0, frac)
+    assert ok.all() and np.array_equal(ok, _kernel_verdicts(fresh, b))
+    assert np.array_equal(cost, fresh._cost(fresh.basis.fit(b)[0]))
+
+
+def test_band_rows_no_pair_proves_are_each_evaluated_once(monkeypatch):
+    # at t_a = 0.7737 t_f no row of the band passes, so no proof does:
+    # 11 band rows take five pairs from the ends inward and the lone middle row
+    calls = _kernel_rows(monkeypatch)
+    sweep = _Sweep(1.0, 0.7737)
+    lo, hi = sweep.band
+    assert not sweep.evaluate(np.linspace(lo, hi, 13)[1:-1] * 2.0 / PI)[1].any()
+    assert [len(peak) for _, peak in calls] == [2] * 5 + [1]
+    assert sweep.proved == (0.0, 0.0)
 
 
 def test_proof_between_rows_keeps_its_margin(monkeypatch):
@@ -688,6 +727,33 @@ def test_sweep_minimum_is_a_feasible_local_minimum(frac, t_f, ends, n):
         assert (c_star <= cost[ok] * (1 + 1e-12)).all()
 
 
+@settings(max_examples=60, deadline=None)
+@given(frac=_evenly(schedule.critical_t_a() + 1e-3, 0.7737),
+       t_f=_evenly(-3.0, 3.0).map(lambda e: 10.0**e),
+       ends=st.tuples(_evenly(-0.3, 0.6), _evenly(-0.3, 0.6)), n=st.integers(10, 400))
+@example(frac=0.5, t_f=1.0, ends=(0.0, 0.0), n=200)
+def test_cost_slope_changes_sign_between_the_best_row_and_its_neighbour(frac, t_f, ends, n):
+    """_Sweep.argmin's premise: on the grid of
+    test_sweep_minimum_is_a_feasible_local_minimum, C' at the best feasible
+    row and at the feasible neighbour C falls towards have opposite signs,
+    as C is convex on the band and costs no less at the neighbour."""
+    sweep = _Sweep(t_f, frac * t_f)
+    lo, hi = np.array(sweep.band) * 2.0 / PI
+    lo, hi = max(lo - ends[0] * (hi - lo), 0.05), hi + ends[1] * (hi - lo)
+    units = np.linspace(lo, hi, n)
+    cost, ok = sweep.evaluate(units)
+    kept = np.flatnonzero(ok)
+    if not len(kept):
+        return
+    best = int(np.argmin(cost[kept]))
+    near = units[kept[[best, max(best - 1, 0), min(best + 1, len(kept) - 1)]]]
+    b, left, right = (schedule.beta_dot0_rate(near, t_f) * t_f).tolist()
+    g = sweep._slopes(b)[0]
+    end = right if g < 0 else left
+    if end != b:
+        assert (sweep._slopes(end)[0] < 0) != (g < 0), (b, end)
+
+
 def _evaluate_calls(monkeypatch):
     """Wrap _Sweep.evaluate to record each call's candidate count."""
     calls = []
@@ -710,7 +776,7 @@ def test_sweep_minimum_takes_one_evaluation_past_the_grid(monkeypatch):
     monkeypatch.setattr(_Sweep, "_slopes", lambda self, b: slopes.append(b) or slope(self, b))
     result = sweep_beta_dot0(1.0, 0.5, 0.1, 8.0, 200)
     assert calls == [200, 1]
-    assert len(slopes) <= 6
+    assert len(slopes) == 3
     assert result.minimum[1] < result.cost.min()
 
 
@@ -733,6 +799,24 @@ def test_sweep_minimum_of_a_grid_with_one_feasible_row():
     assert result.minimum == (result.units[row], result.cost[row])
 
 
+@pytest.mark.parametrize("slopes, most", [
+    (lambda x: (x - 5.3, 1.0), 3),  # C quadratic: one bisection, then Newton lands on 5.3
+    (lambda x: (x - 5.3, 0.0), 41),  # C'' = 0: plain bisection, 8 halved to 8e-12
+    (lambda x: (math.atan(x - 5.3), 1 / (1 + (x - 5.3) ** 2)), 82),  # Newton leaves [0, 8]
+    (lambda x: ((x - 5.3) ** 5, 5 * (x - 5.3) ** 4), 82),  # Newton shrinks too slowly
+], ids=["quadratic", "flat", "atan", "quintic"])
+def test_argmin_safeguards_keep_newton_in_its_bracket(slopes, most):
+    """argmin on a stand-in C' with its one sign change at 5.3 in the bracket
+    [0, 8]: every slope is read inside the bracket, the steps shrink at
+    least as fast as bisection's every second step, so at most twice its
+    41 calls, and the last step, at most 1e-12 of 8, bounds the error."""
+    xs = []
+    fake = types.SimpleNamespace(_slopes=lambda x: xs.append(x) or slopes(x))
+    assert _Sweep.argmin(fake, 0.0, 0.0, 8.0) == pytest.approx(5.3, abs=8e-12)
+    assert all(0.0 <= x <= 8.0 for x in xs)
+    assert len(xs) <= most
+
+
 @pytest.mark.parametrize("pocket, refined", [
     ((5.15, 5.35), False),  # the minimum, near 5.23, is infeasible: the grid row stays
     ((5.25, 5.45), True),  # rows past the best (5.2) are infeasible; the minimum is not
@@ -743,9 +827,10 @@ def test_sweep_minimum_when_the_bracket_straddles_infeasible_rows(monkeypatch, p
     verdict = _Sweep._detuning_in_band
     lo, hi = schedule.beta_dot0_rate(np.array(pocket), 1.0)
 
-    def holed(self, c):
-        b = c[1]  # beta_dot(0) = b, to rounding
-        return verdict(self, c) & ~((lo < b) & (b < hi))
+    def holed(self, c, b):
+        ok = verdict(self, c, b) & ~((lo < b) & (b < hi))
+        self.proved = (0.0, 0.0)  # no proof covers the pocket: every later b reaches holed
+        return ok
 
     monkeypatch.setattr(_Sweep, "_detuning_in_band", holed)
     result = sweep_beta_dot0(1.0, 0.5, 4.0, 6.5, 26)
@@ -779,7 +864,7 @@ def _assert_row_is_its_pair(frac, b):
     verdict. Returns the peak and the verdict."""
     sweep = _Sweep(1.0, frac)
     c = sweep.basis.fit(np.array([b]))[0]
-    peak, verdict = sweep.detuning(c)[0][0], sweep._detuning_in_band(c)[0]
+    peak, verdict = sweep.detuning(c)[0][0], sweep._detuning_in_band(c, np.array([b]))[0]
     pair = antedated_pair(1.0, frac, b)
     report = validate_schedule(pair)
     assert peak == pulse._waveform(pair).grid.delta_peak
@@ -896,7 +981,7 @@ def test_compare_passages_third_order():
     assert rho11[-1] == pytest.approx(0.2, abs=1e-12)
     assert np.all(bloch_vector(report.adiabatic_rho)[:, 1] == 0.0)
     assert np.abs(bloch_vector(report.rho)[:, 1]).max() > 0.1
-    assert report.inversion_time is not None
+    assert type(report.inversion_time) is float
 
 
 def test_compare_passages_antedated_inversion_at_switch():
@@ -907,7 +992,7 @@ def test_compare_passages_antedated_inversion_at_switch():
     assert rho11[idx] == pytest.approx(0.2, abs=1e-6)
     assert rho22[idx] == pytest.approx(0.8, abs=1e-6)
     np.testing.assert_allclose(rho11[idx:], 0.2, atol=1e-9)
-    assert report.inversion_time is not None and report.inversion_time <= 0.5
+    assert type(report.inversion_time) is float and report.inversion_time <= 0.5
 
 
 @pytest.mark.parametrize("pair, expected", [
